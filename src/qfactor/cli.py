@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    spectrum    per-graph q, rho, residual, iteration counts
+    spectrum    per-graph q, rho and eigenpair residual
     extremal    build one member of the extremal families, with metadata
     factor      per-graph criterion verdict, blocking set, certificate
     verify      classify a graph6 stream against the even-factor theorem
@@ -62,7 +62,6 @@ from .harness import (
 )
 from .reportio import dumps_canonical, format_float, make_report
 from .spectra import (
-    ConvergenceError,
     char_poly,
     largest_real_root,
     perron_q,
@@ -196,8 +195,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             continue
         try:
             g = parse_graph6(text)
-            rq = perron_q(g, tol=args.tol)
-            rr = perron_rho(g, tol=args.tol)
+            rq = perron_q(g)
+            rr = perron_rho(g)
             rows.append(
                 {
                     "line": lineno,
@@ -208,10 +207,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
                     "q": rq.value,
                     "rho": rr.value,
                     "residual": max(rq.residual, rr.residual),
-                    "iterations": rq.iterations + rr.iterations,
                 }
             )
-        except (Graph6Error, ConvergenceError) as exc:
+        except (ValueError, ArithmeticError) as exc:
+            # Graph6Error, an order-0 graph, or the perron residual gate
             errors += 1
             rows.append({"line": lineno, "graph6": text, "error": str(exc)})
 
@@ -219,7 +218,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     config = {
         "subcommand": "spectrum",
         "input": args.input,
-        "tol": args.tol,
         "strict": args.strict,
         "format": args.format,
     }
@@ -227,17 +225,17 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
                          wall_time_s=time.perf_counter() - start)
 
     text_lines = []
-    csv_header = ["line", "graph6", "n", "m", "delta", "q", "rho", "residual", "iterations", "error"]
+    csv_header = ["line", "graph6", "n", "m", "delta", "q", "rho", "residual", "error"]
     csv_body = []
     for row in rows:
         if "error" in row:
             text_lines.append(f"{row['graph6']}  error: {row['error']}")
-            csv_body.append([_fmt(row["line"]), row["graph6"], "", "", "", "", "", "", "", row["error"]])
+            csv_body.append([_fmt(row["line"]), row["graph6"], "", "", "", "", "", "", row["error"]])
         else:
             text_lines.append(
                 f"{row['graph6']}  n={row['n']} m={row['m']} delta={row['delta']} "
                 f"q={_fmt(row['q'])} rho={_fmt(row['rho'])} "
-                f"residual={_fmt(row['residual'])} iterations={row['iterations']}"
+                f"residual={_fmt(row['residual'])}"
             )
             csv_body.append([_fmt(row[k]) for k in csv_header[:-1]] + [""])
     text_lines.append(f"spectrum: {len(rows)} graphs, {errors} errors")
@@ -622,7 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="per-graph spectral radii")
     p.add_argument("input", nargs="?", default="-", help="graph6 file or - for stdin")
-    p.add_argument("--tol", type=float, default=1e-12, help="power-iteration tolerance")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 on malformed input instead of per-line error rows")
     _add_output_flags(p, ("text", "json", "csv"))
@@ -692,11 +689,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"qfactor: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except (OSError, UnicodeDecodeError) as exc:
+        # missing or unreadable input (a directory, a non-ASCII byte)
+        print(f"qfactor: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

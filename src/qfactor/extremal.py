@@ -17,7 +17,7 @@ The families are joins of a clique S with disjoint clique unions:
 Closed-form 3x3 quotient matrices and their characteristic polynomials are
 kept as exact integer objects so identity checks are coefficient-exact.
 threshold_q is the load-bearing number: the largest root of the gstar
-polynomial, cross-validated against power iteration on the actual graph.
+polynomial, cross-validated against LAPACK eigh on the actual graph.
 """
 
 from __future__ import annotations
@@ -318,5 +318,5 @@ def _threshold_cached(n: int, delta: int, tol: float) -> float:
 
 def threshold_q(n: int, delta: int, tol: float = 1e-8) -> float:
     """q(gstar(n, delta)): largest root of phi_bstar, cross-validated
-    against power iteration on the built graph (mismatch > tol raises)."""
+    against perron_q on the built graph (mismatch > tol raises)."""
     return _threshold_cached(n, delta, tol)

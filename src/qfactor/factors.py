@@ -228,8 +228,8 @@ def factor_verdict(
     a blocked side."""
     crit, blocking = strong_tutte_check(g, max_order=max_order)
     cert = find_even_factor(g, max_order=cert_max_order, max_edges=cert_max_edges)
-    if cert is not None:
-        assert verify_even_factor(g, cert)
+    if cert is not None and not verify_even_factor(g, cert):
+        raise ValueError("certificate search returned a non-factor")
     if crit:
         agreement = "both_yes" if cert is not None else "criterion_yes_factor_no"
     else:

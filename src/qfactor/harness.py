@@ -58,7 +58,6 @@ from .factors import (
 )
 from .graphs import (
     Graph,
-    Graph6Error,
     GuardExceeded,
     enumerate_labeled,
     is_connected,
@@ -69,7 +68,6 @@ from .graphs import (
     write_graph6,
 )
 from .spectra import (
-    alpha_matrix,
     cell_values,
     char_poly,
     is_equitable,
@@ -206,7 +204,6 @@ def check_theorem_instance(
     *,
     eps: float = DEFAULT_EPS,
     guards: Guards | None = None,
-    tol: float = 1e-12,
 ) -> TheoremOutcome:
     """Classify one graph.  See the module docstring for the ladder.
 
@@ -226,7 +223,7 @@ def check_theorem_instance(
     if delta < 2:
         return TheoremOutcome("not_applicable", note="minimum degree below 2")
 
-    q = perron_q(g, tol=tol).value
+    q = perron_q(g).value
     threshold = threshold_q(n, delta)
     if q < threshold - eps:
         return TheoremOutcome("below_threshold", q, threshold, delta)
@@ -247,7 +244,8 @@ def check_theorem_instance(
         cert_blocked = True
 
     if certificate is not None:
-        verify_even_factor(g, certificate)
+        if not verify_even_factor(g, certificate):
+            raise ValueError("certificate search returned a non-factor")
         return TheoremOutcome(
             "confirmed_factor",
             q,
@@ -315,9 +313,11 @@ def _classify_payload(
     lineno, text = item
     try:
         g = parse_graph6(text)
-    except Graph6Error as exc:
+        outcome = check_theorem_instance(g, eps=eps, guards=guards)
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        # Graph6Error, a rejected certificate, the perron residual gate or
+        # the threshold cross-check: this line fails, the run goes on.
         return {"line": lineno, "graph6": text, "error": str(exc)}
-    outcome = check_theorem_instance(g, eps=eps, guards=guards)
     row = outcome.as_row(graph6=write_graph6(g))
     row["line"] = lineno
     return row
@@ -332,8 +332,9 @@ def verify_stream(
 ) -> dict[str, Any]:
     """Classify every graph6 line of a stream.
 
-    Blank lines are skipped; malformed lines become error rows (they make
-    the run a usage failure but do not stop it).  With ``jobs > 1`` the
+    Blank lines are skipped; malformed lines and instances whose numeric
+    or certificate checks fail become error rows (they make the run a
+    usage failure but do not stop it).  With ``jobs > 1`` the
     classification fans out over a process pool; rows are returned in input
     order either way, so reports are independent of ``jobs``.
     """
@@ -422,8 +423,8 @@ def sharpness_probe(
 
     try:
         cert = find_even_factor(g, max_order=guards.cert_order, max_edges=guards.cert_edges)
-        if cert is not None:
-            verify_even_factor(g, cert)
+        if cert is not None and not verify_even_factor(g, cert):
+            raise ValueError("certificate search returned a non-factor")
         result["even_factor"] = [list(e) for e in cert] if cert is not None else None
         result["has_even_factor"] = cert is not None
     except GuardExceeded as exc:
@@ -670,7 +671,7 @@ def _cell_ordering_lemma(*, eq_tol: float, strict_floor: float) -> dict[str, Any
     violations = 0
     for g, cells, sizes in instances:
         for alpha in (0, 1):
-            data = perron(alpha_matrix(g, alpha))
+            data = perron(g, alpha)
             values = cell_values(data, cells)[1:]  # skip the join cell
             ordered = sorted(range(len(sizes)), key=lambda i: sizes[i])
             ok = True

@@ -127,7 +127,7 @@ def test_03_f_positive_beyond_vertex():
 
 
 def test_04_threshold_root_matches_spectrum():
-    """The polynomial root used as the threshold agrees with the power-method
+    """The polynomial root used as the threshold agrees with the eigh
     radius of the built extremal graph to 1e-8, and complete graphs hit
     q(K_m) = 2m-2 to 1e-10."""
     start = time.perf_counter()

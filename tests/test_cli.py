@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from qfactor.cli import main, verify_exit_code
@@ -12,6 +13,7 @@ from qfactor.reportio import strip_volatile
 
 C8 = "GhCGKC"
 K8 = "G~~~~{"
+K10 = "I~~~~~~~w"
 GSTAR82 = "G~~~}?"
 FACTORLESS = "G]o_GK"
 
@@ -75,11 +77,11 @@ class TestSpectrum:
 
     def test_malformed_line_lax_vs_strict(self, capsys, tmp_path):
         path = tmp_path / "bad.g6"
-        path.write_text("C~\n!!bogus!!\n")
+        path.write_text("C~\n!!bogus!!\n?\n")  # '?' is the order-0 graph
         code, out, _ = run(capsys, "spectrum", str(path), "--format", "json")
         assert code == 0
         report = json.loads(out)
-        assert report["results"]["errors"] == 1
+        assert report["results"]["errors"] == 2
         code, out, _ = run(capsys, "spectrum", str(path), "--strict")
         assert code == 2
         assert "error" in out
@@ -89,9 +91,16 @@ class TestSpectrum:
         code, out, _ = run(capsys, "spectrum", "-")
         assert code == 0 and C8 in out
 
-    def test_missing_file(self, capsys):
+    def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "spectrum", "/nonexistent/file.g6")
         assert code == 2 and "qfactor:" in err
+        latin = tmp_path / "latin.g6"
+        latin.write_bytes(b"C~\n\xe9\n")
+        for path in (str(tmp_path), str(latin)):  # a directory, a non-ASCII byte
+            code, _, err = run(capsys, "spectrum", path)
+            assert code == 2 and "qfactor:" in err
+            code, _, err = run(capsys, "verify", "--stream", path)
+            assert code == 2 and "qfactor:" in err
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +248,25 @@ class TestVerify:
         path.write_text(FACTORLESS + "\n!!bogus!!\n")
         code, _, _ = run(capsys, "verify", "--stream", str(path), "--eps", "1e6")
         assert code == 2
+
+    def test_failed_instance_is_an_error_row(self, capsys, tmp_path, monkeypatch):
+        # Skew the top eigenvalue of order-10 matrices past the residual gate;
+        # K_10 becomes an error row and K_8 is still classified.
+        eigh = np.linalg.eigh
+
+        def skewed(m):
+            values, vectors = eigh(m)
+            return (values + 1e-9 if len(m) == 10 else values), vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        path = tmp_path / "mixed.g6"
+        path.write_text(f"{K8}\n{K10}\n")
+        code, out, _ = run(capsys, "verify", "--stream", str(path), "--format", "json")
+        assert code == 2
+        results = json.loads(out)["results"]
+        assert results["counts"]["confirmed_factor"] == 1
+        assert results["errors"] == 1
+        assert "residual" in results["items"][1]["error"]
 
     def test_undecided_exit_3(self, capsys, smoke_file):
         code, _, _ = run(

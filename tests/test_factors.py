@@ -249,6 +249,11 @@ class TestVerdict:
             assert v.criterion_holds and v.certificate is None
             assert v.agreement == "criterion_yes_factor_no"
 
+    def test_non_factor_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr("qfactor.factors.find_even_factor", lambda g, **_: ((0, 1),))
+        with pytest.raises(ValueError, match="non-factor"):
+            self.verdict(complete(4))
+
     def test_guard_propagates(self):
         with pytest.raises(GuardExceeded):
             factor_verdict(cycle(8), max_order=22, cert_max_order=4, cert_max_edges=100)

@@ -258,6 +258,18 @@ class TestVerifyStream:
         assert report["counts"]["counterexample"] == 1
         assert report["counterexamples"] == [FACTORLESS]
 
+    def test_non_factor_certificate_is_never_confirmed(self, monkeypatch):
+        # A certificate search that hands back one edge, which is no even factor.
+        monkeypatch.setattr("qfactor.harness.find_even_factor", lambda g, **_: ((0, 1),))
+        with pytest.raises(ValueError, match="non-factor"):
+            check_theorem_instance(complete(8))
+        with pytest.raises(ValueError, match="non-factor"):
+            sharpness_probe(8, 2, perturbations=False)
+        report = verify_stream(["G~~~~{"])
+        assert report["errors"] == 1
+        assert report["counts"]["confirmed_factor"] == 0
+        assert "non-factor" in report["items"][0]["error"]
+
 
 # ---------------------------------------------------------------------------
 # Sharpness probe

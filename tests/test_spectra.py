@@ -1,14 +1,16 @@
-"""Power iteration, exact quotients, integer characteristic polynomials."""
+"""Perron data by LAPACK eigh, exact quotients, integer characteristic polynomials."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfactor.graphs import Graph, complete, disjoint_union, random_graph
+from qfactor.harness import check_theorem_instance
 from qfactor.spectra import (
     CellSpreadError,
-    ConvergenceError,
     IntPolynomial,
     adjacency_matrix,
     alpha_matrix,
@@ -64,18 +66,22 @@ def test_perron_regular_and_bipartite():
     c8 = cycle(8)
     assert perron_q(c8).value == pytest.approx(4, abs=1e-10)
     assert perron_rho(c8).value == pytest.approx(2, abs=1e-10)
-    # bipartite adjacency iteration needs the +I shift to converge
+    # bipartite adjacency spectra are symmetric about 0; rho is the top end
     assert perron_rho(star(3)).value == pytest.approx(math.sqrt(3), abs=1e-10)
     assert perron_rho(star(8)).value == pytest.approx(math.sqrt(8), abs=1e-10)
 
 
 def test_perron_disconnected_takes_max_block():
-    g = disjoint_union(complete(3), complete(5))
-    data = perron_q(g)
-    assert data.value == pytest.approx(8, abs=1e-10)
-    # winning block's eigenvector, zero elsewhere
-    assert data.vector[:3] == pytest.approx([0, 0, 0], abs=1e-12)
-    assert min(data.vector[3:]) > 0.1
+    # 2*K_4 ties; the tie goes to the block holding vertex 0
+    for small, big, support in [(3, 5, slice(3, 8)), (4, 4, slice(0, 4))]:
+        g = disjoint_union(complete(small), complete(big))
+        data = perron_q(g)
+        assert data.value == pytest.approx(2 * big - 2, abs=1e-10)
+        # winning block's eigenvector, zero elsewhere
+        off = np.ones(g.n, dtype=bool)
+        off[support] = False
+        assert np.all(data.vector[off] == 0)
+        assert min(data.vector[support]) > 0.1
 
 
 def test_perron_data_quality():
@@ -100,20 +106,41 @@ def test_perron_matches_numpy_on_seeded_graphs():
 
 def test_perron_input_validation():
     with pytest.raises(ValueError):
-        perron(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        perron(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        perron(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        perron(Graph(0, ()), 1)
 
 
-def test_perron_convergence_error_carries_best():
+def test_perron_residual_gate(monkeypatch):
     g = random_graph(9, 0.4, 3)
-    with pytest.raises(ConvergenceError) as err:
-        perron(signless_laplacian(g), tol=1e-14, max_iterations=2)
-    best = err.value.best
-    assert best.iterations == 2
-    assert best.value > 0
+    assert perron(g, 1).residual < 1e-12
+    eigh = np.linalg.eigh
+
+    def skewed(m):
+        values, vectors = eigh(m)
+        return values + 1e-9, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    with pytest.raises(ArithmeticError, match="residual"):
+        perron(g, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    p=st.floats(0.2, 0.9),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_perron_relabeling_invariance(n, p, seed, data):
+    # a Hamiltonian path keeps the random graph connected
+    path = [(i, i + 1) for i in range(n - 1)]
+    g = Graph.from_edges(n, random_graph(n, p, seed).edges() + path)
+    perm = data.draw(st.permutations(range(n)))
+    h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+    a, b = perron_q(g), perron_q(h)
+    assert abs(a.value - b.value) < 1e-12
+    assert b.vector[perm] == pytest.approx(a.vector, abs=1e-9)
+    assert (check_theorem_instance(h).classification
+            == check_theorem_instance(g).classification)
 
 
 # ---------------------------------------------------------------------------

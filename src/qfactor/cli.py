@@ -52,7 +52,7 @@ from .extremal import (
     threshold_q,
 )
 from .factors import factor_verdict
-from .graphs import Graph6Error, GuardExceeded, min_degree, parse_graph6, write_graph6
+from .graphs import GuardExceeded, min_degree, parse_graph6, write_graph6
 from .harness import (
     Guards,
     agreement_study,
@@ -350,29 +350,18 @@ def _cmd_factor(args: argparse.Namespace) -> int:
             continue
         try:
             g = parse_graph6(text)
-        except Graph6Error as exc:
-            errors += 1
-            rows.append({"line": lineno, "graph6": text, "error": str(exc)})
-            continue
-        try:
             verdict = factor_verdict(
                 g,
                 max_order=guards.subset_order,
                 cert_max_order=guards.cert_order,
                 cert_max_edges=guards.cert_edges,
             )
-            rows.append(
-                {
-                    "line": lineno,
-                    "graph6": write_graph6(g),
-                    "criterion_holds": verdict.criterion_holds,
-                    "blocking": list(verdict.blocking) if verdict.blocking else None,
-                    "certificate": [list(e) for e in verdict.certificate]
-                    if verdict.certificate
-                    else None,
-                    "agreement": verdict.agreement,
-                }
-            )
+        except (ValueError, ArithmeticError) as exc:
+            # Graph6Error, an odd order or a rejected certificate: this
+            # line fails, the run goes on.
+            errors += 1
+            rows.append({"line": lineno, "graph6": text, "error": str(exc)})
+            continue
         except GuardExceeded as exc:
             blocked += 1
             rows.append(
@@ -383,6 +372,19 @@ def _cmd_factor(args: argparse.Namespace) -> int:
                     "note": str(exc),
                 }
             )
+            continue
+        rows.append(
+            {
+                "line": lineno,
+                "graph6": write_graph6(g),
+                "criterion_holds": verdict.criterion_holds,
+                "blocking": list(verdict.blocking) if verdict.blocking else None,
+                "certificate": [list(e) for e in verdict.certificate]
+                if verdict.certificate
+                else None,
+                "agreement": verdict.agreement,
+            }
+        )
 
     results = {"items": rows, "errors": errors, "guard_blocked": blocked, "total": len(rows)}
     config = {

@@ -100,7 +100,8 @@ _UNLOCKED = 10**9
 class Guards:
     """Size limits for the exponential searches.
 
-    ``subset_order`` caps the parity-subset criterion (2^n subsets),
+    ``subset_order`` caps the order n of the parity-subset criterion (it
+    scans the subsets S with ``|S| <= min(n/2, alpha(G))``),
     ``cert_order``/``cert_edges`` cap the even-factor certificate search,
     and ``enum_order`` caps exhaustive labeled enumeration.  Exceeding a
     guard raises :class:`~qfactor.graphs.GuardExceeded`; callers either

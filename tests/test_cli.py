@@ -215,6 +215,20 @@ class TestFactor:
         code, _, _ = run(capsys, "factor", str(path), "--max-cert-order", "4")
         assert code == 3
 
+    def test_odd_order_line_is_an_error_row(self, capsys, tmp_path):
+        # The criterion rejects odd order; that line fails, the run goes on,
+        # and the exit code is 2 (malformed input), never 1 (counterexample).
+        path = tmp_path / "odd.g6"
+        path.write_text(f"D??\n{C8}\n")
+        code, out, _ = run(capsys, "factor", str(path), "--format", "json")
+        assert code == 2
+        results = json.loads(out)["results"]
+        assert results["errors"] == 1
+        odd, good = results["items"]
+        assert odd == {"line": 1, "graph6": "D??", "error": "criterion requires even order"}
+        assert good["graph6"] == C8
+        assert good["agreement"] == "criterion_no_factor_yes"
+
 
 # ---------------------------------------------------------------------------
 # verify

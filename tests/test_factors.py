@@ -1,9 +1,12 @@
 """Tests for the parity-subset criterion and even-factor certificate search."""
 
 import itertools
+import random
 
+import networkx as nx
 import pytest
 
+from qfactor.extremal import build_gstar
 from qfactor.graphs import (
     Graph,
     GuardExceeded,
@@ -11,10 +14,12 @@ from qfactor.graphs import (
     components,
     delete_vertices,
     enumerate_labeled,
+    odd_components_after_removal,
     random_graph,
 )
 from qfactor.factors import (
     FactorVerdict,
+    _independence_number,
     factor_verdict,
     find_even_factor,
     strong_tutte_check,
@@ -42,6 +47,16 @@ def brute_force_even_factor(g):
             if all(d > 0 and d % 2 == 0 for d in deg):
                 return subset
     return None
+
+
+def reference_criterion(g):
+    """Reference oracle: the unbounded scan over every S with |S| >= 2, by
+    size, then lexicographically."""
+    for k in range(2, g.n + 1):
+        for combo in itertools.combinations(range(g.n), k):
+            if odd_components_after_removal(g, sum(1 << v for v in combo)) >= k:
+                return False, combo
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +106,45 @@ class TestCriterion:
         # reported witness for C8 never changes between runs.
         for _ in range(3):
             assert strong_tutte_check(cycle(8))[1] == (0, 2)
+
+
+class TestScanBound:
+    """The scan stops at |S| <= min(n/2, alpha(G)); its verdict and blocking
+    set must equal the unbounded scan's."""
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_connected_census(self, n):
+        for g in enumerate_labeled(n, connected_only=True):
+            assert strong_tutte_check(g) == reference_criterion(g), g.edges()
+
+    @pytest.mark.parametrize("n", [10, 12, 14])
+    def test_seeded_dense(self, n):
+        for seed in range(6):
+            g = random_graph(n, 0.5, seed)
+            assert strong_tutte_check(g) == reference_criterion(g), (n, seed)
+
+    @pytest.mark.parametrize("n", [14, 16])
+    @pytest.mark.parametrize("delta", [2, 3])
+    def test_relabeled_gstar_plus_edges(self, n, delta):
+        rng = random.Random(n * 10 + delta)
+        base = build_gstar(n, delta)
+        non_edges = [
+            (u, v) for u, v in itertools.combinations(range(n), 2) if not base.has_edge(u, v)
+        ]
+        for k in (1, 2, 3):
+            perm = rng.sample(range(n), n)
+            added = base.add_edges(rng.sample(non_edges, k)).edges()
+            g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in added])
+            assert strong_tutte_check(g) == reference_criterion(g), (n, delta, k)
+
+    def test_independence_number_matches_networkx(self):
+        for seed in range(120):
+            n = 1 + seed % 16
+            g = random_graph(n, (0.1, 0.3, 0.5, 0.8)[seed % 4], seed)
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(range(n))
+            alpha = max(map(len, nx.find_cliques(nx.complement(h))))
+            assert _independence_number(g) == alpha, seed
 
 
 # ---------------------------------------------------------------------------

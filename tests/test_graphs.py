@@ -152,6 +152,39 @@ def test_graph6_round_trip_property(seed, n):
     assert again.degrees() == g.degrees()
 
 
+# Arbitrary input, plus bytes from the graph6 alphabet, plus a header byte
+# followed by a payload of the length it announces (with the optional
+# ">>graph6<<" prefix and surrounding whitespace), so that many inputs decode.
+_GRAPH6_ALPHABET = st.binary().map(lambda b: bytes(63 + x % 64 for x in b))
+_GRAPH6_SIZED = st.integers(0, 62).flatmap(
+    lambda n: st.binary(
+        min_size=(n * (n - 1) // 2 + 5) // 6, max_size=(n * (n - 1) // 2 + 5) // 6
+    ).map(lambda b: bytes([63 + n]) + bytes(63 + x % 64 for x in b))
+)
+_GRAPH6_INPUT = st.one_of(
+    st.binary(),
+    st.text(),
+    _GRAPH6_ALPHABET,
+    st.tuples(
+        st.sampled_from([b"", b">>graph6<<", b" ", b"\n"]),
+        _GRAPH6_SIZED,
+        st.sampled_from([b"", b"\n", b"\r\n", b" "]),
+    ).map(b"".join),
+    _GRAPH6_SIZED.map(lambda b: b.decode("ascii")),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_GRAPH6_INPUT)
+def test_parse_graph6_raises_only_graph6_error(data):
+    try:
+        g = parse_graph6(data)
+    except Graph6Error:
+        return
+    assert isinstance(g, Graph)
+    assert parse_graph6(write_graph6(g)) == g
+
+
 # ---------------------------------------------------------------------------
 # deterministic RNG
 

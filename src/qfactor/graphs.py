@@ -13,10 +13,13 @@ be zero. An optional ">>graph6<<" prefix is accepted on input.
 
 random_graph draws edges from a bit-exact splitmix64 stream so that seeded
 populations are reproducible down to the byte across platforms.
+isomorphism_classes labels every edge mask of an exhaustive population with
+its isomorphism class, so a census can evaluate one graph per class.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -343,20 +346,86 @@ def enumerate_labeled(
             f"enumerate_labeled(n={n}) exceeds guard max_order={max_order}")
     pairs = lexicographic_pairs(n)
     for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        m = mask
-        while m:
-            k = (m & -m).bit_length() - 1
-            m &= m - 1
-            i, j = pairs[k]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        g = Graph(n, tuple(rows))
-        if min_deg and (n == 0 or min(r.bit_count() for r in rows) < min_deg):
+        g = mask_graph(n, pairs, mask)
+        if min_deg and (n == 0 or min(r.bit_count() for r in g.rows) < min_deg):
             continue
         if connected_only and not is_connected(g):
             continue
         yield g
+
+
+def mask_graph(n: int, pairs: Sequence[tuple[int, int]], mask: int) -> Graph:
+    """The graph whose edges are the pairs[k] for every bit k set in mask."""
+    rows = [0] * n
+    while mask:
+        k = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        i, j = pairs[k]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
+
+
+def isomorphism_classes(
+    n: int, *, max_order: int = 7
+) -> tuple[array, list[Graph]]:
+    """Label every edge mask on n vertices with its isomorphism class.
+
+    Masks are those of enumerate_labeled: bit k is the k-th lexicographic
+    pair. Returns (labels, representatives): labels[mask] is the class
+    index of the mask, and representatives[c] is the graph of the lowest
+    mask in class c, so classes are numbered in ascending order of their
+    lowest mask.
+
+    Orbits are flood-filled under the n - 1 adjacent transpositions
+    (i, i+1), which generate the symmetric group. Each transposition
+    permutes the pair bits and is applied to a mask with two precomputed
+    table lookups, one per half of the mask, so no Graph is built per mask.
+    The guard is checked before anything is allocated.
+    """
+    if n > max_order:
+        raise GuardExceeded(
+            f"isomorphism_classes(n={n}) exceeds guard max_order={max_order}")
+    pairs = lexicographic_pairs(n)
+    index = {pair: k for k, pair in enumerate(pairs)}
+    half = (len(pairs) + 1) // 2
+    low = (1 << half) - 1
+    swaps = []
+    for i in range(n - 1):
+        image = {i: i + 1, i + 1: i}
+        targets = []
+        for a, b in pairs:
+            a, b = image.get(a, a), image.get(b, b)
+            targets.append(index[(a, b) if a < b else (b, a)])
+        swaps.append((_bit_table(targets[:half]), _bit_table(targets[half:])))
+
+    labels = array("i", [-1]) * (1 << len(pairs))
+    representatives = []
+    for mask in range(len(labels)):
+        if labels[mask] >= 0:
+            continue
+        label = len(representatives)
+        representatives.append(mask_graph(n, pairs, mask))
+        labels[mask] = label
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            x_low, x_high = x & low, x >> half
+            for lo, hi in swaps:
+                y = lo[x_low] | hi[x_high]
+                if labels[y] < 0:
+                    labels[y] = label
+                    stack.append(y)
+    return labels, representatives
+
+
+def _bit_table(targets: Sequence[int]) -> list[int]:
+    """table[v] has bit targets[k] set for every bit k set in v."""
+    table = [0] * (1 << len(targets))
+    for v in range(1, len(table)):
+        k = (v & -v).bit_length() - 1
+        table[v] = table[v & (v - 1)] | 1 << targets[k]
+    return table
 
 
 def splitmix64(seed: int) -> Iterator[int]:

@@ -59,8 +59,10 @@ from .factors import (
 from .graphs import (
     Graph,
     GuardExceeded,
-    enumerate_labeled,
     is_connected,
+    isomorphism_classes,
+    lexicographic_pairs,
+    mask_graph,
     min_degree,
     parse_graph6,
     random_graph,
@@ -579,14 +581,13 @@ def _gstar_grid(max_order: int = 18) -> list[tuple[int, int]]:
 def _quotient_radius_lemma(*, det_eval_max_order: int) -> dict[str, Any]:
     """For the extremal graph's equitable partition, the largest real root
     of the quotient characteristic polynomial equals the full
-    signless-Laplacian radius; additionally the exact order-n integer
-    characteristic polynomial vanishes (to float precision) at every
-    quotient eigenvalue."""
-    import numpy as np
-
+    signless-Laplacian radius; additionally the quotient's characteristic
+    polynomial divides the exact order-n integer characteristic polynomial
+    (Godsil & Royle, Algebraic Graph Theory, section 9.3), checked by exact
+    long division: both are monic, so the quotient and remainder are
+    integral."""
     rows = []
     max_root_diff = 0.0
-    max_det_rel = 0.0
     for n, delta in _gstar_grid():
         g = build_gstar(n, delta)
         q_matrix = signless_laplacian(g)
@@ -600,31 +601,17 @@ def _quotient_radius_lemma(*, det_eval_max_order: int) -> dict[str, Any]:
         max_root_diff = max(max_root_diff, diff)
         row = {"n": n, "delta": delta, "equitable": equitable, "root_vs_perron": diff}
         if n <= det_eval_max_order:
-            full = char_poly(q_matrix)
-            coeffs = [float(c) for c in poly.coeffs]
-            eigs = np.roots(coeffs[::-1])
-            rel_max = 0.0
-            for z in eigs:
-                x = float(z.real)
-                value = 0.0
-                scale = 0.0
-                power = 1.0
-                for c in full.coeffs:
-                    value += float(c) * power
-                    scale += abs(float(c)) * abs(power)
-                    power *= x
-                rel_max = max(rel_max, abs(value) / max(scale, 1.0))
-            row["char_poly_rel_residual"] = rel_max
-            max_det_rel = max(max_det_rel, rel_max)
+            row["divides"] = (char_poly(q_matrix) % poly).is_zero()
         rows.append(row)
+    all_divide = all(r.get("divides", True) for r in rows)
     return {
         "cases": rows,
         "max_root_vs_perron": max_root_diff,
-        "max_char_poly_rel_residual": max_det_rel,
+        "all_divide": all_divide,
         "all_equitable": all(r["equitable"] for r in rows),
         "passed": all(r["equitable"] for r in rows)
         and max_root_diff < 1e-8
-        and max_det_rel < 1e-6,
+        and all_divide,
     }
 
 
@@ -898,47 +885,66 @@ def agreement_study(
     """Cross-tabulate the parity-subset criterion against exhaustive
     even-factor search over a population of graphs of even order ``n``:
     either every labeled graph (optionally connected-only) or a seeded
-    random sample.  Off-diagonal graphs are listed in graph6 form."""
+    random sample.  Off-diagonal graphs are listed in graph6 form.
+
+    An exhaustive census runs :func:`~qfactor.factors.factor_verdict` once
+    per isomorphism class, on the class's lowest edge mask, and counts the
+    verdict for every labeled graph in the class.  That is exact: a
+    relabeling pi maps o(G - S) to o(G' - pi(S)), maps even factors to even
+    factors and preserves connectivity (and the guards read only n and the
+    edge count), so the agreement class is constant on each orbit.  Counts
+    and the graph6 of each labeled disagreement come out in ascending
+    edge-mask order, as in a per-graph pass over
+    :func:`~qfactor.graphs.enumerate_labeled`.
+    """
     if n % 2 == 1:
         raise ValueError("agreement study requires even order")
     guards = guards if guards is not None else Guards()
 
-    if samples is None:
-        population: Iterable[Graph] = enumerate_labeled(
-            n, connected_only=connected_only, max_order=guards.enum_order
-        )
-        mode = "exhaustive"
-    else:
-        def sampled():
-            stream = splitmix64(seed)
-            produced = 0
-            while produced < samples:
-                g = random_graph(n, p, next(stream))
-                if connected_only and not is_connected(g):
-                    continue
-                produced += 1
-                yield g
-
-        population = sampled()
-        mode = "sampled"
+    def agreement(g: Graph) -> str:
+        return factor_verdict(
+            g,
+            max_order=guards.subset_order,
+            cert_max_order=guards.cert_order,
+            cert_max_edges=guards.cert_edges,
+        ).agreement
 
     counts = {name: 0 for name in AGREEMENT_CLASSES}
     disagreements: dict[str, list[str]] = {
         "criterion_yes_factor_no": [],
         "criterion_no_factor_yes": [],
     }
-    total = 0
-    for g in population:
-        verdict = factor_verdict(
-            g,
-            max_order=guards.subset_order,
-            cert_max_order=guards.cert_order,
-            cert_max_edges=guards.cert_edges,
-        )
-        counts[verdict.agreement] += 1
-        total += 1
-        if verdict.agreement in disagreements:
-            disagreements[verdict.agreement].append(write_graph6(g))
+    if samples is None:
+        mode = "exhaustive"
+        labels, representatives = isomorphism_classes(n, max_order=guards.enum_order)
+        by_class = [
+            agreement(g) if not connected_only or is_connected(g) else None
+            for g in representatives
+        ]
+        pairs = lexicographic_pairs(n)
+        for mask, label in enumerate(labels):
+            verdict = by_class[label]
+            if verdict is not None:
+                counts[verdict] += 1
+                if verdict in disagreements:
+                    disagreements[verdict].append(
+                        write_graph6(mask_graph(n, pairs, mask)))
+    else:
+        mode = "sampled"
+        if connected_only and (n == 0 or (p == 0 and n >= 2)):
+            raise ValueError(
+                f"no connected graph can be drawn with n={n}, p={p}")
+        stream = splitmix64(seed)
+        produced = 0
+        while produced < samples:
+            g = random_graph(n, p, next(stream))
+            if connected_only and not is_connected(g):
+                continue
+            produced += 1
+            verdict = agreement(g)
+            counts[verdict] += 1
+            if verdict in disagreements:
+                disagreements[verdict].append(write_graph6(g))
 
     return {
         "n": n,
@@ -946,7 +952,7 @@ def agreement_study(
         "connected_only": connected_only,
         "p": p if mode == "sampled" else None,
         "seed": seed if mode == "sampled" else None,
-        "total": total,
+        "total": sum(counts.values()),
         "counts": counts,
         "disagreements": disagreements,
         "criterion_matches_factor": not disagreements["criterion_yes_factor_no"]

@@ -253,6 +253,19 @@ class IntPolynomial:
         b = list(other.coeffs) + [0] * (size - len(other.coeffs))
         return IntPolynomial(tuple(x + y for x, y in zip(a, b)))
 
+    def __mod__(self, divisor: "IntPolynomial") -> "IntPolynomial":
+        """Remainder of exact long division by a monic divisor."""
+        if divisor.coeffs[-1] != 1:
+            raise ValueError("divisor must be monic")
+        d = divisor.degree
+        rem = list(self.coeffs)
+        for top in range(len(rem) - 1, d - 1, -1):
+            lead = rem[top]
+            if lead:
+                for i, c in enumerate(divisor.coeffs):
+                    rem[top - d + i] -= lead * c
+        return IntPolynomial(tuple(rem[:d]) or (0,))
+
     def scaled(self, k: int) -> "IntPolynomial":
         return IntPolynomial(tuple(k * c for c in self.coeffs))
 

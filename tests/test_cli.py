@@ -415,6 +415,15 @@ class TestAgreement:
         results = json.loads(out)["results"]
         assert results["total"] == 20 and results["mode"] == "sampled"
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "8", "--samples", "5", "--p", "0", "--connected-only"],
+        ["--n", "0", "--samples", "1", "--connected-only"],
+    ])
+    def test_sampled_without_connected_graphs_exit_2(self, capsys, argv):
+        code, _, err = run(capsys, "agreement", *argv)
+        assert code == 2
+        assert "no connected graph" in err
+
     def test_exhaustive_is_default_and_modes_are_exclusive(self, capsys):
         code, out, _ = run(capsys, "agreement", "--n", "4", "--format", "json")
         assert code == 0

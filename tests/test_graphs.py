@@ -17,6 +17,7 @@ from qfactor.graphs import (
     disjoint_union,
     enumerate_labeled,
     is_connected,
+    isomorphism_classes,
     join,
     lexicographic_pairs,
     min_degree,
@@ -251,3 +252,61 @@ def test_enumeration_guard():
         list(enumerate_labeled(8))
     big = enumerate_labeled(8, max_order=8)
     assert next(iter(big)).n == 8
+
+
+# ---------------------------------------------------------------------------
+# isomorphism classes of edge masks
+
+
+def mask_of(g):
+    return sum(1 << k for k, (i, j) in enumerate(lexicographic_pairs(g.n))
+               if g.has_edge(i, j))
+
+
+def relabeled_mask(n, mask, perm):
+    pairs = lexicographic_pairs(n)
+    edges = [(perm[i], perm[j]) for k, (i, j) in enumerate(pairs) if mask >> k & 1]
+    return mask_of(Graph.from_edges(n, edges))
+
+
+def test_isomorphism_class_counts():
+    # OEIS A000088 (all graphs) and A001349 (connected graphs), n = 1..6.
+    classes, connected = [], []
+    for n in range(1, 7):
+        labels, representatives = isomorphism_classes(n)
+        assert len(labels) == 1 << len(lexicographic_pairs(n))
+        classes.append(len(representatives))
+        connected.append(sum(is_connected(g) for g in representatives))
+    assert classes == [1, 2, 4, 11, 34, 156]
+    assert connected == [1, 1, 2, 6, 21, 112]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_isomorphism_labels_are_orbits(n):
+    # Labels are constant under relabeling (every permutation up to n = 5,
+    # a seeded sample at n = 6), so with the counts above each label is
+    # exactly one isomorphism class. Each representative is the lowest mask
+    # carrying its label.
+    labels, representatives = isomorphism_classes(n)
+    lowest = {}
+    for mask, label in enumerate(labels):
+        lowest.setdefault(label, mask)
+    assert [mask_of(g) for g in representatives] == [lowest[c] for c in range(len(lowest))]
+    perms = list(itertools.permutations(range(n)))
+    if n == 6:
+        perms = [perms[(x >> 11) % len(perms)] for x in itertools.islice(splitmix64(n), 4)]
+    for perm in perms:
+        for mask, label in enumerate(labels):
+            assert labels[relabeled_mask(n, mask, perm)] == label
+
+
+def test_isomorphism_classes_guard_and_order():
+    # The guard fires before the 2^(n(n-1)/2)-entry label table exists.
+    with pytest.raises(GuardExceeded):
+        isomorphism_classes(30)
+    with pytest.raises(GuardExceeded):
+        isomorphism_classes(8, max_order=7)
+    with pytest.raises(ValueError):
+        isomorphism_classes(-2)
+    labels, representatives = isomorphism_classes(0)
+    assert list(labels) == [0] and representatives == [Graph.empty(0)]

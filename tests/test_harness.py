@@ -4,16 +4,18 @@ import itertools
 
 import pytest
 
+from qfactor.factors import AGREEMENT_CLASSES, factor_verdict
 from qfactor.graphs import (
     Graph,
     GuardExceeded,
     complete,
+    enumerate_labeled,
     parse_graph6,
     random_graph,
     write_graph6,
 )
 from qfactor.extremal import build_gstar, threshold_q
-from qfactor.spectra import perron_q
+from qfactor.spectra import IntPolynomial, char_poly, perron_q
 from qfactor.harness import (
     CLASSIFICATIONS,
     GUARD_ENV,
@@ -352,6 +354,24 @@ class TestSuites:
         assert report["edge_monotonicity"]["violations"] == 0
         assert report["quotient_radius"]["all_equitable"] is True
         assert report["quotient_radius"]["max_root_vs_perron"] < 1e-8
+        assert report["quotient_radius"]["all_divide"] is True
+        assert all(case["divides"] for case in report["quotient_radius"]["cases"])
+
+    def test_quotient_radius_rejects_a_non_dividing_polynomial(self, monkeypatch):
+        # Add 1 to the constant term of every full order-n polynomial; the
+        # cubic quotient polynomials (three cells) stay exact.
+        def skewed(m):
+            poly = char_poly(m)
+            if poly.degree <= 3:
+                return poly
+            return poly + IntPolynomial((1,))
+
+        monkeypatch.setattr("qfactor.harness.char_poly", skewed)
+        report = lemma_suite(seed=0, max_n=6, max_s=2, pairs=2)["quotient_radius"]
+        assert report["all_equitable"] is True
+        assert report["max_root_vs_perron"] < 1e-8
+        assert not any(case["divides"] for case in report["cases"])
+        assert report["all_divide"] is False and report["passed"] is False
 
     def test_identity_suite_passes(self):
         report = identity_suite(max_delta=4)
@@ -371,7 +391,63 @@ class TestSuites:
         assert report["f_positivity"]["min_value"] >= 3
 
 
+def reference_census(n, connected_only=False):
+    """Reference oracle: the per-graph exhaustive census, one factor_verdict
+    per labeled graph in ascending edge-mask order."""
+    counts = {name: 0 for name in AGREEMENT_CLASSES}
+    disagreements = {"criterion_yes_factor_no": [], "criterion_no_factor_yes": []}
+    for g in enumerate_labeled(n, connected_only=connected_only):
+        agreement = factor_verdict(g).agreement
+        counts[agreement] += 1
+        if agreement in disagreements:
+            disagreements[agreement].append(write_graph6(g))
+    return {
+        "n": n,
+        "mode": "exhaustive",
+        "connected_only": connected_only,
+        "p": None,
+        "seed": None,
+        "total": sum(counts.values()),
+        "counts": counts,
+        "disagreements": disagreements,
+        "criterion_matches_factor": not disagreements["criterion_yes_factor_no"]
+        and not disagreements["criterion_no_factor_yes"],
+    }
+
+
 class TestAgreementStudy:
+    @pytest.mark.parametrize("n, connected_only", [
+        (0, False), (2, False), (4, False), (4, True), (6, False), (6, True),
+    ])
+    def test_exhaustive_matches_reference_census(self, n, connected_only):
+        # Equal dicts compare the disagreement lists in order, too.
+        assert agreement_study(n, connected_only=connected_only) == reference_census(
+            n, connected_only)
+
+    @pytest.mark.parametrize("connected_only, classes", [(False, 156), (True, 112)])
+    def test_one_verdict_per_isomorphism_class(self, monkeypatch, connected_only, classes):
+        seen = []
+
+        def counted(g, **guards):
+            seen.append(g)
+            return factor_verdict(g, **guards)
+
+        monkeypatch.setattr("qfactor.harness.factor_verdict", counted)
+        report = agreement_study(6, connected_only=connected_only)
+        assert len(seen) == classes
+        assert report["total"] == (26704 if connected_only else 32768)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            agreement_study(-2)
+        with pytest.raises(ValueError):
+            agreement_study(-2, samples=3)
+
+    @pytest.mark.parametrize("n, p", [(8, 0.0), (0, 0.5), (0, 0.0)])
+    def test_sampled_connected_impossible_rejected(self, n, p):
+        with pytest.raises(ValueError):
+            agreement_study(n, samples=5, p=p, connected_only=True)
+
     def test_n2_exhaustive(self):
         report = agreement_study(2)
         assert report["total"] == 2

@@ -208,6 +208,18 @@ def test_int_polynomial_ops():
     assert IntPolynomial((0, 0)).coeffs == (0,)
 
 
+def test_int_polynomial_monic_remainder():
+    p = IntPolynomial((-6, 11, -6, 1))  # (x-1)(x-2)(x-3)
+    assert (p % IntPolynomial((2, -3, 1))).is_zero()  # (x-1)(x-2)
+    assert (p % IntPolynomial((-3, 1))).is_zero()
+    assert (p % IntPolynomial((1, 0, 1))).coeffs == (0, 10)  # x^2 + 1
+    assert (p % IntPolynomial((0, 1))).coeffs == (-6,)  # p(0)
+    assert (p % IntPolynomial((1,))).is_zero()
+    assert (IntPolynomial((5, 1)) % p).coeffs == (5, 1)
+    with pytest.raises(ValueError):
+        p % IntPolynomial((1, 2))
+
+
 def test_char_poly_known_matrix():
     # Q(K_3) has spectrum {4, 1, 1}: det(xI - Q) = (x-4)(x-1)^2
     poly = char_poly(signless_laplacian(complete(3)))

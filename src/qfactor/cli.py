@@ -52,7 +52,7 @@ from .extremal import (
     threshold_q,
 )
 from .factors import factor_verdict
-from .graphs import GuardExceeded, min_degree, parse_graph6, write_graph6
+from .graphs import GuardExceeded, graph6_payload, min_degree, parse_graph6, write_graph6
 from .harness import (
     Guards,
     agreement_study,
@@ -200,7 +200,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             rows.append(
                 {
                     "line": lineno,
-                    "graph6": write_graph6(g),
+                    "graph6": graph6_payload(text),
                     "n": g.n,
                     "m": g.edge_count,
                     "delta": min_degree(g),
@@ -225,21 +225,25 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
                          wall_time_s=time.perf_counter() - start)
 
     text_lines = []
-    csv_header = ["line", "graph6", "n", "m", "delta", "q", "rho", "residual", "error"]
-    csv_body = []
     for row in rows:
         if "error" in row:
             text_lines.append(f"{row['graph6']}  error: {row['error']}")
-            csv_body.append([_fmt(row["line"]), row["graph6"], "", "", "", "", "", "", row["error"]])
         else:
             text_lines.append(
                 f"{row['graph6']}  n={row['n']} m={row['m']} delta={row['delta']} "
                 f"q={_fmt(row['q'])} rho={_fmt(row['rho'])} "
                 f"residual={_fmt(row['residual'])}"
             )
-            csv_body.append([_fmt(row[k]) for k in csv_header[:-1]] + [""])
     text_lines.append(f"spectrum: {len(rows)} graphs, {errors} errors")
-    _write_outputs(args, report, text_lines, (csv_header, csv_body))
+    csv_rows = None
+    if args.format == "csv":
+        header = ["line", "graph6", "n", "m", "delta", "q", "rho", "residual", "error"]
+        csv_rows = (header, [
+            [_fmt(row["line"]), row["graph6"], "", "", "", "", "", "", row["error"]]
+            if "error" in row else [_fmt(row[k]) for k in header[:-1]] + [""]
+            for row in rows
+        ])
+    _write_outputs(args, report, text_lines, csv_rows)
     return 2 if args.strict and errors else 0
 
 
@@ -367,7 +371,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
             rows.append(
                 {
                     "line": lineno,
-                    "graph6": write_graph6(g),
+                    "graph6": graph6_payload(text),
                     "undecided": True,
                     "note": str(exc),
                 }
@@ -376,7 +380,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         rows.append(
             {
                 "line": lineno,
-                "graph6": write_graph6(g),
+                "graph6": graph6_payload(text),
                 "criterion_holds": verdict.criterion_holds,
                 "blocking": list(verdict.blocking) if verdict.blocking else None,
                 "certificate": [list(e) for e in verdict.certificate]
@@ -479,10 +483,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
     text_lines.append(summary)
 
-    csv_header = ["line", "graph6", "classification", "q", "threshold", "delta", "witness", "note", "error"]
-    csv_body = []
-    for row in results["items"]:
-        csv_body.append(
+    csv_rows = None
+    if args.format == "csv":
+        header = ["line", "graph6", "classification", "q", "threshold", "delta",
+                  "witness", "note", "error"]
+        csv_rows = (header, [
             [
                 _fmt(row.get("line")),
                 row.get("graph6", ""),
@@ -494,8 +499,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 row.get("note", ""),
                 row.get("error", ""),
             ]
-        )
-    _write_outputs(args, report, text_lines, (csv_header, csv_body))
+            for row in results["items"]
+        ])
+    _write_outputs(args, report, text_lines, csv_rows)
     return verify_exit_code(results, args.allow_undecided)
 
 

@@ -34,6 +34,9 @@ class GuardExceeded(RuntimeError):
 
 
 _GRAPH6_HEADER = b">>graph6<<"
+# The 64 payload bytes, and each one's six bits as text, most significant first.
+_GRAPH6_BYTES = bytes(range(63, 127))
+_SIX_BITS = {63 + v: format(v, "06b") for v in range(64)}
 
 # splitmix64 constants (wrapping 64-bit arithmetic)
 _MASK64 = (1 << 64) - 1
@@ -136,6 +139,15 @@ class Graph:
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
         return Graph(self.n, tuple(rows))
+
+
+def _trusted_graph(n: int, rows: tuple[int, ...]) -> Graph:
+    """A Graph from rows that are symmetric and loop-free by construction,
+    without the public constructor's validation pass."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "rows", rows)
+    return g
 
 
 @dataclass(frozen=True)
@@ -282,6 +294,12 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str | bytes) -> Graph:
+    """Decode one short-form graph6 string, with or without its header.
+
+    Only canonical payloads are accepted: exact length, bytes in 63..126 and
+    zero pad bits. So the stripped text minus its header is exactly what
+    write_graph6 returns for the graph (see graph6_payload).
+    """
     if isinstance(text, str):
         try:
             data = text.encode("ascii", errors="strict")
@@ -304,21 +322,30 @@ def parse_graph6(text: str | bytes) -> Graph:
     if len(data) != 1 + nbytes:
         raise Graph6Error(
             f"expected {1 + nbytes} bytes for n={n}, got {len(data)}")
-    bits = 0
-    for byte in data[1:]:
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"byte {byte!r} outside graph6 range")
-        bits = (bits << 6) | (byte - 63)
-    total_bits = 6 * nbytes
-    pad = total_bits - npairs
-    if pad and bits & ((1 << pad) - 1):
+    bad = data[1:].translate(None, _GRAPH6_BYTES)
+    if bad:
+        raise Graph6Error(f"byte {bad[0]!r} outside graph6 range")
+    # bits[k] is pair k of the column order, one character per bit
+    bits = data[1:].decode("ascii").translate(_SIX_BITS)
+    if "1" in bits[npairs:]:
         raise Graph6Error("nonzero padding bits")
-    rows = [0] * n
-    for k, (i, j) in enumerate(_pair_stream(n)):
-        if bits >> (total_bits - 1 - k) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    # lower[j][i] is x(i, j) for i < j; its transpose holds each vertex's
+    # higher neighbours, so row v reads lower[v][:v] + upper[v][v:].
+    lower = []
+    start = 0
+    for j in range(n):
+        lower.append(bits[start:start + j].ljust(n, "0"))
+        start += j
+    upper = ["".join(column) for column in zip(*lower)]
+    return _trusted_graph(
+        n, tuple(int((lower[v][:v] + upper[v][v:])[::-1], 2) for v in range(n)))
+
+
+def graph6_payload(text: str) -> str:
+    """The canonical graph6 of a stripped line that parse_graph6 accepts:
+    the line without its optional header, equal to write_graph6 of the
+    parsed graph, so it need not be re-encoded."""
+    return text.removeprefix(_GRAPH6_HEADER.decode("ascii"))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +382,13 @@ def enumerate_labeled(
 
 
 def mask_graph(n: int, pairs: Sequence[tuple[int, int]], mask: int) -> Graph:
-    """The graph whose edges are the pairs[k] for every bit k set in mask."""
+    """The graph whose edges are the pairs[k] for every bit k set in mask.
+
+    The pairs must be distinct vertices of 0..n-1, as lexicographic_pairs(n)
+    gives them; the rows are then symmetric and loop-free by construction.
+    """
+    if n < 0:
+        raise ValueError("order must be nonnegative")
     rows = [0] * n
     while mask:
         k = (mask & -mask).bit_length() - 1
@@ -363,7 +396,7 @@ def mask_graph(n: int, pairs: Sequence[tuple[int, int]], mask: int) -> Graph:
         i, j = pairs[k]
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return _trusted_graph(n, tuple(rows))
 
 
 def isomorphism_classes(

@@ -24,6 +24,7 @@ instance cannot be misclassified by float drift greater than the stated
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -58,7 +59,9 @@ from .factors import (
 )
 from .graphs import (
     Graph,
+    Graph6Error,
     GuardExceeded,
+    graph6_payload,
     is_connected,
     isomorphism_classes,
     lexicographic_pairs,
@@ -75,6 +78,7 @@ from .spectra import (
     is_equitable,
     largest_real_root,
     perron,
+    perron_many,
     perron_q,
     perron_rho,
     quadratic_form,
@@ -84,6 +88,9 @@ from .spectra import (
 
 DEFAULT_ENUM_ORDER = 7
 DEFAULT_EPS = 1e-8
+# Sampled connected-only studies give up after this many disconnected draws
+# in a row: connected graphs are then too rare at (n, p) to sample.
+MAX_REJECTED_DRAWS = 10_000
 
 CLASSIFICATIONS = (
     "not_applicable",
@@ -202,6 +209,25 @@ def recognize_gstar(g: Graph) -> tuple[int, int] | None:
     return (n, delta)
 
 
+def _gate(g: Graph) -> TheoremOutcome | int:
+    """The pre-spectral gate: a not_applicable outcome, or the effective
+    degree parameter ``min(delta(G), floor((n+7)/7))``.
+
+    A graph whose minimum degree exceeds what its order supports is tested
+    against the largest admissible parameter, which is sound because the
+    theorem's hypothesis only bounds the minimum degree from below.
+    """
+    n = g.n
+    if n < 4 or n % 2 == 1:
+        return TheoremOutcome("not_applicable", note="order must be even and at least 4")
+    if not is_connected(g):
+        return TheoremOutcome("not_applicable", note="graph is disconnected")
+    delta = min(min_degree(g), max_theorem_delta(n))
+    if delta < 2:
+        return TheoremOutcome("not_applicable", note="minimum degree below 2")
+    return delta
+
+
 def check_theorem_instance(
     g: Graph,
     *,
@@ -210,23 +236,19 @@ def check_theorem_instance(
 ) -> TheoremOutcome:
     """Classify one graph.  See the module docstring for the ladder.
 
-    The effective degree parameter is ``min(delta(G), floor((n+7)/7))``:
-    a graph whose minimum degree exceeds what its order supports is tested
-    against the largest admissible parameter, which is sound because the
-    theorem's hypothesis only bounds the minimum degree from below.
+    The one-graph case of :func:`verify_stream`: the same gate and ladder
+    around :func:`~qfactor.spectra.perron_q`.
     """
-    guards = guards if guards is not None else Guards()
-    n = g.n
-    if n < 4 or n % 2 == 1:
-        return TheoremOutcome("not_applicable", note="order must be even and at least 4")
-    if not is_connected(g):
-        return TheoremOutcome("not_applicable", note="graph is disconnected")
-    dmin = min_degree(g)
-    delta = min(dmin, max_theorem_delta(n))
-    if delta < 2:
-        return TheoremOutcome("not_applicable", note="minimum degree below 2")
+    gate = _gate(g)
+    if isinstance(gate, TheoremOutcome):
+        return gate
+    return _ladder(g, perron_q(g).value, gate, eps,
+                   guards if guards is not None else Guards())
 
-    q = perron_q(g).value
+
+def _ladder(g: Graph, q: float, delta: int, eps: float, guards: Guards) -> TheoremOutcome:
+    """The rungs after the gate, given the graph's Perron value q."""
+    n = g.n
     threshold = threshold_q(n, delta)
     if q < threshold - eps:
         return TheoremOutcome("below_threshold", q, threshold, delta)
@@ -310,20 +332,52 @@ def check_theorem_instance(
 # stream verification
 
 
-def _classify_payload(
-    item: tuple[int, str], eps: float, guards: Guards
-) -> dict[str, Any]:
-    lineno, text = item
-    try:
-        g = parse_graph6(text)
-        outcome = check_theorem_instance(g, eps=eps, guards=guards)
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        # Graph6Error, a rejected certificate, the perron residual gate or
-        # the threshold cross-check: this line fails, the run goes on.
-        return {"line": lineno, "graph6": text, "error": str(exc)}
-    row = outcome.as_row(graph6=write_graph6(g))
+# Lines classified together: one eigh call per graph order per chunk, and the
+# unit of work of the process pool. 128 lines keep a Q stack under 4 MB even
+# at n = 62, and leave the pool enough chunks to balance streams whose
+# costly lines cluster (on the benchmark sweep, 256 made --jobs 2 slower).
+CHUNK_LINES = 128
+
+def _row(lineno: int, text: str, result: TheoremOutcome | Exception) -> dict[str, Any]:
+    if isinstance(result, Exception):
+        return {"line": lineno, "graph6": text, "error": str(result)}
+    row = result.as_row(graph6=graph6_payload(text))
     row["line"] = lineno
     return row
+
+
+def _classify_chunk(
+    chunk: Sequence[tuple[int, str]], eps: float, guards: Guards
+) -> list[dict[str, Any]]:
+    """Rows of a chunk of (line number, stripped text) pairs.
+
+    Every line is parsed and gated first; the applicable graphs then get
+    their Perron values from one perron_many call (one eigh per order), and
+    each runs the ladder with its q.  A failing line becomes its error row
+    and the run goes on: Graph6Error, the perron residual gate or
+    LinAlgError, a rejected certificate or the threshold cross-check.
+    """
+    results: list[Any] = [None] * len(chunk)
+    pending = []
+    for pos, (_, text) in enumerate(chunk):
+        try:
+            g = parse_graph6(text)
+        except Graph6Error as exc:
+            results[pos] = exc
+            continue
+        gate = _gate(g)
+        if isinstance(gate, TheoremOutcome):
+            results[pos] = gate
+        else:
+            pending.append((pos, g, gate))
+    spectra = perron_many([g for _, g, _ in pending], 1)
+    for (pos, g, delta), pd in zip(pending, spectra):
+        try:
+            results[pos] = pd if isinstance(pd, Exception) else _ladder(
+                g, pd.value, delta, eps, guards)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            results[pos] = exc
+    return [_row(lineno, text, r) for (lineno, text), r in zip(chunk, results)]
 
 
 def verify_stream(
@@ -337,9 +391,10 @@ def verify_stream(
 
     Blank lines are skipped; malformed lines and instances whose numeric
     or certificate checks fail become error rows (they make the run a
-    usage failure but do not stop it).  With ``jobs > 1`` the
-    classification fans out over a process pool; rows are returned in input
-    order either way, so reports are independent of ``jobs``.
+    usage failure but do not stop it).  Lines are classified in chunks of
+    CHUNK_LINES, with one LAPACK eigh call per graph order per chunk.  With
+    ``jobs > 1`` the chunks fan out over a process pool; rows are returned
+    in input order either way, so reports are independent of ``jobs``.
     """
     guards = guards if guards is not None else Guards()
     work = [
@@ -347,18 +402,16 @@ def verify_stream(
         for lineno, raw in enumerate(lines, start=1)
         if (stripped := raw.strip())
     ]
-    if jobs > 1 and len(work) > 1:
-        import functools
+    chunks = [work[i:i + CHUNK_LINES] for i in range(0, len(work), CHUNK_LINES)]
+    classify = functools.partial(_classify_chunk, eps=eps, guards=guards)
+    if jobs > 1 and len(chunks) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=jobs) as pool:
-            rows = pool.map(
-                functools.partial(_classify_payload, eps=eps, guards=guards),
-                work,
-                chunksize=32,
-            )
+        with multiprocessing.Pool(processes=min(jobs, len(chunks))) as pool:
+            done = pool.map(classify, chunks, chunksize=1)
     else:
-        rows = [_classify_payload(item, eps, guards) for item in work]
+        done = map(classify, chunks)
+    rows = [row for chunk_rows in done for row in chunk_rows]
 
     counts = {name: 0 for name in CLASSIFICATIONS}
     errors = 0
@@ -936,10 +989,17 @@ def agreement_study(
                 f"no connected graph can be drawn with n={n}, p={p}")
         stream = splitmix64(seed)
         produced = 0
+        rejected = 0
         while produced < samples:
             g = random_graph(n, p, next(stream))
             if connected_only and not is_connected(g):
+                rejected += 1
+                if rejected == MAX_REJECTED_DRAWS:
+                    raise ValueError(
+                        f"no connected graph in {rejected} draws in a row "
+                        f"with n={n}, p={p}")
                 continue
+            rejected = 0
             produced += 1
             verdict = agreement(g)
             counts[verdict] += 1

@@ -87,7 +87,9 @@ def make_report(
 
 
 def dumps_canonical(report: dict[str, Any]) -> str:
-    return json.dumps(json_ready(report), indent=2, sort_keys=True) + "\n"
+    """Canonical text of a JSON-ready report: make_report output or data
+    already passed through json_ready (it is not converted again)."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def strip_volatile(report: dict[str, Any]) -> dict[str, Any]:

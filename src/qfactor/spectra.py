@@ -3,7 +3,11 @@
 Two arithmetic regimes coexist on purpose and are kept separate:
 
 * float64 + LAPACK ``eigh`` for Perron values of ``alpha*D + A``, solved
-  per connected component behind a hard residual gate;
+  per connected component behind a hard residual gate. The matrices are
+  unpacked from the bitrows by numpy, and perron_many stacks the components
+  of many graphs by order, so each order costs one ``eigh`` call; stacked
+  and one-matrix calls give bitwise-equal eigenpairs. perron is its
+  one-graph case;
 * exact integer/rational arithmetic for quotient matrices, characteristic
   polynomials (Faddeev-LeVerrier over Python ints) and root isolation
   (bisection with exact sign evaluation at dyadic rationals).
@@ -20,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, components
+from .graphs import Graph, components, delete_vertices, is_connected
 
 
 class CellSpreadError(ValueError):
@@ -45,59 +49,130 @@ class PerronData:
 RESIDUAL_GATE = 1e-11
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    m = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        row = g.rows[u]
-        while row:
-            v = (row & -row).bit_length() - 1
-            row &= row - 1
-            m[u, v] = 1.0
+def _alpha_stack(graphs: Sequence[Graph], alpha: int) -> np.ndarray:
+    """alpha*D + A of graphs of one order n as one (len(graphs), n, n) stack,
+    unpacked from the bitrows by numpy."""
+    if alpha not in (0, 1):
+        raise ValueError("alpha must be 0 or 1")
+    n = graphs[0].n
+    width = (n + 7) // 8
+    raw = b"".join(row.to_bytes(width, "little") for g in graphs for row in g.rows)
+    packed = np.frombuffer(raw, np.uint8).reshape(len(graphs), n, width)
+    m = np.unpackbits(packed, axis=2, count=n, bitorder="little").astype(float)
+    if alpha:
+        diagonal = np.arange(n)
+        m[:, diagonal, diagonal] = m.sum(axis=2)
     return m
+
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    return _alpha_stack([g], 0)[0]
 
 
 def signless_laplacian(g: Graph) -> np.ndarray:
     """Q = D + A."""
-    m = adjacency_matrix(g)
-    m[np.diag_indices(g.n)] = [g.degree(v) for v in range(g.n)]
-    return m
+    return _alpha_stack([g], 1)[0]
 
 
 def alpha_matrix(g: Graph, alpha: int) -> np.ndarray:
     """alpha*D + A for alpha in {0, 1} (the two cases the toolkit uses)."""
-    if alpha == 0:
-        return adjacency_matrix(g)
-    if alpha == 1:
-        return signless_laplacian(g)
-    raise ValueError("alpha must be 0 or 1")
+    return _alpha_stack([g], alpha)[0]
+
+
+def _top_eigenpairs(
+    blocks: Sequence[Graph], alpha: int
+) -> list[tuple[float, np.ndarray, float] | ValueError]:
+    """(value, x, residual) of the largest eigenvalue of alpha*D + A of each
+    connected block, with one LAPACK eigh call per block order.
+
+    x is the absolute value of eigh's unit eigenvector, the Perron vector of
+    a connected graph, and residual is ||M x - value x||_inf. Stacked and
+    one-matrix eigh give bitwise-equal pairs. If a stacked call raises
+    (LinAlgError is a ValueError), that order is retried one block at a
+    time, so an error stays with its own block.
+    """
+    out: list = [None] * len(blocks)
+    by_order: dict[int, list[int]] = {}
+    for i, block in enumerate(blocks):
+        by_order.setdefault(block.n, []).append(i)
+    for members in by_order.values():
+        stack = _alpha_stack([blocks[i] for i in members], alpha)
+        try:
+            solved = [(members, stack, *np.linalg.eigh(stack))]
+        except ValueError:
+            solved = []
+            for k, i in enumerate(members):
+                try:
+                    solved.append(([i], stack[k:k + 1], *np.linalg.eigh(stack[k:k + 1])))
+                except ValueError as exc:
+                    out[i] = exc
+        for ids, mats, values, vectors in solved:
+            top = values[:, -1]
+            x = np.abs(vectors[:, :, -1])
+            residual = np.abs((mats @ x[:, :, None])[:, :, 0] - top[:, None] * x).max(axis=1)
+            for i, value, xi, r in zip(ids, top.tolist(), x, residual.tolist()):
+                out[i] = (value, xi, r)
+    return out
+
+
+def perron_many(
+    graphs: Sequence[Graph], alpha: int
+) -> list[PerronData | ValueError | ArithmeticError]:
+    """Perron data of alpha*D + A for each graph, or the error it raises.
+
+    The components of all graphs go through _top_eigenpairs together, so
+    each component order costs one eigh call. The component with the
+    largest value wins, ties going to the one holding the lowest vertex,
+    and the vector is zero off it. A graph whose winning residual exceeds
+    RESIDUAL_GATE gets an ArithmeticError; an order-0 graph a ValueError.
+    One stack holds every block of an order, so the caller bounds memory
+    by the number of graphs it passes.
+    """
+    out: list = [None] * len(graphs)
+    blocks: list[Graph] = []
+    owned = []
+    for gi, g in enumerate(graphs):
+        if g.n == 0:
+            out[gi] = ValueError("graph must be nonempty")
+        elif is_connected(g):
+            blocks.append(g)
+            owned.append((gi, [range(g.n)]))
+        else:
+            comps = components(g).components
+            blocks += [delete_vertices(g, frozenset(range(g.n)) - c) for c in comps]
+            owned.append((gi, [sorted(c) for c in comps]))
+    pairs = iter(_top_eigenpairs(blocks, alpha))
+    for gi, parts in owned:
+        found = [(next(pairs), part) for part in parts]
+        failed = [pair for pair, _ in found if isinstance(pair, ValueError)]
+        if failed:
+            out[gi] = failed[0]
+            continue
+        # max keeps the first of equal values: the lowest vertex's component
+        (value, x, residual), part = max(found, key=lambda f: f[0][0])
+        if not residual <= RESIDUAL_GATE:  # NaN fails too
+            out[gi] = ArithmeticError(
+                f"eigenpair residual {residual:.3e} exceeds gate {RESIDUAL_GATE:.0e}")
+        elif len(parts) == 1:
+            out[gi] = PerronData(value, x, residual)
+        else:
+            vector = np.zeros(graphs[gi].n)
+            vector[part] = x
+            out[gi] = PerronData(value, vector, residual)
+    return out
 
 
 def perron(g: Graph, alpha: int) -> PerronData:
     """Largest eigenvalue and nonnegative unit eigenvector of alpha*D + A.
 
-    LAPACK ``eigh`` runs on each connected component. The component with
-    the largest value wins, ties going to the one holding the lowest
-    vertex, and the vector is zero off it. Raises ArithmeticError when the
-    residual ``||M x - value x||_inf`` exceeds RESIDUAL_GATE.
+    The one-graph case of perron_many: LAPACK eigh runs on each connected
+    component and the winner's residual ``||M x - value x||_inf`` must stay
+    within RESIDUAL_GATE, else ArithmeticError.
     """
-    if g.n == 0:
-        raise ValueError("graph must be nonempty")
-    m = alpha_matrix(g, alpha)
-    best = None
-    for component in components(g).components:
-        block = sorted(component)
-        sub = m[np.ix_(block, block)]
-        values, vectors = np.linalg.eigh(sub)
-        if best is None or values[-1] > best[0]:
-            best = (float(values[-1]), block, sub, np.abs(vectors[:, -1]))
-    value, block, sub, x = best
-    residual = float(np.max(np.abs(sub @ x - value * x)))
-    if residual > RESIDUAL_GATE:
-        raise ArithmeticError(
-            f"eigenpair residual {residual:.3e} exceeds gate {RESIDUAL_GATE:.0e}")
-    vector = np.zeros(g.n)
-    vector[block] = x
-    return PerronData(value, vector, residual)
+    result = perron_many([g], alpha)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def perron_q(g: Graph) -> PerronData:

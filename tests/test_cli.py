@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qfactor
 from qfactor.cli import main, verify_exit_code
 from qfactor.harness import GUARD_ENV
 from qfactor.reportio import strip_volatile
@@ -265,12 +270,13 @@ class TestVerify:
 
     def test_failed_instance_is_an_error_row(self, capsys, tmp_path, monkeypatch):
         # Skew the top eigenvalue of order-10 matrices past the residual gate;
-        # K_10 becomes an error row and K_8 is still classified.
+        # K_10 becomes an error row and K_8 is still classified. The matrices
+        # arrive stacked, so the order is the last axis.
         eigh = np.linalg.eigh
 
         def skewed(m):
             values, vectors = eigh(m)
-            return (values + 1e-9 if len(m) == 10 else values), vectors
+            return (values + 1e-9 if m.shape[-1] == 10 else values), vectors
 
         monkeypatch.setattr(np.linalg, "eigh", skewed)
         path = tmp_path / "mixed.g6"
@@ -423,6 +429,20 @@ class TestAgreement:
         code, _, err = run(capsys, "agreement", *argv)
         assert code == 2
         assert "no connected graph" in err
+
+    def test_sampled_with_vanishing_connection_probability_exit_2(self):
+        # Connected graphs exist at p = 1e-6 but are never drawn: the bounded
+        # rejection count ends the run. A separate process, so a regression
+        # fails on the timeout instead of hanging the suite.
+        env = dict(os.environ, PYTHONPATH=str(Path(qfactor.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "qfactor.cli", "agreement", "--n", "8",
+             "--samples", "1", "--p", "1e-6", "--connected-only"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert "no connected graph in 10000 draws" in done.stderr
+        assert "n=8, p=1e-06" in done.stderr
 
     def test_exhaustive_is_default_and_modes_are_exclusive(self, capsys):
         code, out, _ = run(capsys, "agreement", "--n", "4", "--format", "json")

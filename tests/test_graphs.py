@@ -16,10 +16,12 @@ from qfactor.graphs import (
     delete_vertices,
     disjoint_union,
     enumerate_labeled,
+    graph6_payload,
     is_connected,
     isomorphism_classes,
     join,
     lexicographic_pairs,
+    mask_graph,
     min_degree,
     odd_components_after_removal,
     parse_graph6,
@@ -184,6 +186,24 @@ def test_parse_graph6_raises_only_graph6_error(data):
         return
     assert isinstance(g, Graph)
     assert parse_graph6(write_graph6(g)) == g
+    # An accepted string is canonical: stripped and without its header, it
+    # is exactly what write_graph6 gives back. The decoded graph, built
+    # without validation, equals the validating constructor's.
+    raw = data.encode("ascii") if isinstance(data, str) else data
+    canonical = raw.strip().removeprefix(b">>graph6<<").decode("ascii")
+    assert write_graph6(g) == canonical
+    assert graph6_payload(raw.strip().decode("ascii")) == canonical
+    assert g == Graph(g.n, g.rows)
+
+
+def test_mask_graph_equals_validated_graph():
+    for n in range(7):
+        pairs = lexicographic_pairs(n)
+        for mask in range(0, 1 << len(pairs), 97):
+            g = mask_graph(n, pairs, mask)
+            assert g == Graph(g.n, g.rows)
+    with pytest.raises(ValueError):
+        mask_graph(-1, [], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from qfactor.factors import AGREEMENT_CLASSES, factor_verdict
@@ -17,6 +18,7 @@ from qfactor.graphs import (
 from qfactor.extremal import build_gstar, threshold_q
 from qfactor.spectra import IntPolynomial, char_poly, perron_q
 from qfactor.harness import (
+    CHUNK_LINES,
     CLASSIFICATIONS,
     GUARD_ENV,
     Guards,
@@ -271,6 +273,112 @@ class TestVerifyStream:
         assert report["errors"] == 1
         assert report["counts"]["confirmed_factor"] == 0
         assert "non-factor" in report["items"][0]["error"]
+
+
+def _interleaved_stream(count):
+    """Orders 4..12 (and odd 7) interleaved line by line, with blank,
+    header-prefixed and malformed lines mixed in."""
+    lines = []
+    for i in range(count):
+        n = (8, 10, 4, 12, 6, 7, 10, 8)[i % 8]
+        text = write_graph6(random_graph(n, (0.3, 0.6, 0.8)[i % 3], seed=i))
+        if i % 50 == 7:
+            text = ">>graph6<<" + text
+        lines.append(text)
+        if i % 97 == 3:
+            lines.append("")
+    lines[101] = "!!bogus!!"
+    return lines
+
+
+def _reference_rows(lines):
+    """Rows of the one-graph path: check_theorem_instance line by line."""
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            g = parse_graph6(text)
+        except ValueError as exc:
+            rows.append({"line": lineno, "graph6": text, "error": str(exc)})
+            continue
+        row = check_theorem_instance(g).as_row(graph6=write_graph6(g))
+        row["line"] = lineno
+        rows.append(row)
+    return rows
+
+
+# Dense graphs of orders 8 and 10, alternating, all past the pre-spectral gate.
+_TWO_ORDERS = [write_graph6(random_graph((8, 10)[i % 2], 0.8, seed=50 + i)) for i in range(12)]
+
+
+class TestChunkedVerify:
+    def test_jobs_invariance_across_chunk_boundaries(self):
+        lines = _interleaved_stream(2 * CHUNK_LINES + 37)
+        nonblank = sum(1 for line in lines if line.strip())
+        assert nonblank % CHUNK_LINES and nonblank > 2 * CHUNK_LINES
+        one = verify_stream(lines)
+        assert one["items"] == _reference_rows(lines)
+        assert one["errors"] == 1 and one["counts"]["below_threshold"] > 0
+        assert verify_stream(lines, jobs=2) == one
+        assert verify_stream(lines, jobs=3) == one
+
+    def test_prefixed_line_reports_its_canonical_graph6(self):
+        row = verify_stream([">>graph6<<G~~~~{"])["items"][0]
+        assert row["graph6"] == "G~~~~{"
+
+    def test_linalg_error_on_one_order_errors_exactly_its_lines(self, monkeypatch):
+        clean = verify_stream(_TWO_ORDERS)
+        assert clean["errors"] == 0 and clean["counts"]["not_applicable"] == 0
+        eigh = np.linalg.eigh
+
+        def failing(m):
+            if m.shape[-1] == 10:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        report = verify_stream(_TWO_ORDERS)
+        for row, before in zip(report["items"], clean["items"]):
+            if parse_graph6(row["graph6"]).n == 10:
+                assert row == {"line": row["line"], "graph6": row["graph6"],
+                               "error": "Eigenvalues did not converge"}
+            else:
+                assert row == before
+        assert report["errors"] == 6
+
+    def test_failed_stack_is_retried_one_graph_at_a_time(self, monkeypatch):
+        clean = verify_stream(_TWO_ORDERS)
+        eigh = np.linalg.eigh
+
+        def single_only(m):
+            if len(m) > 1:
+                raise np.linalg.LinAlgError("stack refused")
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", single_only)
+        assert verify_stream(_TWO_ORDERS) == clean
+
+    def test_residual_gate_errors_only_its_own_line(self, monkeypatch):
+        # Skew the first matrix of every stack: the first line of each order.
+        clean = verify_stream(_TWO_ORDERS)
+        eigh = np.linalg.eigh
+
+        def skew_first(m):
+            values, vectors = eigh(m)
+            values = values.copy()
+            values[0] += 1e-9
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", skew_first)
+        report = verify_stream(_TWO_ORDERS)
+        for k, (row, before) in enumerate(zip(report["items"], clean["items"])):
+            if k < 2:
+                assert "residual" in row["error"] and "exceeds gate" in row["error"]
+            else:
+                assert row == before
+        assert report["errors"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfactor.graphs import Graph, complete, disjoint_union, random_graph
+from qfactor.graphs import Graph, complete, components, disjoint_union, random_graph
 from qfactor.harness import check_theorem_instance
 from qfactor.spectra import (
     CellSpreadError,
@@ -19,6 +19,7 @@ from qfactor.spectra import (
     is_equitable,
     largest_real_root,
     perron,
+    perron_many,
     perron_q,
     perron_rho,
     quadratic_form,
@@ -121,6 +122,64 @@ def test_perron_residual_gate(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", skewed)
     with pytest.raises(ArithmeticError, match="residual"):
         perron(g, 1)
+
+
+def test_stacked_eigh_is_bitwise_equal_to_one_matrix_eigh():
+    # One eigh per order over a stack gives exactly the per-matrix eigenpairs,
+    # and perron_many gives exactly what perron gives one graph at a time.
+    for n in range(2, 63):
+        graphs = [random_graph(n, p, 1000 * n + k) for k, p in enumerate((0.3, 0.6, 0.9))]
+        mats = [signless_laplacian(g) for g in graphs]
+        values, vectors = np.linalg.eigh(np.stack(mats))
+        for k, m in enumerate(mats):
+            v2, w2 = np.linalg.eigh(m)
+            assert np.array_equal(values[k], v2) and np.array_equal(vectors[k], w2), n
+        for g, pd in zip(graphs, perron_many(graphs, 1)):
+            one = perron_q(g)
+            assert pd.value == one.value and pd.residual == one.residual, n
+            assert np.array_equal(pd.vector, one.vector), n
+
+
+def _per_component_reference(g, alpha):
+    # The per-component 2-D eigh loop: the largest value wins, ties going to
+    # the component holding the lowest vertex.
+    m = alpha_matrix(g, alpha)
+    best = None
+    for component in components(g).components:
+        block = sorted(component)
+        values, vectors = np.linalg.eigh(m[np.ix_(block, block)])
+        if best is None or values[-1] > best[0]:
+            best = (float(values[-1]), block, np.abs(vectors[:, -1]))
+    vector = np.zeros(g.n)
+    vector[best[1]] = best[2]
+    return best[0], vector
+
+
+def test_perron_many_matches_per_component_eigh_on_disconnected_graphs():
+    k4 = complete(4)
+    graphs = [
+        disjoint_union(k4, k4),                        # tie: lowest vertex wins
+        disjoint_union(Graph.empty(1), k4),            # isolated vertex first
+        disjoint_union(cycle(5), complete(3)),         # q 4 vs 4: tie again
+        disjoint_union(complete(3), complete(5)),      # the later block wins
+        random_graph(12, 0.15, 4),
+        random_graph(20, 0.08, 9),
+        complete(6),
+    ]
+    assert all(len(components(g).components) > 1 for g in graphs[:6])
+    for alpha in (0, 1):
+        for g, pd in zip(graphs, perron_many(graphs, alpha)):
+            value, vector = _per_component_reference(g, alpha)
+            assert pd.value == value
+            assert np.array_equal(pd.vector, vector)
+    tied = perron_q(disjoint_union(k4, k4)).vector
+    assert tied[:4].min() > 0 and not tied[4:].any()
+
+
+def test_perron_many_keeps_errors_per_graph():
+    out = perron_many([complete(3), Graph(0, ()), cycle(6)], 1)
+    assert out[0].value == pytest.approx(4.0) and out[2].value == pytest.approx(4.0)
+    assert isinstance(out[1], ValueError)
 
 
 @settings(max_examples=60, deadline=None)

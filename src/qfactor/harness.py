@@ -12,8 +12,11 @@ A "counterexample" verdict is deliberately hard to reach: the instance must
 clear the threshold by more than ``eps``, fail the recognizer for the
 extremal graph, fail the parity-subset criterion with an explicit blocking
 set, *and* survive an exhaustive certificate search that finds no even
-factor.  Anything blocked by a search guard is reported ``undecided`` with a
-reason, never silently dropped.
+factor.  Above the threshold, a non-extremal graph first tries the
+polynomial fast path (two edge-disjoint perfect matchings, a 2-factor);
+only when that fails do the guarded searches run, so ``undecided`` needs
+the fast path to fail *and* a search guard to block.  It is reported with
+a reason, never silently dropped.
 
 The threshold itself comes from an exact integer characteristic polynomial
 whose largest real root is bracketed by exact-sign bisection and
@@ -72,6 +75,7 @@ from .graphs import (
     splitmix64,
     write_graph6,
 )
+from .matching import two_factor
 from .spectra import (
     cell_values,
     char_poly,
@@ -111,7 +115,8 @@ class Guards:
 
     ``subset_order`` caps the order n of the parity-subset criterion (it
     scans the subsets S with ``|S| <= min(n/2, alpha(G))``),
-    ``cert_order``/``cert_edges`` cap the even-factor certificate search,
+    ``cert_order``/``cert_edges`` cap the exhaustive even-factor certificate
+    search (in ``verify`` only the fallback after the two-factor fast path),
     and ``enum_order`` caps exhaustive labeled enumeration.  Exceeding a
     guard raises :class:`~qfactor.graphs.GuardExceeded`; callers either
     surface that as an ``undecided`` verdict or as exit code 3.
@@ -257,20 +262,24 @@ def _ladder(g: Graph, q: float, delta: int, eps: float, guards: Guards) -> Theor
     if rec == (n, delta):
         return TheoremOutcome("extremal_match", q, threshold, delta)
 
-    certificate: tuple | None = None
+    # The polynomial fast path first; the guarded exhaustive search after it.
+    source = "two-factor fast path"
+    certificate: tuple | None = two_factor(g)
     cert_exhausted = False
     cert_blocked = False
-    try:
-        certificate = find_even_factor(
-            g, max_order=guards.cert_order, max_edges=guards.cert_edges
-        )
-        cert_exhausted = certificate is None
-    except GuardExceeded:
-        cert_blocked = True
+    if certificate is None:
+        source = "certificate search"
+        try:
+            certificate = find_even_factor(
+                g, max_order=guards.cert_order, max_edges=guards.cert_edges
+            )
+            cert_exhausted = certificate is None
+        except GuardExceeded:
+            cert_blocked = True
 
     if certificate is not None:
         if not verify_even_factor(g, certificate):
-            raise ValueError("certificate search returned a non-factor")
+            raise ValueError(f"{source} returned a non-factor")
         return TheoremOutcome(
             "confirmed_factor",
             q,

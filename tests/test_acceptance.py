@@ -365,7 +365,9 @@ def test_10_round_trip_and_exit_codes(tmp_path, capsys):
     assert main(["verify", "--stream", str(noeven), "--eps", "1e6"]) == 1
     assert main(["verify", "--stream", str(noeven)]) == 0  # below threshold
 
-    blocked = ["verify", "--stream", str(smoke), "--max-subset-order", "4",
+    # Above the threshold (eps disables it) with no even factor, so neither
+    # the two-matching fast path nor the guard-blocked search can decide it.
+    blocked = ["verify", "--stream", str(noeven), "--eps", "1e6",
                "--max-cert-order", "4"]
     assert main(blocked) == 3
     assert main(blocked + ["--allow-undecided"]) == 0

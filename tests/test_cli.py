@@ -35,6 +35,13 @@ def smoke_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def factorless_file(tmp_path):
+    path = tmp_path / "factorless.g6"
+    path.write_text(f"{FACTORLESS}\n")
+    return str(path)
+
+
 def run(capsys, *argv):
     try:
         code = main(list(argv))
@@ -288,17 +295,19 @@ class TestVerify:
         assert results["errors"] == 1
         assert "residual" in results["items"][1]["error"]
 
-    def test_undecided_exit_3(self, capsys, smoke_file):
+    # FACTORLESS has no even factor, so no fast path decides it; with the
+    # threshold disabled and the certificate search blocked it is undecided.
+    def test_undecided_exit_3(self, capsys, factorless_file):
         code, _, _ = run(
-            capsys, "verify", "--stream", smoke_file,
-            "--max-subset-order", "4", "--max-cert-order", "4",
+            capsys, "verify", "--stream", factorless_file,
+            "--eps", "1e6", "--max-cert-order", "4",
         )
         assert code == 3
 
-    def test_undecided_allowed(self, capsys, smoke_file):
+    def test_undecided_allowed(self, capsys, factorless_file):
         code, _, _ = run(
-            capsys, "verify", "--stream", smoke_file,
-            "--max-subset-order", "4", "--max-cert-order", "4",
+            capsys, "verify", "--stream", factorless_file,
+            "--eps", "1e6", "--max-cert-order", "4",
             "--allow-undecided",
         )
         assert code == 0

@@ -11,6 +11,8 @@ from qfactor.graphs import (
     GuardExceeded,
     complete,
     enumerate_labeled,
+    is_connected,
+    min_degree,
     parse_graph6,
     random_graph,
     write_graph6,
@@ -199,12 +201,23 @@ class TestCheckTheoremInstance:
         out = check_theorem_instance(parse_graph6(FACTORLESS))
         assert out.classification == "below_threshold"
 
-    def test_confirmed_by_criterion_when_certificate_guard_blocked(self):
+    def test_confirmed_by_two_factor_fast_path(self):
+        # K8 is past both guards here; the two perfect matchings decide it.
+        out = check_theorem_instance(
+            complete(8), guards=Guards(subset_order=4, cert_order=4)
+        )
+        assert out.classification == "confirmed_factor"
+        assert out.witness["kind"] == "even_factor"
+        assert len(out.witness["edges"]) == 8
+
+    def test_confirmed_by_criterion_when_certificate_guard_blocked(self, monkeypatch):
+        monkeypatch.setattr("qfactor.harness.two_factor", lambda g: None)
         out = check_theorem_instance(complete(8), guards=Guards(cert_order=4))
         assert out.classification == "confirmed_factor"
         assert out.witness["kind"] == "criterion"
 
-    def test_undecided_when_both_guards_blocked(self):
+    def test_undecided_when_both_guards_blocked(self, monkeypatch):
+        monkeypatch.setattr("qfactor.harness.two_factor", lambda g: None)
         out = check_theorem_instance(
             complete(8), guards=Guards(subset_order=4, cert_order=4)
         )
@@ -263,16 +276,24 @@ class TestVerifyStream:
         assert report["counterexamples"] == [FACTORLESS]
 
     def test_non_factor_certificate_is_never_confirmed(self, monkeypatch):
-        # A certificate search that hands back one edge, which is no even factor.
-        monkeypatch.setattr("qfactor.harness.find_even_factor", lambda g, **_: ((0, 1),))
-        with pytest.raises(ValueError, match="non-factor"):
-            check_theorem_instance(complete(8))
+        # A fast path, then a certificate search, that hands back one edge,
+        # which is no even factor; the search is reached with the fast path
+        # patched out.
+        def one_edge(g, **_):
+            return ((0, 1),)
+
+        for source, fast_path in (("two_factor", one_edge),
+                                  ("find_even_factor", lambda g: None)):
+            monkeypatch.setattr("qfactor.harness.two_factor", fast_path)
+            monkeypatch.setattr(f"qfactor.harness.{source}", one_edge)
+            with pytest.raises(ValueError, match="non-factor"):
+                check_theorem_instance(complete(8))
+            report = verify_stream(["G~~~~{"])
+            assert report["errors"] == 1
+            assert report["counts"]["confirmed_factor"] == 0
+            assert "non-factor" in report["items"][0]["error"]
         with pytest.raises(ValueError, match="non-factor"):
             sharpness_probe(8, 2, perturbations=False)
-        report = verify_stream(["G~~~~{"])
-        assert report["errors"] == 1
-        assert report["counts"]["confirmed_factor"] == 0
-        assert "non-factor" in report["items"][0]["error"]
 
 
 def _interleaved_stream(count):
@@ -379,6 +400,46 @@ class TestChunkedVerify:
             else:
                 assert row == before
         assert report["errors"] == 2
+
+
+def _sweep_style_lines():
+    """Connected G(n, p) with minimum degree >= 2 for n in {8, 10, 12} and
+    p in {.5, .7, .9}, then every one-edge augmentation of G*(n, delta) for
+    n in {14, 16} and delta in {2, 3}."""
+    lines = []
+    for n, p in itertools.product((8, 10, 12), (0.5, 0.7, 0.9)):
+        graphs = (random_graph(n, p, seed=100_000 * n + 1_000 * round(10 * p) + s)
+                  for s in itertools.count())
+        lines += [write_graph6(g) for g in itertools.islice(
+            (g for g in graphs if min_degree(g) >= 2 and is_connected(g)), 15)]
+    for n, delta in itertools.product((14, 16), (2, 3)):
+        g = build_gstar(n, delta)
+        lines += [write_graph6(g.add_edges([e])) for e in itertools.combinations(range(n), 2)
+                  if not g.has_edge(*e)]
+    return lines
+
+
+def _without_edge_lists(rows):
+    out = []
+    for row in rows:
+        witness = row.get("witness") or {}
+        out.append({**row, "witness": {k: v for k, v in witness.items() if k != "edges"}})
+    return out
+
+
+class TestFastPath:
+    def test_same_verdicts_as_the_exhaustive_search(self, monkeypatch):
+        # Only the witness edge lists may differ from the fast-path-free ladder.
+        lines = _sweep_style_lines()
+        assert len(lines) == 9 * 15 + 66
+        guards = Guards(cert_order=24, cert_edges=400)
+        fast = verify_stream(lines, guards=guards)
+        monkeypatch.setattr("qfactor.harness.two_factor", lambda g: None)
+        slow = verify_stream(lines, guards=guards)
+        assert _without_edge_lists(fast["items"]) == _without_edge_lists(slow["items"])
+        assert fast["counts"] == slow["counts"]
+        assert fast["counts"]["confirmed_factor"] >= 66
+        assert fast["counts"]["undecided"] == fast["errors"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ The families are joins of a clique S with disjoint clique unions:
 Closed-form 3x3 quotient matrices and their characteristic polynomials are
 kept as exact integer objects so identity checks are coefficient-exact.
 threshold_q is the load-bearing number: the largest root of the gstar
-polynomial, cross-validated against LAPACK eigh on the actual graph.
+polynomial, isolated by a Sturm chain and correctly rounded to a double,
+then cross-validated against LAPACK eigh on the actual graph.
 """
 
 from __future__ import annotations
@@ -307,7 +308,7 @@ def f_poly(n: int, s: int, delta: int) -> IntPolynomial:
 
 @lru_cache(maxsize=None)
 def _threshold_cached(n: int, delta: int, tol: float) -> float:
-    root = largest_real_root(phi_bstar(n, delta), 0.0, float(2 * n), tol=1e-12)
+    root = largest_real_root(phi_bstar(n, delta), 0.0, float(2 * n))
     check = perron_q(build_gstar(n, delta)).value
     if abs(root - check) > tol:
         raise RuntimeError(
@@ -317,6 +318,7 @@ def _threshold_cached(n: int, delta: int, tol: float) -> float:
 
 
 def threshold_q(n: int, delta: int, tol: float = 1e-8) -> float:
-    """q(gstar(n, delta)): largest root of phi_bstar, cross-validated
-    against perron_q on the built graph (mismatch > tol raises)."""
+    """q(gstar(n, delta)): the largest root of phi_bstar, correctly rounded,
+    cross-validated against perron_q on the built graph (a mismatch > tol
+    raises RuntimeError, also under python -O)."""
     return _threshold_cached(n, delta, tol)

@@ -14,7 +14,8 @@ be zero. An optional ">>graph6<<" prefix is accepted on input.
 random_graph draws edges from a bit-exact splitmix64 stream so that seeded
 populations are reproducible down to the byte across platforms.
 isomorphism_classes labels every edge mask of an exhaustive population with
-its isomorphism class, so a census can evaluate one graph per class.
+its isomorphism class, so a census can evaluate one graph per class, and
+mask_graph6_encoder writes the graph6 of such a mask by table lookups.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class Graph6Error(ValueError):
@@ -163,13 +164,13 @@ def complete(k: int) -> Graph:
     if k < 1:
         raise ValueError("complete graph needs k >= 1")
     full = (1 << k) - 1
-    return Graph(k, tuple(full & ~(1 << v) for v in range(k)))
+    return _trusted_graph(k, tuple(full & ~(1 << v) for v in range(k)))
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """a followed by b, with b's vertices shifted up by a.n."""
     rows = list(a.rows) + [row << a.n for row in b.rows]
-    return Graph(a.n + b.n, tuple(rows))
+    return _trusted_graph(a.n + b.n, tuple(rows))
 
 
 def join(a: Graph, b: Graph) -> Graph:
@@ -178,7 +179,7 @@ def join(a: Graph, b: Graph) -> Graph:
     bmask = ((1 << b.n) - 1) << a.n
     rows = [row | bmask for row in a.rows]
     rows += [(row << a.n) | amask for row in b.rows]
-    return Graph(a.n + b.n, tuple(rows))
+    return _trusted_graph(a.n + b.n, tuple(rows))
 
 
 def delete_vertices(g: Graph, drop: Iterable[int]) -> Graph:
@@ -450,6 +451,38 @@ def isomorphism_classes(
                     labels[y] = label
                     stack.append(y)
     return labels, representatives
+
+
+def mask_graph6_encoder(n: int, *, max_order: int = 7) -> Callable[[int], str]:
+    """A function taking an edge mask on n vertices (bit k is the k-th
+    lexicographic pair) to its graph6, equal to
+    write_graph6(mask_graph(n, lexicographic_pairs(n), mask)).
+
+    Two table lookups, one per half of the mask, move each pair bit to its
+    graph6 column-order position, counted from the top of the padded
+    payload; the 6-bit groups are then read off directly. The tables have
+    2**ceil(n(n-1)/4) entries, as in isomorphism_classes, and the same
+    guard is checked before they are built.
+    """
+    if n > max_order:
+        raise GuardExceeded(
+            f"mask_graph6_encoder(n={n}) exceeds guard max_order={max_order}")
+    position = {pair: k for k, pair in enumerate(_pair_stream(n))}
+    pairs = lexicographic_pairs(n)
+    width = 6 * ((len(pairs) + 5) // 6)
+    targets = [width - 1 - position[pair] for pair in pairs]
+    half = (len(pairs) + 1) // 2
+    low = (1 << half) - 1
+    lo, hi = _bit_table(targets[:half]), _bit_table(targets[half:])
+    header = chr(n + 63)
+    shifts = range(width - 6, -1, -6)
+    chars = [chr(v) for v in _GRAPH6_BYTES]
+
+    def encode(mask: int) -> str:
+        bits = lo[mask & low] | hi[mask >> half]
+        return header + "".join([chars[bits >> s & 63] for s in shifts])
+
+    return encode
 
 
 def _bit_table(targets: Sequence[int]) -> list[int]:

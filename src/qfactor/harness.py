@@ -18,11 +18,11 @@ only when that fails do the guarded searches run, so ``undecided`` needs
 the fast path to fail *and* a search guard to block.  It is reported with
 a reason, never silently dropped.
 
-The threshold itself comes from an exact integer characteristic polynomial
-whose largest real root is bracketed by exact-sign bisection and
-cross-checked against a directly computed spectral radius, so a near-band
-instance cannot be misclassified by float drift greater than the stated
-``eps``.
+The threshold itself is the largest real root of an exact integer
+characteristic polynomial, isolated by a Sturm chain with integer signs at
+dyadic points and correctly rounded to a double, then cross-checked against
+a directly computed spectral radius, so a near-band instance cannot be
+misclassified by float drift greater than the stated ``eps``.
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ from .graphs import (
     graph6_payload,
     is_connected,
     isomorphism_classes,
-    lexicographic_pairs,
-    mask_graph,
+    mask_graph6_encoder,
     min_degree,
     parse_graph6,
     random_graph,
@@ -554,6 +553,17 @@ def odd_compositions(total: int, parts: int, minimum: int = 1):
     yield from rec(total, parts, lo)
 
 
+def _q_values(graphs: Sequence[Graph]) -> list[float]:
+    """Signless-Laplacian radii from one perron_many call, raising the first
+    error as perron_q would."""
+    out = []
+    for result in perron_many(graphs, 1):
+        if isinstance(result, Exception):
+            raise result
+        out.append(result.value)
+    return out
+
+
 def _redistribution_lemma(
     *, max_n: int, max_s: int, tol: float, strict_margin: float, eq_tol: float
 ) -> dict[str, Any]:
@@ -561,32 +571,35 @@ def _redistribution_lemma(
     q(K_s v union K_{n_i}) <= q(K_s v ((t-1)K_p u K_{n-s-p(t-1)})) whenever
     every n_i >= p, with equality exactly when the smaller parts already
     all equal p."""
-    cases = equalities = strict = violations = 0
-    min_strict = math.inf
-    max_eq_dev = 0.0
-    bad: list[dict[str, Any]] = []
+    comparisons = []
     for s in range(2, max_s + 1):
         for n in range(2 * s + 2, max_n + 1, 2):
             for parts in odd_compositions(n - s, s):
-                if len(parts) < 2:
-                    continue
-                left = perron_q(build_g1(s, parts)).value
                 for p in range(1, parts[0] + 1, 2):
                     big = n - s - p * (s - 1)
                     if big < p or big % 2 == 0:
                         continue
-                    right = perron_q(build_g1(s, [p] * (s - 1) + [big])).value
-                    cases += 1
-                    is_equal_case = all(x == p for x in parts[:-1]) and parts[-1] == big
-                    if left > right + tol:
-                        violations += 1
-                        bad.append({"s": s, "parts": list(parts), "p": p})
-                    elif is_equal_case:
-                        equalities += 1
-                        max_eq_dev = max(max_eq_dev, abs(left - right))
-                    else:
-                        strict += 1
-                        min_strict = min(min_strict, right - left)
+                    comparisons.append((s, parts, p, (p,) * (s - 1) + (big,)))
+    joins = list(dict.fromkeys(
+        key for s, parts, _, merged in comparisons for key in ((s, parts), (s, merged))))
+    radius = dict(zip(joins, _q_values([build_g1(s, parts) for s, parts in joins])))
+
+    cases = equalities = strict = violations = 0
+    min_strict = math.inf
+    max_eq_dev = 0.0
+    bad: list[dict[str, Any]] = []
+    for s, parts, p, merged in comparisons:
+        left, right = radius[s, parts], radius[s, merged]
+        cases += 1
+        if left > right + tol:
+            violations += 1
+            bad.append({"s": s, "parts": list(parts), "p": p})
+        elif parts == merged:
+            equalities += 1
+            max_eq_dev = max(max_eq_dev, abs(left - right))
+        else:
+            strict += 1
+            min_strict = min(min_strict, right - left)
     return {
         "cases": cases,
         "equality_cases": equalities,
@@ -605,10 +618,9 @@ def _edge_monotonicity_lemma(*, seed: int, pairs: int) -> dict[str, Any]:
     """Removing an edge from a connected graph strictly lowers the
     signless-Laplacian radius; checked on seeded random connected graphs."""
     stream = splitmix64(seed)
-    done = violations = 0
-    min_margin = math.inf
+    drawn: list[Graph] = []  # g, h for each pair
     attempts = 0
-    while done < pairs:
+    while len(drawn) < 2 * pairs:
         attempts += 1
         if attempts > 50 * pairs:
             raise RuntimeError("random graph stream failed to produce enough cases")
@@ -617,15 +629,13 @@ def _edge_monotonicity_lemma(*, seed: int, pairs: int) -> dict[str, Any]:
         if not edges or not is_connected(g):
             continue
         drop = edges[next(stream) % len(edges)]
-        h = g.remove_edges([drop])
-        margin = perron_q(g).value - perron_q(h).value
-        done += 1
-        if margin <= 0:
-            violations += 1
-        else:
-            min_margin = min(min_margin, margin)
+        drawn += [g, g.remove_edges([drop])]
+    values = _q_values(drawn)
+    margins = [q_g - q_h for q_g, q_h in zip(values[::2], values[1::2])]
+    violations = sum(margin <= 0 for margin in margins)
+    min_margin = min((margin for margin in margins if margin > 0), default=math.inf)
     return {
-        "pairs": done,
+        "pairs": len(margins),
         "violations": violations,
         "min_margin": min_margin,
         "passed": violations == 0 and min_margin > 0,
@@ -983,14 +993,13 @@ def agreement_study(
             agreement(g) if not connected_only or is_connected(g) else None
             for g in representatives
         ]
-        pairs = lexicographic_pairs(n)
+        encode = mask_graph6_encoder(n, max_order=guards.enum_order)
         for mask, label in enumerate(labels):
             verdict = by_class[label]
             if verdict is not None:
                 counts[verdict] += 1
                 if verdict in disagreements:
-                    disagreements[verdict].append(
-                        write_graph6(mask_graph(n, pairs, mask)))
+                    disagreements[verdict].append(encode(mask))
     else:
         mode = "sampled"
         if connected_only and (n == 0 or (p == 0 and n >= 2)):

@@ -10,7 +10,8 @@ Two arithmetic regimes coexist on purpose and are kept separate:
   one-graph case;
 * exact integer/rational arithmetic for quotient matrices, characteristic
   polynomials (Faddeev-LeVerrier over Python ints) and root isolation
-  (bisection with exact sign evaluation at dyadic rationals).
+  (a Sturm chain with integer signs at dyadic points, bisected until the
+  largest root is correctly rounded to a double).
 
 Every identity check downstream compares a float route against an exact
 route; nothing here collapses the two.
@@ -18,8 +19,10 @@ route; nothing here collapses the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -374,22 +377,22 @@ def char_poly(m) -> IntPolynomial:
 
     Accepts a QuotientMatrix with integral entries or any integer-valued
     square matrix. Python ints never overflow, so coefficients are exact at
-    every order this toolkit touches.
+    every order this toolkit touches. Each inner product is one
+    sum(map(mul, row, column)) over a row of A and a column of M_k.
     """
     a = _to_int_matrix(m)
     n = len(a)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    mk = [[0] * n for _ in range(n)]  # M_0 = 0
-    c_prev = 1                        # c_n
+    columns = [(0,) * n] * n  # of M_0 = 0
+    c_prev = 1                 # c_n
     for k in range(1, n + 1):
         # M_k = A @ M_{k-1} + c_{n-k+1} I
-        prod = [[sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)]
+        mk = [[sum(map(mul, row, col)) for col in columns] for row in a]
         for i in range(n):
-            prod[i][i] += c_prev
-        mk = prod
-        trace = sum(sum(a[i][t] * mk[t][i] for t in range(n)) for i in range(n))
+            mk[i][i] += c_prev
+        columns = list(zip(*mk))
+        trace = sum(sum(map(mul, row, col)) for row, col in zip(a, columns))
         q, r = divmod(-trace, k)
         if r:
             raise ArithmeticError("Faddeev-LeVerrier division not exact")
@@ -398,18 +401,88 @@ def char_poly(m) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs))
 
 
-def largest_real_root(
-    p: IntPolynomial,
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    scan_steps: int = 1024,
-) -> float:
-    """Largest real root of p in [lo, hi] by downward scan + bisection.
+def _poly_divmod(
+    a: list[Fraction], b: list[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by b, coefficients ascending and b's
+    leading one nonzero. The remainder is trimmed, to [] when it is zero."""
+    rem = a[:]
+    d = len(b) - 1
+    quo = [Fraction(0)] * (len(a) - d)
+    for top in range(len(rem) - 1, d - 1, -1):
+        lead = quo[top - d] = rem[top] / b[-1]
+        if lead:
+            for i, c in enumerate(b):
+                rem[top - d + i] -= lead * c
+    rem = rem[:d]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
 
-    Signs are evaluated exactly at dyadic rationals, so brackets are
-    rigorous; the scan resolution (scan_steps) is the only heuristic and
-    suffices for the well-separated cubics this toolkit isolates.
+
+def _sturm_chain(p: IntPolynomial) -> list[tuple[int, ...]]:
+    """The Sturm chain of p's squarefree part, each member scaled by a
+    positive rational to integer coefficients.
+
+    The chain p, p', -rem(p, p'), ... ends in g = gcd(p, p'); dividing every
+    member by g gives a Sturm chain of p/g, which has p's roots, each once.
+    For such a chain the sign variations V(x), zeros dropped, count the
+    roots in (a, b] as V(a) - V(b), also when a or b is a root.
+    """
+    chain = [[Fraction(c) for c in p.coeffs]]
+    derivative = [k * c for k, c in enumerate(chain[0])][1:]
+    if derivative:
+        chain.append(derivative)
+    while len(chain) > 1:
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    gcd = chain[-1]
+    if len(gcd) > 1:
+        chain = [_poly_divmod(member, gcd)[0] for member in chain]
+    out = []
+    for member in chain:
+        scale = math.lcm(*(c.denominator for c in member))
+        ints = [int(c * scale) for c in member]
+        content = math.gcd(*ints)
+        out.append(tuple(c // content for c in ints))
+    return out
+
+
+def _sign_at(coeffs: tuple[int, ...], m: int, e: int) -> int:
+    """Sign of the polynomial at the dyadic point m / 2**e, by integer
+    Horner on 2**(e*deg) times its value."""
+    d = len(coeffs) - 1
+    acc = coeffs[d]
+    for i in range(d - 1, -1, -1):
+        acc = acc * m + (coeffs[i] << (e * (d - i)))
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: list[tuple[int, ...]], m: int, e: int) -> int:
+    """Sign changes along the chain at m / 2**e, zeros dropped."""
+    count = 0
+    last = 0
+    for member in chain:
+        sign = _sign_at(member, m, e)
+        if sign:
+            if sign != last and last:
+                count += 1
+            last = sign
+    return count
+
+
+def largest_real_root(p: IntPolynomial, lo: float, hi: float) -> float:
+    """Largest real root of p in [lo, hi], correctly rounded to a double.
+
+    Sturm isolation (Basu, Pollack & Roy, Algorithms in Real Algebraic
+    Geometry, ch. 2). The chain is built once, and every sign is that of an
+    integer Horner evaluation at a dyadic point m / 2**e, so every bracket
+    is proved. Bisection keeps the largest root in (a, b] by root counts
+    until it is the only root there, then by the sign of p alone, and stops
+    when a and b round to the same double: the root rounds to it too. A
+    midpoint that is itself the largest root is returned as it is.
     Requires p(hi) > 0.
     """
     lo_f, hi_f = Fraction(lo), Fraction(hi)
@@ -417,28 +490,37 @@ def largest_real_root(
         raise ValueError("need lo < hi")
     if p(hi_f) <= 0:
         raise ValueError("p(hi) must be positive")
-    step = (hi_f - lo_f) / scan_steps
-    upper = hi_f
-    lower = None
-    for k in range(1, scan_steps + 1):
-        x = hi_f - step * k
-        val = p(x)
-        if val == 0:
-            return float(x)
-        if val < 0:
-            lower = x
-            break
-        upper = x
-    if lower is None:
-        raise ValueError("no sign change found in [lo, hi]")
-    tol_f = Fraction(tol)
-    while upper - lower > tol_f:
-        mid = (upper + lower) / 2
-        val = p(mid)
-        if val == 0:
-            return float(mid)
-        if val < 0:
-            lower = mid
+    e = max(lo_f.denominator, hi_f.denominator).bit_length() - 1
+    a, b = lo_f * (1 << e), hi_f * (1 << e)
+    if a.denominator != 1 or b.denominator != 1:
+        raise ValueError("lo and hi must be dyadic, as floats are")
+    a, b = int(a), int(b)
+    chain = _sturm_chain(p)
+    v_b = _variations(chain, b, e)
+    count = _variations(chain, a, e) - v_b
+    if not count:
+        if p(lo_f) == 0:
+            return float(lo_f)
+        raise ValueError("no root in [lo, hi]")
+    squarefree = chain[0]
+    while count > 1:
+        mid, a, b, e = a + b, 2 * a, 2 * b, e + 1
+        v_mid = _variations(chain, mid, e)
+        if v_mid > v_b:
+            a, count = mid, v_mid - v_b
+        elif _sign_at(squarefree, mid, e):
+            b, v_b = mid, v_mid
         else:
-            upper = mid
-    return float((upper + lower) / 2)
+            return mid / (1 << e)
+    # the one root in (a, b] is simple and b is no root
+    sign_b = _sign_at(squarefree, b, e)
+    while a / (1 << e) != b / (1 << e):
+        mid, a, b, e = a + b, 2 * a, 2 * b, e + 1
+        sign = _sign_at(squarefree, mid, e)
+        if not sign:
+            return mid / (1 << e)
+        if sign == sign_b:
+            b = mid
+        else:
+            a = mid
+    return b / (1 << e)

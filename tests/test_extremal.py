@@ -20,7 +20,9 @@ from qfactor.extremal import (
     surgery_plan,
     threshold_q,
 )
-from qfactor.graphs import is_connected, min_degree
+from qfactor.extremal import _threshold_cached
+from qfactor.graphs import Graph, is_connected, min_degree
+from qfactor.harness import _gstar_grid, _identity_grid, odd_compositions
 from qfactor.spectra import char_poly, is_equitable, perron_q, signless_laplacian
 
 
@@ -195,3 +197,30 @@ def test_threshold_matches_direct_perron():
 def test_threshold_deterministic():
     assert threshold_q(12, 2) == threshold_q(12, 2)
     assert threshold_q(16, 3) == threshold_q(16, 3)
+
+
+def test_threshold_cross_check_raises_on_wrong_polynomial(monkeypatch):
+    # phi_b2(n, delta + 1) is a valid cubic with a root in [0, 2n], but of
+    # another graph: the eigh cross-check must reject it, also under -O.
+    monkeypatch.setattr("qfactor.extremal.phi_bstar", lambda n, delta: phi_b2(n, delta + 1))
+    _threshold_cached.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="cross-validation failed"):
+            threshold_q(12, 2)
+    finally:
+        _threshold_cached.cache_clear()
+
+
+def test_family_builders_equal_validated_graphs():
+    # the builders skip Graph validation; rebuilding through the public
+    # constructor must give the same graph on every lemma and identity grid
+    built = [build_gstar(n, delta) for n, delta in _gstar_grid()]
+    for n, delta, s in _identity_grid():
+        built.append(build_g2(n, s))
+        if 2 <= s <= delta - 1:
+            built += [build_g3(n, delta, s), build_g4(n, delta, s)]
+    for s in range(2, 5):
+        for n in range(2 * s + 2, 17, 2):
+            built += [build_g1(s, parts) for parts in odd_compositions(n - s, s)]
+    for g in built:
+        assert Graph(g.n, g.rows) == g

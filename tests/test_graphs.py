@@ -22,6 +22,7 @@ from qfactor.graphs import (
     join,
     lexicographic_pairs,
     mask_graph,
+    mask_graph6_encoder,
     min_degree,
     odd_components_after_removal,
     parse_graph6,
@@ -82,6 +83,11 @@ def test_complete_and_operators():
     assert j.n == 6 and j.edge_count == 4 + 5
     assert is_connected(j)
     assert delete_vertices(j, [0]).rows == u.rows
+    # the builders skip validation: the public constructor must agree
+    parts = [complete(1), complete(3), cycle(5), Graph.empty(2)]
+    for a, b in itertools.product(parts, repeat=2):
+        for g in (complete(a.n), disjoint_union(a, b), join(a, b)):
+            assert g == Graph(g.n, g.rows)
 
 
 def test_components_and_odd_counts():
@@ -204,6 +210,19 @@ def test_mask_graph_equals_validated_graph():
             assert g == Graph(g.n, g.rows)
     with pytest.raises(ValueError):
         mask_graph(-1, [], 0)
+
+
+def test_mask_graph6_encoder_matches_write_graph6():
+    for n in range(8):
+        pairs = lexicographic_pairs(n)
+        encode = mask_graph6_encoder(n)
+        # every mask up to order 6, a strided sample at order 7
+        for mask in range(0, 1 << len(pairs), 1 if n <= 6 else 1009):
+            assert encode(mask) == write_graph6(mask_graph(n, pairs, mask)), (n, mask)
+        full = (1 << len(pairs)) - 1
+        assert encode(full) == write_graph6(complete(n) if n else Graph.empty(0))
+    with pytest.raises(GuardExceeded):
+        mask_graph6_encoder(8)
 
 
 # ---------------------------------------------------------------------------

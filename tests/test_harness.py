@@ -18,7 +18,7 @@ from qfactor.graphs import (
     write_graph6,
 )
 from qfactor.extremal import build_gstar, threshold_q
-from qfactor.spectra import IntPolynomial, char_poly, perron_q
+from qfactor.spectra import IntPolynomial, char_poly, perron_many, perron_q
 from qfactor.harness import (
     CHUNK_LINES,
     CLASSIFICATIONS,
@@ -525,6 +525,15 @@ class TestSuites:
         assert report["quotient_radius"]["max_root_vs_perron"] < 1e-8
         assert report["quotient_radius"]["all_divide"] is True
         assert all(case["divides"] for case in report["quotient_radius"]["cases"])
+
+    def test_lemma_spectra_batched_equal_one_by_one(self, monkeypatch):
+        # The redistribution and edge-monotonicity lemmas take their radii
+        # from one stacked perron_many call; one eigh per graph gives the
+        # same floats bit for bit, so the same report bytes.
+        batched = lemma_suite(seed=3)
+        one_by_one = lambda graphs, alpha: [perron_many([g], alpha)[0] for g in graphs]
+        monkeypatch.setattr("qfactor.harness.perron_many", one_by_one)
+        assert lemma_suite(seed=3) == batched
 
     def test_quotient_radius_rejects_a_non_dividing_polynomial(self, monkeypatch):
         # Add 1 to the constant term of every full order-n polynomial; the

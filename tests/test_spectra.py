@@ -1,6 +1,7 @@
 """Perron data by LAPACK eigh, exact quotients, integer characteristic polynomials."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -316,3 +317,37 @@ def test_largest_real_root_picks_largest():
     assert largest_real_root(p, 0.0, 10.0) == pytest.approx(3.0, abs=1e-11)
     with pytest.raises(ValueError):
         largest_real_root(p, 0.0, 2.5)  # p(hi) < 0: bracket invalid
+
+
+def test_largest_real_root_close_pair():
+    # (x - 1)(x - 3)(1000x - 3001): the two top roots are 1e-3 apart
+    p = IntPolynomial((-9003, 15004, -7001, 1000))
+    assert largest_real_root(p, 0.0, 10.0) == 3.001
+
+
+def test_largest_real_root_double_root():
+    p = IntPolynomial((-9, 15, -7, 1))  # (x - 3)^2 (x - 1)
+    assert largest_real_root(p, 0.0, 10.0) == 3.0
+    assert largest_real_root(p, 0.0, 1000.0) == 3.0
+
+
+def test_largest_real_root_correctly_rounded_thresholds():
+    # phi_bstar's largest root against a Fraction bisection to 1e-30: the
+    # double returned is the one nearest the exact root.
+    from qfactor.extremal import phi_bstar
+
+    for n in range(4, 63, 2):
+        for delta in range(2, n // 2 + 1):
+            p = phi_bstar(n, delta)
+            root = largest_real_root(p, 0.0, float(2 * n))
+            lo, hi = Fraction(n), Fraction(2 * n)  # q(gstar) >= n
+            assert p(lo) < 0 < p(hi)
+            while hi - lo > Fraction(1, 10**30):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if p(mid) < 0 else (lo, mid)
+            exact = (lo + hi) / 2
+            ulp = math.ulp(root)
+            assert abs(Fraction(root) - exact) <= Fraction(ulp) / 2, (n, delta)
+            below, above = math.nextafter(root, 0), math.nextafter(root, math.inf)
+            assert abs(Fraction(root) - exact) <= abs(Fraction(below) - exact)
+            assert abs(Fraction(root) - exact) <= abs(Fraction(above) - exact)

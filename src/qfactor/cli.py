@@ -103,8 +103,6 @@ def _parse_parts(text: str) -> tuple[int, ...]:
 
 
 def _add_guard_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-subset-order", type=int, default=None, metavar="N",
-                   help="criterion subset-scan guard (default 22)")
     p.add_argument("--max-cert-order", type=int, default=None, metavar="N",
                    help="certificate-search order guard (default 12)")
     p.add_argument("--max-cert-edges", type=int, default=None, metavar="M",
@@ -116,7 +114,6 @@ def _add_guard_flags(p: argparse.ArgumentParser) -> None:
 def _resolve_guards(args: argparse.Namespace) -> Guards:
     base = Guards.from_env()
     return Guards(
-        subset_order=args.max_subset_order if args.max_subset_order is not None else base.subset_order,
         cert_order=args.max_cert_order if args.max_cert_order is not None else base.cert_order,
         cert_edges=args.max_cert_edges if args.max_cert_edges is not None else base.cert_edges,
         enum_order=args.max_enum_order if args.max_enum_order is not None else base.enum_order,
@@ -125,7 +122,6 @@ def _resolve_guards(args: argparse.Namespace) -> Guards:
 
 def _guards_config(guards: Guards) -> dict[str, int]:
     return {
-        "max_subset_order": guards.subset_order,
         "max_cert_order": guards.cert_order,
         "max_cert_edges": guards.cert_edges,
         "max_enum_order": guards.enum_order,
@@ -356,7 +352,6 @@ def _cmd_factor(args: argparse.Namespace) -> int:
             g = parse_graph6(text)
             verdict = factor_verdict(
                 g,
-                max_order=guards.subset_order,
                 cert_max_order=guards.cert_order,
                 cert_max_edges=guards.cert_edges,
             )

@@ -8,11 +8,12 @@ even-order graph passes iff o(G - S) < |S| for every vertex subset S with
 on small graphs in both directions, which is why factor_verdict reports
 their agreement class instead of treating either as ground truth.
 
-Both operations carry size guards (configuration, not constants): the
-criterion enumerates the subsets with |S| <= min(n/2, alpha(G)), which is
-still exponential in n, and the certificate search branches over edges.
-The criterion's guard caps n. Exceeding a guard raises GuardExceeded
-rather than silently degrading.
+The criterion is decided in polynomial time: by Tutte-Berge on G - T for
+each pair T, it holds exactly when G is bicritical, i.e. G - u - v has a
+perfect matching for every pair u != v (Lovasz & Plummer, Matching Theory,
+1986). The certificate search branches over edges and carries size guards
+(configuration, not constants); exceeding one raises GuardExceeded rather
+than silently degrading.
 """
 
 from __future__ import annotations
@@ -21,86 +22,76 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph, GuardExceeded, odd_components_after_removal
+from .matching import _augment, _mates
 
-DEFAULT_SUBSET_ORDER = 22
 DEFAULT_CERT_ORDER = 12
 DEFAULT_CERT_EDGES = 40
 
 
-def strong_tutte_check(
-    g: Graph, *, max_order: int = DEFAULT_SUBSET_ORDER
-) -> tuple[bool, tuple[int, ...] | None]:
+def strong_tutte_check(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """Evaluate the printed criterion on an even-order graph.
 
     Returns (True, None) when every S with |S| >= 2 satisfies
-    o(G - S) < |S|; otherwise (False, S) for the lexicographically first
-    violating S at the smallest violating size.
+    o(G - S) < |S|; otherwise (False, S) with S = T u A(G - T), where T is
+    the lexicographically first pair for which G - T has no perfect
+    matching and A(G - T) is its Gallai-Edmonds barrier. Then
+    o(G - S) >= |S|: the odd components of G - T - A are the components of
+    D(G - T), and their number exceeds |A| by the deficiency of G - T,
+    which is even and positive. The witness is hard-checked.
 
-    Subsets are scanned by size, then lexicographically, and only up to
-    size min(n // 2, alpha(G)); no larger S can violate:
-
-    - o(G - S) <= n - |S|, so o(G - S) >= |S| forces |S| <= n / 2.
-    - One vertex from each component of G - S is an independent set of G,
-      so o(G - S) <= c(G - S) <= alpha(G - S) <= alpha(G), and
-      o(G - S) >= |S| forces |S| <= alpha(G).
-
-    alpha(G) is computed only once size 2 has passed without a violation,
-    so a graph that fails at size 2 never pays for it.
+    One maximum matching of G is computed; each G - T starts from a copy
+    with T and the mates of T unmatched and is repaired by one augmenting
+    search from each exposed vertex outside T. That covers the vertices G
+    itself leaves exposed, which may gain augmenting paths once T's edges
+    are unmatched. T stays in the rows as two isolated vertices.
     """
     if g.n % 2:
         raise ValueError("criterion requires even order")
-    if g.n > max_order:
-        raise GuardExceeded(
-            f"strong_tutte_check(n={g.n}) exceeds guard max_order={max_order}")
-    limit = g.n // 2
-    k = 2
-    while k <= limit:
-        for combo in combinations(range(g.n), k):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if odd_components_after_removal(g, mask) >= k:
-                return False, combo
-        if k == 2 and limit > 2:
-            limit = min(limit, _independence_number(g))
-        k += 1
+    rows = list(g.rows)
+    mate = _mates(rows)
+    for pair in combinations(range(g.n), 2):
+        keep = ~(1 << pair[0] | 1 << pair[1])
+        sub = [r & keep for r in rows]
+        sub_mate = mate[:]
+        for t in pair:
+            sub[t] = 0
+            if sub_mate[t] != -1:
+                sub_mate[sub_mate[t]] = sub_mate[t] = -1
+        for v in range(g.n):
+            if sub_mate[v] == -1 and v not in pair:
+                _augment(sub, sub_mate, v)
+        if any(m == -1 and v not in pair for v, m in enumerate(sub_mate)):
+            barrier = _gallai_edmonds_a(sub, sub_mate)
+            blocking = tuple(sorted(pair + barrier))
+            mask = sum(1 << v for v in blocking)
+            if odd_components_after_removal(g, mask) < len(blocking):
+                raise ValueError(f"criterion witness {blocking} does not block")
+            return False, blocking
     return True, None
 
 
-def _independence_number(g: Graph) -> int:
-    """alpha(G), the largest size of an independent vertex set.
-
-    Branch and bound: a vertex of degree <= 1 belongs to some maximum
-    independent set, so it is taken outright; otherwise the search
-    branches on a vertex of maximum degree (take it, or delete it) and
-    prunes a branch that cannot beat the best set found so far.
-    """
-    rows = g.rows
-    best = 0
-
-    def grow(alive: int, size: int) -> None:
-        nonlocal best
-        if size + alive.bit_count() <= best:
-            return
-        if not alive:
-            best = size
-            return
-        top = top_degree = -1
-        m = alive
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = (rows[v] & alive).bit_count()
-            if d <= 1:
-                grow(alive & ~(rows[v] | 1 << v), size + 1)
-                return
-            if d > top_degree:
-                top, top_degree = v, d
-        grow(alive & ~(rows[top] | 1 << top), size + 1)
-        grow(alive & ~(1 << top), size)
-
-    grow((1 << g.n) - 1, 0)
-    return best
+def _gallai_edmonds_a(rows: list[int], mate: list[int]) -> tuple[int, ...]:
+    """A = N(D) - D, where D is the set of vertices that some maximum
+    matching misses and ``mate`` is a maximum matching. A covered v is in D
+    iff, with v deleted, its mate starts an augmenting path: any augmenting
+    path must end there, since ``mate`` is maximum."""
+    deficient = 0
+    for v, w in enumerate(mate):
+        if w != -1:
+            without = [r & ~(1 << v) for r in rows]
+            without[v] = 0
+            trial = mate[:]
+            trial[v] = trial[w] = -1
+            _augment(without, trial, w)
+            if trial[w] == -1:
+                continue
+        deficient |= 1 << v
+    reach = 0
+    for v in range(len(rows)):
+        if deficient >> v & 1:
+            reach |= rows[v]
+    reach &= ~deficient
+    return tuple(v for v in range(len(rows)) if reach >> v & 1)
 
 
 _UNDEC, _IN, _OUT = 0, 1, 2
@@ -272,14 +263,13 @@ class FactorVerdict:
 def factor_verdict(
     g: Graph,
     *,
-    max_order: int = DEFAULT_SUBSET_ORDER,
     cert_max_order: int = DEFAULT_CERT_ORDER,
     cert_max_edges: int = DEFAULT_CERT_EDGES,
 ) -> FactorVerdict:
     """Run criterion and certificate search side by side and classify
     their agreement. Guards raise GuardExceeded; nothing is inferred from
     a blocked side."""
-    crit, blocking = strong_tutte_check(g, max_order=max_order)
+    crit, blocking = strong_tutte_check(g)
     cert = find_even_factor(g, max_order=cert_max_order, max_edges=cert_max_edges)
     if cert is not None and not verify_even_factor(g, cert):
         raise ValueError("certificate search returned a non-factor")

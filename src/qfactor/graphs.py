@@ -241,7 +241,7 @@ def components(g: Graph) -> ComponentReport:
 
 
 def odd_components_after_removal(g: Graph, removed_mask: int) -> int:
-    """o(G - S) for S given as a bitmask. Hot path for the criterion scan."""
+    """o(G - S) for S given as a bitmask; checks criterion witnesses."""
     alive = ((1 << g.n) - 1) & ~removed_mask
     odd = 0
     for mask in _component_masks(g.rows, alive):

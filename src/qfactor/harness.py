@@ -5,18 +5,22 @@ degree ``delta >= 2`` and ``n >= 7*delta - 7`` has an even factor (a spanning
 subgraph with every degree positive and even) whenever its signless-Laplacian
 spectral radius is at least the radius of the extremal graph
 ``K_delta v (K_{n-2*delta+1} u (delta-1)K_1)`` — with that extremal graph
-itself the unique exception.
+itself the unique exception.  ``G*(n, delta)`` itself *has* an even factor
+(the 14-edge certificate at (8, 2)); it is the unique exception for the
+parity criterion, which it fails on its join cell, not for even factors.
 
 :func:`check_theorem_instance` classifies one graph against that statement.
 A "counterexample" verdict is deliberately hard to reach: the instance must
 clear the threshold by more than ``eps``, fail the recognizer for the
-extremal graph, fail the parity-subset criterion with an explicit blocking
-set, *and* survive an exhaustive certificate search that finds no even
-factor.  Above the threshold, a non-extremal graph first tries the
-polynomial fast path (two edge-disjoint perfect matchings, a 2-factor);
-only when that fails do the guarded searches run, so ``undecided`` needs
-the fast path to fail *and* a search guard to block.  It is reported with
-a reason, never silently dropped.
+extremal graph, fail the parity criterion with an explicit blocking set,
+*and* survive an exhaustive certificate search that finds no even factor.
+Above the threshold, a non-extremal graph first tries the polynomial fast
+path (two edge-disjoint perfect matchings, a 2-factor); only when that
+fails do the guarded certificate search and the criterion (a polynomial
+bicriticality test) run.  So ``undecided`` needs the fast path to fail
+and then either a blocked certificate search with a failing criterion, or
+an exhaustive search that finds no factor where the criterion holds.  It
+is reported with a reason, never silently dropped.
 
 The threshold itself is the largest real root of an exact integer
 characteristic polynomial, isolated by a Sturm chain with integer signs at
@@ -54,7 +58,6 @@ from .factors import (
     AGREEMENT_CLASSES,
     DEFAULT_CERT_EDGES,
     DEFAULT_CERT_ORDER,
-    DEFAULT_SUBSET_ORDER,
     factor_verdict,
     find_even_factor,
     strong_tutte_check,
@@ -112,23 +115,22 @@ _UNLOCKED = 10**9
 class Guards:
     """Size limits for the exponential searches.
 
-    ``subset_order`` caps the order n of the parity-subset criterion (it
-    scans the subsets S with ``|S| <= min(n/2, alpha(G))``),
     ``cert_order``/``cert_edges`` cap the exhaustive even-factor certificate
     search (in ``verify`` only the fallback after the two-factor fast path),
-    and ``enum_order`` caps exhaustive labeled enumeration.  Exceeding a
-    guard raises :class:`~qfactor.graphs.GuardExceeded`; callers either
-    surface that as an ``undecided`` verdict or as exit code 3.
+    and ``enum_order`` caps exhaustive labeled enumeration.  The parity
+    criterion is a polynomial bicriticality test and has no guard.
+    Exceeding a guard raises :class:`~qfactor.graphs.GuardExceeded`;
+    callers either surface that as an ``undecided`` verdict or as exit
+    code 3.
     """
 
-    subset_order: int = DEFAULT_SUBSET_ORDER
     cert_order: int = DEFAULT_CERT_ORDER
     cert_edges: int = DEFAULT_CERT_EDGES
     enum_order: int = DEFAULT_ENUM_ORDER
 
     @staticmethod
     def unlocked() -> "Guards":
-        return Guards(_UNLOCKED, _UNLOCKED, _UNLOCKED, _UNLOCKED)
+        return Guards(_UNLOCKED, _UNLOCKED, _UNLOCKED)
 
     @staticmethod
     def from_env(base: "Guards | None" = None) -> "Guards":
@@ -265,7 +267,6 @@ def _ladder(g: Graph, q: float, delta: int, eps: float, guards: Guards) -> Theor
     source = "two-factor fast path"
     certificate: tuple | None = two_factor(g)
     cert_exhausted = False
-    cert_blocked = False
     if certificate is None:
         source = "certificate search"
         try:
@@ -274,7 +275,7 @@ def _ladder(g: Graph, q: float, delta: int, eps: float, guards: Guards) -> Theor
             )
             cert_exhausted = certificate is None
         except GuardExceeded:
-            cert_blocked = True
+            pass
 
     if certificate is not None:
         if not verify_even_factor(g, certificate):
@@ -287,33 +288,17 @@ def _ladder(g: Graph, q: float, delta: int, eps: float, guards: Guards) -> Theor
             witness={"kind": "even_factor", "edges": [list(e) for e in certificate]},
         )
 
-    criterion: bool | None = None
-    blocking: tuple[int, ...] | None = None
-    try:
-        criterion, blocking = strong_tutte_check(g, max_order=guards.subset_order)
-    except GuardExceeded:
-        pass
-
-    if cert_exhausted:
-        if criterion is False:
-            assert blocking is not None
+    criterion, blocking = strong_tutte_check(g)
+    if criterion:
+        if cert_exhausted:
             return TheoremOutcome(
-                "counterexample",
+                "undecided",
                 q,
                 threshold,
                 delta,
-                witness={"kind": "blocking_set", "vertices": list(blocking)},
+                note="exhaustive search found no even factor but the "
+                "parity-subset criterion did not fail",
             )
-        note = (
-            "exhaustive search found no even factor but the parity-subset "
-            "criterion did not fail"
-            if criterion is True
-            else "exhaustive search found no even factor; criterion guard exceeded"
-        )
-        return TheoremOutcome("undecided", q, threshold, delta, note=note)
-
-    assert cert_blocked
-    if criterion is True:
         return TheoremOutcome(
             "confirmed_factor",
             q,
@@ -321,18 +306,16 @@ def _ladder(g: Graph, q: float, delta: int, eps: float, guards: Guards) -> Theor
             delta,
             witness={"kind": "criterion", "note": "no subset blocks an even factor"},
         )
-    if criterion is False:
-        assert blocking is not None
-        return TheoremOutcome(
-            "undecided",
-            q,
-            threshold,
-            delta,
-            witness={"kind": "blocking_set", "vertices": list(blocking)},
-            note="criterion failed but the certificate search guard was exceeded",
-        )
+    witness = {"kind": "blocking_set", "vertices": list(blocking)}
+    if cert_exhausted:
+        return TheoremOutcome("counterexample", q, threshold, delta, witness=witness)
     return TheoremOutcome(
-        "undecided", q, threshold, delta, note="both search guards exceeded"
+        "undecided",
+        q,
+        threshold,
+        delta,
+        witness=witness,
+        note="criterion failed but the certificate search guard was exceeded",
     )
 
 
@@ -475,15 +458,10 @@ def sharpness_probe(
         "join_cell": list(join_cell),
     }
 
-    try:
-        holds, blocking = strong_tutte_check(g, max_order=guards.subset_order)
-        result["criterion_holds"] = holds
-        result["blocking_set"] = list(blocking) if blocking is not None else None
-        result["blocking_set_is_join_cell"] = blocking == join_cell
-    except GuardExceeded as exc:
-        result["criterion_holds"] = None
-        result["blocking_set"] = None
-        result["criterion_guard"] = str(exc)
+    holds, blocking = strong_tutte_check(g)
+    result["criterion_holds"] = holds
+    result["blocking_set"] = list(blocking) if blocking is not None else None
+    result["blocking_set_is_join_cell"] = blocking == join_cell
 
     try:
         cert = find_even_factor(g, max_order=guards.cert_order, max_edges=guards.cert_edges)
@@ -862,22 +840,24 @@ def identity_suite(
     # below the extremal graph, and the rewired graph embeds in it.
     rows = []
     ok = True
+    q_g3 = {}
     for delta in (3, 4, 5):
         for s in range(2, delta):
             n = 7 * delta - 7 + (7 * delta - 7) % 2
             plan = surgery_plan(n, delta, s)
             g3 = build_g3(n, delta, s)
             g4 = build_g4(n, delta, s)
-            x = perron_q(g3).vector
+            g3_perron = perron_q(g3)
+            x = g3_perron.vector
             q3_matrix = signless_laplacian(g3)
             q4_matrix = signless_laplacian(g4)
             diff_form = quadratic_form(q4_matrix, x) - quadratic_form(q3_matrix, x)
 
-            values = cell_values(perron_q(g3), g3_cells(n, delta, s))
+            values = cell_values(g3_perron, g3_cells(n, delta, s))
             x2 = values[1]
             x3 = values[-1]
             closed = len(plan.added) * (x2 + x3) ** 2 - len(plan.removed) * (2 * x2) ** 2
-            q3 = perron_q(g3).value
+            q3 = q_g3[delta, s] = g3_perron.value
             q4 = perron_q(g4).value
             qstar = threshold_q(n, delta)
             containment = g4_containment(n, delta, s)
@@ -911,7 +891,7 @@ def identity_suite(
     ok = True
     for delta, s in [(3, 2), (4, 2), (4, 3)]:
         n = 7 * delta - 7 + (7 * delta - 7) % 2
-        g3_value = perron_q(build_g3(n, delta, s)).value
+        g3_value = q_g3[delta, s]
         for parts in odd_compositions(n - s, s, minimum=delta + 1 - s):
             value = perron_q(build_g1(s, parts)).value
             margin = g3_value - value
@@ -976,7 +956,6 @@ def agreement_study(
     def agreement(g: Graph) -> str:
         return factor_verdict(
             g,
-            max_order=guards.subset_order,
             cert_max_order=guards.cert_order,
             cert_max_edges=guards.cert_edges,
         ).agreement

@@ -203,6 +203,15 @@ class TestFactor:
         rows = json.loads(out)["results"]["items"]
         assert rows[0]["undecided"] is True
 
+    def test_criterion_has_no_guard_flag(self, capsys, smoke_file):
+        # The criterion is polynomial; its old subset-scan guard flag is gone.
+        code, _, err = run(capsys, "factor", smoke_file, "--max-subset-order", "4")
+        assert code == 2
+        assert "--max-subset-order" in err
+        code, out, _ = run(capsys, "factor", smoke_file, "--format", "json")
+        assert code == 0
+        assert "max_subset_order" not in json.loads(out)["config"]["guards"]
+
     def test_allow_undecided(self, capsys, tmp_path):
         path = tmp_path / "big.g6"
         path.write_text(K8 + "\n")

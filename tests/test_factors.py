@@ -19,7 +19,6 @@ from qfactor.graphs import (
 )
 from qfactor.factors import (
     FactorVerdict,
-    _independence_number,
     factor_verdict,
     find_even_factor,
     strong_tutte_check,
@@ -59,6 +58,68 @@ def reference_criterion(g):
     return True, None
 
 
+def blocks(g, vertices):
+    """True iff S = vertices violates the criterion: |S| >= 2 and
+    o(G - S) >= |S|."""
+    mask = sum(1 << v for v in vertices)
+    return len(vertices) >= 2 and odd_components_after_removal(g, mask) >= len(vertices)
+
+
+def has_perfect_matching(g, alive):
+    """Reference oracle: brute-force recursion over the vertex mask alive,
+    matching its lowest vertex to each neighbour in turn."""
+    memo = {}
+
+    def rec(mask):
+        if not mask:
+            return True
+        if mask not in memo:
+            v = (mask & -mask).bit_length() - 1
+            rest = mask & ~(1 << v)
+            memo[mask] = any(
+                rec(rest & ~(1 << u)) for u in range(g.n) if (g.rows[v] & rest) >> u & 1
+            )
+        return memo[mask]
+
+    return rec(alive)
+
+
+def first_unmatchable_pair(g):
+    """Reference oracle: the lexicographically first pair T for which G - T
+    has no perfect matching, or None."""
+    full = (1 << g.n) - 1
+    for pair in itertools.combinations(range(g.n), 2):
+        if not has_perfect_matching(g, full & ~(1 << pair[0] | 1 << pair[1])):
+            return pair
+    return None
+
+
+def networkx_unmatchable_pair(g):
+    """first_unmatchable_pair computed with networkx matchings."""
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(g.n))
+    for pair in itertools.combinations(range(g.n), 2):
+        rest = h.subgraph(set(range(g.n)) - set(pair))
+        if 2 * len(nx.max_weight_matching(rest, maxcardinality=True)) < g.n - 2:
+            return pair
+    return None
+
+
+def assert_criterion_matches_oracles(g, label):
+    """Equal verdicts with the scan, and a witness that contains the first
+    unmatchable pair and really blocks."""
+    holds, blocking = strong_tutte_check(g)
+    expected, _ = reference_criterion(g)
+    assert holds == expected, label
+    if holds:
+        assert blocking is None, label
+        return
+    assert blocks(g, blocking), (label, blocking)
+    assert list(blocking) == sorted(set(blocking)), (label, blocking)
+    pair = first_unmatchable_pair(g)
+    assert pair is not None and set(pair) <= set(blocking), (label, pair, blocking)
+
+
 # ---------------------------------------------------------------------------
 # strong_tutte_check
 # ---------------------------------------------------------------------------
@@ -75,13 +136,17 @@ class TestCriterion:
     def test_c8_blocked_by_antipodal_pair(self):
         holds, blocking = strong_tutte_check(cycle(8))
         assert not holds
-        assert blocking == (0, 2)
+        # The first unmatchable pair (0, 2) plus its Gallai-Edmonds barrier,
+        # which holds the antipodal pairs (0, 4) and (2, 6).
+        assert {0, 2} <= set(blocking)
         # Witness really blocks: removing it leaves >= |S| odd components.
         remaining = delete_vertices(cycle(8), blocking)
         assert components(remaining).odd_count >= len(blocking)
 
     def test_c6_blocked(self):
-        assert strong_tutte_check(cycle(6)) == (False, (0, 2))
+        holds, blocking = strong_tutte_check(cycle(6))
+        assert not holds
+        assert {0, 2} <= set(blocking) and blocks(cycle(6), blocking)
 
     def test_k4_holds(self):
         assert strong_tutte_check(complete(4)) == (True, None)
@@ -94,34 +159,36 @@ class TestCriterion:
         with pytest.raises(ValueError):
             strong_tutte_check(cycle(5))
 
-    def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            strong_tutte_check(Graph.empty(24), max_order=22)
-        # Raising the guard unblocks the same call.
-        holds, blocking = strong_tutte_check(Graph.empty(24), max_order=24)
-        assert not holds
-
     def test_blocking_set_is_lexicographically_first(self):
-        # Determinism: subsets are scanned in size-then-lex order, so the
-        # reported witness for C8 never changes between runs.
+        # Pairs are tried in lexicographic order, so the witness for C8
+        # holds the first unmatchable pair and never changes between runs.
+        first = strong_tutte_check(cycle(8))[1]
+        assert first_unmatchable_pair(cycle(8)) == (0, 2)
+        assert {0, 2} <= set(first) and blocks(cycle(8), first)
         for _ in range(3):
-            assert strong_tutte_check(cycle(8))[1] == (0, 2)
+            assert strong_tutte_check(cycle(8))[1] == first
+
+    def test_witness_hard_check_raises(self, monkeypatch):
+        # A witness that does not block is an error, also under python -O.
+        monkeypatch.setattr("qfactor.factors.odd_components_after_removal", lambda g, m: 0)
+        with pytest.raises(ValueError, match="does not block"):
+            strong_tutte_check(cycle(6))
 
 
 class TestScanBound:
-    """The scan stops at |S| <= min(n/2, alpha(G)); its verdict and blocking
-    set must equal the unbounded scan's."""
+    """The matching-based criterion against the exponential subset scan:
+    equal verdicts, and every witness contains the first pair T for which
+    G - T has no perfect matching and really blocks."""
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_connected_census(self, n):
         for g in enumerate_labeled(n, connected_only=True):
-            assert strong_tutte_check(g) == reference_criterion(g), g.edges()
+            assert_criterion_matches_oracles(g, g.edges())
 
     @pytest.mark.parametrize("n", [10, 12, 14])
     def test_seeded_dense(self, n):
         for seed in range(6):
-            g = random_graph(n, 0.5, seed)
-            assert strong_tutte_check(g) == reference_criterion(g), (n, seed)
+            assert_criterion_matches_oracles(random_graph(n, 0.5, seed), (n, seed))
 
     @pytest.mark.parametrize("n", [14, 16])
     @pytest.mark.parametrize("delta", [2, 3])
@@ -135,16 +202,35 @@ class TestScanBound:
             perm = rng.sample(range(n), n)
             added = base.add_edges(rng.sample(non_edges, k)).edges()
             g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in added])
-            assert strong_tutte_check(g) == reference_criterion(g), (n, delta, k)
+            assert_criterion_matches_oracles(g, (n, delta, k))
 
-    def test_independence_number_matches_networkx(self):
-        for seed in range(120):
-            n = 1 + seed % 16
-            g = random_graph(n, (0.1, 0.3, 0.5, 0.8)[seed % 4], seed)
-            h = nx.Graph(g.edges())
-            h.add_nodes_from(range(n))
-            alpha = max(map(len, nx.find_cliques(nx.complement(h))))
-            assert _independence_number(g) == alpha, seed
+
+class TestBicriticality:
+    """The criterion holds iff G - u - v has a perfect matching for every
+    pair u != v; no size guard applies."""
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_matches_networkx_pairwise_matchings(self, n):
+        verdicts = set()
+        for seed in range(30):
+            g = random_graph(n, (0.3, 0.5, 0.7)[seed % 3], seed)
+            holds, blocking = strong_tutte_check(g)
+            pair = networkx_unmatchable_pair(g)
+            assert holds == (pair is None), (n, seed)
+            if not holds:
+                assert set(pair) <= set(blocking) and blocks(g, blocking), (n, seed)
+            verdicts.add(holds)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n, delta", [(40, 6), (62, 9)])
+    def test_large_gstar_blocked_by_join_cell(self, n, delta):
+        g = build_gstar(n, delta)
+        assert strong_tutte_check(g) == (False, tuple(range(delta)))
+        non_edges = [
+            (u, v) for u, v in itertools.combinations(range(n), 2) if not g.has_edge(u, v)
+        ]
+        for edge in (non_edges[0], non_edges[-1]):
+            assert strong_tutte_check(g.add_edges([edge])) == (True, None), edge
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +363,7 @@ class TestJoinFamilyFactors:
 
 class TestVerdict:
     def verdict(self, g):
-        return factor_verdict(g, max_order=22, cert_max_order=12, cert_max_edges=100)
+        return factor_verdict(g, cert_max_order=12, cert_max_edges=100)
 
     def test_both_yes(self):
         v = self.verdict(complete(4))
@@ -310,4 +396,4 @@ class TestVerdict:
 
     def test_guard_propagates(self):
         with pytest.raises(GuardExceeded):
-            factor_verdict(cycle(8), max_order=22, cert_max_order=4, cert_max_edges=100)
+            factor_verdict(cycle(8), cert_max_order=4, cert_max_edges=100)

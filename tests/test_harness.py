@@ -202,9 +202,10 @@ class TestCheckTheoremInstance:
         assert out.classification == "below_threshold"
 
     def test_confirmed_by_two_factor_fast_path(self):
-        # K8 is past both guards here; the two perfect matchings decide it.
+        # K8 is past the certificate guards here; the two perfect matchings
+        # decide it.
         out = check_theorem_instance(
-            complete(8), guards=Guards(subset_order=4, cert_order=4)
+            complete(8), guards=Guards(cert_order=4, cert_edges=4)
         )
         assert out.classification == "confirmed_factor"
         assert out.witness["kind"] == "even_factor"
@@ -215,14 +216,6 @@ class TestCheckTheoremInstance:
         out = check_theorem_instance(complete(8), guards=Guards(cert_order=4))
         assert out.classification == "confirmed_factor"
         assert out.witness["kind"] == "criterion"
-
-    def test_undecided_when_both_guards_blocked(self, monkeypatch):
-        monkeypatch.setattr("qfactor.harness.two_factor", lambda g: None)
-        out = check_theorem_instance(
-            complete(8), guards=Guards(subset_order=4, cert_order=4)
-        )
-        assert out.classification == "undecided"
-        assert "guard" in out.note
 
     def test_undecided_when_criterion_fails_and_certificate_blocked(self):
         g = parse_graph6(FACTORLESS)
@@ -492,7 +485,7 @@ class TestHelpers:
     def test_guards_from_env(self, monkeypatch):
         monkeypatch.delenv(GUARD_ENV, raising=False)
         assert Guards.from_env() == Guards()
-        base = Guards(subset_order=5)
+        base = Guards(cert_order=5)
         assert Guards.from_env(base) == base
         monkeypatch.setenv(GUARD_ENV, "1")
         assert Guards.from_env(base) == Guards.unlocked()

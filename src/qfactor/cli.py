@@ -8,7 +8,7 @@ Subcommands::
     verify      classify a graph6 stream against the even-factor theorem
     lemmas      run the supporting-lemma suite
     identities  run the exact polynomial-identity suite
-    agreement   criterion-vs-search cross-tabulation over a population
+    agreement   criterion-vs-even-factor cross-tabulation over a population
 
 Graphs are read one graph6 string per line (``-`` means standard input).
 ``--report PATH`` writes the canonical JSON report envelope; without it,
@@ -17,14 +17,10 @@ and ``csv`` are human/flat projections of the same rows.
 
 Exit codes: 0 = completed with no counterexample or mismatch; 1 = a
 counterexample or suite failure was found (reports are still written);
-2 = usage or malformed input; 3 = a size guard blocked a required
-computation and ``--allow-undecided`` was absent.  Input-integrity
-problems (2) take precedence over findings (1), which take precedence
-over guard exhaustion (3).
-
-Every size guard can be raised individually by flag, or all at once by
-setting ``QFACTOR_GUARD_OVERRIDE=1`` in the environment (explicit flags
-win over the environment).
+2 = usage or malformed input; 3 = ``agreement``'s enumeration guard
+(``--max-enum-order``) blocked an exhaustive census.  Input-integrity
+problems (2) take precedence over findings (1).  Every other computation
+is polynomial and has no guard.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from .extremal import (
 from .factors import factor_verdict
 from .graphs import GuardExceeded, graph6_payload, min_degree, parse_graph6, write_graph6
 from .harness import (
-    Guards,
+    DEFAULT_ENUM_ORDER,
     agreement_study,
     identity_suite,
     lemma_suite,
@@ -100,32 +96,6 @@ def _parse_parts(text: str) -> tuple[int, ...]:
     if not parts:
         raise argparse.ArgumentTypeError("parts must be nonempty")
     return parts
-
-
-def _add_guard_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-cert-order", type=int, default=None, metavar="N",
-                   help="certificate-search order guard (default 12)")
-    p.add_argument("--max-cert-edges", type=int, default=None, metavar="M",
-                   help="certificate-search edge guard (default 40)")
-    p.add_argument("--max-enum-order", type=int, default=None, metavar="N",
-                   help="exhaustive-enumeration order guard (default 7)")
-
-
-def _resolve_guards(args: argparse.Namespace) -> Guards:
-    base = Guards.from_env()
-    return Guards(
-        cert_order=args.max_cert_order if args.max_cert_order is not None else base.cert_order,
-        cert_edges=args.max_cert_edges if args.max_cert_edges is not None else base.cert_edges,
-        enum_order=args.max_enum_order if args.max_enum_order is not None else base.enum_order,
-    )
-
-
-def _guards_config(guards: Guards) -> dict[str, int]:
-    return {
-        "max_cert_order": guards.cert_order,
-        "max_cert_edges": guards.cert_edges,
-        "max_enum_order": guards.enum_order,
-    }
 
 
 def _add_output_flags(p: argparse.ArgumentParser, formats: Sequence[str]) -> None:
@@ -339,38 +309,20 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 def _cmd_factor(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    guards = _resolve_guards(args)
     lines = _read_lines(args.input)
     rows: list[dict[str, Any]] = []
     errors = 0
-    blocked = 0
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text:
             continue
         try:
-            g = parse_graph6(text)
-            verdict = factor_verdict(
-                g,
-                cert_max_order=guards.cert_order,
-                cert_max_edges=guards.cert_edges,
-            )
+            verdict = factor_verdict(parse_graph6(text))
         except (ValueError, ArithmeticError) as exc:
             # Graph6Error, an odd order or a rejected certificate: this
             # line fails, the run goes on.
             errors += 1
             rows.append({"line": lineno, "graph6": text, "error": str(exc)})
-            continue
-        except GuardExceeded as exc:
-            blocked += 1
-            rows.append(
-                {
-                    "line": lineno,
-                    "graph6": graph6_payload(text),
-                    "undecided": True,
-                    "note": str(exc),
-                }
-            )
             continue
         rows.append(
             {
@@ -385,14 +337,8 @@ def _cmd_factor(args: argparse.Namespace) -> int:
             }
         )
 
-    results = {"items": rows, "errors": errors, "guard_blocked": blocked, "total": len(rows)}
-    config = {
-        "subcommand": "factor",
-        "input": args.input,
-        "guards": _guards_config(guards),
-        "allow_undecided": args.allow_undecided,
-        "format": args.format,
-    }
+    results = {"items": rows, "errors": errors, "total": len(rows)}
+    config = {"subcommand": "factor", "input": args.input, "format": args.format}
     report = make_report("factor", config, results,
                          wall_time_s=time.perf_counter() - start)
 
@@ -403,9 +349,6 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         if "error" in row:
             text_lines.append(f"{row['graph6']}  error: {row['error']}")
             csv_body.append([_fmt(row["line"]), row["graph6"], "", "", "", "", row["error"]])
-        elif row.get("undecided"):
-            text_lines.append(f"{row['graph6']}  undecided: {row['note']}")
-            csv_body.append([_fmt(row["line"]), row["graph6"], "", "", "", "undecided", row["note"]])
         else:
             blocking = " ".join(map(str, row["blocking"])) if row["blocking"] else ""
             cert = " ".join(f"{u}-{v}" for u, v in row["certificate"]) if row["certificate"] else ""
@@ -421,41 +364,29 @@ def _cmd_factor(args: argparse.Namespace) -> int:
                     blocking, cert, row["agreement"], "",
                 ]
             )
-    text_lines.append(
-        f"factor: {len(rows)} graphs, {errors} errors, {blocked} guard-blocked"
-    )
+    text_lines.append(f"factor: {len(rows)} graphs, {errors} errors")
     _write_outputs(args, report, text_lines, (csv_header, csv_body))
-    if errors:
-        return 2
-    if blocked and not args.allow_undecided:
-        return 3
-    return 0
+    return 2 if errors else 0
 
 
-def verify_exit_code(results: dict[str, Any], allow_undecided: bool) -> int:
+def verify_exit_code(results: dict[str, Any]) -> int:
     """Exit-code contract for classification runs: malformed input (2)
-    outranks a counterexample finding (1), which outranks guard-limited
-    undecided instances (3)."""
+    outranks a counterexample finding (1)."""
     if results["errors"]:
         return 2
     if results["counts"]["counterexample"]:
         return 1
-    if results["counts"]["undecided"] and not allow_undecided:
-        return 3
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    guards = _resolve_guards(args)
     lines = _read_lines(args.stream)
-    results = verify_stream(lines, eps=args.eps, guards=guards, jobs=args.jobs)
+    results = verify_stream(lines, eps=args.eps, jobs=args.jobs)
     config = {
         "subcommand": "verify",
         "input": args.stream,
         "eps": args.eps,
-        "guards": _guards_config(guards),
-        "allow_undecided": args.allow_undecided,
         "jobs": args.jobs,
         "format": args.format,
     }
@@ -471,11 +402,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for row in results["items"]:
         if "error" in row:
             text_lines.append(f"{row['graph6']}  error: {row['error']}")
-        elif row["classification"] in ("counterexample", "undecided"):
-            text_lines.append(
-                f"{row['graph6']}  {row['classification']}"
-                + (f": {row['note']}" if row.get("note") else "")
-            )
+        elif row["classification"] == "counterexample":
+            text_lines.append(f"{row['graph6']}  counterexample")
     text_lines.append(summary)
 
     csv_rows = None
@@ -497,7 +425,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for row in results["items"]
         ])
     _write_outputs(args, report, text_lines, csv_rows)
-    return verify_exit_code(results, args.allow_undecided)
+    return verify_exit_code(results)
 
 
 _LEMMA_GRID_KEYS = ("max_n", "max_s", "pairs", "det_eval_max_order")
@@ -557,7 +485,6 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 
 def _cmd_agreement(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    guards = _resolve_guards(args)
     if args.exhaustive and args.samples is not None:
         print("agreement: --exhaustive and --samples are mutually exclusive", file=sys.stderr)
         return 2
@@ -569,7 +496,7 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
             samples=samples,
             p=args.p,
             seed=args.seed,
-            guards=guards,
+            max_order=args.max_enum_order,
         )
     except ValueError as exc:
         print(f"agreement: {exc}", file=sys.stderr)
@@ -586,7 +513,7 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
         "connected_only": args.connected_only,
         "p": args.p,
         "seed": args.seed if samples is not None else None,
-        "guards": _guards_config(guards),
+        "max_enum_order": args.max_enum_order,
         "format": args.format,
     }
     report = make_report(
@@ -602,7 +529,7 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
     for key in counts:
         text_lines.append(f"  {key}: {counts[key]}")
     text_lines.append(
-        "criterion matches search: "
+        "criterion matches even factors: "
         + ("yes" if results["criterion_matches_factor"] else "no")
     )
     _write_outputs(args, report, text_lines)
@@ -640,9 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="criterion and certificate per graph")
     p.add_argument("input", nargs="?", default="-", help="graph6 file or - for stdin")
-    p.add_argument("--allow-undecided", action="store_true",
-                   help="exit 0 even when a guard blocks a computation")
-    _add_guard_flags(p)
     _add_output_flags(p, ("text", "json", "csv"))
     p.set_defaults(func=_cmd_factor)
 
@@ -652,9 +576,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-8,
                    help="threshold comparison band (default 1e-8)")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--allow-undecided", action="store_true",
-                   help="exit 0 even when instances are undecided")
-    _add_guard_flags(p)
+    # Benchmark holdovers: perfbench/workloads.py still passes these flags,
+    # and perfbench/ changes only in a benchmark change. Accepted, ignored.
+    for flag in ("--max-cert-order", "--max-cert-edges"):
+        p.add_argument(flag, type=int, help=argparse.SUPPRESS)
+    p.add_argument("--allow-undecided", action="store_true", help=argparse.SUPPRESS)
     _add_output_flags(p, ("text", "json", "csv"))
     p.set_defaults(func=_cmd_verify)
 
@@ -671,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, ("text", "json"))
     p.set_defaults(func=_cmd_identities)
 
-    p = sub.add_parser("agreement", help="criterion-vs-search cross-tabulation")
+    p = sub.add_parser("agreement", help="criterion-vs-even-factor cross-tabulation")
     p.add_argument("--n", type=int, required=True, help="graph order (even)")
     p.add_argument("--exhaustive", action="store_true",
                    help="every labeled graph of order n (guarded)")
@@ -680,7 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--p", type=float, default=0.5, help="edge probability for samples")
     p.add_argument("--seed", type=int, default=0, help="seed for samples")
-    _add_guard_flags(p)
+    p.add_argument("--max-enum-order", type=int, default=DEFAULT_ENUM_ORDER, metavar="N",
+                   help="exhaustive-enumeration order guard (default %(default)s)")
     _add_output_flags(p, ("text", "json"))
     p.set_defaults(func=_cmd_agreement)
 

@@ -1,4 +1,4 @@
-"""Even-factor certificates and the strong Tutte-type criterion.
+"""Even factors and the strong Tutte-type criterion, both on the blossom.
 
 An even factor is a spanning subgraph in which every vertex has positive
 even degree (each vertex picks its own even degree >= 2; a 2-factor is the
@@ -11,21 +11,19 @@ their agreement class instead of treating either as ground truth.
 The criterion is decided in polynomial time: by Tutte-Berge on G - T for
 each pair T, it holds exactly when G is bicritical, i.e. G - u - v has a
 perfect matching for every pair u != v (Lovasz & Plummer, Matching Theory,
-1986). The certificate search branches over edges and carries size guards
-(configuration, not constants); exceeding one raises GuardExceeded rather
-than silently degrading.
+1986). Even factors are decided exactly, also in polynomial time: by the
+two-factor fast path, else by one perfect-matching question on a gadget
+(see even_factor). Neither has a size guard, and every answer carries a
+hard-checked certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .graphs import Graph, GuardExceeded, odd_components_after_removal
-from .matching import _augment, _mates
-
-DEFAULT_CERT_ORDER = 12
-DEFAULT_CERT_EDGES = 40
+from .graphs import Graph, _trusted_graph, odd_components_after_removal
+from .matching import _augment, _mates, two_factor
 
 
 def strong_tutte_check(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
@@ -43,13 +41,18 @@ def strong_tutte_check(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     with T and the mates of T unmatched and is repaired by one augmenting
     search from each exposed vertex outside T. That covers the vertices G
     itself leaves exposed, which may gain augmenting paths once T's edges
-    are unmatched. T stays in the rows as two isolated vertices.
+    are unmatched. T stays in the rows as two isolated vertices. When that
+    matching is perfect and T is one of its edges, the rest of it is a
+    perfect matching of G - T, so the pair is skipped without a copy.
     """
     if g.n % 2:
         raise ValueError("criterion requires even order")
     rows = list(g.rows)
     mate = _mates(rows)
+    perfect = -1 not in mate
     for pair in combinations(range(g.n), 2):
+        if perfect and mate[pair[0]] == pair[1]:
+            continue
         keep = ~(1 << pair[0] | 1 << pair[1])
         sub = [r & keep for r in rows]
         sub_mate = mate[:]
@@ -72,20 +75,14 @@ def strong_tutte_check(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
 
 def _gallai_edmonds_a(rows: list[int], mate: list[int]) -> tuple[int, ...]:
     """A = N(D) - D, where D is the set of vertices that some maximum
-    matching misses and ``mate`` is a maximum matching. A covered v is in D
-    iff, with v deleted, its mate starts an augmenting path: any augmenting
-    path must end there, since ``mate`` is maximum."""
+    matching misses and ``mate`` is a maximum matching. D is the set of
+    vertices an even alternating path reaches from an exposed vertex: the
+    union of the outer sets of the failed searches from the exposed
+    vertices, which leave ``mate`` as it is."""
     deficient = 0
     for v, w in enumerate(mate):
-        if w != -1:
-            without = [r & ~(1 << v) for r in rows]
-            without[v] = 0
-            trial = mate[:]
-            trial[v] = trial[w] = -1
-            _augment(without, trial, w)
-            if trial[w] == -1:
-                continue
-        deficient |= 1 << v
+        if w == -1:
+            deficient |= _augment(rows, mate, v)
     reach = 0
     for v in range(len(rows)):
         if deficient >> v & 1:
@@ -94,137 +91,61 @@ def _gallai_edmonds_a(rows: list[int], mate: list[int]) -> tuple[int, ...]:
     return tuple(v for v in range(len(rows)) if reach >> v & 1)
 
 
-_UNDEC, _IN, _OUT = 0, 1, 2
+def even_factor(g: Graph) -> tuple[tuple[int, int], ...] | None:
+    """An even factor of g as sorted edges, or None when g has none.
 
+    The two-factor fast path runs first. Otherwise an even factor is a
+    gap-1 general factor, decided by one perfect-matching question
+    (Cornuejols, "General factors of graphs", JCTB 45, 1988) on the gadget
+    H: each vertex v of degree d gets one end node per incident edge and a
+    core path c_1 ... c_{d-2}, every end of v is joined to every core of v,
+    and each edge uv of G joins its two ends. In a perfect matching of H
+    the k ends of v not matched across their edge go into the core, so
+    k <= d - 2, and the other d - 2 - k cores pair up along the path, so
+    d - k is even. Conversely, matching those ends to c_1 ... c_k leaves a
+    run of even length. So G has an even factor iff H has a perfect
+    matching, and the edges whose two ends are matched form one.
 
-def find_even_factor(
-    g: Graph,
-    *,
-    max_order: int = DEFAULT_CERT_ORDER,
-    max_edges: int = DEFAULT_CERT_EDGES,
-) -> tuple[tuple[int, int], ...] | None:
-    """Exhaustive certificate search; returns a sorted edge list or None.
-
-    Branching follows a fixed edge order (descending endpoint-degree sum,
-    ties lexicographic), include before exclude while an endpoint still
-    needs degree. A state dies when some vertex can no longer reach
-    positive even degree: too few undecided edges left, or the wrong
-    parity with none left. The contrapositive of that prune runs as unit
-    propagation, so forced edges (a vertex that needs every remaining
-    incident edge, or whose last undecided edge is fixed by parity) are
-    applied immediately instead of being discovered at the bottom of the
-    tree. Propagation only applies forced values, so the search stays
-    exhaustive, and the whole procedure is deterministic.
+    Every answer is hard-checked: an edge list by verify_even_factor, a
+    None by a vertex of degree < 2 or by H's Gallai-Edmonds set X with
+    o(H - X) > |X| (Tutte). Anything else raises ValueError.
     """
-    if g.n > max_order:
-        raise GuardExceeded(
-            f"find_even_factor(n={g.n}) exceeds guard max_order={max_order}")
-    if g.edge_count > max_edges:
-        raise GuardExceeded(
-            f"find_even_factor(e={g.edge_count}) exceeds guard "
-            f"max_edges={max_edges}")
-    n = g.n
-    if n == 0:
-        return ()
-    full_deg = list(g.degrees())
-    if min(full_deg) < 2:
+    factor = two_factor(g)
+    if factor is None:
+        factor = _gadget_factor(g)
+    if factor is not None and not verify_even_factor(g, factor):
+        raise ValueError("even_factor produced a non-factor")
+    return factor
+
+
+def _gadget_factor(g: Graph) -> tuple[tuple[int, int], ...] | None:
+    """The gadget route of even_factor. Edge k of g has its ends at nodes
+    2k and 2k + 1, so every end pairs with ``end ^ 1``; the cores follow,
+    vertex by vertex. With ends before cores, the greedy start of the
+    blossom matches every end across its edge and leaves one core exposed
+    per odd-degree vertex."""
+    degrees = g.degrees()
+    if min(degrees, default=2) < 2:
         return None
-    edges = sorted(
-        g.edges(), key=lambda uv: (-(full_deg[uv[0]] + full_deg[uv[1]]), uv))
-    m = len(edges)
-    incident: list[list[int]] = [[] for _ in range(n)]
+    edges = g.edges()
+    first = list(accumulate((d - 2 for d in degrees), initial=2 * len(edges)))
+    cores = [((1 << d - 2) - 1) << first[v] for v, d in enumerate(degrees)]
+    ends = [0] * g.n
+    rows = []
     for k, (u, v) in enumerate(edges):
-        incident[u].append(k)
-        incident[v].append(k)
-
-    state = [_UNDEC] * m
-    deg = [0] * n
-    undec = full_deg[:]
-
-    def apply(k: int, value: int, trail: list[int]) -> bool:
-        # returns False on immediate infeasibility of an endpoint
-        state[k] = value
-        trail.append(k)
-        ok = True
-        for w in edges[k]:
-            undec[w] -= 1
-            if value == _IN:
-                deg[w] += 1
-            if deg[w] + undec[w] < 2:
-                ok = False
-            if undec[w] == 0 and (deg[w] < 2 or deg[w] % 2):
-                ok = False
-        return ok
-
-    def undo(trail: list[int]) -> None:
-        for k in reversed(trail):
-            value = state[k]
-            state[k] = _UNDEC
-            for w in edges[k]:
-                undec[w] += 1
-                if value == _IN:
-                    deg[w] -= 1
-
-    def forced_value(w: int) -> tuple[int, int] | None:
-        # (edge, value) forced at vertex w, if any
-        if undec[w] == 0:
-            return None
-        if deg[w] + undec[w] == 2:
-            # needs every remaining incident edge
-            for k in incident[w]:
-                if state[k] == _UNDEC:
-                    return k, _IN
-        if undec[w] == 1:
-            k = next(k for k in incident[w] if state[k] == _UNDEC)
-            return k, (_IN if deg[w] % 2 else _OUT)
-        return None
-
-    def propagate(k0: int, value: int, trail: list[int]) -> bool:
-        if not apply(k0, value, trail):
-            return False
-        queue = list(edges[k0])
-        while queue:
-            w = queue.pop()
-            forced = forced_value(w)
-            if forced is None:
-                continue
-            k, val = forced
-            if not apply(k, val, trail):
-                return False
-            queue.extend(edges[k])
-            queue.append(w)  # w may force more than one edge
-        return True
-
-    def search(k: int) -> bool:
-        while k < m and state[k] != _UNDEC:
-            k += 1
-        if k == m:
-            return True
-        u, v = edges[k]
-        if deg[u] < 2 or deg[v] < 2:
-            branches = (_IN, _OUT)
-        else:
-            branches = (_OUT, _IN)
-        for value in branches:
-            trail: list[int] = []
-            if propagate(k, value, trail) and search(k + 1):
-                return True
-            undo(trail)
-        return False
-
-    # seed propagation: vertices of full degree exactly 2 force their edges
-    root_trail: list[int] = []
-    ok = True
-    for w in range(n):
-        if not ok:
-            break
-        forced = forced_value(w)
-        while forced is not None and ok:
-            kf, val = forced
-            ok = propagate(kf, val, root_trail)
-            forced = forced_value(w) if ok else None
-    if ok and search(0):
-        return tuple(sorted(e for e, st in zip(edges, state) if st == _IN))
+        rows += [1 << 2 * k + 1 | cores[u], 1 << 2 * k | cores[v]]
+        ends[u] |= 1 << 2 * k
+        ends[v] |= 1 << 2 * k + 1
+    for v in range(g.n):
+        for c in range(first[v], first[v + 1]):
+            rows.append(ends[v] | (1 << c - 1 | 1 << c + 1) & cores[v])
+    mate = _mates(rows)
+    if -1 not in mate:
+        return tuple(e for k, e in enumerate(edges) if mate[2 * k] == 2 * k + 1)
+    barrier = _gallai_edmonds_a(rows, mate)
+    h = _trusted_graph(len(rows), tuple(rows))
+    if odd_components_after_removal(h, sum(1 << x for x in barrier)) <= len(barrier):
+        raise ValueError(f"even-factor gadget barrier {barrier} does not block")
     return None
 
 
@@ -260,19 +181,11 @@ class FactorVerdict:
     agreement: str
 
 
-def factor_verdict(
-    g: Graph,
-    *,
-    cert_max_order: int = DEFAULT_CERT_ORDER,
-    cert_max_edges: int = DEFAULT_CERT_EDGES,
-) -> FactorVerdict:
-    """Run criterion and certificate search side by side and classify
-    their agreement. Guards raise GuardExceeded; nothing is inferred from
-    a blocked side."""
+def factor_verdict(g: Graph) -> FactorVerdict:
+    """Run the criterion and the exact even-factor test side by side and
+    classify their agreement."""
     crit, blocking = strong_tutte_check(g)
-    cert = find_even_factor(g, max_order=cert_max_order, max_edges=cert_max_edges)
-    if cert is not None and not verify_even_factor(g, cert):
-        raise ValueError("certificate search returned a non-factor")
+    cert = even_factor(g)
     if crit:
         agreement = "both_yes" if cert is not None else "criterion_yes_factor_no"
     else:

@@ -1,8 +1,8 @@
 """Small dense graphs as immutable adjacency bitrows, plus graph6 I/O.
 
 Vertices are 0..n-1. Row v is a Python int whose bit u is set iff uv is an
-edge. Everything downstream (component scans, subset enumeration, factor
-search) runs on these bitmasks, so the representation is part of the
+edge. Everything downstream (component scans, enumeration, the blossom
+matchings) runs on these bitmasks, so the representation is part of the
 determinism contract: two graphs are equal iff they have identical rows.
 
 The graph6 codec implements the short form only (n <= 62): header byte

@@ -6,21 +6,17 @@ subgraph with every degree positive and even) whenever its signless-Laplacian
 spectral radius is at least the radius of the extremal graph
 ``K_delta v (K_{n-2*delta+1} u (delta-1)K_1)`` — with that extremal graph
 itself the unique exception.  ``G*(n, delta)`` itself *has* an even factor
-(the 14-edge certificate at (8, 2)); it is the unique exception for the
+(a Hamiltonian cycle, for one); it is the unique exception for the
 parity criterion, which it fails on its join cell, not for even factors.
 
 :func:`check_theorem_instance` classifies one graph against that statement.
-A "counterexample" verdict is deliberately hard to reach: the instance must
-clear the threshold by more than ``eps``, fail the recognizer for the
-extremal graph, fail the parity criterion with an explicit blocking set,
-*and* survive an exhaustive certificate search that finds no even factor.
-Above the threshold, a non-extremal graph first tries the polynomial fast
-path (two edge-disjoint perfect matchings, a 2-factor); only when that
-fails do the guarded certificate search and the criterion (a polynomial
-bicriticality test) run.  So ``undecided`` needs the fast path to fail
-and then either a blocked certificate search with a failing criterion, or
-an exhaustive search that finds no factor where the criterion holds.  It
-is reported with a reason, never silently dropped.
+The ladder is threshold, recognizer, then the exact even-factor test
+:func:`~qfactor.factors.even_factor` (the two-factor fast path, else one
+perfect-matching question on a gadget).  Above the threshold, a
+non-extremal graph is ``confirmed_factor`` with a checked edge list, or a
+``counterexample`` whose ``no_even_factor`` witness rests on a checked
+Tutte barrier of the gadget (or a vertex of degree below 2).  Every such
+graph is decided; no size guard applies.
 
 The threshold itself is the largest real root of an exact integer
 characteristic polynomial, isolated by a Sturm chain with integer signs at
@@ -34,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -56,17 +51,13 @@ from .extremal import (
 )
 from .factors import (
     AGREEMENT_CLASSES,
-    DEFAULT_CERT_EDGES,
-    DEFAULT_CERT_ORDER,
+    even_factor,
     factor_verdict,
-    find_even_factor,
     strong_tutte_check,
-    verify_even_factor,
 )
 from .graphs import (
     Graph,
     Graph6Error,
-    GuardExceeded,
     graph6_payload,
     is_connected,
     isomorphism_classes,
@@ -77,7 +68,6 @@ from .graphs import (
     splitmix64,
     write_graph6,
 )
-from .matching import two_factor
 from .spectra import (
     cell_values,
     char_poly,
@@ -104,41 +94,7 @@ CLASSIFICATIONS = (
     "confirmed_factor",
     "extremal_match",
     "counterexample",
-    "undecided",
 )
-
-GUARD_ENV = "QFACTOR_GUARD_OVERRIDE"
-_UNLOCKED = 10**9
-
-
-@dataclass(frozen=True)
-class Guards:
-    """Size limits for the exponential searches.
-
-    ``cert_order``/``cert_edges`` cap the exhaustive even-factor certificate
-    search (in ``verify`` only the fallback after the two-factor fast path),
-    and ``enum_order`` caps exhaustive labeled enumeration.  The parity
-    criterion is a polynomial bicriticality test and has no guard.
-    Exceeding a guard raises :class:`~qfactor.graphs.GuardExceeded`;
-    callers either surface that as an ``undecided`` verdict or as exit
-    code 3.
-    """
-
-    cert_order: int = DEFAULT_CERT_ORDER
-    cert_edges: int = DEFAULT_CERT_EDGES
-    enum_order: int = DEFAULT_ENUM_ORDER
-
-    @staticmethod
-    def unlocked() -> "Guards":
-        return Guards(_UNLOCKED, _UNLOCKED, _UNLOCKED)
-
-    @staticmethod
-    def from_env(base: "Guards | None" = None) -> "Guards":
-        """Default guards, raised to effectively-unlimited when the
-        ``QFACTOR_GUARD_OVERRIDE=1`` environment variable is set."""
-        if os.environ.get(GUARD_ENV, "") == "1":
-            return Guards.unlocked()
-        return base if base is not None else Guards()
 
 
 def max_theorem_delta(n: int) -> int:
@@ -151,9 +107,9 @@ def max_theorem_delta(n: int) -> int:
 class TheoremOutcome:
     """Classification of one graph against the even-factor theorem.
 
-    ``witness`` carries the evidence object: an even factor's edge list, a
-    blocking vertex set, or ``None``.  ``note`` explains ``not_applicable``
-    and ``undecided`` verdicts.
+    ``witness`` carries the evidence object: an even factor's edge list,
+    ``{"kind": "no_even_factor"}`` for a counterexample, or ``None``.
+    ``note`` explains ``not_applicable`` verdicts.
     """
 
     classification: str
@@ -234,12 +190,7 @@ def _gate(g: Graph) -> TheoremOutcome | int:
     return delta
 
 
-def check_theorem_instance(
-    g: Graph,
-    *,
-    eps: float = DEFAULT_EPS,
-    guards: Guards | None = None,
-) -> TheoremOutcome:
+def check_theorem_instance(g: Graph, *, eps: float = DEFAULT_EPS) -> TheoremOutcome:
     """Classify one graph.  See the module docstring for the ladder.
 
     The one-graph case of :func:`verify_stream`: the same gate and ladder
@@ -248,11 +199,10 @@ def check_theorem_instance(
     gate = _gate(g)
     if isinstance(gate, TheoremOutcome):
         return gate
-    return _ladder(g, perron_q(g).value, gate, eps,
-                   guards if guards is not None else Guards())
+    return _ladder(g, perron_q(g).value, gate, eps)
 
 
-def _ladder(g: Graph, q: float, delta: int, eps: float, guards: Guards) -> TheoremOutcome:
+def _ladder(g: Graph, q: float, delta: int, eps: float) -> TheoremOutcome:
     """The rungs after the gate, given the graph's Perron value q."""
     n = g.n
     threshold = threshold_q(n, delta)
@@ -263,59 +213,16 @@ def _ladder(g: Graph, q: float, delta: int, eps: float, guards: Guards) -> Theor
     if rec == (n, delta):
         return TheoremOutcome("extremal_match", q, threshold, delta)
 
-    # The polynomial fast path first; the guarded exhaustive search after it.
-    source = "two-factor fast path"
-    certificate: tuple | None = two_factor(g)
-    cert_exhausted = False
-    if certificate is None:
-        source = "certificate search"
-        try:
-            certificate = find_even_factor(
-                g, max_order=guards.cert_order, max_edges=guards.cert_edges
-            )
-            cert_exhausted = certificate is None
-        except GuardExceeded:
-            pass
-
-    if certificate is not None:
-        if not verify_even_factor(g, certificate):
-            raise ValueError(f"{source} returned a non-factor")
-        return TheoremOutcome(
-            "confirmed_factor",
-            q,
-            threshold,
-            delta,
-            witness={"kind": "even_factor", "edges": [list(e) for e in certificate]},
-        )
-
-    criterion, blocking = strong_tutte_check(g)
-    if criterion:
-        if cert_exhausted:
-            return TheoremOutcome(
-                "undecided",
-                q,
-                threshold,
-                delta,
-                note="exhaustive search found no even factor but the "
-                "parity-subset criterion did not fail",
-            )
-        return TheoremOutcome(
-            "confirmed_factor",
-            q,
-            threshold,
-            delta,
-            witness={"kind": "criterion", "note": "no subset blocks an even factor"},
-        )
-    witness = {"kind": "blocking_set", "vertices": list(blocking)}
-    if cert_exhausted:
-        return TheoremOutcome("counterexample", q, threshold, delta, witness=witness)
+    factor = even_factor(g)
+    if factor is None:
+        return TheoremOutcome("counterexample", q, threshold, delta,
+                              witness={"kind": "no_even_factor"})
     return TheoremOutcome(
-        "undecided",
+        "confirmed_factor",
         q,
         threshold,
         delta,
-        witness=witness,
-        note="criterion failed but the certificate search guard was exceeded",
+        witness={"kind": "even_factor", "edges": [list(e) for e in factor]},
     )
 
 
@@ -337,9 +244,7 @@ def _row(lineno: int, text: str, result: TheoremOutcome | Exception) -> dict[str
     return row
 
 
-def _classify_chunk(
-    chunk: Sequence[tuple[int, str]], eps: float, guards: Guards
-) -> list[dict[str, Any]]:
+def _classify_chunk(chunk: Sequence[tuple[int, str]], eps: float) -> list[dict[str, Any]]:
     """Rows of a chunk of (line number, stripped text) pairs.
 
     Every line is parsed and gated first; the applicable graphs then get
@@ -365,7 +270,7 @@ def _classify_chunk(
     for (pos, g, delta), pd in zip(pending, spectra):
         try:
             results[pos] = pd if isinstance(pd, Exception) else _ladder(
-                g, pd.value, delta, eps, guards)
+                g, pd.value, delta, eps)
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             results[pos] = exc
     return [_row(lineno, text, r) for (lineno, text), r in zip(chunk, results)]
@@ -375,7 +280,6 @@ def verify_stream(
     lines: Iterable[str],
     *,
     eps: float = DEFAULT_EPS,
-    guards: Guards | None = None,
     jobs: int = 1,
 ) -> dict[str, Any]:
     """Classify every graph6 line of a stream.
@@ -387,14 +291,13 @@ def verify_stream(
     ``jobs > 1`` the chunks fan out over a process pool; rows are returned
     in input order either way, so reports are independent of ``jobs``.
     """
-    guards = guards if guards is not None else Guards()
     work = [
         (lineno, stripped)
         for lineno, raw in enumerate(lines, start=1)
         if (stripped := raw.strip())
     ]
     chunks = [work[i:i + CHUNK_LINES] for i in range(0, len(work), CHUNK_LINES)]
-    classify = functools.partial(_classify_chunk, eps=eps, guards=guards)
+    classify = functools.partial(_classify_chunk, eps=eps)
     if jobs > 1 and len(chunks) > 1:
         import multiprocessing
 
@@ -405,6 +308,9 @@ def verify_stream(
     rows = [row for chunk_rows in done for row in chunk_rows]
 
     counts = {name: 0 for name in CLASSIFICATIONS}
+    # Benchmark holdover, always 0: perfbench/test_perfbench.py increments
+    # this key, and perfbench/ changes only in a benchmark change.
+    counts["undecided"] = 0
     errors = 0
     counterexamples = []
     for row in rows:
@@ -431,17 +337,15 @@ def sharpness_probe(
     n: int,
     delta: int,
     *,
-    guards: Guards | None = None,
     eps: float = DEFAULT_EPS,
     perturbations: bool = True,
 ) -> dict[str, Any]:
     """Measure — without asserting — how tight the threshold is at the
     extremal graph: its radius vs the threshold root, whether the criterion
-    fails and on which blocking set, whether a certificate exists, and what
+    fails and on which blocking set, its even factor, and what
     happens to the radius under every single-edge addition and deletion
     (additions that clear the threshold are checked against the recognizer,
     probing uniqueness of the exceptional graph)."""
-    guards = guards if guards is not None else Guards()
     g = build_gstar(n, delta)
     q = perron_q(g).value
     threshold = threshold_q(n, delta)
@@ -463,16 +367,9 @@ def sharpness_probe(
     result["blocking_set"] = list(blocking) if blocking is not None else None
     result["blocking_set_is_join_cell"] = blocking == join_cell
 
-    try:
-        cert = find_even_factor(g, max_order=guards.cert_order, max_edges=guards.cert_edges)
-        if cert is not None and not verify_even_factor(g, cert):
-            raise ValueError("certificate search returned a non-factor")
-        result["even_factor"] = [list(e) for e in cert] if cert is not None else None
-        result["has_even_factor"] = cert is not None
-    except GuardExceeded as exc:
-        result["even_factor"] = None
-        result["has_even_factor"] = None
-        result["certificate_guard"] = str(exc)
+    factor = even_factor(g)
+    result["even_factor"] = [list(e) for e in factor] if factor is not None else None
+    result["has_even_factor"] = factor is not None
 
     if perturbations:
         additions = []
@@ -932,33 +829,28 @@ def agreement_study(
     samples: int | None = None,
     p: float = 0.5,
     seed: int = 0,
-    guards: Guards | None = None,
+    max_order: int = DEFAULT_ENUM_ORDER,
 ) -> dict[str, Any]:
-    """Cross-tabulate the parity-subset criterion against exhaustive
-    even-factor search over a population of graphs of even order ``n``:
-    either every labeled graph (optionally connected-only) or a seeded
-    random sample.  Off-diagonal graphs are listed in graph6 form.
+    """Cross-tabulate the parity-subset criterion against the exact
+    even-factor test over a population of graphs of even order ``n``:
+    either every labeled graph (optionally connected-only, with
+    ``max_order`` capping the enumeration) or a seeded random sample.
+    Off-diagonal graphs are listed in graph6 form.
 
     An exhaustive census runs :func:`~qfactor.factors.factor_verdict` once
     per isomorphism class, on the class's lowest edge mask, and counts the
     verdict for every labeled graph in the class.  That is exact: a
     relabeling pi maps o(G - S) to o(G' - pi(S)), maps even factors to even
-    factors and preserves connectivity (and the guards read only n and the
-    edge count), so the agreement class is constant on each orbit.  Counts
+    factors and preserves connectivity, so the agreement class is constant
+    on each orbit.  Counts
     and the graph6 of each labeled disagreement come out in ascending
     edge-mask order, as in a per-graph pass over
     :func:`~qfactor.graphs.enumerate_labeled`.
     """
     if n % 2 == 1:
         raise ValueError("agreement study requires even order")
-    guards = guards if guards is not None else Guards()
-
     def agreement(g: Graph) -> str:
-        return factor_verdict(
-            g,
-            cert_max_order=guards.cert_order,
-            cert_max_edges=guards.cert_edges,
-        ).agreement
+        return factor_verdict(g).agreement
 
     counts = {name: 0 for name in AGREEMENT_CLASSES}
     disagreements: dict[str, list[str]] = {
@@ -967,12 +859,12 @@ def agreement_study(
     }
     if samples is None:
         mode = "exhaustive"
-        labels, representatives = isomorphism_classes(n, max_order=guards.enum_order)
+        labels, representatives = isomorphism_classes(n, max_order=max_order)
         by_class = [
             agreement(g) if not connected_only or is_connected(g) else None
             for g in representatives
         ]
-        encode = mask_graph6_encoder(n, max_order=guards.enum_order)
+        encode = mask_graph6_encoder(n, max_order=max_order)
         for mask, label in enumerate(labels):
             verdict = by_class[label]
             if verdict is not None:

@@ -15,12 +15,19 @@ from __future__ import annotations
 from .graphs import Graph
 
 
-def _augment(rows: list[int], mate: list[int], root: int) -> None:
+def _augment(rows: list[int], mate: list[int], root: int) -> int:
     """Search for an augmenting path from the exposed ``root``, and augment
-    ``mate`` along it if there is one."""
+    ``mate`` along it if there is one (then return 0).
+
+    Otherwise return the outer vertices of the search tree as a bitmask:
+    exactly the vertices an even alternating path reaches from ``root``. If
+    one such path ended at an unscanned x, hanging a new exposed leaf on x
+    would give an augmenting path from ``root`` that this search, which
+    never scans x, misses."""
     n = len(rows)
     base = list(range(n))
     parent = [-1] * n
+    members: dict[int, int] = {}  # blossom base -> its vertices, once merged
     in_tree = 1 << root
     queue = [root]
 
@@ -57,12 +64,22 @@ def _augment(rows: list[int], mate: list[int], root: int) -> None:
                 # v and to are both outer: contract the blossom they close
                 top = lca(v, to)
                 blossom = mark(to, top, v, mark(v, top, to, 0))
-                for i in range(n):
-                    if blossom >> base[i] & 1:
-                        base[i] = top
-                        if not in_tree >> i & 1:
-                            in_tree |= 1 << i
-                            queue.append(i)
+                grouped = 0
+                while blossom:
+                    b = (blossom & -blossom).bit_length() - 1
+                    blossom &= blossom - 1
+                    grouped |= members.pop(b, 1 << b)
+                members[top] = members.get(top, 1 << top) | grouped
+                fresh = grouped & ~in_tree
+                in_tree |= grouped
+                while grouped:
+                    i = (grouped & -grouped).bit_length() - 1
+                    grouped &= grouped - 1
+                    base[i] = top
+                while fresh:
+                    i = (fresh & -fresh).bit_length() - 1
+                    fresh &= fresh - 1
+                    queue.append(i)
             elif parent[to] == -1:
                 parent[to] = v
                 if mate[to] == -1:
@@ -71,9 +88,10 @@ def _augment(rows: list[int], mate: list[int], root: int) -> None:
                         nxt = mate[v]
                         mate[to], mate[v] = v, to
                         to = nxt
-                    return
+                    return 0
                 in_tree |= 1 << mate[to]
                 queue.append(mate[to])
+    return in_tree
 
 
 def _mates(rows: list[int]) -> list[int]:

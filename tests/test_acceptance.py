@@ -34,7 +34,6 @@ from qfactor.graphs import (
     write_graph6,
 )
 from qfactor.harness import (
-    Guards,
     agreement_study,
     identity_suite,
     lemma_suite,
@@ -281,10 +280,7 @@ def test_08_theorem_sweep(tmp_path, capsys):
 
     stream = tmp_path / "sweep.g6"
     stream.write_text("\n".join(lines) + "\n")
-    code = main([
-        "verify", "--stream", str(stream),
-        "--max-cert-order", "24", "--max-cert-edges", "400",
-    ])
+    code = main(["verify", "--stream", str(stream)])
     out = capsys.readouterr().out
     assert code == 0, out
     summary = [ln for ln in out.splitlines() if ln.startswith("verify:")][-1]
@@ -310,9 +306,8 @@ def test_09_sharpness_probes():
     the parity criterion fails precisely on the join cell (which leaves
     exactly delta odd components), and an explicit even factor verifies."""
     start = time.perf_counter()
-    guards = Guards(cert_order=20, cert_edges=400)
     for n, delta in ((8, 2), (14, 3)):
-        probe = sharpness_probe(n, delta, guards=guards)
+        probe = sharpness_probe(n, delta)
         assert probe["meets_threshold"] is True
         assert abs(probe["q_minus_threshold"]) < 1e-8, (n, delta)
         assert probe["criterion_holds"] is False
@@ -340,7 +335,7 @@ def test_10_round_trip_and_exit_codes(tmp_path, capsys):
     """graph6 round-trips 1000 seeded graphs; verify reports are
     byte-identical across runs after dropping volatile metadata; and the
     CLI exit codes hit their contract end-to-end: 0 clean, 1 counterexample,
-    2 malformed input, 3 guard-limited (0 with --allow-undecided)."""
+    2 malformed input, 3 enumeration guard."""
     start = time.perf_counter()
     for i in range(1000):
         g = random_graph(1 + i % 20, 0.1 + 0.8 * (i % 7) / 6, seed=i)
@@ -365,12 +360,9 @@ def test_10_round_trip_and_exit_codes(tmp_path, capsys):
     assert main(["verify", "--stream", str(noeven), "--eps", "1e6"]) == 1
     assert main(["verify", "--stream", str(noeven)]) == 0  # below threshold
 
-    # Above the threshold (eps disables it) with no even factor, so neither
-    # the two-matching fast path nor the guard-blocked search can decide it.
-    blocked = ["verify", "--stream", str(noeven), "--eps", "1e6",
-               "--max-cert-order", "4"]
-    assert main(blocked) == 3
-    assert main(blocked + ["--allow-undecided"]) == 0
+    # Every verify line is decided; exit 3 is left to the enumeration guard,
+    # which an exhaustive order-8 census trips.
+    assert main(["agreement", "--n", "8", "--exhaustive"]) == 3
     capsys.readouterr()
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"budget exceeded: {elapsed:.1f}s"

@@ -13,7 +13,6 @@ import pytest
 
 import qfactor
 from qfactor.cli import main, verify_exit_code
-from qfactor.harness import GUARD_ENV
 from qfactor.reportio import strip_volatile
 
 C8 = "GhCGKC"
@@ -21,11 +20,6 @@ K8 = "G~~~~{"
 K10 = "I~~~~~~~w"
 GSTAR82 = "G~~~}?"
 FACTORLESS = "G]o_GK"
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(GUARD_ENV, raising=False)
 
 
 @pytest.fixture
@@ -191,17 +185,21 @@ class TestFactor:
         assert by_g6[K8]["agreement"] == "both_yes"
         assert by_g6[GSTAR82]["criterion_holds"] is False
         assert by_g6[GSTAR82]["blocking"] == [0, 1]
-        assert len(by_g6[GSTAR82]["certificate"]) == 14
+        assert len(by_g6[GSTAR82]["certificate"]) == 8  # a Hamiltonian cycle
 
-    def test_guard_exit_3(self, capsys, tmp_path):
-        path = tmp_path / "big.g6"
-        path.write_text(K8 + "\n")
-        code, out, _ = run(
-            capsys, "factor", str(path), "--max-cert-order", "4", "--format", "json"
-        )
-        assert code == 3
-        rows = json.loads(out)["results"]["items"]
-        assert rows[0]["undecided"] is True
+    def test_factor_has_no_guard_flags(self, capsys, smoke_file):
+        # factor takes no guard flags: even factors and the criterion are
+        # decided in polynomial time.
+        for flag in (["--max-cert-order", "4"], ["--max-cert-edges", "4"],
+                     ["--allow-undecided"]):
+            code, _, err = run(capsys, "factor", smoke_file, *flag)
+            assert code == 2
+            assert flag[0] in err
+        code, out, _ = run(capsys, "factor", smoke_file, "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert "guard_blocked" not in report["results"]
+        assert "allow_undecided" not in report["config"]
 
     def test_criterion_has_no_guard_flag(self, capsys, smoke_file):
         # The criterion is polynomial; its old subset-scan guard flag is gone.
@@ -210,31 +208,7 @@ class TestFactor:
         assert "--max-subset-order" in err
         code, out, _ = run(capsys, "factor", smoke_file, "--format", "json")
         assert code == 0
-        assert "max_subset_order" not in json.loads(out)["config"]["guards"]
-
-    def test_allow_undecided(self, capsys, tmp_path):
-        path = tmp_path / "big.g6"
-        path.write_text(K8 + "\n")
-        code, _, _ = run(
-            capsys, "factor", str(path), "--max-cert-order", "4", "--allow-undecided"
-        )
-        assert code == 0
-
-    def test_env_override_unlocks(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(GUARD_ENV, "1")
-        path = tmp_path / "big.g6"
-        path.write_text(K8 + "\n")
-        code, out, _ = run(capsys, "factor", str(path), "--format", "json")
-        assert code == 0
-        assert json.loads(out)["results"]["items"][0]["agreement"] == "both_yes"
-
-    def test_flags_override_env(self, capsys, tmp_path, monkeypatch):
-        # Explicit flags take precedence over the environment unlock.
-        monkeypatch.setenv(GUARD_ENV, "1")
-        path = tmp_path / "big.g6"
-        path.write_text(K8 + "\n")
-        code, _, _ = run(capsys, "factor", str(path), "--max-cert-order", "4")
-        assert code == 3
+        assert "guards" not in json.loads(out)["config"]
 
     def test_odd_order_line_is_an_error_row(self, capsys, tmp_path):
         # The criterion rejects odd order; that line fails, the run goes on,
@@ -276,7 +250,7 @@ class TestVerify:
         assert code == 1
         results = json.loads(out)["results"]
         assert results["counterexamples"] == [FACTORLESS]
-        assert results["items"][0]["witness"]["kind"] == "blocking_set"
+        assert results["items"][0]["witness"] == {"kind": "no_even_factor"}
 
     def test_malformed_exit_2_wins_over_counterexample(self, capsys, tmp_path):
         path = tmp_path / "mixed.g6"
@@ -304,22 +278,30 @@ class TestVerify:
         assert results["errors"] == 1
         assert "residual" in results["items"][1]["error"]
 
-    # FACTORLESS has no even factor, so no fast path decides it; with the
-    # threshold disabled and the certificate search blocked it is undecided.
-    def test_undecided_exit_3(self, capsys, factorless_file):
-        code, _, _ = run(
+    # FACTORLESS has no even factor. With the threshold disabled it is a
+    # counterexample, whatever the old certificate-search flags say: verify
+    # still accepts them for the benchmark, and ignores them.
+    def test_counterexample_despite_certificate_flags(self, capsys, factorless_file):
+        code, out, _ = run(
             capsys, "verify", "--stream", factorless_file,
-            "--eps", "1e6", "--max-cert-order", "4",
+            "--eps", "1e6", "--max-cert-order", "4", "--max-cert-edges", "4",
+            "--format", "json",
         )
-        assert code == 3
+        assert code == 1
+        report = json.loads(out)
+        assert report["results"]["items"][0]["classification"] == "counterexample"
+        assert report["results"]["counts"]["undecided"] == 0
+        assert "guards" not in report["config"]
 
     def test_undecided_allowed(self, capsys, factorless_file):
-        code, _, _ = run(
+        # --allow-undecided is accepted and ignored: nothing is undecided.
+        code, out, _ = run(
             capsys, "verify", "--stream", factorless_file,
             "--eps", "1e6", "--max-cert-order", "4",
-            "--allow-undecided",
+            "--allow-undecided", "--format", "json",
         )
-        assert code == 0
+        assert code == 1
+        assert "allow_undecided" not in json.loads(out)["config"]
 
     def test_report_determinism(self, capsys, smoke_file, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -346,21 +328,22 @@ class TestVerify:
 
 class TestVerifyExitCode:
     def test_clean(self):
-        results = {"errors": 0, "counts": {"counterexample": 0, "undecided": 0}}
-        assert verify_exit_code(results, allow_undecided=False) == 0
+        results = {"errors": 0, "counts": {"counterexample": 0}}
+        assert verify_exit_code(results) == 0
 
     def test_counterexample(self):
-        results = {"errors": 0, "counts": {"counterexample": 2, "undecided": 0}}
-        assert verify_exit_code(results, allow_undecided=False) == 1
+        results = {"errors": 0, "counts": {"counterexample": 2}}
+        assert verify_exit_code(results) == 1
 
     def test_undecided(self):
+        # The undecided count is a benchmark holdover; it never sets the
+        # exit code, and 3 is left to agreement's enumeration guard.
         results = {"errors": 0, "counts": {"counterexample": 0, "undecided": 1}}
-        assert verify_exit_code(results, allow_undecided=False) == 3
-        assert verify_exit_code(results, allow_undecided=True) == 0
+        assert verify_exit_code(results) == 0
 
     def test_errors_outrank_everything(self):
-        results = {"errors": 1, "counts": {"counterexample": 5, "undecided": 5}}
-        assert verify_exit_code(results, allow_undecided=True) == 2
+        results = {"errors": 1, "counts": {"counterexample": 5}}
+        assert verify_exit_code(results) == 2
 
 
 # ---------------------------------------------------------------------------

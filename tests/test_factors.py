@@ -1,11 +1,15 @@
-"""Tests for the parity-subset criterion and even-factor certificate search."""
+"""Tests for the parity-subset criterion and the exact even-factor test,
+with the exhaustive certificate search as the even-factor oracle."""
 
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
 
+from exhaustive_search import find_even_factor
+from qfactor import factors
 from qfactor.extremal import build_gstar
 from qfactor.graphs import (
     Graph,
@@ -14,16 +18,22 @@ from qfactor.graphs import (
     components,
     delete_vertices,
     enumerate_labeled,
+    isomorphism_classes,
     odd_components_after_removal,
+    parse_graph6,
     random_graph,
 )
 from qfactor.factors import (
     FactorVerdict,
+    even_factor,
     factor_verdict,
-    find_even_factor,
     strong_tutte_check,
     verify_even_factor,
 )
+
+# A connected order-8 graph with minimum degree 2 and no even factor: K_{2,3}
+# bridged by one edge to a triangle.
+FACTORLESS = "G]o_GK"
 
 
 def cycle(n):
@@ -204,6 +214,26 @@ class TestScanBound:
             g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in added])
             assert_criterion_matches_oracles(g, (n, delta, k))
 
+    def test_skipped_pairs_change_no_witness(self, monkeypatch):
+        # A pair T that is an edge of G's perfect matching is skipped. Start
+        # every run from a matching with one edge dropped instead: it is not
+        # perfect, so no pair is skipped, and each G - T is repaired from it.
+        graphs = [g for n in (4, 6) for g in enumerate_labeled(n, connected_only=True)]
+        graphs += [random_graph(n, 0.5, seed) for n in (10, 12, 14) for seed in range(6)]
+        graphs += [build_gstar(n, delta) for n in (14, 16) for delta in (2, 3)]
+        skipped = [strong_tutte_check(g) for g in graphs]
+        mates = factors._mates
+
+        def one_edge_dropped(rows):
+            mate = mates(rows)
+            v = next((v for v, w in enumerate(mate) if w != -1), None)
+            if v is not None:
+                mate[mate[v]] = mate[v] = -1
+            return mate
+
+        monkeypatch.setattr("qfactor.factors._mates", one_edge_dropped)
+        assert [strong_tutte_check(g) for g in graphs] == skipped
+
 
 class TestBicriticality:
     """The criterion holds iff G - u - v has a perfect matching for every
@@ -234,7 +264,90 @@ class TestBicriticality:
 
 
 # ---------------------------------------------------------------------------
-# find_even_factor / verify_even_factor
+# even_factor against the exhaustive search
+# ---------------------------------------------------------------------------
+
+
+def assert_even_factor_matches_oracle(g, label):
+    found = even_factor(g)
+    expected = find_even_factor(g, max_order=g.n, max_edges=g.edge_count)
+    assert (found is None) == (expected is None), label
+    if found is not None:
+        assert list(found) == sorted(set(found)) and verify_even_factor(g, found), label
+
+
+@pytest.fixture(params=["fast path", "gadget"])
+def route(request, monkeypatch):
+    """Run as is, and with the two-factor fast path patched out so that the
+    gadget decides every graph."""
+    if request.param == "gadget":
+        monkeypatch.setattr("qfactor.factors.two_factor", lambda g: None)
+    return request.param
+
+
+class TestEvenFactor:
+    def test_every_small_class(self, route):
+        classes = [g for n in range(1, 8) for g in isomorphism_classes(n)[1]]
+        assert len(classes) == 1252
+        for g in classes:
+            assert_even_factor_matches_oracle(g, g.edges())
+
+    @pytest.mark.parametrize("n", [8, 10, 12, 14])
+    def test_seeded_random_graphs(self, route, n):
+        for seed in range(24):
+            g = random_graph(n, (0.2, 0.35, 0.5)[seed % 3], seed)
+            assert_even_factor_matches_oracle(g, (n, seed))
+        # No even factor, mostly with minimum degree 2: a K_{2,3} hung on a
+        # random block by a bridge, which no even factor can use.
+        for seed in range(6):
+            block = random_graph(n - 5, 0.7, seed)
+            k23 = [(a, b) for a in (n - 5, n - 4) for b in (n - 3, n - 2, n - 1)]
+            g = Graph.from_edges(n, block.edges() + k23 + [(seed % (n - 5), n - 1)])
+            assert_even_factor_matches_oracle(g, (n, "bridged", seed))
+
+    def test_no_factor_answers(self, route):
+        assert even_factor(Graph.empty(0)) == ()
+        assert even_factor(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])) is None
+        assert even_factor(parse_graph6(FACTORLESS)) is None
+
+    def test_gstar_40_6_plus_edge_by_the_gadget(self, monkeypatch):
+        monkeypatch.setattr("qfactor.factors.two_factor", lambda g: None)
+        g = build_gstar(40, 6)
+        g = g.add_edges([next(e for e in itertools.combinations(range(40), 2)
+                              if not g.has_edge(*e))])
+        start = time.perf_counter()
+        found = even_factor(g)
+        assert time.perf_counter() - start < 1.0
+        assert verify_even_factor(g, found)
+
+    def test_tampered_matching_raises(self, monkeypatch):
+        # With an edge of the gadget's perfect matching dropped, no barrier
+        # can block; with every end matched across its edge, a vertex of
+        # odd degree keeps its odd degree.
+        monkeypatch.setattr("qfactor.factors.two_factor", lambda g: None)
+        mates = factors._mates
+
+        def dropped(rows):
+            mate = mates(rows)
+            mate[mate[0]] = mate[0] = -1
+            return mate
+
+        monkeypatch.setattr("qfactor.factors._mates", dropped)
+        with pytest.raises(ValueError, match="does not block"):
+            even_factor(complete(4))
+        monkeypatch.setattr("qfactor.factors._mates",
+                            lambda rows: [v ^ 1 for v in range(len(rows))])
+        with pytest.raises(ValueError, match="non-factor"):
+            even_factor(complete(4))
+
+    def test_tampered_barrier_raises(self, monkeypatch):
+        monkeypatch.setattr("qfactor.factors._gallai_edmonds_a", lambda rows, mate: ())
+        with pytest.raises(ValueError, match="does not block"):
+            even_factor(parse_graph6(FACTORLESS))
+
+
+# ---------------------------------------------------------------------------
+# The exhaustive search (the oracle) and verify_even_factor
 # ---------------------------------------------------------------------------
 
 
@@ -363,7 +476,7 @@ class TestJoinFamilyFactors:
 
 class TestVerdict:
     def verdict(self, g):
-        return factor_verdict(g, cert_max_order=12, cert_max_edges=100)
+        return factor_verdict(g)
 
     def test_both_yes(self):
         v = self.verdict(complete(4))
@@ -390,10 +503,6 @@ class TestVerdict:
             assert v.agreement == "criterion_yes_factor_no"
 
     def test_non_factor_certificate_raises(self, monkeypatch):
-        monkeypatch.setattr("qfactor.factors.find_even_factor", lambda g, **_: ((0, 1),))
+        monkeypatch.setattr("qfactor.factors.two_factor", lambda g: ((0, 1),))
         with pytest.raises(ValueError, match="non-factor"):
             self.verdict(complete(4))
-
-    def test_guard_propagates(self):
-        with pytest.raises(GuardExceeded):
-            factor_verdict(cycle(8), cert_max_order=4, cert_max_edges=100)

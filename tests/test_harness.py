@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from qfactor.factors import AGREEMENT_CLASSES, factor_verdict
+from exhaustive_search import find_even_factor
+from qfactor.factors import AGREEMENT_CLASSES, factor_verdict, verify_even_factor
 from qfactor.graphs import (
     Graph,
     GuardExceeded,
@@ -22,8 +23,6 @@ from qfactor.spectra import IntPolynomial, char_poly, perron_many, perron_q
 from qfactor.harness import (
     CHUNK_LINES,
     CLASSIFICATIONS,
-    GUARD_ENV,
-    Guards,
     TheoremOutcome,
     agreement_study,
     check_theorem_instance,
@@ -194,34 +193,25 @@ class TestCheckTheoremInstance:
         g = parse_graph6(FACTORLESS)
         out = check_theorem_instance(g, eps=1e6)
         assert out.classification == "counterexample"
-        assert out.witness["kind"] == "blocking_set"
-        assert out.witness["vertices"] == [0, 1]
+        assert out.witness == {"kind": "no_even_factor"}
 
     def test_factorless_graph_is_below_threshold_at_default_eps(self):
         out = check_theorem_instance(parse_graph6(FACTORLESS))
         assert out.classification == "below_threshold"
 
     def test_confirmed_by_two_factor_fast_path(self):
-        # K8 is past the certificate guards here; the two perfect matchings
-        # decide it.
-        out = check_theorem_instance(
-            complete(8), guards=Guards(cert_order=4, cert_edges=4)
-        )
+        # The two perfect matchings decide K8: a 2-factor has 8 edges.
+        out = check_theorem_instance(complete(8))
         assert out.classification == "confirmed_factor"
         assert out.witness["kind"] == "even_factor"
         assert len(out.witness["edges"]) == 8
 
-    def test_confirmed_by_criterion_when_certificate_guard_blocked(self, monkeypatch):
-        monkeypatch.setattr("qfactor.harness.two_factor", lambda g: None)
-        out = check_theorem_instance(complete(8), guards=Guards(cert_order=4))
+    def test_confirmed_by_gadget_when_fast_path_fails(self, monkeypatch):
+        monkeypatch.setattr("qfactor.factors.two_factor", lambda g: None)
+        out = check_theorem_instance(complete(8))
         assert out.classification == "confirmed_factor"
-        assert out.witness["kind"] == "criterion"
-
-    def test_undecided_when_criterion_fails_and_certificate_blocked(self):
-        g = parse_graph6(FACTORLESS)
-        out = check_theorem_instance(g, eps=1e6, guards=Guards(cert_order=4))
-        assert out.classification == "undecided"
-        assert "certificate" in out.note
+        assert out.witness["kind"] == "even_factor"
+        assert verify_even_factor(complete(8), [tuple(e) for e in out.witness["edges"]])
 
     def test_classification_vocabulary(self):
         assert set(CLASSIFICATIONS) == {
@@ -230,7 +220,6 @@ class TestCheckTheoremInstance:
             "confirmed_factor",
             "extremal_match",
             "counterexample",
-            "undecided",
         }
 
     def test_as_row_shape(self):
@@ -269,22 +258,23 @@ class TestVerifyStream:
         assert report["counterexamples"] == [FACTORLESS]
 
     def test_non_factor_certificate_is_never_confirmed(self, monkeypatch):
-        # A fast path, then a certificate search, that hands back one edge,
-        # which is no even factor; the search is reached with the fast path
+        # A fast path that hands back one edge, which is no even factor; then
+        # a gadget matching with every end matched across its edge, which
+        # gives K8 all its edges (degree 7 everywhere), with the fast path
         # patched out.
-        def one_edge(g, **_):
-            return ((0, 1),)
-
-        for source, fast_path in (("two_factor", one_edge),
-                                  ("find_even_factor", lambda g: None)):
-            monkeypatch.setattr("qfactor.harness.two_factor", fast_path)
-            monkeypatch.setattr(f"qfactor.harness.{source}", one_edge)
+        for name, tampered in (("two_factor", lambda g: ((0, 1),)),
+                               ("_mates", lambda rows: [v ^ 1 for v in range(len(rows))])):
+            if name == "_mates":
+                monkeypatch.setattr("qfactor.factors.two_factor", lambda g: None)
+            monkeypatch.setattr(f"qfactor.factors.{name}", tampered)
             with pytest.raises(ValueError, match="non-factor"):
                 check_theorem_instance(complete(8))
             report = verify_stream(["G~~~~{"])
             assert report["errors"] == 1
             assert report["counts"]["confirmed_factor"] == 0
             assert "non-factor" in report["items"][0]["error"]
+        monkeypatch.undo()
+        monkeypatch.setattr("qfactor.factors.two_factor", lambda g: ((0, 1),))
         with pytest.raises(ValueError, match="non-factor"):
             sharpness_probe(8, 2, perturbations=False)
 
@@ -422,17 +412,22 @@ def _without_edge_lists(rows):
 
 class TestFastPath:
     def test_same_verdicts_as_the_exhaustive_search(self, monkeypatch):
-        # Only the witness edge lists may differ from the fast-path-free ladder.
+        # The fast path and the gadget give the same rows apart from the
+        # witness edge lists, and every above-threshold verdict is the
+        # exhaustive search's.
         lines = _sweep_style_lines()
         assert len(lines) == 9 * 15 + 66
-        guards = Guards(cert_order=24, cert_edges=400)
-        fast = verify_stream(lines, guards=guards)
-        monkeypatch.setattr("qfactor.harness.two_factor", lambda g: None)
-        slow = verify_stream(lines, guards=guards)
-        assert _without_edge_lists(fast["items"]) == _without_edge_lists(slow["items"])
-        assert fast["counts"] == slow["counts"]
+        fast = verify_stream(lines)
+        monkeypatch.setattr("qfactor.factors.two_factor", lambda g: None)
+        gadget = verify_stream(lines)
+        assert _without_edge_lists(fast["items"]) == _without_edge_lists(gadget["items"])
+        assert fast["counts"] == gadget["counts"]
         assert fast["counts"]["confirmed_factor"] >= 66
-        assert fast["counts"]["undecided"] == fast["errors"] == 0
+        assert fast["counts"]["counterexample"] == fast["errors"] == 0
+        for row in fast["items"]:
+            if row["classification"] == "confirmed_factor":
+                g = parse_graph6(row["graph6"])
+                assert find_even_factor(g, max_order=24, max_edges=400) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +437,7 @@ class TestFastPath:
 
 class TestSharpnessProbe:
     def test_8_2(self):
-        probe = sharpness_probe(8, 2, guards=Guards(cert_order=20, cert_edges=400))
+        probe = sharpness_probe(8, 2)
         assert probe["q"] == pytest.approx(probe["threshold"], abs=1e-9)
         assert probe["meets_threshold"] is True
         assert probe["join_cell"] == [0, 1]
@@ -450,7 +445,7 @@ class TestSharpnessProbe:
         assert probe["blocking_set"] == [0, 1]
         assert probe["blocking_set_is_join_cell"] is True
         assert probe["has_even_factor"] is True
-        assert len(probe["even_factor"]) == 14
+        assert len(probe["even_factor"]) == 8  # a Hamiltonian cycle
         # Every single-edge deletion drops the radius below the threshold.
         assert probe["deletions_above_threshold"] == 0
         assert all(not row["ge_threshold"] for row in probe["deletions"])
@@ -460,9 +455,7 @@ class TestSharpnessProbe:
         assert all(row["is_extremal_graph"] is False for row in probe["additions"])
 
     def test_without_perturbations(self):
-        probe = sharpness_probe(
-            14, 3, guards=Guards(cert_order=20, cert_edges=400), perturbations=False
-        )
+        probe = sharpness_probe(14, 3, perturbations=False)
         assert "additions" not in probe and "deletions" not in probe
         assert probe["meets_threshold"] is True
         assert probe["has_even_factor"] is True
@@ -481,16 +474,6 @@ class TestHelpers:
         assert list(odd_compositions(9, 3)) == [(1, 1, 7), (1, 3, 5), (3, 3, 3)]
         assert list(odd_compositions(5, 2)) == []  # parity mismatch
         assert list(odd_compositions(10, 2, minimum=3)) == [(3, 7), (5, 5)]
-
-    def test_guards_from_env(self, monkeypatch):
-        monkeypatch.delenv(GUARD_ENV, raising=False)
-        assert Guards.from_env() == Guards()
-        base = Guards(cert_order=5)
-        assert Guards.from_env(base) == base
-        monkeypatch.setenv(GUARD_ENV, "1")
-        assert Guards.from_env(base) == Guards.unlocked()
-        monkeypatch.setenv(GUARD_ENV, "0")
-        assert Guards.from_env(base) == base
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +582,9 @@ class TestAgreementStudy:
     def test_one_verdict_per_isomorphism_class(self, monkeypatch, connected_only, classes):
         seen = []
 
-        def counted(g, **guards):
+        def counted(g):
             seen.append(g)
-            return factor_verdict(g, **guards)
+            return factor_verdict(g)
 
         monkeypatch.setattr("qfactor.harness.factor_verdict", counted)
         report = agreement_study(6, connected_only=connected_only)
@@ -640,6 +623,12 @@ class TestAgreementStudy:
             "criterion_no_factor_yes": 9,
         }
 
+    def test_sampled_beyond_the_old_certificate_guard(self):
+        # No order guard applies: both sides of the census are polynomial.
+        report = agreement_study(20, samples=20, seed=1)
+        assert report["total"] == 20
+        assert sum(report["counts"].values()) == 20
+
     def test_sampled_mode(self):
         report = agreement_study(8, samples=30, p=0.6, seed=7)
         assert report["mode"] == "sampled"
@@ -654,4 +643,4 @@ class TestAgreementStudy:
 
     def test_enum_guard(self):
         with pytest.raises(GuardExceeded):
-            agreement_study(8, guards=Guards(enum_order=7))
+            agreement_study(8, max_order=7)

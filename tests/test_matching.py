@@ -4,9 +4,9 @@ cross-checked against networkx and the exhaustive certificate search."""
 import networkx as nx
 import pytest
 
-from qfactor.factors import find_even_factor
+from exhaustive_search import find_even_factor
 from qfactor.graphs import Graph, complete, isomorphism_classes, random_graph
-from qfactor.matching import maximum_matching, two_factor
+from qfactor.matching import _augment, _mates, maximum_matching, two_factor
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +86,32 @@ def test_two_factor_implies_even_factor(classes):
     for g in classes:
         if g.n % 2 == 0 and two_factor(g) is not None:
             assert find_even_factor(g) is not None, g
+
+
+def test_failed_searches_give_the_gallai_edmonds_set(classes):
+    # D, the vertices some maximum matching misses, is the union of the
+    # outer sets of the failed searches from the exposed vertices; each
+    # search leaves the matching as it is.
+    for g in classes + _random_graphs():
+        rows = list(g.rows)
+        mate = _mates(rows)
+        size = len(maximum_matching(g))
+        expected = 0
+        for v in range(g.n):
+            without = g.remove_edges([(v, u) for u in g.neighbors(v)])
+            if len(maximum_matching(without)) == size:
+                expected |= 1 << v
+        found = 0
+        for v in range(g.n):
+            if mate[v] == -1:
+                before = mate[:]
+                found |= _augment(rows, mate, v)
+                assert mate == before, g
+        assert found == expected, g
+
+
+def test_augment_returns_zero_after_augmenting():
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    mate = [-1, 2, 1, -1]
+    assert _augment(list(path.rows), mate, 0) == 0
+    assert mate == [1, 0, 3, 2]

@@ -98,6 +98,26 @@ def _parse_parts(text: str) -> tuple[int, ...]:
     return parts
 
 
+def _nonnegative_eps(text: str) -> float:
+    try:
+        eps = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"eps {text!r} is not a number")
+    if not eps >= 0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"eps must be nonnegative, got {text!r}")
+    return eps
+
+
+def _positive_jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"jobs {text!r} is not an integer")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be at least 1, got {jobs}")
+    return jobs
+
+
 def _add_output_flags(p: argparse.ArgumentParser, formats: Sequence[str]) -> None:
     p.add_argument("--format", choices=list(formats), default=formats[0],
                    help="stdout projection (default %(default)s)")
@@ -573,9 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="classify a stream against the theorem")
     p.add_argument("--stream", required=True, metavar="FILE",
                    help="graph6 file or - for stdin")
-    p.add_argument("--eps", type=float, default=1e-8,
-                   help="threshold comparison band (default 1e-8)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--eps", type=_nonnegative_eps, default=1e-8,
+                   help="threshold comparison band, >= 0 (default 1e-8)")
+    p.add_argument("--jobs", type=_positive_jobs, default=1,
+                   help="worker processes, >= 1 (default 1)")
     # Benchmark holdovers: perfbench/workloads.py still passes these flags,
     # and perfbench/ changes only in a benchmark change. Accepted, ignored.
     for flag in ("--max-cert-order", "--max-cert-edges"):

@@ -20,6 +20,7 @@ mask_graph6_encoder writes the graph6 of such a mask by table lookups.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import combinations
@@ -294,12 +295,41 @@ def write_graph6(g: Graph) -> str:
     return bytes(out).decode("ascii")
 
 
+# Column j of the column order: its first pair index and a j-bit mask.
+_COLUMNS = tuple((j * (j - 1) // 2, (1 << j) - 1) for j in range(62))
+
+
+def _transpose_stages() -> tuple[tuple[int, int], ...]:
+    """Delta-swap stages that transpose a 64 x 64 bit matrix held in one
+    int, row r at bits 64r .. 64r + 63 (Hacker's Delight, 7-3). Stage s
+    swaps the entries (r, c) with r & s == 0 and c & s != 0 with
+    (r + s, c - s), which sit 63s bits higher."""
+    stages = []
+    for s in (32, 16, 8, 4, 2, 1):
+        cols = sum(1 << c for c in range(64) if c & s)
+        mask = sum(cols << 64 * r for r in range(64) if not r & s)
+        stages.append((63 * s, mask))
+    return tuple(stages)
+
+
+# The decoder's only tables, fixed at import: nothing is built per order.
+_TRANSPOSE = _transpose_stages()
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
 def parse_graph6(text: str | bytes) -> Graph:
     """Decode one short-form graph6 string, with or without its header.
 
     Only canonical payloads are accepted: exact length, bytes in 63..126 and
     zero pad bits. So the stripped text minus its header is exactly what
     write_graph6 returns for the graph (see graph6_payload).
+
+    The payload becomes one int with pair k of the column order at bit k.
+    Column j (vertex j's lower neighbours) is one shift and mask of it and
+    becomes word j of a bit matrix; a delta-swap transpose of that matrix
+    gives every vertex's higher neighbours, and the OR of the two is the
+    adjacency matrix. The cost is a few big-int operations per vertex, with
+    no per-order table.
     """
     if isinstance(text, str):
         try:
@@ -326,20 +356,23 @@ def parse_graph6(text: str | bytes) -> Graph:
     bad = data[1:].translate(None, _GRAPH6_BYTES)
     if bad:
         raise Graph6Error(f"byte {bad[0]!r} outside graph6 range")
-    # bits[k] is pair k of the column order, one character per bit
-    bits = data[1:].decode("ascii").translate(_SIX_BITS)
-    if "1" in bits[npairs:]:
+    # Reversed, the payload's bit text puts pair k of the column order at bit k.
+    bits = int(data[1:].decode("ascii").translate(_SIX_BITS)[::-1] or "0", 2)
+    if bits >> npairs:
         raise Graph6Error("nonzero padding bits")
-    # lower[j][i] is x(i, j) for i < j; its transpose holds each vertex's
-    # higher neighbours, so row v reads lower[v][:v] + upper[v][v:].
-    lower = []
-    start = 0
-    for j in range(n):
-        lower.append(bits[start:start + j].ljust(n, "0"))
-        start += j
-    upper = ["".join(column) for column in zip(*lower)]
-    return _trusted_graph(
-        n, tuple(int((lower[v][:v] + upper[v][v:])[::-1], 2) for v in range(n)))
+    # The matrix of columns is strictly lower triangular: OR its transpose
+    # and row v of the adjacency matrix is word v.
+    words = array("Q", [bits >> start & mask for start, mask in _COLUMNS[:n]])
+    if _BIG_ENDIAN:
+        words.byteswap()
+    lower = upper = int.from_bytes(words.tobytes(), "little")
+    for delta, mask in _TRANSPOSE:
+        swap = (upper ^ upper >> delta) & mask
+        upper ^= swap ^ swap << delta
+    rows = array("Q", (lower | upper).to_bytes(8 * n, "little"))
+    if _BIG_ENDIAN:
+        rows.byteswap()
+    return _trusted_graph(n, tuple(rows))
 
 
 def graph6_payload(text: str) -> str:

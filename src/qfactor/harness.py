@@ -190,12 +190,21 @@ def _gate(g: Graph) -> TheoremOutcome | int:
     return delta
 
 
+def _check_eps(eps: float) -> None:
+    """A negative band would call graphs above the threshold below it; NaN
+    would call none below it."""
+    if not eps >= 0:
+        raise ValueError(f"eps must be a nonnegative number, got {eps!r}")
+
+
 def check_theorem_instance(g: Graph, *, eps: float = DEFAULT_EPS) -> TheoremOutcome:
     """Classify one graph.  See the module docstring for the ladder.
 
     The one-graph case of :func:`verify_stream`: the same gate and ladder
-    around :func:`~qfactor.spectra.perron_q`.
+    around :func:`~qfactor.spectra.perron_q`.  Raises ValueError for a
+    negative or NaN *eps*.
     """
+    _check_eps(eps)
     gate = _gate(g)
     if isinstance(gate, TheoremOutcome):
         return gate
@@ -290,7 +299,9 @@ def verify_stream(
     CHUNK_LINES, with one LAPACK eigh call per graph order per chunk.  With
     ``jobs > 1`` the chunks fan out over a process pool; rows are returned
     in input order either way, so reports are independent of ``jobs``.
+    Raises ValueError for a negative or NaN *eps*.
     """
+    _check_eps(eps)
     work = [
         (lineno, stripped)
         for lineno, raw in enumerate(lines, start=1)

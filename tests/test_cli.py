@@ -20,6 +20,7 @@ K8 = "G~~~~{"
 K10 = "I~~~~~~~w"
 GSTAR82 = "G~~~}?"
 FACTORLESS = "G]o_GK"
+GSTAR82_PLUS_EDGE = "G~~~}C"  # G*(8,2) plus the edge 67
 
 
 @pytest.fixture
@@ -319,6 +320,34 @@ class TestVerify:
         b = strip_volatile(json.loads(r2.read_text()))
         # The jobs knob may echo into config; results must be identical.
         assert a["results"] == b["results"]
+
+    # G*(8,2) plus one edge: q = 12.623 lies above the threshold 12.385, so
+    # a negative band would call it below_threshold.
+    @pytest.mark.parametrize("eps", ["-1", "-0.5e-8", "nan", "NaN", "-inf", "x"])
+    def test_negative_or_nan_eps_is_a_usage_error(self, capsys, tmp_path, eps):
+        path = tmp_path / "plus_edge.g6"
+        path.write_text(GSTAR82_PLUS_EDGE + "\n")
+        report = tmp_path / "r.json"
+        code, out, err = run(capsys, "verify", "--stream", str(path), f"--eps={eps}",
+                             "--report", str(report))
+        assert code == 2
+        assert "--eps" in err and "below_threshold" not in out
+        assert not report.exists()
+
+    def test_zero_eps_accepted(self, capsys, tmp_path):
+        path = tmp_path / "plus_edge.g6"
+        path.write_text(GSTAR82_PLUS_EDGE + "\n")
+        code, out, _ = run(capsys, "verify", "--stream", str(path), "--eps", "0",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["items"][0]["classification"] == "confirmed_factor"
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "1.5"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, smoke_file, jobs):
+        code, out, err = run(capsys, "verify", "--stream", smoke_file, f"--jobs={jobs}",
+                             "--format", "json")
+        assert code == 2
+        assert "--jobs" in err and out == ""
 
     def test_text_summary_line(self, capsys, smoke_file):
         code, out, _ = run(capsys, "verify", "--stream", smoke_file)

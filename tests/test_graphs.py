@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codec_oracles import parse_graph6_by_strings
 from qfactor.graphs import (
     Graph,
     Graph6Error,
@@ -200,6 +201,49 @@ def test_parse_graph6_raises_only_graph6_error(data):
     assert write_graph6(g) == canonical
     assert graph6_payload(raw.strip().decode("ascii")) == canonical
     assert g == Graph(g.n, g.rows)
+
+
+# The bit-matrix decoder against the string-transpose decoder it replaced.
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_decoder_matches_string_oracle_on_every_order(p):
+    for n in range(63):
+        for seed in range(3):
+            text = write_graph6(random_graph(n, p, seed=1000 * n + seed))
+            ours = parse_graph6(text)
+            assert ours.rows == parse_graph6_by_strings(text).rows, (n, p, seed)
+            assert ours == Graph(ours.n, ours.rows)
+
+
+def test_decoder_matches_string_oracle_on_every_small_labeled_graph():
+    count = 0
+    for n in range(6):
+        for g in enumerate_labeled(n):
+            text = write_graph6(g)
+            assert parse_graph6(text).rows == parse_graph6_by_strings(text).rows == g.rows
+            count += 1
+    assert count == 1 + 1 + 2 + 8 + 64 + 1024
+    assert parse_graph6("?") == Graph.empty(0)
+    assert parse_graph6("@") == Graph.empty(1)
+
+
+def test_decoder_on_empty_and_complete_graphs():
+    for n in (0, 1, 2, 3, 31, 32, 61, 62):
+        full = complete(n) if n else Graph.empty(0)
+        for g in (full, Graph.empty(n)):
+            assert parse_graph6(write_graph6(g)) == g
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRAPH6_INPUT)
+def test_decoder_accepts_and_rejects_like_string_oracle(data):
+    try:
+        expected = parse_graph6_by_strings(data)
+    except Graph6Error as exc:
+        with pytest.raises(Graph6Error) as raised:
+            parse_graph6(data)
+        assert str(raised.value) == str(exc)
+        return
+    assert parse_graph6(data).rows == expected.rows
 
 
 def test_mask_graph_equals_validated_graph():

@@ -222,6 +222,17 @@ class TestCheckTheoremInstance:
             "counterexample",
         }
 
+    @pytest.mark.parametrize("eps", [-1.0, -1e-300, float("nan")])
+    def test_negative_or_nan_eps_rejected(self, eps):
+        # G*(8,2) plus one edge lies above the threshold; eps = -1 used to
+        # call it below_threshold.
+        with pytest.raises(ValueError, match="eps"):
+            check_theorem_instance(build_gstar(8, 2).add_edges([(6, 7)]), eps=eps)
+
+    def test_zero_eps_accepted(self):
+        out = check_theorem_instance(build_gstar(8, 2).add_edges([(6, 7)]), eps=0.0)
+        assert out.classification == "confirmed_factor"
+
     def test_as_row_shape(self):
         row = TheoremOutcome("below_threshold", 4.0, 12.0, 2).as_row("Ghello")
         assert row["graph6"] == "Ghello"
@@ -251,6 +262,11 @@ class TestVerifyStream:
     def test_jobs_invariance(self):
         lines = [write_graph6(random_graph(9, 0.5, seed=s)) for s in range(12)]
         assert verify_stream(lines) == verify_stream(lines, jobs=3)
+
+    @pytest.mark.parametrize("eps", [-1.0, float("nan")])
+    def test_negative_or_nan_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            verify_stream(self.LINES, eps=eps)
 
     def test_counterexample_listed(self):
         report = verify_stream([FACTORLESS], eps=1e6)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 
 import qfactor
 from qfactor.cli import main, verify_exit_code
-from qfactor.reportio import strip_volatile
+from qfactor.reportio import dumps_canonical, strip_volatile
 
 C8 = "GhCGKC"
 K8 = "G~~~~{"
@@ -516,3 +517,102 @@ class TestEnvelope:
             main(["--version"])
         assert exc.value.code == 0
         assert "qfactor" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# golden projections
+# ---------------------------------------------------------------------------
+
+# Every (subcommand, --format) projection, pinned byte for byte against
+# tests/golden/cli/<name>.<format>. Graph input comes from stdin, so the
+# report's "input" is "-" and no temporary path leaks into the output. The
+# stream mixes the smoke graphs, a blank line, a malformed line, a graph
+# with no even factor (a counterexample once --eps 1e6 lifts the threshold),
+# an odd-order graph and G*(8,2) plus one edge.
+GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
+GOLDEN_INPUT = "\n".join(
+    [C8, K8, GSTAR82, "", "!!bogus!!", FACTORLESS, "D??", GSTAR82_PLUS_EDGE]) + "\n"
+GOLDEN_CASES = [
+    # (name, argv without --format, formats, exit code)
+    ("spectrum", ["spectrum", "-"], ("text", "json", "csv"), 0),
+    ("factor", ["factor", "-"], ("text", "json", "csv"), 2),
+    ("verify", ["verify", "--stream", "-", "--eps", "1e6"], ("text", "json", "csv"), 2),
+    ("extremal_gstar", ["extremal", "--family", "gstar", "--n", "8", "--delta", "2"],
+     ("text", "json"), 0),
+    ("extremal_g1", ["extremal", "--family", "g1", "--n", "10", "--s", "2",
+                     "--parts", "3,3"], ("text", "json"), 0),
+    ("extremal_g2", ["extremal", "--family", "g2", "--n", "8", "--s", "2"],
+     ("text", "json"), 0),
+    ("extremal_g3", ["extremal", "--family", "g3", "--n", "14", "--delta", "3", "--s", "2"],
+     ("text", "json"), 0),
+    ("extremal_g4", ["extremal", "--family", "g4", "--n", "14", "--delta", "3", "--s", "2"],
+     ("text", "json"), 0),
+    ("lemmas", ["lemmas", "--seed", "3", "--grid", "max_n=10,max_s=3,pairs=5"],
+     ("text", "json"), 0),
+    ("identities", ["identities", "--grid", "max_delta=3"], ("text", "json"), 0),
+    ("agreement", ["agreement", "--n", "4"], ("text", "json"), 0),
+    ("agreement_sampled", ["agreement", "--n", "6", "--samples", "5", "--seed", "1"],
+     ("text", "json"), 0),
+]
+
+# Eigensolver noise (residuals near 1e-15, a radius of 7 printed as
+# 7.00000000000001) differs between OpenBLAS kernels on the same input, so
+# every decimal float is compared at 9 significant digits and anything below
+# 1e-9 in magnitude reads as 0. Integers, graph6 strings, keys, column order
+# and layout are compared exactly.
+_DECIMAL = re.compile(r"-?\d+(?:\.\d+(?:e[-+]?\d+)?|e[-+]?\d+)")
+
+
+def _mask_floats(text):
+    def canonical(match):
+        x = float(match.group())
+        return "0" if abs(x) < 1e-9 else format(x, ".9g")
+    return _DECIMAL.sub(canonical, text)
+
+
+def _golden_stdout(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN_INPUT))
+    code, out, _ = run(capsys, *argv)
+    if "json" in argv and "--report" not in argv:
+        out = dumps_canonical(strip_volatile(json.loads(out)))
+    return code, out
+
+
+@pytest.mark.parametrize("name, argv, fmt, exit_code", [
+    (name, argv, fmt, exit_code)
+    for name, argv, formats, exit_code in GOLDEN_CASES for fmt in formats
+])
+def test_golden_projection(capsys, monkeypatch, name, argv, fmt, exit_code):
+    code, out = _golden_stdout(capsys, monkeypatch, [*argv, "--format", fmt])
+    expected = (GOLDEN_DIR / f"{name}.{fmt}").read_text(encoding="ascii")
+    assert code == exit_code
+    assert _mask_floats(out) == _mask_floats(expected)
+
+
+def test_golden_json_with_report_prints_summary_only(capsys, monkeypatch, tmp_path):
+    # With --report, --format json prints only the text summary line; the
+    # file holds the envelope that --format json alone would print.
+    path = tmp_path / "r.json"
+    argv = ["verify", "--stream", "-", "--eps", "1e6", "--format", "json",
+            "--report", str(path)]
+    code, out = _golden_stdout(capsys, monkeypatch, argv)
+    assert code == 2
+    assert out == (GOLDEN_DIR / "verify.text").read_text().splitlines(True)[-1]
+    written = dumps_canonical(strip_volatile(json.loads(path.read_text())))
+    assert _mask_floats(written) == _mask_floats((GOLDEN_DIR / "verify.json").read_text())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "gstar", "--n", "8"], "extremal: gstar requires --n and --delta"),
+    (["--family", "g1", "--s", "2"], "extremal: g1 requires --s and --parts"),
+    (["--family", "g2", "--n", "8"], "extremal: g2 requires --n and --s"),
+    (["--family", "g3", "--n", "14", "--delta", "3"],
+     "extremal: g3 requires --n, --delta and --s"),
+    (["--family", "g4", "--delta", "3", "--s", "2"],
+     "extremal: g4 requires --n, --delta and --s"),
+    (["--family", "g3", "--n", "14", "--delta", "3", "--s", "3"],
+     "extremal: need 2 <= s <= delta-1"),
+])
+def test_extremal_missing_flags_message(capsys, argv, message):
+    code, out, err = run(capsys, "extremal", *argv)
+    assert (code, out, err) == (2, "", message + "\n")

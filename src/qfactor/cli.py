@@ -17,7 +17,8 @@ and ``csv`` are human/flat projections of the same rows.
 
 Exit codes: 0 = completed with no counterexample or mismatch; 1 = a
 counterexample or suite failure was found (reports are still written);
-2 = usage or malformed input; 3 = ``agreement``'s enumeration guard
+2 = usage or malformed input (``spectrum``, ``factor`` and ``verify`` still
+write their error rows); 3 = ``agreement``'s enumeration guard
 (``--max-enum-order``) blocked an exhaustive census.  Input-integrity
 problems (2) take precedence over findings (1).  Every other computation
 is polynomial and has no guard.
@@ -30,7 +31,7 @@ import csv
 import json
 import sys
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
 from .extremal import (
@@ -98,31 +99,17 @@ def _parse_parts(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _nonnegative_eps(text: str) -> float:
-    try:
-        eps = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"eps {text!r} is not a number")
-    if not eps >= 0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"eps must be nonnegative, got {text!r}")
-    return eps
-
-
-def _positive_jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"jobs {text!r} is not an integer")
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"jobs must be at least 1, got {jobs}")
-    return jobs
-
-
-def _add_output_flags(p: argparse.ArgumentParser, formats: Sequence[str]) -> None:
-    p.add_argument("--format", choices=list(formats), default=formats[0],
-                   help="stdout projection (default %(default)s)")
-    p.add_argument("--report", metavar="PATH", default=None,
-                   help="write the full JSON report envelope to PATH")
+def _at_least(kind: type, minimum: int) -> Callable[[str], Any]:
+    """An argparse type: a *kind* (int or float) of at least *minimum*."""
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid {kind.__name__}")
+        if not value >= minimum:  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text!r}")
+        return value
+    return parse
 
 
 def _read_lines(source: str) -> list[str]:
@@ -132,30 +119,8 @@ def _read_lines(source: str) -> list[str]:
         return fh.read().splitlines()
 
 
-def _write_outputs(
-    args: argparse.Namespace,
-    report: dict[str, Any],
-    text_lines: list[str],
-    csv_rows: tuple[list[str], list[list[str]]] | None = None,
-) -> None:
-    if args.report:
-        with open(args.report, "w", encoding="ascii") as fh:
-            fh.write(dumps_canonical(report))
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
-        if args.report:
-            for line in text_lines[-1:]:
-                print(line)
-        else:
-            sys.stdout.write(dumps_canonical(report))
-    elif fmt == "csv" and csv_rows is not None:
-        header, rows = csv_rows
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        for line in text_lines:
-            print(line)
+# ---------------------------------------------------------------------------
+# rendering
 
 
 def _fmt(value: Any) -> str:
@@ -166,101 +131,145 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+# The CSV projection of each command's ``results.items``: one column per row
+# key, rendered by its formatter in _CSV_FORMAT or else by _fmt.
+_CSV_COLUMNS = {
+    "spectrum": ("line", "graph6", "n", "m", "delta", "q", "rho", "residual", "error"),
+    "factor": ("line", "graph6", "criterion_holds", "blocking", "certificate", "agreement",
+               "error"),
+    "verify": ("line", "graph6", "classification", "q", "threshold", "delta", "witness",
+               "note", "error"),
+}
+_CSV_FORMAT: dict[str, Callable[[Any], str]] = {
+    "witness": lambda witness: json.dumps(witness, sort_keys=True) if witness else "",
+    "criterion_holds": lambda holds: "" if holds is None else str(holds).lower(),
+    "blocking": lambda blocking: " ".join(map(str, blocking)) if blocking else "",
+    "certificate": lambda edges: " ".join(f"{u}-{v}" for u, v in edges) if edges else "",
+}
+
+
+class Run(NamedTuple):
+    """What one subcommand computed; :func:`main` renders it."""
+
+    config: dict[str, Any]
+    results: dict[str, Any]
+    text_lines: list[str]
+    exit_code: int = 0
+
+
+def _write_outputs(args: argparse.Namespace, report: dict[str, Any], run: Run) -> None:
+    if args.report:
+        with open(args.report, "w", encoding="ascii") as fh:
+            fh.write(dumps_canonical(report))
+    if args.format == "json":
+        if args.report:
+            print(run.text_lines[-1])  # the summary line
+        else:
+            sys.stdout.write(dumps_canonical(report))
+    elif args.format == "csv":
+        columns = _CSV_COLUMNS[args.subcommand]
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_CSV_FORMAT.get(column, _fmt)(row.get(column)) for column in columns]
+                         for row in run.results["items"])
+    else:
+        for line in run.text_lines:
+            print(line)
+
+
+def _row_lines(rows: list[dict[str, Any]], text_of: Callable[[dict], str]) -> list[str]:
+    return [
+        f"{row['graph6']}  " + (f"error: {row['error']}" if "error" in row else text_of(row))
+        for row in rows
+    ]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    lines = _read_lines(args.input)
+def _cmd_per_line(args: argparse.Namespace) -> Run:
+    """One row per nonblank input line: the line number, the graph6 and the
+    command's fields for the graph.  A line that fails is an error row, and
+    any error row makes the exit code 2."""
+    row_of, text_of = _PER_LINE[args.subcommand]
     rows: list[dict[str, Any]] = []
     errors = 0
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(args.input), start=1):
         text = raw.strip()
         if not text:
             continue
         try:
-            g = parse_graph6(text)
-            rq = perron_q(g)
-            rr = perron_rho(g)
-            rows.append(
-                {
-                    "line": lineno,
-                    "graph6": graph6_payload(text),
-                    "n": g.n,
-                    "m": g.edge_count,
-                    "delta": min_degree(g),
-                    "q": rq.value,
-                    "rho": rr.value,
-                    "residual": max(rq.residual, rr.residual),
-                }
-            )
+            row = {"line": lineno, "graph6": graph6_payload(text), **row_of(parse_graph6(text))}
         except (ValueError, ArithmeticError) as exc:
-            # Graph6Error, an order-0 graph, or the perron residual gate
+            # Graph6Error, an order-0 or odd-order graph, the perron residual
+            # gate or a rejected certificate: this line fails, the run goes on.
             errors += 1
-            rows.append({"line": lineno, "graph6": text, "error": str(exc)})
-
+            row = {"line": lineno, "graph6": text, "error": str(exc)}
+        rows.append(row)
+    text_lines = _row_lines(rows, text_of)
+    text_lines.append(f"{args.subcommand}: {len(rows)} graphs, {errors} errors")
     results = {"items": rows, "errors": errors, "total": len(rows)}
-    config = {
-        "subcommand": "spectrum",
-        "input": args.input,
-        "strict": args.strict,
-        "format": args.format,
+    return Run({"input": args.input}, results, text_lines, 2 if errors else 0)
+
+
+def _spectrum_row(g) -> dict[str, Any]:
+    rq = perron_q(g)
+    rr = perron_rho(g)
+    return {
+        "n": g.n,
+        "m": g.edge_count,
+        "delta": min_degree(g),
+        "q": rq.value,
+        "rho": rr.value,
+        "residual": max(rq.residual, rr.residual),
     }
-    report = make_report("spectrum", config, results,
-                         wall_time_s=time.perf_counter() - start)
-
-    text_lines = []
-    for row in rows:
-        if "error" in row:
-            text_lines.append(f"{row['graph6']}  error: {row['error']}")
-        else:
-            text_lines.append(
-                f"{row['graph6']}  n={row['n']} m={row['m']} delta={row['delta']} "
-                f"q={_fmt(row['q'])} rho={_fmt(row['rho'])} "
-                f"residual={_fmt(row['residual'])}"
-            )
-    text_lines.append(f"spectrum: {len(rows)} graphs, {errors} errors")
-    csv_rows = None
-    if args.format == "csv":
-        header = ["line", "graph6", "n", "m", "delta", "q", "rho", "residual", "error"]
-        csv_rows = (header, [
-            [_fmt(row["line"]), row["graph6"], "", "", "", "", "", "", row["error"]]
-            if "error" in row else [_fmt(row[k]) for k in header[:-1]] + [""]
-            for row in rows
-        ])
-    _write_outputs(args, report, text_lines, csv_rows)
-    return 2 if args.strict and errors else 0
 
 
-def _extremal_graph(args: argparse.Namespace):
-    family = args.family
-    if family == "gstar":
-        if args.n is None or args.delta is None:
-            raise ValueError("gstar requires --n and --delta")
-        return build_gstar(args.n, args.delta)
-    if family == "g1":
-        if args.s is None or args.parts is None:
-            raise ValueError("g1 requires --s and --parts")
-        return build_g1(args.s, args.parts)
-    if family == "g2":
-        if args.n is None or args.s is None:
-            raise ValueError("g2 requires --n and --s")
-        return build_g2(args.n, args.s)
-    if args.n is None or args.delta is None or args.s is None:
-        raise ValueError(f"{family} requires --n, --delta and --s")
-    if family == "g3":
-        return build_g3(args.n, args.delta, args.s)
-    return build_g4(args.n, args.delta, args.s)
+def _spectrum_text(row: dict[str, Any]) -> str:
+    keys = ("n", "m", "delta", "q", "rho", "residual")
+    return " ".join(f"{key}={_fmt(row[key])}" for key in keys)
 
 
-def _cmd_extremal(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    try:
-        g = _extremal_graph(args)
-    except ValueError as exc:
-        print(f"extremal: {exc}", file=sys.stderr)
-        return 2
+def _factor_row(g) -> dict[str, Any]:
+    verdict = factor_verdict(g)
+    return {
+        "criterion_holds": verdict.criterion_holds,
+        "blocking": list(verdict.blocking) if verdict.blocking else None,
+        "certificate": [list(e) for e in verdict.certificate] if verdict.certificate else None,
+        "agreement": verdict.agreement,
+    }
+
+
+def _factor_text(row: dict[str, Any]) -> str:
+    return (f"criterion={'yes' if row['criterion_holds'] else 'no'} "
+            f"blocking=[{_CSV_FORMAT['blocking'](row['blocking'])}] "
+            f"certificate_edges={len(row['certificate'] or ())} agreement={row['agreement']}")
+
+
+# per-line command -> (the fields of one graph's row, the text of that row)
+_PER_LINE = {"spectrum": (_spectrum_row, _spectrum_text), "factor": (_factor_row, _factor_text)}
+
+
+# family -> (its build function, the flags it requires, in that function's argument order)
+_FAMILIES = {
+    "gstar": (build_gstar, ("n", "delta")),
+    "g1": (build_g1, ("s", "parts")),
+    "g2": (build_g2, ("n", "s")),
+    "g3": (build_g3, ("n", "delta", "s")),
+    "g4": (build_g4, ("n", "delta", "s")),
+}
+
+
+def _cmd_extremal(args: argparse.Namespace) -> Run:
+    build, flags = _FAMILIES[args.family]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        names = [f"--{flag}" for flag in flags]
+        raise ValueError(f"{args.family} requires {', '.join(names[:-1])} and {names[-1]}")
+    g = build(*values)
+    config = {key: getattr(args, key) for key in ("family", "n", "delta", "s")}
+    config["parts"] = list(args.parts) if args.parts else None
 
     meta: dict[str, Any] = {
         "family": args.family,
@@ -269,12 +278,7 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
         "edges": g.edge_count,
         "q": perron_q(g).value,
     }
-    if args.n is not None:
-        meta["n"] = args.n
-    if args.delta is not None:
-        meta["delta"] = args.delta
-    if args.s is not None:
-        meta["s"] = args.s
+    meta.update((key, config[key]) for key in ("n", "delta", "s") if config[key] is not None)
     if args.family == "gstar":
         poly = phi_bstar(args.n, args.delta)
         meta["coefficients"] = list(poly.coeffs)
@@ -304,89 +308,11 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
         }
         meta["embeds_in_extremal"] = containment.embedded
 
-    config = {
-        "subcommand": "extremal",
-        "family": args.family,
-        "n": args.n,
-        "delta": args.delta,
-        "s": args.s,
-        "parts": list(args.parts) if args.parts else None,
-        "format": args.format,
-    }
-    report = make_report("extremal", config, meta,
-                         wall_time_s=time.perf_counter() - start)
-    text_lines = [meta["graph6"]]
-    for key in sorted(meta):
-        if key == "graph6":
-            continue
-        value = meta[key]
-        if isinstance(value, float):
-            value = _fmt(value)
-        text_lines.append(f"{key} = {value}")
-    _write_outputs(args, report, text_lines)
-    return 0
-
-
-def _cmd_factor(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    lines = _read_lines(args.input)
-    rows: list[dict[str, Any]] = []
-    errors = 0
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        try:
-            verdict = factor_verdict(parse_graph6(text))
-        except (ValueError, ArithmeticError) as exc:
-            # Graph6Error, an odd order or a rejected certificate: this
-            # line fails, the run goes on.
-            errors += 1
-            rows.append({"line": lineno, "graph6": text, "error": str(exc)})
-            continue
-        rows.append(
-            {
-                "line": lineno,
-                "graph6": graph6_payload(text),
-                "criterion_holds": verdict.criterion_holds,
-                "blocking": list(verdict.blocking) if verdict.blocking else None,
-                "certificate": [list(e) for e in verdict.certificate]
-                if verdict.certificate
-                else None,
-                "agreement": verdict.agreement,
-            }
-        )
-
-    results = {"items": rows, "errors": errors, "total": len(rows)}
-    config = {"subcommand": "factor", "input": args.input, "format": args.format}
-    report = make_report("factor", config, results,
-                         wall_time_s=time.perf_counter() - start)
-
-    text_lines = []
-    csv_header = ["line", "graph6", "criterion_holds", "blocking", "certificate", "agreement", "note"]
-    csv_body = []
-    for row in rows:
-        if "error" in row:
-            text_lines.append(f"{row['graph6']}  error: {row['error']}")
-            csv_body.append([_fmt(row["line"]), row["graph6"], "", "", "", "", row["error"]])
-        else:
-            blocking = " ".join(map(str, row["blocking"])) if row["blocking"] else ""
-            cert = " ".join(f"{u}-{v}" for u, v in row["certificate"]) if row["certificate"] else ""
-            text_lines.append(
-                f"{row['graph6']}  criterion={'yes' if row['criterion_holds'] else 'no'} "
-                f"blocking=[{blocking}] certificate_edges="
-                f"{len(row['certificate']) if row['certificate'] else 0} "
-                f"agreement={row['agreement']}"
-            )
-            csv_body.append(
-                [
-                    _fmt(row["line"]), row["graph6"], str(row["criterion_holds"]).lower(),
-                    blocking, cert, row["agreement"], "",
-                ]
-            )
-    text_lines.append(f"factor: {len(rows)} graphs, {errors} errors")
-    _write_outputs(args, report, text_lines, (csv_header, csv_body))
-    return 2 if errors else 0
+    text_lines = [meta["graph6"]] + [
+        f"{key} = {_fmt(value) if isinstance(value, float) else value}"
+        for key, value in sorted(meta.items()) if key != "graph6"
+    ]
+    return Run(config, meta, text_lines)
 
 
 def verify_exit_code(results: dict[str, Any]) -> int:
@@ -399,161 +325,70 @@ def verify_exit_code(results: dict[str, Any]) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    lines = _read_lines(args.stream)
-    results = verify_stream(lines, eps=args.eps, jobs=args.jobs)
-    config = {
-        "subcommand": "verify",
-        "input": args.stream,
-        "eps": args.eps,
-        "jobs": args.jobs,
-        "format": args.format,
-    }
-    report = make_report("verify", config, results,
-                         wall_time_s=time.perf_counter() - start)
-
+def _cmd_verify(args: argparse.Namespace) -> Run:
+    results = verify_stream(_read_lines(args.stream), eps=args.eps, jobs=args.jobs)
     counts = results["counts"]
-    summary = (
+    shown = [row for row in results["items"]
+             if "error" in row or row["classification"] == "counterexample"]
+    text_lines = _row_lines(shown, lambda row: "counterexample")
+    text_lines.append(
         "verify: total={total} errors={errors} ".format(**results)
         + " ".join(f"{k}={counts[k]}" for k in counts)
     )
-    text_lines = []
-    for row in results["items"]:
-        if "error" in row:
-            text_lines.append(f"{row['graph6']}  error: {row['error']}")
-        elif row["classification"] == "counterexample":
-            text_lines.append(f"{row['graph6']}  counterexample")
-    text_lines.append(summary)
-
-    csv_rows = None
-    if args.format == "csv":
-        header = ["line", "graph6", "classification", "q", "threshold", "delta",
-                  "witness", "note", "error"]
-        csv_rows = (header, [
-            [
-                _fmt(row.get("line")),
-                row.get("graph6", ""),
-                row.get("classification", ""),
-                _fmt(row.get("q")),
-                _fmt(row.get("threshold")),
-                _fmt(row.get("delta")),
-                json.dumps(row["witness"], sort_keys=True) if row.get("witness") else "",
-                row.get("note", ""),
-                row.get("error", ""),
-            ]
-            for row in results["items"]
-        ])
-    _write_outputs(args, report, text_lines, csv_rows)
-    return verify_exit_code(results)
+    config = {"input": args.stream, "eps": args.eps, "jobs": args.jobs}
+    return Run(config, results, text_lines, verify_exit_code(results))
 
 
-_LEMMA_GRID_KEYS = ("max_n", "max_s", "pairs", "det_eval_max_order")
-_IDENTITY_GRID_KEYS = ("max_delta",)
+# suite command -> (suite, accepted grid keys, whether --seed is passed,
+# summary word for a failure).  The suites are called through this module's
+# globals, so a wrapper installed on them (the benchmark's tracer) is seen.
+_SUITES = {
+    "lemmas": (lambda **kw: lemma_suite(**kw),
+               ("max_n", "max_s", "pairs", "det_eval_max_order"), True, "FAILURES"),
+    "identities": (lambda **kw: identity_suite(**kw), ("max_delta",), False, "MISMATCHES"),
+}
 
 
-def _cmd_lemmas(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def _cmd_suite(args: argparse.Namespace) -> Run:
+    suite, keys, seeded, failure = _SUITES[args.subcommand]
     grid = dict(args.grid or {})
-    bad = set(grid) - set(_LEMMA_GRID_KEYS)
+    bad = set(grid) - set(keys)
     if bad:
-        print(f"lemmas: unknown grid keys {sorted(bad)} (known: {list(_LEMMA_GRID_KEYS)})",
-              file=sys.stderr)
-        return 2
-    results = lemma_suite(seed=args.seed, **grid)
-    config = {
-        "subcommand": "lemmas",
-        "seed": args.seed,
-        "grid": grid,
-        "format": args.format,
-    }
-    report = make_report("lemmas", config, results, seed=args.seed,
-                         wall_time_s=time.perf_counter() - start)
-    text_lines = []
-    for name, section in results.items():
-        if isinstance(section, dict):
-            text_lines.append(f"{name}: {'PASS' if section['passed'] else 'FAIL'}")
-    text_lines.append(f"lemmas: {'all passed' if results['all_passed'] else 'FAILURES'}")
-    _write_outputs(args, report, text_lines)
-    return 0 if results["all_passed"] else 1
-
-
-def _cmd_identities(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    grid = dict(args.grid or {})
-    bad = set(grid) - set(_IDENTITY_GRID_KEYS)
-    if bad:
-        print(
-            f"identities: unknown grid keys {sorted(bad)} (known: {list(_IDENTITY_GRID_KEYS)})",
-            file=sys.stderr,
-        )
-        return 2
-    results = identity_suite(**grid)
-    config = {"subcommand": "identities", "grid": grid, "format": args.format}
-    report = make_report("identities", config, results,
-                         wall_time_s=time.perf_counter() - start)
-    text_lines = []
-    for name, section in results.items():
-        if isinstance(section, dict):
-            text_lines.append(f"{name}: {'PASS' if section['passed'] else 'FAIL'}")
+        raise ValueError(f"unknown grid keys {sorted(bad)} (known: {list(keys)})")
+    results = suite(**grid, seed=args.seed) if seeded else suite(**grid)
+    config = {"grid": grid, "seed": args.seed} if seeded else {"grid": grid}
+    text_lines = [
+        f"{name}: {'PASS' if section['passed'] else 'FAIL'}"
+        for name, section in results.items() if isinstance(section, dict)
+    ]
     text_lines.append(
-        f"identities: {'all passed' if results['all_passed'] else 'MISMATCHES'}"
+        f"{args.subcommand}: {'all passed' if results['all_passed'] else failure}")
+    return Run(config, results, text_lines, 0 if results["all_passed"] else 1)
+
+
+def _cmd_agreement(args: argparse.Namespace) -> Run:
+    results = agreement_study(
+        args.n,
+        connected_only=args.connected_only,
+        samples=args.samples,
+        p=args.p,
+        seed=args.seed,
+        max_order=args.max_enum_order,
     )
-    _write_outputs(args, report, text_lines)
-    return 0 if results["all_passed"] else 1
-
-
-def _cmd_agreement(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    if args.exhaustive and args.samples is not None:
-        print("agreement: --exhaustive and --samples are mutually exclusive", file=sys.stderr)
-        return 2
-    samples = args.samples if not args.exhaustive else None
-    try:
-        results = agreement_study(
-            args.n,
-            connected_only=args.connected_only,
-            samples=samples,
-            p=args.p,
-            seed=args.seed,
-            max_order=args.max_enum_order,
-        )
-    except ValueError as exc:
-        print(f"agreement: {exc}", file=sys.stderr)
-        return 2
-    except GuardExceeded as exc:
-        print(f"agreement: {exc}", file=sys.stderr)
-        return 3
-
-    config = {
-        "subcommand": "agreement",
-        "n": args.n,
-        "exhaustive": samples is None,
-        "samples": samples,
-        "connected_only": args.connected_only,
-        "p": args.p,
-        "seed": args.seed if samples is not None else None,
-        "max_enum_order": args.max_enum_order,
-        "format": args.format,
-    }
-    report = make_report(
-        "agreement", config, results,
-        seed=args.seed if samples is not None else None,
-        wall_time_s=time.perf_counter() - start,
-    )
-    counts = results["counts"]
+    config = {key: getattr(args, key)
+              for key in ("n", "samples", "connected_only", "p", "max_enum_order")}
+    config["exhaustive"] = args.samples is None
+    config["seed"] = None if args.samples is None else args.seed
     text_lines = [
         f"agreement n={args.n} ({results['mode']}, "
         f"{'connected' if args.connected_only else 'all'}): total={results['total']}"
     ]
-    for key in counts:
-        text_lines.append(f"  {key}: {counts[key]}")
+    text_lines += [f"  {key}: {count}" for key, count in results["counts"].items()]
     text_lines.append(
         "criterion matches even factors: "
         + ("yes" if results["criterion_matches_factor"] else "no")
     )
-    _write_outputs(args, report, text_lines)
-    return 0
+    return Run(config, results, text_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -568,84 +403,90 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qfactor {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("spectrum", help="per-graph spectral radii")
-    p.add_argument("input", nargs="?", default="-", help="graph6 file or - for stdin")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 2 on malformed input instead of per-line error rows")
-    _add_output_flags(p, ("text", "json", "csv"))
-    p.set_defaults(func=_cmd_spectrum)
+    def add(name: str, func: Callable[[argparse.Namespace], Run], help: str):
+        p = sub.add_parser(name, help=help)
+        formats = ("text", "json", "csv") if name in _CSV_COLUMNS else ("text", "json")
+        p.add_argument("--format", choices=formats, default="text",
+                       help="stdout projection (default %(default)s)")
+        p.add_argument("--report", metavar="PATH", default=None,
+                       help="write the full JSON report envelope to PATH")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("extremal", help="build an extremal-family graph")
-    p.add_argument("--family", required=True, choices=("gstar", "g1", "g2", "g3", "g4"))
+    p = add("spectrum", _cmd_per_line, "per-graph spectral radii")
+    p.add_argument("input", nargs="?", default="-", help="graph6 file or - for stdin")
+
+    p = add("extremal", _cmd_extremal, "build an extremal-family graph")
+    p.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--parts", type=_parse_parts, default=None,
                    help="comma-separated clique orders (g1 only)")
-    _add_output_flags(p, ("text", "json"))
-    p.set_defaults(func=_cmd_extremal)
 
-    p = sub.add_parser("factor", help="criterion and certificate per graph")
+    p = add("factor", _cmd_per_line, "criterion and certificate per graph")
     p.add_argument("input", nargs="?", default="-", help="graph6 file or - for stdin")
-    _add_output_flags(p, ("text", "json", "csv"))
-    p.set_defaults(func=_cmd_factor)
 
-    p = sub.add_parser("verify", help="classify a stream against the theorem")
+    p = add("verify", _cmd_verify, "classify a stream against the theorem")
     p.add_argument("--stream", required=True, metavar="FILE",
                    help="graph6 file or - for stdin")
-    p.add_argument("--eps", type=_nonnegative_eps, default=1e-8,
+    p.add_argument("--eps", type=_at_least(float, 0), default=1e-8,
                    help="threshold comparison band, >= 0 (default 1e-8)")
-    p.add_argument("--jobs", type=_positive_jobs, default=1,
+    p.add_argument("--jobs", type=_at_least(int, 1), default=1,
                    help="worker processes, >= 1 (default 1)")
     # Benchmark holdovers: perfbench/workloads.py still passes these flags,
     # and perfbench/ changes only in a benchmark change. Accepted, ignored.
     for flag in ("--max-cert-order", "--max-cert-edges"):
         p.add_argument(flag, type=int, help=argparse.SUPPRESS)
     p.add_argument("--allow-undecided", action="store_true", help=argparse.SUPPRESS)
-    _add_output_flags(p, ("text", "json", "csv"))
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("lemmas", help="run the supporting-lemma suite")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random pairs")
-    p.add_argument("--grid", type=_parse_grid, default=None,
-                   help="key=value,... among " + ",".join(_LEMMA_GRID_KEYS))
-    _add_output_flags(p, ("text", "json"))
-    p.set_defaults(func=_cmd_lemmas)
+    for name, help in (("lemmas", "run the supporting-lemma suite"),
+                       ("identities", "run the exact identity suite")):
+        _, keys, seeded, _ = _SUITES[name]
+        p = add(name, _cmd_suite, help)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="seed for the random pairs")
+        p.add_argument("--grid", type=_parse_grid, default=None,
+                       help="key=value,... among " + ",".join(keys))
 
-    p = sub.add_parser("identities", help="run the exact identity suite")
-    p.add_argument("--grid", type=_parse_grid, default=None,
-                   help="key=value,... among " + ",".join(_IDENTITY_GRID_KEYS))
-    _add_output_flags(p, ("text", "json"))
-    p.set_defaults(func=_cmd_identities)
-
-    p = sub.add_parser("agreement", help="criterion-vs-even-factor cross-tabulation")
+    p = add("agreement", _cmd_agreement, "criterion-vs-even-factor cross-tabulation")
     p.add_argument("--n", type=int, required=True, help="graph order (even)")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="every labeled graph of order n (guarded)")
-    p.add_argument("--samples", type=int, default=None,
-                   help="number of seeded random graphs instead of exhaustion")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exhaustive", action="store_true",
+                      help="every labeled graph of order n (the default; guarded)")
+    mode.add_argument("--samples", type=int, default=None,
+                      help="number of seeded random graphs (>= 1) instead of exhaustion")
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--p", type=float, default=0.5, help="edge probability for samples")
     p.add_argument("--seed", type=int, default=0, help="seed for samples")
     p.add_argument("--max-enum-order", type=int, default=DEFAULT_ENUM_ORDER, metavar="N",
                    help="exhaustive-enumeration order guard (default %(default)s)")
-    _add_output_flags(p, ("text", "json"))
-    p.set_defaults(func=_cmd_agreement)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand, then write its report and stdout projection."""
+    args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        run = args.func(args)
+        config = {**run.config, "subcommand": args.subcommand, "format": args.format}
+        # A command that consumed randomness records its seed in the config.
+        report = make_report(args.subcommand, config, run.results, seed=config.get("seed"),
+                             wall_time_s=time.perf_counter() - start)
+        _write_outputs(args, report, run)
+        return run.exit_code
     except BrokenPipeError:
         return 0
     except (OSError, UnicodeDecodeError) as exc:
         # missing or unreadable input (a directory, a non-ASCII byte)
         print(f"qfactor: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, GuardExceeded) as exc:
+        # the command's own validation (2) or agreement's enumeration guard (3)
+        print(f"{args.subcommand}: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, GuardExceeded) else 2
 
 
 if __name__ == "__main__":

@@ -357,6 +357,7 @@ def sharpness_probe(
     happens to the radius under every single-edge addition and deletion
     (additions that clear the threshold are checked against the recognizer,
     probing uniqueness of the exceptional graph)."""
+    _check_eps(eps)
     g = build_gstar(n, delta)
     q = perron_q(g).value
     threshold = threshold_q(n, delta)
@@ -884,6 +885,8 @@ def agreement_study(
                     disagreements[verdict].append(encode(mask))
     else:
         mode = "sampled"
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         if connected_only and (n == 0 or (p == 0 and n >= 2)):
             raise ValueError(
                 f"no connected graph can be drawn with n={n}, p={p}")

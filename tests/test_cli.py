@@ -84,15 +84,22 @@ class TestSpectrum:
         assert float(rows[1]["q"]) == pytest.approx(14.0, abs=1e-9)
 
     def test_malformed_line_lax_vs_strict(self, capsys, tmp_path):
+        # Malformed lines are error rows, and any error row exits 2, as in
+        # factor and verify.
         path = tmp_path / "bad.g6"
         path.write_text("C~\n!!bogus!!\n?\n")  # '?' is the order-0 graph
         code, out, _ = run(capsys, "spectrum", str(path), "--format", "json")
-        assert code == 0
-        report = json.loads(out)
-        assert report["results"]["errors"] == 2
-        code, out, _ = run(capsys, "spectrum", str(path), "--strict")
         assert code == 2
-        assert "error" in out
+        results = json.loads(out)["results"]
+        assert results["errors"] == 2
+        assert [row["line"] for row in results["items"] if "error" in row] == [2, 3]
+        assert "strict" not in json.loads(out)["config"]
+        code, out, _ = run(capsys, "spectrum", str(path))
+        assert code == 2
+        assert out.count("  error: ") == 2
+        assert out.splitlines()[-1] == "spectrum: 3 graphs, 2 errors"
+        code, _, err = run(capsys, "spectrum", str(path), "--strict")
+        assert code == 2 and "--strict" in err
 
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(f"{C8}\n"))
@@ -475,6 +482,12 @@ class TestAgreement:
         assert "no connected graph in 10000 draws" in done.stderr
         assert "n=8, p=1e-06" in done.stderr
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_exit_2(self, capsys, samples):
+        code, out, err = run(capsys, "agreement", "--n", "6", "--samples", samples)
+        assert code == 2 and out == ""
+        assert err == f"agreement: samples must be at least 1, got {samples}\n"
+
     def test_exhaustive_is_default_and_modes_are_exclusive(self, capsys):
         code, out, _ = run(capsys, "agreement", "--n", "4", "--format", "json")
         assert code == 0
@@ -534,7 +547,7 @@ GOLDEN_INPUT = "\n".join(
     [C8, K8, GSTAR82, "", "!!bogus!!", FACTORLESS, "D??", GSTAR82_PLUS_EDGE]) + "\n"
 GOLDEN_CASES = [
     # (name, argv without --format, formats, exit code)
-    ("spectrum", ["spectrum", "-"], ("text", "json", "csv"), 0),
+    ("spectrum", ["spectrum", "-"], ("text", "json", "csv"), 2),
     ("factor", ["factor", "-"], ("text", "json", "csv"), 2),
     ("verify", ["verify", "--stream", "-", "--eps", "1e6"], ("text", "json", "csv"), 2),
     ("extremal_gstar", ["extremal", "--family", "gstar", "--n", "8", "--delta", "2"],

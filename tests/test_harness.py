@@ -478,6 +478,13 @@ class TestSharpnessProbe:
         assert probe["blocking_set"] == [0, 1, 2]
         assert probe["blocking_set_is_join_cell"] is True
 
+    # q(G*(8,2)) - threshold is about -1.8e-15, so a negative band would
+    # report that G*(8,2) does not meet its own threshold.
+    @pytest.mark.parametrize("eps", [-1.0, -1e-8, float("nan")])
+    def test_negative_or_nan_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            sharpness_probe(8, 2, eps=eps, perturbations=False)
+
 
 # ---------------------------------------------------------------------------
 # Helpers and configuration
@@ -656,6 +663,12 @@ class TestAgreementStudy:
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError):
             agreement_study(5)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sampled_needs_a_sample(self, samples):
+        # No graph drawn would report a vacuous match.
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            agreement_study(6, samples=samples)
 
     def test_enum_guard(self):
         with pytest.raises(GuardExceeded):

@@ -278,7 +278,8 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
         "edges": g.edge_count,
         "q": perron_q(g).value,
     }
-    meta.update((key, config[key]) for key in ("n", "delta", "s") if config[key] is not None)
+    # only the family's own parameters: g1 has no n, gstar no s
+    meta.update((flag, value) for flag, value in zip(flags, values) if flag != "parts")
     if args.family == "gstar":
         poly = phi_bstar(args.n, args.delta)
         meta["coefficients"] = list(poly.coeffs)

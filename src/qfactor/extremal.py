@@ -307,18 +307,14 @@ def f_poly(n: int, s: int, delta: int) -> IntPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _threshold_cached(n: int, delta: int, tol: float) -> float:
+def threshold_q(n: int, delta: int) -> float:
+    """q(gstar(n, delta)): the largest root of phi_bstar, correctly rounded,
+    cross-validated against perron_q on the built graph (a mismatch > 1e-8
+    raises RuntimeError, also under python -O)."""
     root = largest_real_root(phi_bstar(n, delta), 0.0, float(2 * n))
     check = perron_q(build_gstar(n, delta)).value
-    if abs(root - check) > tol:
+    if abs(root - check) > 1e-8:
         raise RuntimeError(
             f"threshold cross-validation failed at (n={n}, delta={delta}): "
             f"root {root!r} vs perron {check!r}")
     return root
-
-
-def threshold_q(n: int, delta: int, tol: float = 1e-8) -> float:
-    """q(gstar(n, delta)): the largest root of phi_bstar, correctly rounded,
-    cross-validated against perron_q on the built graph (a mismatch > tol
-    raises RuntimeError, also under python -O)."""
-    return _threshold_cached(n, delta, tol)

@@ -89,9 +89,6 @@ class Graph:
     def empty(n: int) -> "Graph":
         return Graph(n, (0,) * n)
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(r.bit_count() for r in self.rows)
 
@@ -112,15 +109,6 @@ class Graph:
                 mask &= mask - 1
                 out.append((u, v))
         return out
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        mask = self.rows[v]
-        out = []
-        while mask:
-            u = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            out.append(u)
-        return tuple(out)
 
     def add_edges(self, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = list(self.rows)
@@ -152,14 +140,6 @@ def _trusted_graph(n: int, rows: tuple[int, ...]) -> Graph:
     return g
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    """Connected components (each a frozenset), ordered by minimum vertex."""
-
-    components: tuple[frozenset[int], ...]
-    odd_count: int
-
-
 def complete(k: int) -> Graph:
     """K_k. Requires k >= 1."""
     if k < 1:
@@ -183,27 +163,6 @@ def join(a: Graph, b: Graph) -> Graph:
     return _trusted_graph(a.n + b.n, tuple(rows))
 
 
-def delete_vertices(g: Graph, drop: Iterable[int]) -> Graph:
-    """Induced subgraph on the kept vertices, order preserved."""
-    drop_mask = 0
-    for v in drop:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        drop_mask |= 1 << v
-    keep = [v for v in range(g.n) if not drop_mask >> v & 1]
-    index = {v: i for i, v in enumerate(keep)}
-    rows = []
-    for v in keep:
-        mask = g.rows[v] & ~drop_mask
-        row = 0
-        while mask:
-            u = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            row |= 1 << index[u]
-        rows.append(row)
-    return Graph(len(keep), tuple(rows))
-
-
 def _component_masks(rows: Sequence[int], alive: int) -> Iterator[int]:
     """Yield component bitmasks of the subgraph induced on `alive`."""
     remaining = alive
@@ -222,23 +181,6 @@ def _component_masks(rows: Sequence[int], alive: int) -> Iterator[int]:
             comp |= frontier
         yield comp
         remaining &= ~comp
-
-
-def components(g: Graph) -> ComponentReport:
-    comps = []
-    odd = 0
-    alive = (1 << g.n) - 1
-    for mask in _component_masks(g.rows, alive):
-        vs = []
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            vs.append(v)
-        comps.append(frozenset(vs))
-        if len(vs) % 2:
-            odd += 1
-    return ComponentReport(tuple(comps), odd)
 
 
 def odd_components_after_removal(g: Graph, removed_mask: int) -> int:

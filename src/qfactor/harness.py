@@ -440,6 +440,14 @@ def odd_compositions(total: int, parts: int, minimum: int = 1):
     yield from rec(total, parts, lo)
 
 
+def _require_minimums(**limits: tuple[int, int]) -> None:
+    """Reject a grid key below its minimum, the smallest value at which its
+    section still has a case to check: an empty section passes vacuously."""
+    for key, (value, minimum) in limits.items():
+        if value < minimum:
+            raise ValueError(f"grid key {key} must be at least {minimum}, got {value}")
+
+
 def _q_values(graphs: Sequence[Graph]) -> list[float]:
     """Signless-Laplacian radii from one perron_many call, raising the first
     error as perron_q would."""
@@ -451,9 +459,7 @@ def _q_values(graphs: Sequence[Graph]) -> list[float]:
     return out
 
 
-def _redistribution_lemma(
-    *, max_n: int, max_s: int, tol: float, strict_margin: float, eq_tol: float
-) -> dict[str, Any]:
+def _redistribution_lemma(*, max_n: int, max_s: int) -> dict[str, Any]:
     """Merging clique mass into the largest part never lowers the radius:
     q(K_s v union K_{n_i}) <= q(K_s v ((t-1)K_p u K_{n-s-p(t-1)})) whenever
     every n_i >= p, with equality exactly when the smaller parts already
@@ -478,7 +484,7 @@ def _redistribution_lemma(
     for s, parts, p, merged in comparisons:
         left, right = radius[s, parts], radius[s, merged]
         cases += 1
-        if left > right + tol:
+        if left > right + 1e-8:
             violations += 1
             bad.append({"s": s, "parts": list(parts), "p": p})
         elif parts == merged:
@@ -496,8 +502,8 @@ def _redistribution_lemma(
         "min_strict_margin": None if strict == 0 else min_strict,
         "max_equality_deviation": max_eq_dev,
         "passed": violations == 0
-        and (strict == 0 or min_strict > strict_margin)
-        and max_eq_dev <= eq_tol,
+        and (strict == 0 or min_strict > 1e-6)
+        and max_eq_dev <= 1e-9,
     }
 
 
@@ -574,7 +580,7 @@ def _quotient_radius_lemma(*, det_eval_max_order: int) -> dict[str, Any]:
     }
 
 
-def _eigenvector_cell_lemma(*, tol: float) -> dict[str, Any]:
+def _eigenvector_cell_lemma() -> dict[str, Any]:
     """Perron vectors are constant on the cells of the equitable partition,
     for both the adjacency and signless-Laplacian matrices."""
     rows = []
@@ -587,14 +593,14 @@ def _eigenvector_cell_lemma(*, tol: float) -> dict[str, Any]:
             for cell in cells:
                 values = [float(data.vector[v]) for v in cell]
                 spreads.append(max(values) - min(values))
-            cell_values(data, cells, tol=tol)  # raises CellSpreadError on failure
+            cell_values(data, cells)  # raises CellSpreadError on failure
             spread = max(spreads)
             max_spread = max(max_spread, spread)
             rows.append({"n": n, "delta": delta, "matrix": label, "max_spread": spread})
-    return {"cases": rows, "max_spread": max_spread, "passed": bool(max_spread < tol)}
+    return {"cases": rows, "max_spread": max_spread, "passed": bool(max_spread < 1e-8)}
 
 
-def _cell_ordering_lemma(*, eq_tol: float, strict_floor: float) -> dict[str, Any]:
+def _cell_ordering_lemma() -> dict[str, Any]:
     """On a join of cliques the Perron value on a clique cell increases with
     the clique's size (equal sizes give equal values), for both the
     adjacency matrix and the signless Laplacian."""
@@ -624,10 +630,10 @@ def _cell_ordering_lemma(*, eq_tol: float, strict_floor: float) -> dict[str, Any
             ok = True
             for a, b in zip(ordered, ordered[1:]):
                 if sizes[a] == sizes[b]:
-                    if abs(values[a] - values[b]) > eq_tol:
+                    if abs(values[a] - values[b]) > 1e-8:
                         ok = False
                 else:
-                    if values[b] - values[a] <= strict_floor:
+                    if values[b] - values[a] <= 1e-9:
                         ok = False
             if not ok:
                 violations += 1
@@ -648,21 +654,19 @@ def lemma_suite(
     max_n: int = 16,
     max_s: int = 4,
     pairs: int = 100,
-    tol: float = 1e-8,
-    strict_margin: float = 1e-6,
-    eq_tol: float = 1e-9,
     det_eval_max_order: int = 20,
 ) -> dict[str, Any]:
     """Run every supporting-lemma check and return one section per lemma,
-    each with a ``passed`` flag and its measured margins."""
+    each with a ``passed`` flag and its measured margins.  Raises ValueError
+    for a grid that would leave a section without cases."""
+    _require_minimums(max_n=(max_n, 6), max_s=(max_s, 2), pairs=(pairs, 1),
+                      det_eval_max_order=(det_eval_max_order, 8))
     sections = {
-        "clique_redistribution": _redistribution_lemma(
-            max_n=max_n, max_s=max_s, tol=tol, strict_margin=strict_margin, eq_tol=eq_tol
-        ),
+        "clique_redistribution": _redistribution_lemma(max_n=max_n, max_s=max_s),
         "edge_monotonicity": _edge_monotonicity_lemma(seed=seed, pairs=pairs),
         "quotient_radius": _quotient_radius_lemma(det_eval_max_order=det_eval_max_order),
-        "eigenvector_cells": _eigenvector_cell_lemma(tol=tol),
-        "cell_ordering": _cell_ordering_lemma(eq_tol=1e-8, strict_floor=1e-9),
+        "eigenvector_cells": _eigenvector_cell_lemma(),
+        "cell_ordering": _cell_ordering_lemma(),
     }
     sections["all_passed"] = all(
         section["passed"] for section in sections.values() if isinstance(section, dict)
@@ -687,12 +691,12 @@ def _identity_grid(max_delta: int = 6) -> list[tuple[int, int, int]]:
     return grid
 
 
-def identity_suite(
-    *, max_delta: int = 6, strict_margin: float = 1e-6, slack: float = 1e-9
-) -> dict[str, Any]:
+def identity_suite(*, max_delta: int = 6) -> dict[str, Any]:
     """Exact-arithmetic checks of the polynomial identities behind the
     threshold, plus the numeric comparison chain that pins the extremal
-    graph at the top of the near-threshold family."""
+    graph at the top of the near-threshold family.  Raises ValueError for
+    ``max_delta < 2``, which leaves the identity grid empty."""
+    _require_minimums(max_delta=(max_delta, 2))
     sections: dict[str, Any] = {}
 
     # (a) phi_{B_2}(n, s) - phi_{B_*}(n, delta) == (s - delta) * f(n, s, delta), exactly.
@@ -773,8 +777,8 @@ def identity_suite(
             case_ok = (
                 diff_form > 0
                 and abs(diff_form - closed) <= 1e-6 * max(1.0, abs(closed))
-                and q4 - q3 > strict_margin
-                and q4 <= qstar + slack
+                and q4 - q3 > 1e-6
+                and q4 <= qstar + 1e-9
                 and containment.embedded
             )
             ok = ok and case_ok

@@ -110,12 +110,6 @@ def _mates(rows: list[int]) -> list[int]:
     return mate
 
 
-def maximum_matching(g: Graph) -> tuple[tuple[int, int], ...]:
-    """A maximum matching of ``g`` as sorted edges ``(u, v)`` with u < v."""
-    mate = _mates(list(g.rows))
-    return tuple((v, u) for v, u in enumerate(mate) if v < u)
-
-
 def two_factor(g: Graph) -> tuple[tuple[int, int], ...] | None:
     """Sorted edges of M1 ∪ M2 for edge-disjoint perfect matchings M1 of G
     and M2 of G − M1, or ``None`` when either maximum matching is not

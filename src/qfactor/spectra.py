@@ -2,12 +2,11 @@
 
 Two arithmetic regimes coexist on purpose and are kept separate:
 
-* float64 + LAPACK ``eigh`` for Perron values of ``alpha*D + A``, solved
-  per connected component behind a hard residual gate. The matrices are
-  unpacked from the bitrows by numpy, and perron_many stacks the components
-  of many graphs by order, so each order costs one ``eigh`` call; stacked
-  and one-matrix calls give bitwise-equal eigenpairs. perron is its
-  one-graph case;
+* float64 + LAPACK ``eigh`` for Perron values of ``alpha*D + A``, each
+  graph solved whole behind a hard residual gate. The matrices are
+  unpacked from the bitrows by numpy, and perron_many stacks many graphs
+  by order, so each order costs one ``eigh`` call; stacked and one-matrix
+  calls give bitwise-equal eigenpairs. perron is its one-graph case;
 * exact integer/rational arithmetic for quotient matrices, characteristic
   polynomials (Faddeev-LeVerrier over Python ints) and root isolation
   (a Sturm chain with integer signs at dyadic points, bisected until the
@@ -27,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, components, delete_vertices, is_connected
+from .graphs import Graph
 
 
 class CellSpreadError(ValueError):
@@ -68,38 +67,38 @@ def _alpha_stack(graphs: Sequence[Graph], alpha: int) -> np.ndarray:
     return m
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    return _alpha_stack([g], 0)[0]
-
-
 def signless_laplacian(g: Graph) -> np.ndarray:
     """Q = D + A."""
     return _alpha_stack([g], 1)[0]
 
 
-def alpha_matrix(g: Graph, alpha: int) -> np.ndarray:
-    """alpha*D + A for alpha in {0, 1} (the two cases the toolkit uses)."""
-    return _alpha_stack([g], alpha)[0]
+def perron_many(
+    graphs: Sequence[Graph], alpha: int
+) -> list[PerronData | ValueError | ArithmeticError]:
+    """Perron data of alpha*D + A for each graph, or the error it raises.
 
-
-def _top_eigenpairs(
-    blocks: Sequence[Graph], alpha: int
-) -> list[tuple[float, np.ndarray, float] | ValueError]:
-    """(value, x, residual) of the largest eigenvalue of alpha*D + A of each
-    connected block, with one LAPACK eigh call per block order.
-
-    x is the absolute value of eigh's unit eigenvector, the Perron vector of
-    a connected graph, and residual is ||M x - value x||_inf. Stacked and
-    one-matrix eigh give bitwise-equal pairs. If a stacked call raises
-    (LinAlgError is a ValueError), that order is retried one block at a
-    time, so an error stays with its own block.
+    Each graph is one matrix in the stack of its order, so each order costs
+    one LAPACK eigh call. value is the largest eigenvalue and vector the
+    absolute value of its unit eigenvector: the Perron vector of a
+    connected graph. The spectrum of a disjoint union is the union of its
+    parts' spectra, so for a disconnected graph value is the largest over
+    its components and vector a nonnegative unit eigenvector for it, which
+    on a tie may spread over the tied components. If a stacked call raises
+    (LinAlgError is a ValueError), that order is retried one graph at a
+    time, so an error stays with its own graph. A graph whose residual
+    ||M x - value x||_inf exceeds RESIDUAL_GATE gets an ArithmeticError;
+    an order-0 graph a ValueError. One stack holds every graph of an
+    order, so the caller bounds memory by the number of graphs it passes.
     """
-    out: list = [None] * len(blocks)
+    out: list = [None] * len(graphs)
     by_order: dict[int, list[int]] = {}
-    for i, block in enumerate(blocks):
-        by_order.setdefault(block.n, []).append(i)
+    for i, g in enumerate(graphs):
+        if g.n == 0:
+            out[i] = ValueError("graph must be nonempty")
+        else:
+            by_order.setdefault(g.n, []).append(i)
     for members in by_order.values():
-        stack = _alpha_stack([blocks[i] for i in members], alpha)
+        stack = _alpha_stack([graphs[i] for i in members], alpha)
         try:
             solved = [(members, stack, *np.linalg.eigh(stack))]
         except ValueError:
@@ -114,63 +113,20 @@ def _top_eigenpairs(
             x = np.abs(vectors[:, :, -1])
             residual = np.abs((mats @ x[:, :, None])[:, :, 0] - top[:, None] * x).max(axis=1)
             for i, value, xi, r in zip(ids, top.tolist(), x, residual.tolist()):
-                out[i] = (value, xi, r)
-    return out
-
-
-def perron_many(
-    graphs: Sequence[Graph], alpha: int
-) -> list[PerronData | ValueError | ArithmeticError]:
-    """Perron data of alpha*D + A for each graph, or the error it raises.
-
-    The components of all graphs go through _top_eigenpairs together, so
-    each component order costs one eigh call. The component with the
-    largest value wins, ties going to the one holding the lowest vertex,
-    and the vector is zero off it. A graph whose winning residual exceeds
-    RESIDUAL_GATE gets an ArithmeticError; an order-0 graph a ValueError.
-    One stack holds every block of an order, so the caller bounds memory
-    by the number of graphs it passes.
-    """
-    out: list = [None] * len(graphs)
-    blocks: list[Graph] = []
-    owned = []
-    for gi, g in enumerate(graphs):
-        if g.n == 0:
-            out[gi] = ValueError("graph must be nonempty")
-        elif is_connected(g):
-            blocks.append(g)
-            owned.append((gi, [range(g.n)]))
-        else:
-            comps = components(g).components
-            blocks += [delete_vertices(g, frozenset(range(g.n)) - c) for c in comps]
-            owned.append((gi, [sorted(c) for c in comps]))
-    pairs = iter(_top_eigenpairs(blocks, alpha))
-    for gi, parts in owned:
-        found = [(next(pairs), part) for part in parts]
-        failed = [pair for pair, _ in found if isinstance(pair, ValueError)]
-        if failed:
-            out[gi] = failed[0]
-            continue
-        # max keeps the first of equal values: the lowest vertex's component
-        (value, x, residual), part = max(found, key=lambda f: f[0][0])
-        if not residual <= RESIDUAL_GATE:  # NaN fails too
-            out[gi] = ArithmeticError(
-                f"eigenpair residual {residual:.3e} exceeds gate {RESIDUAL_GATE:.0e}")
-        elif len(parts) == 1:
-            out[gi] = PerronData(value, x, residual)
-        else:
-            vector = np.zeros(graphs[gi].n)
-            vector[part] = x
-            out[gi] = PerronData(value, vector, residual)
+                if not r <= RESIDUAL_GATE:  # NaN fails too
+                    out[i] = ArithmeticError(
+                        f"eigenpair residual {r:.3e} exceeds gate {RESIDUAL_GATE:.0e}")
+                else:
+                    out[i] = PerronData(value, xi, r)
     return out
 
 
 def perron(g: Graph, alpha: int) -> PerronData:
     """Largest eigenvalue and nonnegative unit eigenvector of alpha*D + A.
 
-    The one-graph case of perron_many: LAPACK eigh runs on each connected
-    component and the winner's residual ``||M x - value x||_inf`` must stay
-    within RESIDUAL_GATE, else ArithmeticError.
+    The one-graph case of perron_many: one LAPACK eigh call, whose residual
+    ``||M x - value x||_inf`` must stay within RESIDUAL_GATE, else
+    ArithmeticError.
     """
     result = perron_many([g], alpha)[0]
     if isinstance(result, Exception):
@@ -211,10 +167,6 @@ class QuotientMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     @property
-    def order(self) -> int:
-        return len(self.entries)
-
-    @property
     def is_integral(self) -> bool:
         return all(e.denominator == 1 for row in self.entries for e in row)
 
@@ -222,9 +174,6 @@ class QuotientMatrix:
         if not self.is_integral:
             raise ValueError("quotient matrix has non-integral entries")
         return [[int(e) for e in row] for row in self.entries]
-
-    def as_float(self) -> np.ndarray:
-        return np.array([[float(e) for e in row] for row in self.entries])
 
 
 def quotient_matrix(m: np.ndarray, cells: Cells) -> QuotientMatrix:
@@ -260,12 +209,13 @@ def is_equitable(m: np.ndarray, cells: Cells) -> bool:
     return True
 
 
-def cell_values(pd: PerronData | np.ndarray, cells: Cells, tol: float = 1e-8) -> list[float]:
+def cell_values(pd: PerronData | np.ndarray, cells: Cells) -> list[float]:
     """One representative vector value per cell (the cell mean).
 
-    Raises CellSpreadError unless entries within each cell agree to tol
+    Raises CellSpreadError unless entries within each cell agree to 1e-8
     relative to max(1, largest magnitude in the cell).
     """
+    tol = 1e-8
     vector = pd.vector if isinstance(pd, PerronData) else np.asarray(pd, dtype=float)
     norm = _check_partition(len(vector), cells)
     out = []

@@ -150,9 +150,23 @@ class TestExtremal:
             "--parts", "3,3", "--format", "json",
         )
         assert code == 0
-        result = json.loads(out)["results"]
+        report = json.loads(out)
+        result = report["results"]
         assert result["parts"] == [3, 3]
-        assert result["n"] == 10
+        # g1 has no n parameter: the results report the order it builds,
+        # and the config keeps the flag as it was passed
+        assert "n" not in result and result["order"] == 8
+        assert report["config"]["n"] == 10
+
+    def test_results_hold_only_the_family_parameters(self, capsys):
+        code, out, _ = run(
+            capsys, "extremal", "--family", "gstar", "--n", "8", "--delta", "2",
+            "--s", "5", "--format", "json",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert (report["results"]["n"], report["results"]["delta"]) == (8, 2)
+        assert "s" not in report["results"] and report["config"]["s"] == 5
 
     def test_g4_surgery_metadata(self, capsys):
         code, out, _ = run(
@@ -414,6 +428,32 @@ class TestSuitesCli:
     def test_bad_grid_syntax(self, capsys):
         code, _, _ = run(capsys, "identities", "--grid", "max_delta")
         assert code == 2
+
+    @pytest.mark.parametrize("command, grid, message", [
+        ("lemmas", "max_n=5", "max_n must be at least 6, got 5"),
+        ("lemmas", "max_s=1", "max_s must be at least 2, got 1"),
+        ("lemmas", "pairs=0", "pairs must be at least 1, got 0"),
+        ("lemmas", "det_eval_max_order=7", "det_eval_max_order must be at least 8, got 7"),
+        ("lemmas", "max_n=-1,max_s=-1,pairs=0", "max_n must be at least 6, got -1"),
+        ("identities", "max_delta=1", "max_delta must be at least 2, got 1"),
+        ("identities", "max_delta=0", "max_delta must be at least 2, got 0"),
+    ])
+    def test_grid_below_minimum_is_a_usage_error(self, capsys, command, grid, message):
+        code, out, err = run(capsys, command, "--grid", grid)
+        assert (code, out, err) == (2, "", f"{command}: grid key {message}\n")
+
+    @pytest.mark.parametrize("command, grid", [
+        ("lemmas", "max_n=6,max_s=2,pairs=1,det_eval_max_order=8"),
+        ("identities", "max_delta=2"),
+    ])
+    def test_grid_at_minimum_passes_with_valid_json(self, capsys, command, grid):
+        code, out, _ = run(capsys, command, "--grid", grid, "--format", "json")
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert json.loads(out, parse_constant=reject)["results"]["all_passed"] is True
 
     def test_identities_pass(self, capsys):
         code, out, _ = run(capsys, "identities", "--grid", "max_delta=3",

@@ -20,7 +20,6 @@ from qfactor.extremal import (
     surgery_plan,
     threshold_q,
 )
-from qfactor.extremal import _threshold_cached
 from qfactor.graphs import Graph, is_connected, min_degree
 from qfactor.harness import _gstar_grid, _identity_grid, odd_compositions
 from qfactor.spectra import char_poly, is_equitable, perron_q, signless_laplacian
@@ -203,12 +202,12 @@ def test_threshold_cross_check_raises_on_wrong_polynomial(monkeypatch):
     # phi_b2(n, delta + 1) is a valid cubic with a root in [0, 2n], but of
     # another graph: the eigh cross-check must reject it, also under -O.
     monkeypatch.setattr("qfactor.extremal.phi_bstar", lambda n, delta: phi_b2(n, delta + 1))
-    _threshold_cached.cache_clear()
+    threshold_q.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="cross-validation failed"):
             threshold_q(12, 2)
     finally:
-        _threshold_cached.cache_clear()
+        threshold_q.cache_clear()
 
 
 def test_family_builders_equal_validated_graphs():

@@ -12,9 +12,8 @@ from qfactor.graphs import (
     Graph,
     Graph6Error,
     GuardExceeded,
+    _component_masks,
     complete,
-    components,
-    delete_vertices,
     disjoint_union,
     enumerate_labeled,
     graph6_payload,
@@ -48,7 +47,7 @@ def test_from_edges_basic():
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
     assert g.degrees() == (1, 2, 2, 1)
     assert g.has_edge(1, 0) and not g.has_edge(0, 2)
-    assert g.neighbors(1) == (0, 2)
+    assert g.rows[1] == 0b101
 
 
 def test_graph_rejects_loops_and_asymmetry():
@@ -83,7 +82,8 @@ def test_complete_and_operators():
     j = join(complete(1), u)
     assert j.n == 6 and j.edge_count == 4 + 5
     assert is_connected(j)
-    assert delete_vertices(j, [0]).rows == u.rows
+    # without vertex 0 (bit 0 of every row) the join is the union again
+    assert [row >> 1 for row in j.rows[1:]] == list(u.rows)
     # the builders skip validation: the public constructor must agree
     parts = [complete(1), complete(3), cycle(5), Graph.empty(2)]
     for a, b in itertools.product(parts, repeat=2):
@@ -93,20 +93,24 @@ def test_complete_and_operators():
 
 def test_components_and_odd_counts():
     g = disjoint_union(disjoint_union(complete(3), complete(2)), complete(1))
-    rep = components(g)
-    assert rep.components == (frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({5}))
-    assert rep.odd_count == 2
+    # components come out ordered by their lowest vertex
+    assert list(_component_masks(g.rows, 0b111111)) == [0b000111, 0b011000, 0b100000]
+    assert odd_components_after_removal(g, 0) == 2
     # o(G - S) with S = the K_2 block
     assert odd_components_after_removal(g, 0b011000) == 2
 
 
 def test_odd_components_matches_delete_vertices():
+    # networkx oracle: delete the vertices, count the odd components
     for seed in range(40):
         g = random_graph(9, 0.3, seed)
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.n))
         for size in (1, 2, 3):
             for sub in itertools.islice(itertools.combinations(range(9), size), 12):
                 mask = sum(1 << v for v in sub)
-                expected = components(delete_vertices(g, sub)).odd_count
+                rest = h.subgraph(set(range(g.n)) - set(sub))
+                expected = sum(len(c) % 2 for c in nx.connected_components(rest))
                 assert odd_components_after_removal(g, mask) == expected
 
 

@@ -550,6 +550,36 @@ class TestSuites:
         assert not any(case["divides"] for case in report["cases"])
         assert report["all_divide"] is False and report["passed"] is False
 
+    # Each grid key at its minimum, the smallest value at which its section
+    # still has a case: max_n = 6 is the smallest order with a redistribution
+    # case, det_eval_max_order = 8 the smallest G* order of the grid.
+    LEMMA_MINIMUMS = {"max_n": 6, "max_s": 2, "pairs": 1, "det_eval_max_order": 8}
+
+    @pytest.mark.parametrize("key", sorted(LEMMA_MINIMUMS))
+    def test_lemma_grid_below_minimum_is_rejected(self, key):
+        grid = {**self.LEMMA_MINIMUMS, key: self.LEMMA_MINIMUMS[key] - 1}
+        with pytest.raises(ValueError, match=f"{key} must be at least "
+                                             f"{self.LEMMA_MINIMUMS[key]}"):
+            lemma_suite(**grid)
+
+    def test_lemma_grid_at_minimum_checks_every_section(self):
+        report = lemma_suite(**self.LEMMA_MINIMUMS)
+        assert report["all_passed"] is True
+        assert report["clique_redistribution"]["cases"] >= 1
+        assert report["edge_monotonicity"]["pairs"] == 1
+        assert 0 < report["edge_monotonicity"]["min_margin"] < float("inf")
+        divides = [case["divides"] for case in report["quotient_radius"]["cases"]
+                   if "divides" in case]
+        assert divides == [True]
+
+    def test_identity_grid_minimum(self):
+        with pytest.raises(ValueError, match="max_delta must be at least 2"):
+            identity_suite(max_delta=1)
+        report = identity_suite(max_delta=2)
+        assert report["all_passed"] is True
+        assert report["difference_identity"]["cases"] > 0
+        assert report["f_positivity"]["cases"]
+
     def test_identity_suite_passes(self):
         report = identity_suite(max_delta=4)
         assert report["all_passed"] is True

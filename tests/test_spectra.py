@@ -3,18 +3,19 @@
 import math
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfactor.graphs import Graph, complete, components, disjoint_union, random_graph
+from qfactor.graphs import Graph, complete, disjoint_union, random_graph
 from qfactor.harness import check_theorem_instance
 from qfactor.spectra import (
     CellSpreadError,
     IntPolynomial,
-    adjacency_matrix,
-    alpha_matrix,
+    RESIDUAL_GATE,
+    _alpha_stack,
     cell_values,
     char_poly,
     is_equitable,
@@ -43,14 +44,12 @@ def star(leaves):
 
 def test_matrix_builders():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    a = adjacency_matrix(g)
     q = signless_laplacian(g)
-    assert a.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    assert _alpha_stack([g], 0)[0].tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     assert q.tolist() == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
-    assert np.array_equal(alpha_matrix(g, 0), a)
-    assert np.array_equal(alpha_matrix(g, 1), q)
-    with pytest.raises(ValueError):
-        alpha_matrix(g, 2)
+    assert np.array_equal(_alpha_stack([g], 1)[0], q)
+    with pytest.raises(ValueError, match="alpha"):
+        perron(g, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -74,16 +73,20 @@ def test_perron_regular_and_bipartite():
 
 
 def test_perron_disconnected_takes_max_block():
-    # 2*K_4 ties; the tie goes to the block holding vertex 0
-    for small, big, support in [(3, 5, slice(3, 8)), (4, 4, slice(0, 4))]:
+    # The whole matrix is solved: q is the larger block's, and a strict
+    # winner's Perron vector vanishes off its block. On the 2*K_4 tie the
+    # vector is some nonnegative unit eigenvector for q = 6.
+    for small, big in [(3, 5), (4, 4)]:
         g = disjoint_union(complete(small), complete(big))
         data = perron_q(g)
         assert data.value == pytest.approx(2 * big - 2, abs=1e-10)
-        # winning block's eigenvector, zero elsewhere
-        off = np.ones(g.n, dtype=bool)
-        off[support] = False
-        assert np.all(data.vector[off] == 0)
-        assert min(data.vector[support]) > 0.1
+        assert data.vector.min() >= 0
+        assert np.linalg.norm(data.vector) == pytest.approx(1, abs=1e-12)
+        m = signless_laplacian(g)
+        assert np.abs(m @ data.vector - data.value * data.vector).max() <= RESIDUAL_GATE
+        if small < big:
+            assert data.vector[:small].max() <= 1e-12
+            assert data.vector[small:].min() > 0.1
 
 
 def test_perron_data_quality():
@@ -141,40 +144,49 @@ def test_stacked_eigh_is_bitwise_equal_to_one_matrix_eigh():
             assert np.array_equal(pd.vector, one.vector), n
 
 
-def _per_component_reference(g, alpha):
-    # The per-component 2-D eigh loop: the largest value wins, ties going to
-    # the component holding the lowest vertex.
-    m = alpha_matrix(g, alpha)
-    best = None
-    for component in components(g).components:
-        block = sorted(component)
-        values, vectors = np.linalg.eigh(m[np.ix_(block, block)])
-        if best is None or values[-1] > best[0]:
-            best = (float(values[-1]), block, np.abs(vectors[:, -1]))
-    vector = np.zeros(g.n)
-    vector[best[1]] = best[2]
-    return best[0], vector
+def _alpha_matrix(g, alpha):
+    return signless_laplacian(g) - (1 - alpha) * np.diag(g.degrees())
+
+
+def _component_blocks(g):
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(g.n))
+    return [sorted(c) for c in nx.connected_components(h)]
 
 
 def test_perron_many_matches_per_component_eigh_on_disconnected_graphs():
+    # The spectrum of a disjoint union is the union of its parts' spectra,
+    # so one eigh on the whole matrix gives the largest per-component value.
     k4 = complete(4)
     graphs = [
-        disjoint_union(k4, k4),                        # tie: lowest vertex wins
+        disjoint_union(k4, k4),                        # tie
         disjoint_union(Graph.empty(1), k4),            # isolated vertex first
-        disjoint_union(cycle(5), complete(3)),         # q 4 vs 4: tie again
+        disjoint_union(cycle(5), complete(3)),         # q 4 vs 4, rho 2 vs 2: tie
         disjoint_union(complete(3), complete(5)),      # the later block wins
         random_graph(12, 0.15, 4),
         random_graph(20, 0.08, 9),
+        Graph.empty(5),                                # q = rho = 0
         complete(6),
     ]
-    assert all(len(components(g).components) > 1 for g in graphs[:6])
+    assert all(len(_component_blocks(g)) > 1 for g in graphs[:7])
+    strict = 0
     for alpha in (0, 1):
         for g, pd in zip(graphs, perron_many(graphs, alpha)):
-            value, vector = _per_component_reference(g, alpha)
-            assert pd.value == value
-            assert np.array_equal(pd.vector, vector)
-    tied = perron_q(disjoint_union(k4, k4)).vector
-    assert tied[:4].min() > 0 and not tied[4:].any()
+            m = _alpha_matrix(g, alpha)
+            tops = sorted(((float(np.linalg.eigvalsh(m[np.ix_(b, b)])[-1]), b)
+                           for b in _component_blocks(g)), reverse=True)
+            assert abs(pd.value - tops[0][0]) <= 1e-12
+            assert pd.vector.min() >= 0
+            assert abs(np.linalg.norm(pd.vector) - 1) <= 1e-12
+            assert pd.residual <= RESIDUAL_GATE
+            assert np.abs(m @ pd.vector - pd.value * pd.vector).max() <= RESIDUAL_GATE
+            if len(tops) > 1 and tops[0][0] - tops[1][0] > 1e-9:
+                strict += 1
+                off = np.ones(g.n, dtype=bool)
+                off[tops[0][1]] = False
+                assert pd.vector[off].max() <= 1e-12
+    assert strict >= 4
+    assert perron_q(Graph.empty(5)).value == 0
 
 
 def test_perron_many_keeps_errors_per_graph():
@@ -213,7 +225,7 @@ def test_quotient_matrix_exact_fractions():
     q = signless_laplacian(g)
     cells = [[0], [1, 2], [3]]
     b = quotient_matrix(q, cells)
-    assert b.order == 3
+    assert len(b.entries) == 3
     assert b.is_integral
     assert b.int_rows() == [[3, 2, 1], [1, 3, 0], [1, 0, 1]]
     assert is_equitable(q, cells)
@@ -237,7 +249,7 @@ def test_cell_values_and_spread_error():
     values = cell_values(data, [[0, 1], [2, 3]])
     assert values[0] == pytest.approx(values[1], abs=1e-12)
     with pytest.raises(CellSpreadError) as err:
-        cell_values(np.array([0.0, 1.0, 0.0, 0.0]), [[0, 1], [2, 3]], tol=1e-6)
+        cell_values(np.array([0.0, 1.0, 0.0, 0.0]), [[0, 1], [2, 3]])
     assert err.value.cell == 0
     assert err.value.spread == pytest.approx(1.0)
 

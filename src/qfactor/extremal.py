@@ -98,15 +98,6 @@ def build_g2(n: int, s: int) -> Graph:
     return _join_cliques(s, [n - 2 * s + 1] + [1] * (s - 1))
 
 
-def g2_cells(n: int, s: int) -> list[list[int]]:
-    big = n - 2 * s + 1
-    return [
-        list(range(s)),
-        list(range(s, s + big)),
-        list(range(s + big, n)),
-    ]
-
-
 def _g3_m(n: int, delta: int, s: int) -> int:
     return n - s - (delta + 1 - s) * (s - 1)
 

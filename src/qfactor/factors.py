@@ -11,7 +11,8 @@ their agreement class instead of treating either as ground truth.
 The criterion is decided in polynomial time: by Tutte-Berge on G - T for
 each pair T, it holds exactly when G is bicritical, i.e. G - u - v has a
 perfect matching for every pair u != v (Lovasz & Plummer, Matching Theory,
-1986). Even factors are decided exactly, also in polynomial time: by the
+1986), which takes one blossom search per vertex u, not one per pair.
+Even factors are decided exactly, also in polynomial time: by the
 two-factor fast path, else by one perfect-matching question on a gadget
 (see even_factor). Neither has a size guard, and every answer carries a
 hard-checked certificate.
@@ -20,7 +21,7 @@ hard-checked certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 from .graphs import Graph, _trusted_graph, odd_components_after_removal
 from .matching import _augment, _mates, two_factor
@@ -37,39 +38,30 @@ def strong_tutte_check(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     D(G - T), and their number exceeds |A| by the deficiency of G - T,
     which is even and positive. The witness is hard-checked.
 
-    One maximum matching of G is computed; each G - T starts from a copy
-    with T and the mates of T unmatched and is repaired by one augmenting
-    search from each exposed vertex outside T. That covers the vertices G
-    itself leaves exposed, which may gain augmenting paths once T's edges
-    are unmatched. T stays in the rows as two isolated vertices. When that
-    matching is perfect and T is one of its edges, the rest of it is a
-    perfect matching of G - T, so the pair is skipped without a copy.
+    G - u - v has a perfect matching iff a maximum matching of G - u leaves
+    exactly one vertex w exposed and v lies in D(G - u), the outer set of
+    the failed search from w. So each u costs one maximum matching of the
+    rows with u isolated and at most one search, and the first v > u
+    outside D(G - u) completes T. Only G - T is matched again, for A.
     """
     if g.n % 2:
         raise ValueError("criterion requires even order")
-    rows = list(g.rows)
-    mate = _mates(rows)
-    perfect = -1 not in mate
-    for pair in combinations(range(g.n), 2):
-        if perfect and mate[pair[0]] == pair[1]:
+    for u in range(g.n - 1):
+        rows = [r & ~(1 << u) for r in g.rows]
+        rows[u] = 0
+        mate = _mates(rows)
+        exposed = [w for w, m in enumerate(mate) if m == -1 and w != u]
+        outer = _augment(rows, mate, exposed[0]) if len(exposed) == 1 else 0
+        v = next((v for v in range(u + 1, g.n) if not outer >> v & 1), None)
+        if v is None:
             continue
-        keep = ~(1 << pair[0] | 1 << pair[1])
-        sub = [r & keep for r in rows]
-        sub_mate = mate[:]
-        for t in pair:
-            sub[t] = 0
-            if sub_mate[t] != -1:
-                sub_mate[sub_mate[t]] = sub_mate[t] = -1
-        for v in range(g.n):
-            if sub_mate[v] == -1 and v not in pair:
-                _augment(sub, sub_mate, v)
-        if any(m == -1 and v not in pair for v, m in enumerate(sub_mate)):
-            barrier = _gallai_edmonds_a(sub, sub_mate)
-            blocking = tuple(sorted(pair + barrier))
-            mask = sum(1 << v for v in blocking)
-            if odd_components_after_removal(g, mask) < len(blocking):
-                raise ValueError(f"criterion witness {blocking} does not block")
-            return False, blocking
+        rows = [r & ~(1 << v) for r in rows]
+        rows[v] = 0
+        blocking = tuple(sorted((u, v) + _gallai_edmonds_a(rows, _mates(rows))))
+        mask = sum(1 << x for x in blocking)
+        if odd_components_after_removal(g, mask) < len(blocking):
+            raise ValueError(f"criterion witness {blocking} does not block")
+        return False, blocking
     return True, None
 
 

@@ -332,31 +332,6 @@ def lexicographic_pairs(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def enumerate_labeled(
-    n: int,
-    connected_only: bool = False,
-    min_deg: int = 0,
-    *,
-    max_order: int = 7,
-) -> Iterator[Graph]:
-    """All labeled graphs on n vertices in ascending edge-mask order.
-
-    Bit k of the mask is the k-th lexicographic pair. Guarded at n <= 7 by
-    default (2^21 masks); pass a larger max_order to go beyond.
-    """
-    if n > max_order:
-        raise GuardExceeded(
-            f"enumerate_labeled(n={n}) exceeds guard max_order={max_order}")
-    pairs = lexicographic_pairs(n)
-    for mask in range(1 << len(pairs)):
-        g = mask_graph(n, pairs, mask)
-        if min_deg and (n == 0 or min(r.bit_count() for r in g.rows) < min_deg):
-            continue
-        if connected_only and not is_connected(g):
-            continue
-        yield g
-
-
 def mask_graph(n: int, pairs: Sequence[tuple[int, int]], mask: int) -> Graph:
     """The graph whose edges are the pairs[k] for every bit k set in mask.
 
@@ -380,8 +355,8 @@ def isomorphism_classes(
 ) -> tuple[array, list[Graph]]:
     """Label every edge mask on n vertices with its isomorphism class.
 
-    Masks are those of enumerate_labeled: bit k is the k-th lexicographic
-    pair. Returns (labels, representatives): labels[mask] is the class
+    Bit k of a mask is the k-th pair of lexicographic_pairs(n), as in
+    mask_graph. Returns (labels, representatives): labels[mask] is the class
     index of the mask, and representatives[c] is the graph of the lowest
     mask in class c, so classes are numbered in ascending order of their
     lowest mask.

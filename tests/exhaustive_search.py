@@ -1,13 +1,24 @@
-"""The exhaustive even-factor certificate search, kept as a test oracle.
+"""Exhaustive searches kept as test oracles.
 
-This edge-branching search decided even factors before the blossom gadget
-(``qfactor.factors.even_factor``) replaced it. It is exponential, so its
-size guards stay with it; the tests compare ``even_factor`` against it.
+find_even_factor is the edge-branching search that decided even factors
+before the blossom gadget (``qfactor.factors.even_factor``) replaced it.
+enumerate_labeled lists every labeled graph of an order, one per edge mask,
+which the per-class census of ``qfactor.graphs.isomorphism_classes``
+replaced. Both are exponential, so their size guards stay with them; the
+tests compare the polynomial code against them.
 """
 
 from __future__ import annotations
 
-from qfactor.graphs import Graph, GuardExceeded
+from typing import Iterator
+
+from qfactor.graphs import (
+    Graph,
+    GuardExceeded,
+    is_connected,
+    lexicographic_pairs,
+    mask_graph,
+)
 
 DEFAULT_CERT_ORDER = 12
 DEFAULT_CERT_EDGES = 40
@@ -144,3 +155,28 @@ def find_even_factor(
     if ok and search(0):
         return tuple(sorted(e for e, st in zip(edges, state) if st == _IN))
     return None
+
+
+def enumerate_labeled(
+    n: int,
+    connected_only: bool = False,
+    min_deg: int = 0,
+    *,
+    max_order: int = 7,
+) -> Iterator[Graph]:
+    """All labeled graphs on n vertices in ascending edge-mask order.
+
+    Bit k of the mask is the k-th lexicographic pair. Guarded at n <= 7 by
+    default (2^21 masks); pass a larger max_order to go beyond.
+    """
+    if n > max_order:
+        raise GuardExceeded(
+            f"enumerate_labeled(n={n}) exceeds guard max_order={max_order}")
+    pairs = lexicographic_pairs(n)
+    for mask in range(1 << len(pairs)):
+        g = mask_graph(n, pairs, mask)
+        if min_deg and (n == 0 or min(r.bit_count() for r in g.rows) < min_deg):
+            continue
+        if connected_only and not is_connected(g):
+            continue
+        yield g

@@ -1,6 +1,7 @@
 """Tests for the parity-subset criterion and the exact even-factor test,
 with the exhaustive certificate search as the even-factor oracle."""
 
+import functools
 import itertools
 import random
 import time
@@ -8,14 +9,13 @@ import time
 import networkx as nx
 import pytest
 
-from exhaustive_search import find_even_factor
+from exhaustive_search import enumerate_labeled, find_even_factor
 from qfactor import factors
 from qfactor.extremal import build_gstar
 from qfactor.graphs import (
     Graph,
     GuardExceeded,
     complete,
-    enumerate_labeled,
     isomorphism_classes,
     odd_components_after_removal,
     parse_graph6,
@@ -113,19 +113,41 @@ def networkx_unmatchable_pair(g):
     return None
 
 
+def networkx_barrier(g, removed):
+    """A(H) for H = G - removed, from the Gallai-Edmonds definition with
+    networkx matchings: D = {v : nu(H - v) = nu(H)} and A = N(D) - D."""
+    rest = tuple(v for v in range(g.n) if v not in removed)
+    edges = tuple(e for e in g.edges() if not set(e) & set(removed))
+    return _networkx_barrier(rest, edges)
+
+
+@functools.cache
+def _networkx_barrier(nodes, edges):
+    h = nx.Graph(edges)
+    h.add_nodes_from(nodes)
+
+    def nu(graph):
+        return len(nx.max_weight_matching(graph, maxcardinality=True))
+
+    size = nu(h)
+    deficient = {v for v in h if nu(h.subgraph(set(h) - {v})) == size}
+    return frozenset().union(*(h[v] for v in deficient)) - deficient
+
+
 def assert_criterion_matches_oracles(g, label):
-    """Equal verdicts with the scan, and a witness that contains the first
-    unmatchable pair and really blocks."""
+    """Equal verdicts with the scan, and exactly the witness T u A(G - T)
+    for the first unmatchable pair T."""
     holds, blocking = strong_tutte_check(g)
     expected, _ = reference_criterion(g)
     assert holds == expected, label
     if holds:
         assert blocking is None, label
         return
-    assert blocks(g, blocking), (label, blocking)
-    assert list(blocking) == sorted(set(blocking)), (label, blocking)
     pair = first_unmatchable_pair(g)
-    assert pair is not None and set(pair) <= set(blocking), (label, pair, blocking)
+    assert pair is not None, label
+    assert blocking == tuple(sorted(set(pair) | networkx_barrier(g, pair))), (
+        label, pair, blocking)
+    assert blocks(g, blocking), (label, blocking)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +207,8 @@ class TestCriterion:
 
 class TestScanBound:
     """The matching-based criterion against the exponential subset scan:
-    equal verdicts, and every witness contains the first pair T for which
-    G - T has no perfect matching and really blocks."""
+    equal verdicts, and every witness is T u A(G - T) for the first pair T
+    for which G - T has no perfect matching, and really blocks."""
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_connected_census(self, n):
@@ -211,26 +233,6 @@ class TestScanBound:
             added = base.add_edges(rng.sample(non_edges, k)).edges()
             g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in added])
             assert_criterion_matches_oracles(g, (n, delta, k))
-
-    def test_skipped_pairs_change_no_witness(self, monkeypatch):
-        # A pair T that is an edge of G's perfect matching is skipped. Start
-        # every run from a matching with one edge dropped instead: it is not
-        # perfect, so no pair is skipped, and each G - T is repaired from it.
-        graphs = [g for n in (4, 6) for g in enumerate_labeled(n, connected_only=True)]
-        graphs += [random_graph(n, 0.5, seed) for n in (10, 12, 14) for seed in range(6)]
-        graphs += [build_gstar(n, delta) for n in (14, 16) for delta in (2, 3)]
-        skipped = [strong_tutte_check(g) for g in graphs]
-        mates = factors._mates
-
-        def one_edge_dropped(rows):
-            mate = mates(rows)
-            v = next((v for v, w in enumerate(mate) if w != -1), None)
-            if v is not None:
-                mate[mate[v]] = mate[v] = -1
-            return mate
-
-        monkeypatch.setattr("qfactor.factors._mates", one_edge_dropped)
-        assert [strong_tutte_check(g) for g in graphs] == skipped
 
 
 class TestBicriticality:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codec_oracles import parse_graph6_by_strings
+from exhaustive_search import enumerate_labeled
 from qfactor.graphs import (
     Graph,
     Graph6Error,
@@ -15,7 +16,6 @@ from qfactor.graphs import (
     _component_masks,
     complete,
     disjoint_union,
-    enumerate_labeled,
     graph6_payload,
     is_connected,
     isomorphism_classes,

@@ -1,17 +1,23 @@
 """Tests for classification, streaming verification, and the study suites."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from exhaustive_search import find_even_factor
-from qfactor.factors import AGREEMENT_CLASSES, factor_verdict, verify_even_factor
+from exhaustive_search import enumerate_labeled, find_even_factor
+from qfactor.factors import (
+    AGREEMENT_CLASSES,
+    even_factor,
+    factor_verdict,
+    strong_tutte_check,
+    verify_even_factor,
+)
 from qfactor.graphs import (
     Graph,
     GuardExceeded,
     complete,
-    enumerate_labeled,
     is_connected,
     min_degree,
     parse_graph6,
@@ -19,6 +25,7 @@ from qfactor.graphs import (
     write_graph6,
 )
 from qfactor.extremal import build_gstar, threshold_q
+from qfactor.reportio import dumps_canonical, make_report
 from qfactor.spectra import IntPolynomial, char_poly, perron_many, perron_q
 from qfactor.harness import (
     CHUNK_LINES,
@@ -31,7 +38,6 @@ from qfactor.harness import (
     max_theorem_delta,
     odd_compositions,
     recognize_gstar,
-    sharpness_probe,
     verify_stream,
 )
 
@@ -289,10 +295,6 @@ class TestVerifyStream:
             assert report["errors"] == 1
             assert report["counts"]["confirmed_factor"] == 0
             assert "non-factor" in report["items"][0]["error"]
-        monkeypatch.undo()
-        monkeypatch.setattr("qfactor.factors.two_factor", lambda g: ((0, 1),))
-        with pytest.raises(ValueError, match="non-factor"):
-            sharpness_probe(8, 2, perturbations=False)
 
 
 def _interleaved_stream(count):
@@ -453,37 +455,26 @@ class TestFastPath:
 
 class TestSharpnessProbe:
     def test_8_2(self):
-        probe = sharpness_probe(8, 2)
-        assert probe["q"] == pytest.approx(probe["threshold"], abs=1e-9)
-        assert probe["meets_threshold"] is True
-        assert probe["join_cell"] == [0, 1]
-        assert probe["criterion_holds"] is False
-        assert probe["blocking_set"] == [0, 1]
-        assert probe["blocking_set_is_join_cell"] is True
-        assert probe["has_even_factor"] is True
-        assert len(probe["even_factor"]) == 8  # a Hamiltonian cycle
+        g = build_gstar(8, 2)
+        threshold = threshold_q(8, 2)
+        q = perron_q(g).value
+        assert q == pytest.approx(threshold, abs=1e-9)
+        assert q >= threshold - 1e-8
+        # The criterion fails on the join cell, yet a Hamiltonian cycle is
+        # an even factor.
+        assert strong_tutte_check(g) == (False, (0, 1))
+        factor = even_factor(g)
+        assert len(factor) == 8 and verify_even_factor(g, factor)
         # Every single-edge deletion drops the radius below the threshold.
-        assert probe["deletions_above_threshold"] == 0
-        assert all(not row["ge_threshold"] for row in probe["deletions"])
-        # Additions only increase the radius.
-        assert probe["additions_above_threshold"] == len(probe["additions"])
-        assert all(row["q"] > probe["q"] for row in probe["additions"])
-        assert all(row["is_extremal_graph"] is False for row in probe["additions"])
-
-    def test_without_perturbations(self):
-        probe = sharpness_probe(14, 3, perturbations=False)
-        assert "additions" not in probe and "deletions" not in probe
-        assert probe["meets_threshold"] is True
-        assert probe["has_even_factor"] is True
-        assert probe["blocking_set"] == [0, 1, 2]
-        assert probe["blocking_set_is_join_cell"] is True
-
-    # q(G*(8,2)) - threshold is about -1.8e-15, so a negative band would
-    # report that G*(8,2) does not meet its own threshold.
-    @pytest.mark.parametrize("eps", [-1.0, -1e-8, float("nan")])
-    def test_negative_or_nan_eps_rejected(self, eps):
-        with pytest.raises(ValueError, match="eps"):
-            sharpness_probe(8, 2, eps=eps, perturbations=False)
+        for edge in g.edges():
+            assert perron_q(g.remove_edges([edge])).value < threshold - 1e-8, edge
+        # Additions only increase the radius, and none gives G*(8, 2) again.
+        for edge in itertools.combinations(range(8), 2):
+            if not g.has_edge(*edge):
+                h = g.add_edges([edge])
+                hq = perron_q(h).value
+                assert hq >= threshold - 1e-8 and hq > q, edge
+                assert recognize_gstar(h) != (8, 2), edge
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +562,19 @@ class TestSuites:
         divides = [case["divides"] for case in report["quotient_radius"]["cases"]
                    if "divides" in case]
         assert divides == [True]
+
+    def test_no_positive_edge_margin_reports_null(self, monkeypatch):
+        # With equal radii every pair is a violation and no margin is
+        # positive: min_margin is null, not the invalid JSON token Infinity.
+        monkeypatch.setattr("qfactor.harness._q_values", lambda graphs: [1.0] * len(graphs))
+        report = lemma_suite(**self.LEMMA_MINIMUMS)
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        text = dumps_canonical(make_report("lemmas", self.LEMMA_MINIMUMS, report))
+        section = json.loads(text, parse_constant=reject)["results"]["edge_monotonicity"]
+        assert section == {"min_margin": None, "pairs": 1, "passed": False, "violations": 1}
 
     def test_identity_grid_minimum(self):
         with pytest.raises(ValueError, match="max_delta must be at least 2"):

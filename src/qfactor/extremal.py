@@ -1,4 +1,4 @@
-"""Extremal family builders, their exact quotients, and the threshold.
+"""Extremal family builders, their quotient polynomials, and the threshold.
 
 The families are joins of a clique S with disjoint clique unions:
 
@@ -14,8 +14,9 @@ The families are joins of a clique S with disjoint clique unions:
   V_1 to V_2 (e1 to the first delta-s w's from all of V_1, e2 from the
   detached cliques' interiors to the remaining w's).
 
-Closed-form 3x3 quotient matrices and their characteristic polynomials are
-kept as exact integer objects so identity checks are coefficient-exact.
+The characteristic polynomials of the 3x3 quotients of g2 and gstar are
+kept in closed form as exact integer objects, so identity checks are
+coefficient-exact.
 threshold_q is the load-bearing number: the largest root of the gstar
 polynomial, isolated by a Sturm chain and correctly rounded to a double,
 then cross-validated against LAPACK eigh on the actual graph.
@@ -29,13 +30,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .graphs import Graph, complete, disjoint_union, join
-from .spectra import (
-    IntPolynomial,
-    QuotientMatrix,
-    largest_real_root,
-    perron_q,
-)
-from fractions import Fraction
+from .spectra import IntPolynomial, largest_real_root, perron_q
 
 
 def _join_cliques(s: int, parts: Sequence[int]) -> Graph:
@@ -242,32 +237,12 @@ def g4_containment(n: int, delta: int, s: int) -> ContainmentReport:
 
 
 # ---------------------------------------------------------------------------
-# closed-form quotients and polynomials
-
-def quotient_b2(n: int, s: int) -> QuotientMatrix:
-    """Quotient of Q(g2(n, s)) over [join, big clique, singletons]."""
-    if s < 2:
-        raise ValueError("s must be >= 2")
-    if n < 2 * s:
-        raise ValueError("need n >= 2*s")
-    rows = (
-        (n + s - 2, n - 2 * s + 1, s - 1),
-        (s, 2 * n - 3 * s, 0),
-        (s, 0, s),
-    )
-    return QuotientMatrix(
-        tuple(tuple(Fraction(v) for v in row) for row in rows))
-
-
-def quotient_bstar(n: int, delta: int) -> QuotientMatrix:
-    """Quotient of Q(gstar(n, delta)); same closed form with s -> delta."""
-    if n % 2:
-        raise ValueError("n must be even")
-    return quotient_b2(n, delta)
-
+# closed-form quotient polynomials
 
 def phi_b2(n: int, s: int) -> IntPolynomial:
-    """Characteristic polynomial of quotient_b2(n, s), closed form."""
+    """Characteristic polynomial of the quotient of Q(g2(n, s)) over
+    [join, big clique, singletons], closed form. That quotient is
+    [[n+s-2, n-2s+1, s-1], [s, 2n-3s, 0], [s, 0, s]]."""
     if s < 2:
         raise ValueError("s must be >= 2")
     if n < 2 * s:
@@ -281,7 +256,8 @@ def phi_b2(n: int, s: int) -> IntPolynomial:
 
 
 def phi_bstar(n: int, delta: int) -> IntPolynomial:
-    """Characteristic polynomial of quotient_bstar(n, delta)."""
+    """Characteristic polynomial of the quotient of Q(gstar(n, delta)):
+    phi_b2 with s -> delta."""
     if n % 2:
         raise ValueError("n must be even")
     return phi_b2(n, delta)

@@ -69,14 +69,12 @@ from .graphs import (
 from .spectra import (
     cell_values,
     char_poly,
-    is_equitable,
     largest_real_root,
     perron,
     perron_many,
     perron_q,
     perron_rho,
-    quadratic_form,
-    quotient_matrix,
+    quotient,
     signless_laplacian,
 )
 
@@ -463,32 +461,30 @@ def _gstar_grid(max_order: int = 18) -> list[tuple[int, int]]:
     return grid
 
 
-def _quotient_radius_lemma(*, det_eval_max_order: int) -> dict[str, Any]:
+def _quotient_radius_lemma() -> dict[str, Any]:
     """For the extremal graph's equitable partition, the largest real root
     of the quotient characteristic polynomial equals the full
     signless-Laplacian radius; additionally the quotient's characteristic
-    polynomial divides the exact order-n integer characteristic polynomial
-    (Godsil & Royle, Algebraic Graph Theory, section 9.3), checked by exact
-    long division: both are monic, so the quotient and remainder are
-    integral."""
+    polynomial divides the exact order-n integer characteristic polynomial,
+    the quotient over the discrete partition (Godsil & Royle, Algebraic
+    Graph Theory, section 9.3), checked by exact long division: both are
+    monic, so the quotient and remainder are integral.  A partition that is
+    not equitable fails its case."""
     rows = []
     max_root_diff = 0.0
     for n, delta in _gstar_grid():
         g = build_gstar(n, delta)
-        q_matrix = signless_laplacian(g)
-        cells = gstar_cells(n, delta)
-        equitable = is_equitable(q_matrix, cells)
-        quotient = quotient_matrix(q_matrix, cells)
-        poly = char_poly(quotient)
-        root = largest_real_root(poly, 0, 2 * n)
-        direct = perron_q(g).value
-        diff = abs(root - direct)
-        max_root_diff = max(max_root_diff, diff)
-        row = {"n": n, "delta": delta, "equitable": equitable, "root_vs_perron": diff}
-        if n <= det_eval_max_order:
-            row["divides"] = (char_poly(q_matrix) % poly).is_zero()
+        b = quotient(g, gstar_cells(n, delta))
+        row = {"n": n, "delta": delta, "equitable": b is not None,
+               "root_vs_perron": None, "divides": False}
+        if b is not None:
+            poly = char_poly(b)
+            diff = abs(largest_real_root(poly, 0, 2 * n) - perron_q(g).value)
+            max_root_diff = max(max_root_diff, diff)
+            row["root_vs_perron"] = diff
+            row["divides"] = (char_poly(quotient(g, [[v] for v in range(n)])) % poly).is_zero()
         rows.append(row)
-    all_divide = all(r.get("divides", True) for r in rows)
+    all_divide = all(r["divides"] for r in rows)
     return {
         "cases": rows,
         "max_root_vs_perron": max_root_diff,
@@ -500,6 +496,13 @@ def _quotient_radius_lemma(*, det_eval_max_order: int) -> dict[str, Any]:
     }
 
 
+def _cell_spread(vector, cells: Sequence[Sequence[int]]) -> float:
+    """The largest max - min of the vector on one cell.  For the unit
+    Perron vectors checked here, 1e-8 absolute is 1e-8 relative to
+    max(1, largest magnitude)."""
+    return max(float(vector[cell].max() - vector[cell].min()) for cell in cells)
+
+
 def _eigenvector_cell_lemma() -> dict[str, Any]:
     """Perron vectors are constant on the cells of the equitable partition,
     for both the adjacency and signless-Laplacian matrices."""
@@ -509,12 +512,7 @@ def _eigenvector_cell_lemma() -> dict[str, Any]:
         g = build_gstar(n, delta)
         cells = gstar_cells(n, delta)
         for label, data in (("q", perron_q(g)), ("rho", perron_rho(g))):
-            spreads = []
-            for cell in cells:
-                values = [float(data.vector[v]) for v in cell]
-                spreads.append(max(values) - min(values))
-            cell_values(data, cells)  # raises CellSpreadError on failure
-            spread = max(spreads)
+            spread = _cell_spread(data.vector, cells)
             max_spread = max(max_spread, spread)
             rows.append({"n": n, "delta": delta, "matrix": label, "max_spread": spread})
     return {"cases": rows, "max_spread": max_spread, "passed": bool(max_spread < 1e-8)}
@@ -545,9 +543,9 @@ def _cell_ordering_lemma() -> dict[str, Any]:
     for g, cells, sizes in instances:
         for alpha in (0, 1):
             data = perron(g, alpha)
-            values = cell_values(data, cells)[1:]  # skip the join cell
+            values = cell_values(data.vector, cells)[1:]  # skip the join cell
             ordered = sorted(range(len(sizes)), key=lambda i: sizes[i])
-            ok = True
+            ok = _cell_spread(data.vector, cells) <= 1e-8
             for a, b in zip(ordered, ordered[1:]):
                 if sizes[a] == sizes[b]:
                     if abs(values[a] - values[b]) > 1e-8:
@@ -574,17 +572,15 @@ def lemma_suite(
     max_n: int = 16,
     max_s: int = 4,
     pairs: int = 100,
-    det_eval_max_order: int = 20,
 ) -> dict[str, Any]:
     """Run every supporting-lemma check and return one section per lemma,
     each with a ``passed`` flag and its measured margins.  Raises ValueError
     for a grid that would leave a section without cases."""
-    _require_minimums(max_n=(max_n, 6), max_s=(max_s, 2), pairs=(pairs, 1),
-                      det_eval_max_order=(det_eval_max_order, 8))
+    _require_minimums(max_n=(max_n, 6), max_s=(max_s, 2), pairs=(pairs, 1))
     sections = {
         "clique_redistribution": _redistribution_lemma(max_n=max_n, max_s=max_s),
         "edge_monotonicity": _edge_monotonicity_lemma(seed=seed, pairs=pairs),
-        "quotient_radius": _quotient_radius_lemma(det_eval_max_order=det_eval_max_order),
+        "quotient_radius": _quotient_radius_lemma(),
         "eigenvector_cells": _eigenvector_cell_lemma(),
         "cell_ordering": _cell_ordering_lemma(),
     }
@@ -684,9 +680,10 @@ def identity_suite(*, max_delta: int = 6) -> dict[str, Any]:
             x = g3_perron.vector
             q3_matrix = signless_laplacian(g3)
             q4_matrix = signless_laplacian(g4)
-            diff_form = quadratic_form(q4_matrix, x) - quadratic_form(q3_matrix, x)
+            diff_form = float(x @ q4_matrix @ x) - float(x @ q3_matrix @ x)
 
-            values = cell_values(g3_perron, g3_cells(n, delta, s))
+            cells = g3_cells(n, delta, s)
+            values = cell_values(x, cells)
             x2 = values[1]
             x3 = values[-1]
             closed = len(plan.added) * (x2 + x3) ** 2 - len(plan.removed) * (2 * x2) ** 2
@@ -695,7 +692,8 @@ def identity_suite(*, max_delta: int = 6) -> dict[str, Any]:
             qstar = threshold_q(n, delta)
             containment = g4_containment(n, delta, s)
             case_ok = (
-                diff_form > 0
+                _cell_spread(x, cells) <= 1e-8
+                and diff_form > 0
                 and abs(diff_form - closed) <= 1e-6 * max(1.0, abs(closed))
                 and q4 - q3 > 1e-6
                 and q4 <= qstar + 1e-9

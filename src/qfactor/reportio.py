@@ -31,9 +31,7 @@ unsupported types), so the bytes and the TypeErrors are the same;
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
 from datetime import datetime, timezone
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
 from typing import Any
@@ -58,7 +56,10 @@ _AS_IS = frozenset({str, int, bool, type(None)})
 
 
 def json_ready(obj: Any) -> Any:
-    """Recursively convert *obj* into plain JSON types with rounded floats."""
+    """Recursively convert *obj* into plain JSON types with rounded floats.
+
+    Reports hold str, int, bool, None, float, dict, list and tuple, exactly
+    those types; any other, subclasses included, raises TypeError."""
     kind = type(obj)
     if kind in _AS_IS:
         return obj
@@ -68,24 +69,7 @@ def json_ready(obj: Any) -> Any:
         return {str(k): json_ready(v) for k, v in obj.items()}
     if kind is list or kind is tuple:
         return [json_ready(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return round_float(obj)
-    if isinstance(obj, Fraction):
-        return str(obj) if obj.denominator != 1 else int(obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return json_ready(asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [json_ready(v) for v in seq]
-    if hasattr(obj, "tolist"):  # numpy arrays and scalars
-        return json_ready(obj.tolist())
-    if hasattr(obj, "item"):  # other numpy-like scalars
-        return json_ready(obj.item())
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def make_report(

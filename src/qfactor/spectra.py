@@ -7,10 +7,10 @@ Two arithmetic regimes coexist on purpose and are kept separate:
   unpacked from the bitrows by numpy, and perron_many stacks many graphs
   by order, so each order costs one ``eigh`` call; stacked and one-matrix
   calls give bitwise-equal eigenpairs. perron is its one-graph case;
-* exact integer/rational arithmetic for quotient matrices, characteristic
-  polynomials (Faddeev-LeVerrier over Python ints) and root isolation
-  (a Sturm chain with integer signs at dyadic points, bisected until the
-  largest root is correctly rounded to a double).
+* exact integer arithmetic: quotient matrices counted from the bitrows,
+  characteristic polynomials (Faddeev-LeVerrier over Python ints) and
+  root isolation (a Sturm chain with integer signs at dyadic points,
+  bisected until the largest root is correctly rounded to a double).
 
 Every identity check downstream compares a float route against an exact
 route; nothing here collapses the two.
@@ -29,21 +29,10 @@ import numpy as np
 from .graphs import Graph
 
 
-class CellSpreadError(ValueError):
-    """A vector is not constant on a partition cell within tolerance."""
-
-    def __init__(self, cell: int, spread: float, tol: float):
-        super().__init__(
-            f"cell {cell} spread {spread:.3e} exceeds tolerance {tol:.3e}")
-        self.cell = cell
-        self.spread = spread
-
-
 @dataclass(frozen=True)
 class PerronData:
     value: float
     vector: np.ndarray
-    residual: float
 
 
 # Hard gate on ||M x - value x||_inf. eigh stays below 2e-13 on random
@@ -117,7 +106,7 @@ def perron_many(
                     out[i] = ArithmeticError(
                         f"eigenpair residual {r:.3e} exceeds gate {RESIDUAL_GATE:.0e}")
                 else:
-                    out[i] = PerronData(value, xi, r)
+                    out[i] = PerronData(value, xi)
     return out
 
 
@@ -160,83 +149,32 @@ def _check_partition(n: int, cells: Cells) -> list[list[int]]:
     return norm
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
-    """Row-averaged block sums of a matrix over a partition, exact."""
+def quotient(g: Graph, cells: Cells) -> list[list[int]] | None:
+    """The quotient of Q = D + A over an equitable partition, or None.
 
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def is_integral(self) -> bool:
-        return all(e.denominator == 1 for row in self.entries for e in row)
-
-    def int_rows(self) -> list[list[int]]:
-        if not self.is_integral:
-            raise ValueError("quotient matrix has non-integral entries")
-        return [[int(e) for e in row] for row in self.entries]
-
-
-def quotient_matrix(m: np.ndarray, cells: Cells) -> QuotientMatrix:
-    """b_rc = (sum of m[i, j], i in cell r, j in cell c) / |cell r|.
-
-    Entries are exact rationals: float64 inputs convert losslessly through
-    Fraction, so integer matrices give integer quotient entries exactly.
+    Entry (r, c) is Q's row sum over cell c for a vertex i of cell r: the
+    neighbours of i in c, plus deg(i) when c is r. The partition is
+    equitable when these counts agree for every vertex of each cell, and
+    then its quotient's characteristic polynomial divides Q's (Godsil &
+    Royle, Algebraic Graph Theory, section 9.3). Counted in integers from
+    the bitrows; the discrete partition gives Q itself.
     """
-    m = np.asarray(m, dtype=float)
-    norm = _check_partition(m.shape[0], cells)
-    rows = []
-    for r in norm:
-        row = []
-        for c in norm:
-            total = Fraction(0)
-            for i in r:
-                for j in c:
-                    total += Fraction(m[i, j])
-            row.append(total / len(r))
-        rows.append(tuple(row))
-    return QuotientMatrix(tuple(rows))
-
-
-def is_equitable(m: np.ndarray, cells: Cells) -> bool:
-    """True iff every block of m has constant row sums (exact test)."""
-    m = np.asarray(m, dtype=float)
-    norm = _check_partition(m.shape[0], cells)
-    for r in norm:
-        for c in norm:
-            sums = {sum(Fraction(m[i, j]) for j in c) for i in r}
-            if len(sums) > 1:
-                return False
-    return True
-
-
-def cell_values(pd: PerronData | np.ndarray, cells: Cells) -> list[float]:
-    """One representative vector value per cell (the cell mean).
-
-    Raises CellSpreadError unless entries within each cell agree to 1e-8
-    relative to max(1, largest magnitude in the cell).
-    """
-    tol = 1e-8
-    vector = pd.vector if isinstance(pd, PerronData) else np.asarray(pd, dtype=float)
-    norm = _check_partition(len(vector), cells)
+    norm = _check_partition(g.n, cells)
+    masks = [sum(1 << v for v in cell) for cell in norm]
     out = []
-    for idx, cell in enumerate(norm):
-        vals = vector[cell]
-        spread = float(vals.max() - vals.min())
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if spread > tol * scale:
-            raise CellSpreadError(idx, spread, tol)
-        out.append(float(vals.mean()))
+    for r, cell in enumerate(norm):
+        sums = {tuple((g.rows[i] & mask).bit_count() for mask in masks) for i in cell}
+        if len(sums) > 1:
+            return None
+        row = list(sums.pop())
+        row[r] += g.rows[cell[0]].bit_count()
+        out.append(row)
     return out
 
 
-def quadratic_form(m: np.ndarray, x: np.ndarray) -> float:
-    m = np.asarray(m, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if x.shape != (m.shape[0],):
-        raise ValueError("vector length must match matrix order")
-    return float(x @ m @ x)
+def cell_values(vector: np.ndarray, cells: Cells) -> list[float]:
+    """The mean of the vector on each cell."""
+    return [float(vector[cell].mean()) for cell in _check_partition(len(vector), cells)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,36 +239,16 @@ class IntPolynomial:
         return self.coeffs == (0,)
 
 
-def _to_int_matrix(m) -> list[list[int]]:
-    if isinstance(m, QuotientMatrix):
-        return m.int_rows()
-    arr = np.asarray(m)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("matrix must be square")
-    out = []
-    for row in arr.tolist():
-        ints = []
-        for v in row:
-            if isinstance(v, float):
-                if not v.is_integer():
-                    raise ValueError("matrix entries must be integers")
-                v = int(v)
-            elif not isinstance(v, int):
-                raise ValueError("matrix entries must be integers")
-            ints.append(v)
-        out.append(ints)
-    return out
+def char_poly(a: Sequence[Sequence[int]]) -> IntPolynomial:
+    """det(xI - A) over exact integers via Faddeev-LeVerrier, for the
+    integer rows of a square matrix (as quotient returns them).
 
-
-def char_poly(m) -> IntPolynomial:
-    """det(xI - M) over exact integers via Faddeev-LeVerrier.
-
-    Accepts a QuotientMatrix with integral entries or any integer-valued
-    square matrix. Python ints never overflow, so coefficients are exact at
-    every order this toolkit touches. Each inner product is one
-    sum(map(mul, row, column)) over a row of A and a column of M_k.
+    Python ints never overflow, so coefficients are exact at every order
+    this toolkit touches. Each inner product is one sum(map(mul, row,
+    column)) over a row of A and a column of M_k.
     """
-    a = _to_int_matrix(m)
+    if not all(type(v) is int for row in a for v in row):
+        raise ValueError("matrix entries must be ints")
     n = len(a)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1

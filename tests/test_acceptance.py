@@ -19,8 +19,6 @@ from qfactor.extremal import (
     gstar_cells,
     phi_b2,
     phi_bstar,
-    quotient_b2,
-    quotient_bstar,
     surgery_plan,
     threshold_q,
 )
@@ -40,7 +38,7 @@ from qfactor.harness import (
     recognize_gstar,
 )
 from qfactor.reportio import dumps_canonical, json_ready, strip_volatile
-from qfactor.spectra import char_poly, perron_q, quotient_matrix, signless_laplacian
+from qfactor.spectra import char_poly, perron_q, quotient
 
 FACTORLESS = "G]o_GK"
 
@@ -57,22 +55,19 @@ def announce(number: int, message: str) -> None:
 
 
 def test_01_quotient_polynomials_exact():
-    """The 3x3 quotient matrices reproduce the graph quotients entry-exactly
-    and their characteristic polynomials match the closed-form coefficients,
-    for every even order 8 <= n <= 40 and every 2 <= s <= n/2."""
+    """The closed-form 3x3 quotient matrices reproduce the graph quotients
+    entry-exactly and their characteristic polynomials match the closed-form
+    coefficients, for every even order 8 <= n <= 40 and every 2 <= s <= n/2."""
     start = time.perf_counter()
     cases = 0
     for n in range(8, 41, 2):
         for s in range(2, n // 2 + 1):
-            closed = quotient_b2(n, s)
+            closed = [[n + s - 2, n - 2 * s + 1, s - 1], [s, 2 * n - 3 * s, 0], [s, 0, s]]
             assert phi_b2(n, s) == char_poly(closed), (n, s)
             # The closed form agrees with the quotient of the real graph.
             g = build_gstar(n, s) if n > 2 * s else None
             if g is not None:
-                cells = gstar_cells(n, s)
-                graph_quotient = quotient_matrix(signless_laplacian(g), cells)
-                assert graph_quotient.entries == closed.entries, (n, s)
-                assert quotient_bstar(n, s).entries == closed.entries
+                assert quotient(g, gstar_cells(n, s)) == closed, (n, s)
                 assert phi_bstar(n, s) == phi_b2(n, s)
             cases += 1
     elapsed = time.perf_counter() - start

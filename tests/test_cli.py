@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and its exit-code contract."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import qfactor
+import qfactor.harness
 from qfactor.cli import main, verify_exit_code
 from qfactor.reportio import dumps_canonical, strip_volatile
 
@@ -424,6 +426,31 @@ class TestSuitesCli:
     def test_unknown_grid_key(self, capsys):
         code, _, err = run(capsys, "lemmas", "--grid", "bogus=3")
         assert code == 2
+        # The divisibility check always runs; its old order cap is no key.
+        code, out, err = run(capsys, "lemmas", "--grid", "det_eval_max_order=8")
+        assert (code, out) == (2, "")
+        assert err.startswith("lemmas: unknown grid keys ['det_eval_max_order']")
+
+    def test_lemma_failure_exits_1_with_its_report(self, capsys, monkeypatch, tmp_path):
+        # A Perron vector that is not constant on a cell fails a section:
+        # a suite failure (exit 1) with the report written, not a usage error.
+        perron_q = qfactor.harness.perron_q
+
+        def skewed(g):
+            data = perron_q(g)
+            vector = data.vector.copy()
+            vector[0] += 1e-3
+            return dataclasses.replace(data, vector=vector)
+
+        monkeypatch.setattr("qfactor.harness.perron_q", skewed)
+        path = tmp_path / "lemmas.json"
+        code, out, err = run(capsys, "lemmas", "--grid", "max_n=6,max_s=2,pairs=1",
+                             "--report", str(path))
+        assert (code, err) == (1, "")
+        assert "eigenvector_cells: FAIL" in out and "lemmas: FAILURES" in out
+        results = json.loads(path.read_text())["results"]
+        assert results["eigenvector_cells"]["passed"] is False
+        assert results["all_passed"] is False
 
     def test_bad_grid_syntax(self, capsys):
         code, _, _ = run(capsys, "identities", "--grid", "max_delta")
@@ -433,7 +460,6 @@ class TestSuitesCli:
         ("lemmas", "max_n=5", "max_n must be at least 6, got 5"),
         ("lemmas", "max_s=1", "max_s must be at least 2, got 1"),
         ("lemmas", "pairs=0", "pairs must be at least 1, got 0"),
-        ("lemmas", "det_eval_max_order=7", "det_eval_max_order must be at least 8, got 7"),
         ("lemmas", "max_n=-1,max_s=-1,pairs=0", "max_n must be at least 6, got -1"),
         ("identities", "max_delta=1", "max_delta must be at least 2, got 1"),
         ("identities", "max_delta=0", "max_delta must be at least 2, got 0"),
@@ -443,7 +469,7 @@ class TestSuitesCli:
         assert (code, out, err) == (2, "", f"{command}: grid key {message}\n")
 
     @pytest.mark.parametrize("command, grid", [
-        ("lemmas", "max_n=6,max_s=2,pairs=1,det_eval_max_order=8"),
+        ("lemmas", "max_n=6,max_s=2,pairs=1"),
         ("identities", "max_delta=2"),
     ])
     def test_grid_at_minimum_passes_with_valid_json(self, capsys, command, grid):
@@ -608,7 +634,7 @@ GOLDEN_CASES = [
      ("text", "json"), 0),
 ]
 
-# Eigensolver noise (residuals near 1e-15, a radius of 7 printed as
+# Eigensolver noise (cell spreads near 1e-15, a radius of 7 printed as
 # 7.00000000000001) differs between OpenBLAS kernels on the same input, so
 # every decimal float is compared at 9 significant digits and anything below
 # 1e-9 in magnitude reads as 0. Integers, graph6 strings, keys, column order

@@ -15,14 +15,12 @@ from qfactor.extremal import (
     gstar_cells,
     phi_b2,
     phi_bstar,
-    quotient_b2,
-    quotient_bstar,
     surgery_plan,
     threshold_q,
 )
 from qfactor.graphs import Graph, is_connected, min_degree
 from qfactor.harness import _gstar_grid, _identity_grid, odd_compositions
-from qfactor.spectra import char_poly, is_equitable, perron_q, signless_laplacian
+from qfactor.spectra import char_poly, perron_q, quotient
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +51,7 @@ def test_gstar_cells_are_equitable():
         g = build_gstar(n, delta)
         cells = gstar_cells(n, delta)
         assert sorted(v for cell in cells for v in cell) == list(range(n))
-        assert is_equitable(signless_laplacian(g), cells)
+        assert quotient(g, cells) is not None
 
 
 def test_g1_layout():
@@ -62,7 +60,7 @@ def test_g1_layout():
     assert g.edge_count == 1 + 3 + 3 + 2 * 6
     cells = g1_cells(2, (3, 3))
     assert cells[0] == list(range(2))
-    assert is_equitable(signless_laplacian(g), cells)
+    assert quotient(g, cells) is not None
     with pytest.raises(ValueError):
         build_g1(0, (3, 3))
     with pytest.raises(ValueError):
@@ -78,7 +76,7 @@ def test_g3_case3_shape():
     assert g.edge_count == 71
     cells = g3_cells(14, 3, 2)
     assert [len(c) for c in cells] == [2, 2, 10]
-    assert is_equitable(signless_laplacian(g), cells)
+    assert quotient(g, cells) is not None
     with pytest.raises(ValueError):
         build_g3(14, 3, 3)  # s must stay below delta
     with pytest.raises(ValueError):
@@ -137,19 +135,20 @@ def test_g4_embeds_in_gstar():
 # quotients and polynomials
 
 
+def b2_rows(n, s):
+    """The closed-form quotient of Q(g2(n, s)) that phi_b2 documents."""
+    return [[n + s - 2, n - 2 * s + 1, s - 1], [s, 2 * n - 3 * s, 0], [s, 0, s]]
+
+
 def test_quotient_b2_frozen_entries():
-    b = quotient_b2(8, 2)
-    assert b.int_rows() == [[8, 5, 1], [2, 10, 0], [2, 0, 2]]
-    assert quotient_bstar(8, 2).int_rows() == b.int_rows()
+    b = quotient(build_g2(8, 2), gstar_cells(8, 2))
+    assert b == b2_rows(8, 2) == [[8, 5, 1], [2, 10, 0], [2, 0, 2]]
+    assert quotient(build_gstar(8, 2), gstar_cells(8, 2)) == b
 
 
 def test_quotient_matches_graph_quotient():
-    from qfactor.spectra import quotient_matrix
-
     for n, delta in [(8, 2), (14, 3), (20, 4)]:
-        g = build_gstar(n, delta)
-        direct = quotient_matrix(signless_laplacian(g), gstar_cells(n, delta))
-        assert quotient_bstar(n, delta).int_rows() == direct.int_rows()
+        assert quotient(build_gstar(n, delta), gstar_cells(n, delta)) == b2_rows(n, delta)
 
 
 def test_phi_b2_frozen_coefficients():
@@ -160,7 +159,9 @@ def test_phi_b2_frozen_coefficients():
 def test_phi_equals_char_poly_of_quotient():
     for n in range(8, 30, 2):
         for s in range(2, n // 2 + 1):
-            assert phi_b2(n, s).coeffs == char_poly(quotient_b2(n, s)).coeffs, (n, s)
+            b = quotient(build_g2(n, s), gstar_cells(n, s))
+            assert b == b2_rows(n, s), (n, s)
+            assert phi_b2(n, s).coeffs == char_poly(b).coeffs, (n, s)
 
 
 def test_difference_identity_exact():

@@ -1,5 +1,6 @@
 """Tests for classification, streaming verification, and the study suites."""
 
+import dataclasses
 import itertools
 import json
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from exhaustive_search import enumerate_labeled, find_even_factor
+from qfactor import harness
 from qfactor.factors import (
     AGREEMENT_CLASSES,
     even_factor,
@@ -541,10 +543,25 @@ class TestSuites:
         assert not any(case["divides"] for case in report["cases"])
         assert report["all_divide"] is False and report["passed"] is False
 
+    def test_quotient_radius_fails_a_non_equitable_partition(self, monkeypatch):
+        # Vertex 0 alone and every other vertex in one cell, which mixes
+        # degrees: no quotient, so each case and the section fail, and
+        # nothing raises.
+        monkeypatch.setattr("qfactor.harness.gstar_cells",
+                            lambda n, delta: [[0], list(range(1, n))])
+        report = lemma_suite(**self.LEMMA_MINIMUMS)
+        section = report["quotient_radius"]
+        assert section["passed"] is False and section["all_equitable"] is False
+        assert section["all_divide"] is False
+        assert all(case["equitable"] is False and case["root_vs_perron"] is None
+                   for case in section["cases"])
+        assert report["eigenvector_cells"]["passed"] is False
+        assert report["all_passed"] is False
+
     # Each grid key at its minimum, the smallest value at which its section
     # still has a case: max_n = 6 is the smallest order with a redistribution
-    # case, det_eval_max_order = 8 the smallest G* order of the grid.
-    LEMMA_MINIMUMS = {"max_n": 6, "max_s": 2, "pairs": 1, "det_eval_max_order": 8}
+    # case.
+    LEMMA_MINIMUMS = {"max_n": 6, "max_s": 2, "pairs": 1}
 
     @pytest.mark.parametrize("key", sorted(LEMMA_MINIMUMS))
     def test_lemma_grid_below_minimum_is_rejected(self, key):
@@ -559,9 +576,29 @@ class TestSuites:
         assert report["clique_redistribution"]["cases"] >= 1
         assert report["edge_monotonicity"]["pairs"] == 1
         assert 0 < report["edge_monotonicity"]["min_margin"] < float("inf")
-        divides = [case["divides"] for case in report["quotient_radius"]["cases"]
-                   if "divides" in case]
-        assert divides == [True]
+        cases = report["quotient_radius"]["cases"]
+        assert cases and all(case["divides"] for case in cases)
+
+    def test_cell_spread_fails_ordering_and_surgery_cases(self, monkeypatch):
+        # A Perron vector off by 1e-3 at vertex 0, in the join cell, is not
+        # constant on its cell: every case that reads cell values is marked
+        # not ok, and nothing raises.
+        def skew(solve):
+            def skewed(*args):
+                data = solve(*args)
+                vector = data.vector.copy()
+                vector[0] += 1e-3
+                return dataclasses.replace(data, vector=vector)
+            return skewed
+
+        monkeypatch.setattr("qfactor.harness.perron", skew(harness.perron))
+        monkeypatch.setattr("qfactor.harness.perron_q", skew(harness.perron_q))
+        ordering = lemma_suite(**self.LEMMA_MINIMUMS)["cell_ordering"]
+        assert ordering["violations"] == len(ordering["cases"]) > 0
+        assert ordering["passed"] is False
+        surgery = identity_suite(max_delta=2)["surgery_chain"]
+        assert surgery["cases"] and not any(case["ok"] for case in surgery["cases"])
+        assert surgery["passed"] is False
 
     def test_no_positive_edge_margin_reports_null(self, monkeypatch):
         # With equal radii every pair is a violation and no margin is

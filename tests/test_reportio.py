@@ -1,9 +1,7 @@
 """Tests for canonical report serialization."""
 
-import dataclasses
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,27 +45,17 @@ class TestJsonReady:
         out = json_ready([1 / 3])
         assert out == [round_float(1 / 3)]
 
-    def test_fraction(self):
-        assert json_ready(Fraction(6, 2)) == 3
-        assert json_ready(Fraction(1, 3)) == "1/3"
-
     def test_containers(self):
-        out = json_ready({"a": (1, 2), "b": {3, 1, 2}})
-        assert out == {"a": [1, 2], "b": [1, 2, 3]}
-
-    def test_dataclass(self):
-        @dataclasses.dataclass
-        class Point:
-            x: float
-            y: float
-
-        assert json_ready(Point(1.0, 2.0)) == {"x": 1.0, "y": 2.0}
+        out = json_ready({"a": (1, 2), "b": [3, {"c": (1 / 3,)}]})
+        assert out == {"a": [1, 2], "b": [3, {"c": [round_float(1 / 3)]}]}
 
     def test_numpy(self):
-        assert json_ready(np.float64(0.5)) == 0.5
-        assert json_ready(np.int64(4)) == 4
-        assert json_ready(np.bool_(True)) is True
-        assert json_ready(np.array([1.0, 2.0])) == [1.0, 2.0]
+        # The spectral code works in numpy; its values reach a report only
+        # as Python floats, and a numpy scalar or array that slips through
+        # fails loudly instead of being converted.
+        for value in (np.float64(0.5), np.int64(4), np.bool_(True), np.array([1.0])):
+            with pytest.raises(TypeError):
+                json_ready({"x": [value]})
 
     def test_unserializable_rejected(self):
         with pytest.raises(TypeError):

@@ -308,6 +308,8 @@ def verify_stream(
     if jobs > 1 and len(chunks) > 1:
         import multiprocessing
 
+        import numpy  # before the fork, so workers inherit it instead of each importing it
+
         with multiprocessing.Pool(processes=min(jobs, len(chunks))) as pool:
             done = pool.map(classify, chunks, chunksize=1)
     else:

@@ -6,7 +6,9 @@ Two arithmetic regimes coexist on purpose and are kept separate:
   graph solved whole behind a hard residual gate. The matrices are
   unpacked from the bitrows by numpy, and perron_many stacks many graphs
   by order, so each order costs one ``eigh`` call; stacked and one-matrix
-  calls give bitwise-equal eigenpairs. perron is its one-graph case;
+  calls give bitwise-equal eigenpairs. perron is its one-graph case.
+  This regime imports numpy on its first call, so a process that stays in
+  the exact regime never loads it;
 * exact integer arithmetic: quotient matrices counted from the bitrows,
   characteristic polynomials (Faddeev-LeVerrier over Python ints) and
   root isolation (a Sturm chain with integer signs at dyadic points,
@@ -22,11 +24,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,8 @@ RESIDUAL_GATE = 1e-11
 def _alpha_stack(graphs: Sequence[Graph], alpha: int) -> np.ndarray:
     """alpha*D + A of graphs of one order n as one (len(graphs), n, n) stack,
     unpacked from the bitrows by numpy."""
+    import numpy as np
+
     if alpha not in (0, 1):
         raise ValueError("alpha must be 0 or 1")
     n = graphs[0].n
@@ -87,6 +92,8 @@ def perron_many(
         else:
             by_order.setdefault(g.n, []).append(i)
     for members in by_order.values():
+        import numpy as np  # here, so a call with nothing to solve never loads it
+
         stack = _alpha_stack([graphs[i] for i in members], alpha)
         try:
             solved = [(members, stack, *np.linalg.eigh(stack))]

@@ -9,14 +9,16 @@ itself the unique exception.  ``G*(n, delta)`` itself *has* an even factor
 (a Hamiltonian cycle, for one); it is the unique exception for the
 parity criterion, which it fails on its join cell, not for even factors.
 
-:func:`check_theorem_instance` classifies one graph against that statement.
-The ladder is threshold, recognizer, then the exact even-factor test
+:func:`check_theorem_instance` and :func:`verify_stream` classify graphs
+against that statement by one ladder, the table :data:`RUNGS`: the
+hypotheses, the threshold, the recognizer, then the exact even-factor test
 :func:`~qfactor.factors.even_factor` (the two-factor fast path, else one
-perfect-matching question on a gadget).  Above the threshold, a
-non-extremal graph is ``confirmed_factor`` with a checked edge list, or a
-``counterexample`` whose ``no_even_factor`` witness rests on a checked
-Tutte barrier of the gadget (or a vertex of degree below 2).  Every such
-graph is decided; no size guard applies.
+perfect-matching question on a gadget).  The hypotheses need no Perron
+value, so they run on a whole chunk of lines before its eigh stack is
+built.  Above the threshold, a non-extremal graph is ``confirmed_factor``
+with a checked edge list, or a ``counterexample`` whose ``no_even_factor``
+witness rests on a checked Tutte barrier of the gadget (or a vertex of
+degree below 2).  Every such graph is decided; no size guard applies.
 
 The threshold itself is the largest real root of an exact integer
 characteristic polynomial, isolated by a Sturm chain with integer signs at
@@ -115,7 +117,7 @@ class TheoremOutcome:
     witness: dict[str, Any] | None = None
     note: str | None = None
 
-    def as_row(self, graph6: str | None = None) -> dict[str, Any]:
+    def as_row(self, graph6: str | None = None, line: int | None = None) -> dict[str, Any]:
         row = {
             "classification": self.classification,
             "q": self.q,
@@ -123,10 +125,9 @@ class TheoremOutcome:
             "delta": self.delta,
             "witness": self.witness,
         }
-        if graph6 is not None:
-            row["graph6"] = graph6
-        if self.note is not None:
-            row["note"] = self.note
+        for key, value in (("graph6", graph6), ("line", line), ("note", self.note)):
+            if value is not None:
+                row[key] = value
         return row
 
 
@@ -167,68 +168,95 @@ def recognize_gstar(g: Graph) -> tuple[int, int] | None:
     return (n, delta)
 
 
-def _gate(g: Graph) -> TheoremOutcome | int:
-    """The pre-spectral gate: a not_applicable outcome, or the effective
-    degree parameter ``min(delta(G), floor((n+7)/7))``.
-
-    A graph whose minimum degree exceeds what its order supports is tested
-    against the largest admissible parameter, which is sound because the
-    theorem's hypothesis only bounds the minimum degree from below.
-    """
+def _hypotheses(g: Graph, fixed: dict[str, Any]) -> TheoremOutcome | None:
+    """Even order >= 4, connected, and ``delta = min(delta(G), floor((n+7)/7))
+    >= 2``: a minimum degree above what the order supports is capped, which
+    is sound because the hypothesis only bounds it from below."""
     n = g.n
     if n < 4 or n % 2 == 1:
         return TheoremOutcome("not_applicable", note="order must be even and at least 4")
     if not is_connected(g):
         return TheoremOutcome("not_applicable", note="graph is disconnected")
-    delta = min(min_degree(g), max_theorem_delta(n))
-    if delta < 2:
+    fixed["delta"] = min(min_degree(g), max_theorem_delta(n))
+    if fixed["delta"] < 2:
         return TheoremOutcome("not_applicable", note="minimum degree below 2")
-    return delta
 
 
-def _check_eps(eps: float) -> None:
-    """A negative band would call graphs above the threshold below it; NaN
-    would call none below it."""
+def _decided(classification: str, fixed: dict[str, Any], witness=None) -> TheoremOutcome:
+    return TheoremOutcome(classification, fixed["q"], fixed["threshold"], fixed["delta"], witness)
+
+
+def _threshold(g: Graph, fixed: dict[str, Any]) -> TheoremOutcome | None:
+    fixed["threshold"] = threshold_q(g.n, fixed["delta"])
+    if fixed["q"] < fixed["threshold"] - fixed["eps"]:
+        return _decided("below_threshold", fixed)
+
+
+def _extremal(g: Graph, fixed: dict[str, Any]) -> TheoremOutcome | None:
+    if recognize_gstar(g) == (g.n, fixed["delta"]):
+        return _decided("extremal_match", fixed)
+
+
+def _even_factor(g: Graph, fixed: dict[str, Any]) -> TheoremOutcome:
+    factor = even_factor(g)
+    if factor is None:
+        return _decided("counterexample", fixed, {"kind": "no_even_factor"})
+    return _decided("confirmed_factor", fixed,
+                    {"kind": "even_factor", "edges": [list(e) for e in factor]})
+
+
+# The theorem's ladder as (rung, needs q) pairs.  A rung maps a graph and the
+# values earlier rungs fixed (delta, q, threshold, and the run's eps) to an
+# outcome, or to None to pass the graph on.  The rungs that need no Perron
+# value run first, before a chunk's eigh stack is built; the last rung
+# decides every graph that reaches it.
+RUNGS = (
+    (_hypotheses, False),
+    (_threshold, True),
+    (_extremal, True),
+    (_even_factor, True),
+)
+
+
+def _climb(g: Graph, fixed: dict[str, Any], with_q: bool) -> Any:
+    """The first outcome of the rungs whose need for q is *with_q*, None if
+    none decides, or the error that stopped the graph."""
+    try:
+        for rung, needs_q in RUNGS:
+            if needs_q == with_q and (outcome := rung(g, fixed)) is not None:
+                return outcome
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        return exc
+
+
+def _classify(graphs: Sequence[Graph], eps: float) -> list[Any]:
+    """Each graph's outcome on RUNGS, or the error that stopped it (the
+    residual gate or LinAlgError, a rejected certificate, the threshold
+    cross-check).  The graphs the rungs without q leave open get it from one
+    perron_many call, one eigh per order.  Raises ValueError for a negative
+    eps, which would call graphs above the threshold below it, or a NaN."""
     if not eps >= 0:
         raise ValueError(f"eps must be a nonnegative number, got {eps!r}")
+    fixed = [{"eps": eps} for _ in graphs]
+    results = [_climb(g, f, False) for g, f in zip(graphs, fixed)]
+    pending = [i for i, result in enumerate(results) if result is None]
+    for i, pd in zip(pending, perron_many([graphs[i] for i in pending], 1)):
+        if isinstance(pd, Exception):
+            results[i] = pd
+        else:
+            fixed[i]["q"] = pd.value
+            results[i] = _climb(graphs[i], fixed[i], True)
+    return results
 
 
 def check_theorem_instance(g: Graph, *, eps: float = DEFAULT_EPS) -> TheoremOutcome:
-    """Classify one graph.  See the module docstring for the ladder.
-
-    The one-graph case of :func:`verify_stream`: the same gate and ladder
-    around :func:`~qfactor.spectra.perron_q`.  Raises ValueError for a
-    negative or NaN *eps*.
-    """
-    _check_eps(eps)
-    gate = _gate(g)
-    if isinstance(gate, TheoremOutcome):
-        return gate
-    return _ladder(g, perron_q(g).value, gate, eps)
-
-
-def _ladder(g: Graph, q: float, delta: int, eps: float) -> TheoremOutcome:
-    """The rungs after the gate, given the graph's Perron value q."""
-    n = g.n
-    threshold = threshold_q(n, delta)
-    if q < threshold - eps:
-        return TheoremOutcome("below_threshold", q, threshold, delta)
-
-    rec = recognize_gstar(g)
-    if rec == (n, delta):
-        return TheoremOutcome("extremal_match", q, threshold, delta)
-
-    factor = even_factor(g)
-    if factor is None:
-        return TheoremOutcome("counterexample", q, threshold, delta,
-                              witness={"kind": "no_even_factor"})
-    return TheoremOutcome(
-        "confirmed_factor",
-        q,
-        threshold,
-        delta,
-        witness={"kind": "even_factor", "edges": [list(e) for e in factor]},
-    )
+    """Classify one graph: the one-graph case of the classifier that
+    :func:`verify_stream` runs per chunk, raising the error that stops the
+    graph, or ValueError for a negative or NaN *eps*."""
+    result = _classify([g], eps)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -241,44 +269,23 @@ def _ladder(g: Graph, q: float, delta: int, eps: float) -> TheoremOutcome:
 # costly lines cluster (on the benchmark sweep, 256 made --jobs 2 slower).
 CHUNK_LINES = 128
 
-def _row(lineno: int, text: str, result: TheoremOutcome | Exception) -> dict[str, Any]:
-    if isinstance(result, Exception):
-        return {"line": lineno, "graph6": text, "error": str(result)}
-    row = result.as_row(graph6=graph6_payload(text))
-    row["line"] = lineno
-    return row
-
 
 def _classify_chunk(chunk: Sequence[tuple[int, str]], eps: float) -> list[dict[str, Any]]:
-    """Rows of a chunk of (line number, stripped text) pairs.
-
-    Every line is parsed and gated first; the applicable graphs then get
-    their Perron values from one perron_many call (one eigh per order), and
-    each runs the ladder with its q.  A failing line becomes its error row
-    and the run goes on: Graph6Error, the perron residual gate or
-    LinAlgError, a rejected certificate or the threshold cross-check.
-    """
+    """Rows of a chunk of (line number, stripped text) pairs: the lines that
+    parse go through one _classify call.  A malformed line or a graph's
+    error becomes its error row and the run goes on."""
     results: list[Any] = [None] * len(chunk)
-    pending = []
+    parsed = []
     for pos, (_, text) in enumerate(chunk):
         try:
-            g = parse_graph6(text)
+            parsed.append((pos, parse_graph6(text)))
         except Graph6Error as exc:
             results[pos] = exc
-            continue
-        gate = _gate(g)
-        if isinstance(gate, TheoremOutcome):
-            results[pos] = gate
-        else:
-            pending.append((pos, g, gate))
-    spectra = perron_many([g for _, g, _ in pending], 1)
-    for (pos, g, delta), pd in zip(pending, spectra):
-        try:
-            results[pos] = pd if isinstance(pd, Exception) else _ladder(
-                g, pd.value, delta, eps)
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
-            results[pos] = exc
-    return [_row(lineno, text, r) for (lineno, text), r in zip(chunk, results)]
+    for (pos, _), result in zip(parsed, _classify([g for _, g in parsed], eps)):
+        results[pos] = result
+    return [{"line": lineno, "graph6": text, "error": str(result)}
+            if isinstance(result, Exception) else result.as_row(graph6_payload(text), lineno)
+            for (lineno, text), result in zip(chunk, results)]
 
 
 def verify_stream(
@@ -295,9 +302,8 @@ def verify_stream(
     CHUNK_LINES, with one LAPACK eigh call per graph order per chunk.  With
     ``jobs > 1`` the chunks fan out over a process pool; rows are returned
     in input order either way, so reports are independent of ``jobs``.
-    Raises ValueError for a negative or NaN *eps*.
+    Raises ValueError for a negative or NaN *eps* if a line is nonblank.
     """
-    _check_eps(eps)
     work = [
         (lineno, stripped)
         for lineno, raw in enumerate(lines, start=1)
@@ -316,25 +322,18 @@ def verify_stream(
         done = map(classify, chunks)
     rows = [row for chunk_rows in done for row in chunk_rows]
 
-    counts = {name: 0 for name in CLASSIFICATIONS}
+    decided = [row["classification"] for row in rows if "error" not in row]
+    counts = {name: decided.count(name) for name in CLASSIFICATIONS}
     # Benchmark holdover, always 0: perfbench/test_perfbench.py increments
     # this key, and perfbench/ changes only in a benchmark change.
     counts["undecided"] = 0
-    errors = 0
-    counterexamples = []
-    for row in rows:
-        if "error" in row:
-            errors += 1
-            continue
-        counts[row["classification"]] += 1
-        if row["classification"] == "counterexample":
-            counterexamples.append(row["graph6"])
     return {
         "items": rows,
         "counts": counts,
-        "errors": errors,
+        "errors": len(rows) - len(decided),
         "total": len(rows),
-        "counterexamples": counterexamples,
+        "counterexamples": [row["graph6"] for row in rows
+                            if row.get("classification") == "counterexample"],
     }
 
 

@@ -299,6 +299,68 @@ class TestVerifyStream:
             assert "non-factor" in report["items"][0]["error"]
 
 
+def _with_rung(rung, needs_q, at):
+    rungs = list(harness.RUNGS)
+    rungs.insert(at, (rung, needs_q))
+    return tuple(rungs)
+
+
+def _first_rung_with_q():
+    return next(i for i, (_, needs_q) in enumerate(harness.RUNGS) if needs_q)
+
+
+class TestRungTable:
+    """The table is the only ladder: one entry added to it reaches the
+    one-graph path and the chunked stream alike."""
+
+    K8, K10 = "G~~~~{", "I~~~~~~~w"
+
+    def test_added_rung_decides_on_both_paths(self, monkeypatch):
+        def set_order_8_aside(g, fixed):
+            if g.n == 8:
+                return TheoremOutcome("not_applicable", fixed["q"], delta=fixed["delta"],
+                                      note="order 8 set aside")
+            return None
+
+        monkeypatch.setattr(harness, "RUNGS",
+                            _with_rung(set_order_8_aside, True, _first_rung_with_q()))
+        out = check_theorem_instance(complete(8))
+        assert (out.classification, out.note) == ("not_applicable", "order 8 set aside")
+        assert out.q == pytest.approx(14.0, abs=1e-9) and out.delta == 2
+        assert check_theorem_instance(complete(10)).classification == "confirmed_factor"
+
+        report = verify_stream([self.K8, self.K10], jobs=1)
+        first, second = report["items"]
+        assert first["classification"] == "not_applicable"
+        assert first["note"] == "order 8 set aside" and first["line"] == 1
+        assert second["classification"] == "confirmed_factor"
+        assert report["counts"]["not_applicable"] == report["counts"]["confirmed_factor"] == 1
+
+    def test_rung_without_q_keeps_its_graphs_out_of_the_eigh_stack(self, monkeypatch):
+        received = []
+
+        def recording(graphs, alpha):
+            received.extend(g.n for g in graphs)
+            return perron_many(graphs, alpha)
+
+        def set_order_8_aside(g, fixed):
+            if g.n == 8:
+                return TheoremOutcome("not_applicable", note="order 8 set aside")
+            return None
+
+        monkeypatch.setattr("qfactor.harness.perron_many", recording)
+        monkeypatch.setattr(harness, "RUNGS", _with_rung(set_order_8_aside, False, 0))
+        assert check_theorem_instance(complete(8)).note == "order 8 set aside"
+        assert received == []
+
+        lines = [self.K8, self.K10, write_graph6(build_gstar(8, 2)), write_graph6(cycle(10))]
+        rows = verify_stream(lines, jobs=1)["items"]
+        assert received == [10, 10]
+        assert [row["classification"] for row in rows] == [
+            "not_applicable", "confirmed_factor", "not_applicable", "below_threshold"]
+        assert rows[0]["q"] is None and rows[2]["delta"] is None
+
+
 def _interleaved_stream(count):
     """Orders 4..12 (and odd 7) interleaved line by line, with blank,
     header-prefixed and malformed lines mixed in."""

@@ -22,6 +22,17 @@ write their error rows); 3 = ``agreement``'s enumeration guard
 (``--max-enum-order``) blocked an exhaustive census.  Input-integrity
 problems (2) take precedence over findings (1).  Every other computation
 is polynomial and has no guard.
+
+The CLI parses before it loads: at import time this module needs only the
+standard library, so ``--version``, ``--help`` and usage errors load no other
+qfactor module.  Each runner imports what it runs when it is dispatched, and
+``main`` then loads ``reportio``.  ``verify``, ``lemmas``, ``identities`` and
+``agreement`` load ``harness`` and with it every module; ``factor`` loads
+``graphs``, ``matching`` and ``factors``; ``spectrum`` loads ``graphs`` and
+``spectra``; ``extremal`` loads those two and ``extremal``.  numpy loads at
+the first Perron value.  The imports sit inside the functions, not in module
+globals, so a wrapper installed on a module's function (the benchmark's
+tracer) is the function called.
 """
 
 from __future__ import annotations
@@ -33,32 +44,7 @@ import sys
 import time
 from typing import Any, Callable, NamedTuple, Sequence
 
-from . import __version__
-from .extremal import (
-    build_g1,
-    build_g2,
-    build_g3,
-    build_g4,
-    build_gstar,
-    g1_cells,
-    g3_cells,
-    g4_containment,
-    phi_b2,
-    phi_bstar,
-    surgery_plan,
-    threshold_q,
-)
-from .factors import factor_verdict
-from .graphs import GuardExceeded, graph6_payload, min_degree, parse_graph6, write_graph6
-from .harness import (
-    DEFAULT_ENUM_ORDER,
-    agreement_study,
-    identity_suite,
-    lemma_suite,
-    verify_stream,
-)
-from .reportio import dumps_canonical, format_float, make_report
-from .spectra import char_poly, largest_real_root, perron_q, perron_rho, quotient
+from . import DEFAULT_ENUM_ORDER, __version__
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +52,7 @@ from .spectra import char_poly, largest_real_root, perron_q, perron_rho, quotien
 
 
 def _parse_grid(text: str) -> dict[str, int]:
-    """``key=value,key=value`` with integer values."""
+    """``key=value,key=value`` with integer values; a key may appear once."""
     out: dict[str, int] = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -75,8 +61,11 @@ def _parse_grid(text: str) -> dict[str, int]:
         key, sep, value = chunk.partition("=")
         if not sep:
             raise argparse.ArgumentTypeError(f"grid entry {chunk!r} is not key=value")
+        key = key.strip()
+        if key in out:
+            raise argparse.ArgumentTypeError(f"grid key {key!r} is given more than once")
         try:
-            out[key.strip()] = int(value)
+            out[key] = int(value)
         except ValueError:
             raise argparse.ArgumentTypeError(f"grid value {value!r} is not an integer")
     return out
@@ -118,6 +107,7 @@ def _read_lines(source: str) -> list[str]:
 
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
+        from .reportio import format_float
         return format_float(value)
     if value is None:
         return ""
@@ -151,6 +141,7 @@ class Run(NamedTuple):
 
 
 def _write_outputs(args: argparse.Namespace, report: dict[str, Any], run: Run) -> None:
+    from .reportio import dumps_canonical
     if args.report:
         with open(args.report, "w", encoding="ascii") as fh:
             fh.write(dumps_canonical(report))
@@ -185,6 +176,7 @@ def _cmd_per_line(args: argparse.Namespace) -> Run:
     """One row per nonblank input line: the line number, the graph6 and the
     command's fields for the graph.  A line that fails is an error row, and
     any error row makes the exit code 2."""
+    from .graphs import graph6_payload, parse_graph6
     row_of, text_of = _PER_LINE[args.subcommand]
     rows: list[dict[str, Any]] = []
     errors = 0
@@ -207,6 +199,8 @@ def _cmd_per_line(args: argparse.Namespace) -> Run:
 
 
 def _spectrum_row(g) -> dict[str, Any]:
+    from .graphs import min_degree
+    from .spectra import perron_q, perron_rho
     return {
         "n": g.n,
         "m": g.edge_count,
@@ -222,6 +216,7 @@ def _spectrum_text(row: dict[str, Any]) -> str:
 
 
 def _factor_row(g) -> dict[str, Any]:
+    from .factors import factor_verdict
     verdict = factor_verdict(g)
     return {
         "criterion_holds": verdict.criterion_holds,
@@ -241,23 +236,26 @@ def _factor_text(row: dict[str, Any]) -> str:
 _PER_LINE = {"spectrum": (_spectrum_row, _spectrum_text), "factor": (_factor_row, _factor_text)}
 
 
-# family -> (its build function, the flags it requires, in that function's argument order)
+# family -> the flags its extremal.build_<family> requires, in argument order
 _FAMILIES = {
-    "gstar": (build_gstar, ("n", "delta")),
-    "g1": (build_g1, ("s", "parts")),
-    "g2": (build_g2, ("n", "s")),
-    "g3": (build_g3, ("n", "delta", "s")),
-    "g4": (build_g4, ("n", "delta", "s")),
+    "gstar": ("n", "delta"),
+    "g1": ("s", "parts"),
+    "g2": ("n", "s"),
+    "g3": ("n", "delta", "s"),
+    "g4": ("n", "delta", "s"),
 }
 
 
 def _cmd_extremal(args: argparse.Namespace) -> Run:
-    build, flags = _FAMILIES[args.family]
+    from . import extremal
+    from .graphs import write_graph6
+    from .spectra import char_poly, largest_real_root, perron_q, quotient
+    flags = _FAMILIES[args.family]
     values = [getattr(args, flag) for flag in flags]
     if None in values:
         names = [f"--{flag}" for flag in flags]
         raise ValueError(f"{args.family} requires {', '.join(names[:-1])} and {names[-1]}")
-    g = build(*values)
+    g = getattr(extremal, f"build_{args.family}")(*values)
     config = {key: getattr(args, key) for key in ("family", "n", "delta", "s")}
     config["parts"] = list(args.parts) if args.parts else None
 
@@ -271,24 +269,25 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
     # only the family's own parameters: g1 has no n, gstar no s
     meta.update((flag, value) for flag, value in zip(flags, values) if flag != "parts")
     if args.family == "gstar":
-        poly = phi_bstar(args.n, args.delta)
+        poly = extremal.phi_bstar(args.n, args.delta)
         meta["coefficients"] = list(poly.coeffs)
-        meta["threshold"] = threshold_q(args.n, args.delta)
+        meta["threshold"] = extremal.threshold_q(args.n, args.delta)
     elif args.family == "g2":
-        poly = phi_b2(args.n, args.s)
+        poly = extremal.phi_b2(args.n, args.s)
         meta["coefficients"] = list(poly.coeffs)
         meta["root"] = largest_real_root(poly, 0.0, 2.0 * args.n)
     elif args.family == "g1":
         meta["parts"] = list(args.parts)
-        meta["coefficients"] = list(char_poly(quotient(g, g1_cells(args.s, args.parts))).coeffs)
+        cells = extremal.g1_cells(args.s, args.parts)
+        meta["coefficients"] = list(char_poly(quotient(g, cells)).coeffs)
     elif args.family == "g3":
-        cells = g3_cells(args.n, args.delta, args.s)
+        cells = extremal.g3_cells(args.n, args.delta, args.s)
         meta["coefficients"] = list(char_poly(quotient(g, cells)).coeffs)
         meta["m"] = g.n - args.s - (args.delta + 1 - args.s) * (args.s - 1)
     else:  # g4
-        plan = surgery_plan(args.n, args.delta, args.s)
-        containment = g4_containment(args.n, args.delta, args.s)
-        meta["threshold"] = threshold_q(args.n, args.delta)
+        plan = extremal.surgery_plan(args.n, args.delta, args.s)
+        containment = extremal.g4_containment(args.n, args.delta, args.s)
+        meta["threshold"] = extremal.threshold_q(args.n, args.delta)
         meta["surgery"] = {
             "removed": [list(e) for e in plan.removed],
             "added_join_side": [list(e) for e in plan.added_e1],
@@ -314,6 +313,7 @@ def verify_exit_code(results: dict[str, Any]) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Run:
+    from .harness import verify_stream
     results = verify_stream(_read_lines(args.stream), eps=args.eps, jobs=args.jobs)
     counts = results["counts"]
     shown = [row for row in results["items"]
@@ -327,18 +327,18 @@ def _cmd_verify(args: argparse.Namespace) -> Run:
     return Run(config, results, text_lines, verify_exit_code(results))
 
 
-# suite command -> (suite, accepted grid keys, whether --seed is passed,
-# summary word for a failure).  The suites are called through this module's
-# globals, so a wrapper installed on them (the benchmark's tracer) is seen.
+# suite command -> (its function in harness, accepted grid keys, whether
+# --seed is passed, summary word for a failure)
 _SUITES = {
-    "lemmas": (lambda **kw: lemma_suite(**kw),
-               ("max_n", "max_s", "pairs"), True, "FAILURES"),
-    "identities": (lambda **kw: identity_suite(**kw), ("max_delta",), False, "MISMATCHES"),
+    "lemmas": ("lemma_suite", ("max_n", "max_s", "pairs"), True, "FAILURES"),
+    "identities": ("identity_suite", ("max_delta",), False, "MISMATCHES"),
 }
 
 
 def _cmd_suite(args: argparse.Namespace) -> Run:
-    suite, keys, seeded, failure = _SUITES[args.subcommand]
+    from . import harness
+    name, keys, seeded, failure = _SUITES[args.subcommand]
+    suite = getattr(harness, name)
     grid = dict(args.grid or {})
     bad = set(grid) - set(keys)
     if bad:
@@ -355,6 +355,7 @@ def _cmd_suite(args: argparse.Namespace) -> Run:
 
 
 def _cmd_agreement(args: argparse.Namespace) -> Run:
+    from .harness import agreement_study
     results = agreement_study(
         args.n,
         connected_only=args.connected_only,
@@ -456,6 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand, then write its report and stdout projection."""
     args = build_parser().parse_args(argv)
+    from .graphs import GuardExceeded
+    from .reportio import make_report
     start = time.perf_counter()
     try:
         run = args.func(args)

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import DEFAULT_ENUM_ORDER
+
 
 class Graph6Error(ValueError):
     """Malformed graph6 input."""
@@ -351,7 +353,7 @@ def mask_graph(n: int, pairs: Sequence[tuple[int, int]], mask: int) -> Graph:
 
 
 def isomorphism_classes(
-    n: int, *, max_order: int = 7
+    n: int, *, max_order: int = DEFAULT_ENUM_ORDER
 ) -> tuple[array, list[Graph]]:
     """Label every edge mask on n vertices with its isomorphism class.
 
@@ -403,7 +405,7 @@ def isomorphism_classes(
     return labels, representatives
 
 
-def mask_graph6_encoder(n: int, *, max_order: int = 7) -> Callable[[int], str]:
+def mask_graph6_encoder(n: int, *, max_order: int = DEFAULT_ENUM_ORDER) -> Callable[[int], str]:
     """A function taking an edge mask on n vertices (bit k is the k-th
     lexicographic pair) to its graph6, equal to
     write_graph6(mask_graph(n, lexicographic_pairs(n), mask)).

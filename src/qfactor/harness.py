@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
+from . import DEFAULT_ENUM_ORDER
 from .extremal import (
     build_g1,
     build_g2,
@@ -80,7 +81,6 @@ from .spectra import (
     signless_laplacian,
 )
 
-DEFAULT_ENUM_ORDER = 7
 DEFAULT_EPS = 1e-8
 # Sampled connected-only studies give up after this many disconnected draws
 # in a row: connected graphs are then too rare at (n, p) to sample.

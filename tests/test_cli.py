@@ -456,6 +456,16 @@ class TestSuitesCli:
         code, _, _ = run(capsys, "identities", "--grid", "max_delta")
         assert code == 2
 
+    @pytest.mark.parametrize("command, grid, key", [
+        ("lemmas", "max_n=6,max_n=8", "max_n"),
+        ("identities", "max_delta=2, max_delta =3", "max_delta"),
+    ])
+    def test_repeated_grid_key_is_a_usage_error(self, capsys, command, grid, key):
+        # The first value is not dropped in favour of the last: nothing runs.
+        code, out, err = run(capsys, command, "--grid", grid)
+        assert (code, out) == (2, "")
+        assert f"argument --grid: grid key '{key}' is given more than once" in err
+
     @pytest.mark.parametrize("command, grid, message", [
         ("lemmas", "max_n=5", "max_n must be at least 6, got 5"),
         ("lemmas", "max_s=1", "max_s must be at least 2, got 1"),

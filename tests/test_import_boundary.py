@@ -1,4 +1,8 @@
-"""numpy is loaded only by the float route (Perron values).
+"""Each command loads only the modules it runs, and numpy only for Perron values.
+
+The CLI parses before it loads: ``--version``, ``--help`` and usage errors
+load no qfactor module beyond the package and ``qfactor.cli``, and each
+subcommand imports its own modules when it is dispatched.
 
 Each case runs a fresh interpreter, so modules imported by other tests do not
 leak in. The child reports through its exit code, not through assert, so the
@@ -6,6 +10,7 @@ check also holds under ``python -O``.
 """
 
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,15 +21,17 @@ import qfactor
 
 SRC = str(Path(qfactor.__file__).parents[1])
 
-# Exit code: 100 if numpy was loaded, plus the command's own exit code.
+# argv[1] is a comma-separated list of modules the command must not load.
+# Exit code: 100 if one of them was loaded, plus the command's own exit code.
 RUN_MAIN = """
 import sys
 from qfactor.cli import main
+forbidden = sys.argv[1].split(",")
 try:
-    code = main(sys.argv[1:])
+    code = main(sys.argv[2:])
 except SystemExit as exc:
     code = exc.code
-sys.exit(100 * ("numpy" in sys.modules) + code)
+sys.exit(100 * any(name in sys.modules for name in forbidden) + code)
 """
 
 # Exit code 1 if importing any module of the package loads numpy.
@@ -36,6 +43,15 @@ for info in pkgutil.walk_packages(qfactor.__path__, "qfactor."):
 sys.exit("numpy" in sys.modules)
 """
 
+# What --version, --help and usage errors must not load: every module of the
+# package but the CLI (listed without importing any), numpy, and the standard
+# modules the computational ones use.
+PARSER_ONLY = (
+    *(info.name for info in pkgutil.iter_modules(qfactor.__path__, "qfactor.")
+      if info.name != "qfactor.cli"),
+    "numpy", "fractions", "dataclasses", "datetime",
+)
+
 
 def _child(source, argv=(), stdin=""):
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -45,8 +61,26 @@ def _child(source, argv=(), stdin=""):
     ).returncode
 
 
+def _run_main(forbidden, argv, stdin=""):
+    return _child(RUN_MAIN, [",".join(forbidden), *argv], stdin)
+
+
 def test_importing_the_package_does_not_load_numpy():
     assert _child(IMPORT_ALL) == 0
+
+
+@pytest.mark.parametrize("argv, stdin, forbidden, code", [
+    (["--version"], "", PARSER_ONLY, 0),
+    (["--help"], "", PARSER_ONLY, 0),
+    (["verify", "--jobs", "0", "--stream", "-"], "", PARSER_ONLY, 2),
+    (["factor"], "G]o_GK\nG~~~~{\n",
+     ("qfactor.harness", "qfactor.spectra", "qfactor.extremal", "numpy"), 0),
+    (["spectrum"], "G~~~~{\n", ("qfactor.harness", "qfactor.factors", "qfactor.extremal"), 0),
+    (["extremal", "--family", "gstar", "--n", "8", "--delta", "2"], "",
+     ("qfactor.harness", "qfactor.factors"), 0),
+], ids=["version", "help", "usage-error", "factor", "spectrum", "extremal"])
+def test_each_command_loads_only_what_it_runs(argv, stdin, forbidden, code):
+    assert _run_main(forbidden, argv, stdin) == code
 
 
 @pytest.mark.parametrize("argv, stdin, code", [
@@ -58,7 +92,7 @@ def test_importing_the_package_does_not_load_numpy():
     (["verify", "--stream", "-"], "F~~~w\nH~~~~~~\n", 0),
 ], ids=["version", "agreement", "factor", "usage-error", "verify-not-applicable"])
 def test_exact_commands_do_not_load_numpy(argv, stdin, code):
-    assert _child(RUN_MAIN, argv, stdin) == code
+    assert _run_main(["numpy"], argv, stdin) == code
 
 
 @pytest.mark.parametrize("argv, stdin", [
@@ -66,4 +100,4 @@ def test_exact_commands_do_not_load_numpy(argv, stdin, code):
     (["verify", "--stream", "-"], "G~~~~{\n"),
 ], ids=["spectrum", "verify-applicable"])
 def test_perron_commands_load_numpy(argv, stdin):
-    assert _child(RUN_MAIN, argv, stdin) == 100
+    assert _run_main(["numpy"], argv, stdin) == 100

@@ -18,8 +18,8 @@ The characteristic polynomials of the 3x3 quotients of g2 and gstar are
 kept in closed form as exact integer objects, so identity checks are
 coefficient-exact.
 threshold_q is the load-bearing number: the largest root of the gstar
-polynomial, isolated by a Sturm chain and correctly rounded to a double,
-then cross-validated against LAPACK eigh on the actual graph.
+polynomial, bisected in integers and correctly rounded to a double, then
+cross-validated against LAPACK eigh on the actual graph.
 """
 
 from __future__ import annotations

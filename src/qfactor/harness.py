@@ -21,10 +21,10 @@ witness rests on a checked Tutte barrier of the gadget (or a vertex of
 degree below 2).  Every such graph is decided; no size guard applies.
 
 The threshold itself is the largest real root of an exact integer
-characteristic polynomial, isolated by a Sturm chain with integer signs at
-dyadic points and correctly rounded to a double, then cross-checked against
-a directly computed spectral radius, so a near-band instance cannot be
-misclassified by float drift greater than the stated ``eps``.
+characteristic polynomial, bisected in integers at dyadic points and
+correctly rounded to a double, then cross-checked against a directly
+computed spectral radius, so a near-band instance cannot be misclassified
+by float drift greater than the stated ``eps``.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ Two arithmetic regimes coexist on purpose and are kept separate:
   the exact regime never loads it;
 * exact integer arithmetic: quotient matrices counted from the bitrows,
   characteristic polynomials (Faddeev-LeVerrier over Python ints) and
-  root isolation (a Sturm chain with integer signs at dyadic points,
-  bisected until the largest root is correctly rounded to a double).
+  the largest root of such a polynomial, bisected over dyadic points by the
+  integer signs of the polynomial and its derivatives until it is correctly
+  rounded to a double.
 
 Every identity check downstream compares a float route against an exact
 route; nothing here collapses the two.
@@ -20,9 +21,7 @@ route; nothing here collapses the two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -276,55 +275,6 @@ def char_poly(a: Sequence[Sequence[int]]) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs))
 
 
-def _poly_divmod(
-    a: list[Fraction], b: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of a by b, coefficients ascending and b's
-    leading one nonzero. The remainder is trimmed, to [] when it is zero."""
-    rem = a[:]
-    d = len(b) - 1
-    quo = [Fraction(0)] * (len(a) - d)
-    for top in range(len(rem) - 1, d - 1, -1):
-        lead = quo[top - d] = rem[top] / b[-1]
-        if lead:
-            for i, c in enumerate(b):
-                rem[top - d + i] -= lead * c
-    rem = rem[:d]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quo, rem
-
-
-def _sturm_chain(p: IntPolynomial) -> list[tuple[int, ...]]:
-    """The Sturm chain of p's squarefree part, each member scaled by a
-    positive rational to integer coefficients.
-
-    The chain p, p', -rem(p, p'), ... ends in g = gcd(p, p'); dividing every
-    member by g gives a Sturm chain of p/g, which has p's roots, each once.
-    For such a chain the sign variations V(x), zeros dropped, count the
-    roots in (a, b] as V(a) - V(b), also when a or b is a root.
-    """
-    chain = [[Fraction(c) for c in p.coeffs]]
-    derivative = [k * c for k, c in enumerate(chain[0])][1:]
-    if derivative:
-        chain.append(derivative)
-    while len(chain) > 1:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    gcd = chain[-1]
-    if len(gcd) > 1:
-        chain = [_poly_divmod(member, gcd)[0] for member in chain]
-    out = []
-    for member in chain:
-        scale = math.lcm(*(c.denominator for c in member))
-        ints = [int(c * scale) for c in member]
-        content = math.gcd(*ints)
-        out.append(tuple(c // content for c in ints))
-    return out
-
-
 def _sign_at(coeffs: tuple[int, ...], m: int, e: int) -> int:
     """Sign of the polynomial at the dyadic point m / 2**e, by integer
     Horner on 2**(e*deg) times its value."""
@@ -335,67 +285,45 @@ def _sign_at(coeffs: tuple[int, ...], m: int, e: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: list[tuple[int, ...]], m: int, e: int) -> int:
-    """Sign changes along the chain at m / 2**e, zeros dropped."""
-    count = 0
-    last = 0
-    for member in chain:
-        sign = _sign_at(member, m, e)
-        if sign:
-            if sign != last and last:
-                count += 1
-            last = sign
-    return count
-
-
 def largest_real_root(p: IntPolynomial, lo: float, hi: float) -> float:
-    """Largest real root of p in [lo, hi], correctly rounded to a double.
+    """Largest root of p in (lo, hi), correctly rounded to a double, for a
+    real-rooted p whose largest root is simple, as that of a quotient of Q
+    of a connected graph is: its largest root is the Perron root.
 
-    Sturm isolation (Basu, Pollack & Roy, Algorithms in Real Algebraic
-    Geometry, ch. 2). The chain is built once, and every sign is that of an
-    integer Horner evaluation at a dyadic point m / 2**e, so every bracket
-    is proved. Bisection keeps the largest root in (a, b] by root counts
-    until it is the only root there, then by the sign of p alone, and stops
-    when a and b round to the same double: the root rounds to it too. A
-    midpoint that is itself the largest root is returned as it is.
-    Requires p(hi) > 0.
+    If p and all its derivatives are positive at x, Taylor's formula at x
+    leaves p no root at or above x. For such a p the roots of every
+    derivative lie below its largest root (Rolle), so this test holds
+    exactly at the points above that root. Bisection over dyadic points
+    m / 2**e, every sign an integer Horner evaluation, keeps b where the
+    test holds and moves a to every midpoint where it fails; a midpoint
+    where p is 0 and every derivative positive is the root and is returned
+    as it is. It stops when a and b round to the same double, and p(a) < 0
+    then proves a root in (a, b), which rounds to that double too.
+    Raises ValueError when the test fails at hi, or p(a) < 0 fails at the
+    end (a repeated largest root, a derivative root above it, or two roots
+    within one double), so a value returned is always proved.
     """
-    lo_f, hi_f = Fraction(lo), Fraction(hi)
-    if lo_f >= hi_f:
-        raise ValueError("need lo < hi")
-    if p(hi_f) <= 0:
-        raise ValueError("p(hi) must be positive")
-    e = max(lo_f.denominator, hi_f.denominator).bit_length() - 1
-    a, b = lo_f * (1 << e), hi_f * (1 << e)
-    if a.denominator != 1 or b.denominator != 1:
+    (a, da), (b, db) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    if da & (da - 1) or db & (db - 1):
         raise ValueError("lo and hi must be dyadic, as floats are")
-    a, b = int(a), int(b)
-    chain = _sturm_chain(p)
-    v_b = _variations(chain, b, e)
-    count = _variations(chain, a, e) - v_b
-    if not count:
-        if p(lo_f) == 0:
-            return float(lo_f)
-        raise ValueError("no root in [lo, hi]")
-    squarefree = chain[0]
-    while count > 1:
-        mid, a, b, e = a + b, 2 * a, 2 * b, e + 1
-        v_mid = _variations(chain, mid, e)
-        if v_mid > v_b:
-            a, count = mid, v_mid - v_b
-        elif _sign_at(squarefree, mid, e):
-            b, v_b = mid, v_mid
-        else:
-            return mid / (1 << e)
-    # the one root in (a, b] is simple and b is no root
-    sign_b = _sign_at(squarefree, b, e)
+    e = max(da, db).bit_length() - 1
+    a, b = a * ((1 << e) // da), b * ((1 << e) // db)
+    if a >= b:
+        raise ValueError("need lo < hi")
+    derivatives = [p.coeffs]
+    while len(derivatives[-1]) > 1:
+        derivatives.append(tuple(k * c for k, c in enumerate(derivatives[-1]))[1:])
+    if not all(_sign_at(c, b, e) > 0 for c in derivatives):
+        raise ValueError("p and its derivatives must be positive at hi")
     while a / (1 << e) != b / (1 << e):
         mid, a, b, e = a + b, 2 * a, 2 * b, e + 1
-        sign = _sign_at(squarefree, mid, e)
-        if not sign:
-            return mid / (1 << e)
-        if sign == sign_b:
+        sign = _sign_at(p.coeffs, mid, e)
+        if sign < 0 or not all(_sign_at(c, mid, e) > 0 for c in derivatives[1:]):
+            a = mid
+        elif sign:
             b = mid
         else:
-            a = mid
+            return mid / (1 << e)
+    if _sign_at(p.coeffs, a, e) >= 0:
+        raise ValueError("no proved largest root in (lo, hi)")
     return b / (1 << e)

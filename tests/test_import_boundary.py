@@ -1,4 +1,5 @@
-"""Each command loads only the modules it runs, and numpy only for Perron values.
+"""Each command loads only the modules it runs, numpy only for Perron values,
+and ``fractions`` never.
 
 The CLI parses before it loads: ``--version``, ``--help`` and usage errors
 load no qfactor module beyond the package and ``qfactor.cli``, and each
@@ -101,3 +102,15 @@ def test_exact_commands_do_not_load_numpy(argv, stdin, code):
 ], ids=["spectrum", "verify-applicable"])
 def test_perron_commands_load_numpy(argv, stdin):
     assert _run_main(["numpy"], argv, stdin) == 100
+
+
+# The exact routes are integer-only: no command loads fractions.
+@pytest.mark.parametrize("argv, stdin", [
+    (["verify", "--stream", "-"], "G~~~~{\n"),
+    (["lemmas", "--grid", "max_n=6,max_s=2,pairs=1"], ""),
+    (["identities", "--grid", "max_delta=2"], ""),
+    (["extremal", "--family", "g2", "--n", "8", "--s", "2"], ""),
+    (["agreement", "--n", "4", "--connected-only"], ""),
+], ids=["verify", "lemmas", "identities", "extremal-g2", "agreement"])
+def test_no_command_loads_fractions(argv, stdin):
+    assert _run_main(["fractions"], argv, stdin) == 0

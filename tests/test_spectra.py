@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfactor.graphs import Graph, complete, disjoint_union, random_graph
+from qfactor.graphs import (
+    Graph,
+    complete,
+    disjoint_union,
+    is_connected,
+    random_graph,
+    write_graph6,
+)
 from qfactor.harness import check_theorem_instance
 from qfactor.spectra import (
     IntPolynomial,
@@ -353,9 +360,18 @@ def test_largest_real_root_close_pair():
 
 
 def test_largest_real_root_double_root():
-    p = IntPolynomial((-9, 15, -7, 1))  # (x - 3)^2 (x - 1)
-    assert largest_real_root(p, 0.0, 10.0) == 3.0
-    assert largest_real_root(p, 0.0, 1000.0) == 3.0
+    # The contract is a real-rooted p with a simple largest root, as the
+    # quotient polynomials of Q of a connected graph are; anything else is
+    # refused, not guessed.
+    double = IntPolynomial((-9, 15, -7, 1))  # (x - 3)^2 (x - 1)
+    complex_pair = IntPolynomial((-10, 16, -7, 1))  # (x - 1)(x^2 - 6x + 10)
+    for p in (double, complex_pair):
+        with pytest.raises(ValueError):
+            largest_real_root(p, 0.0, 10.0)
+    # (x - 1)(x - 2)(x - 4): the first midpoint of [0, 8] is the root
+    assert largest_real_root(IntPolynomial((-8, 14, -7, 1)), 0.0, 8.0) == 4.0
+    with pytest.raises(ValueError):
+        largest_real_root(IntPolynomial((-6, 11, -6, 1)), 0.0, 2.5)
 
 
 def test_largest_real_root_correctly_rounded_thresholds():
@@ -378,3 +394,29 @@ def test_largest_real_root_correctly_rounded_thresholds():
             below, above = math.nextafter(root, 0), math.nextafter(root, math.inf)
             assert abs(Fraction(root) - exact) <= abs(Fraction(below) - exact)
             assert abs(Fraction(root) - exact) <= abs(Fraction(above) - exact)
+
+
+def test_largest_real_root_correctly_rounded_on_graphs():
+    # The full Q polynomial of random connected graphs, degree 5 to 10,
+    # against an exact bisection inside an eigvalsh bracket.
+    rng = np.random.default_rng(18)
+    checked = 0
+    while checked < 60:
+        n = int(rng.integers(5, 11))
+        g = random_graph(n, float(rng.uniform(0.3, 0.9)), int(rng.integers(10**6)))
+        if not is_connected(g):
+            continue
+        checked += 1
+        p = char_poly(quotient(g, [[v] for v in range(n)]))
+        root = largest_real_root(p, 0.0, 2.0 * n)
+        values = np.linalg.eigvalsh(signless_laplacian(g))
+        assert values[-1] - values[-2] > 1e-3
+        lo, hi = Fraction(values[-1] - 1e-6), Fraction(values[-1] + 1e-6)
+        assert p(lo) < 0 < p(hi)
+        while hi - lo > Fraction(1, 10**30):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if p(mid) < 0 else (lo, mid)
+        exact = (lo + hi) / 2
+        error = abs(Fraction(root) - exact)
+        for neighbour in (math.nextafter(root, 0), math.nextafter(root, math.inf)):
+            assert error <= abs(Fraction(neighbour) - exact), write_graph6(g)

@@ -18,10 +18,9 @@ and ``csv`` are human/flat projections of the same rows.
 Exit codes: 0 = completed with no counterexample or mismatch; 1 = a
 counterexample or suite failure was found (reports are still written);
 2 = usage or malformed input (``spectrum``, ``factor`` and ``verify`` still
-write their error rows); 3 = ``agreement``'s enumeration guard
-(``--max-enum-order``) blocked an exhaustive census.  Input-integrity
-problems (2) take precedence over findings (1).  Every other computation
-is polynomial and has no guard.
+write their error rows), including an exhaustive ``agreement`` census above
+order 7.  Input-integrity problems (2) take precedence over findings (1).
+Every other computation is polynomial and has no guard.
 
 The CLI parses before it loads: at import time this module needs only the
 standard library, so ``--version``, ``--help`` and usage errors load no other
@@ -44,31 +43,11 @@ import sys
 import time
 from typing import Any, Callable, NamedTuple, Sequence
 
-from . import DEFAULT_ENUM_ORDER, __version__
+from . import __version__
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
-
-
-def _parse_grid(text: str) -> dict[str, int]:
-    """``key=value,key=value`` with integer values; a key may appear once."""
-    out: dict[str, int] = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        key, sep, value = chunk.partition("=")
-        if not sep:
-            raise argparse.ArgumentTypeError(f"grid entry {chunk!r} is not key=value")
-        key = key.strip()
-        if key in out:
-            raise argparse.ArgumentTypeError(f"grid key {key!r} is given more than once")
-        try:
-            out[key] = int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"grid value {value!r} is not an integer")
-    return out
 
 
 def _parse_parts(text: str) -> tuple[int, ...]:
@@ -81,17 +60,14 @@ def _parse_parts(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _at_least(kind: type, minimum: int) -> Callable[[str], Any]:
-    """An argparse type: a *kind* (int or float) of at least *minimum*."""
-    def parse(text: str) -> Any:
-        try:
-            value = kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a valid {kind.__name__}")
-        if not value >= minimum:  # also rejects NaN
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text!r}")
-        return value
-    return parse
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid int")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
 
 
 def _read_lines(source: str) -> list[str]:
@@ -314,7 +290,7 @@ def verify_exit_code(results: dict[str, Any]) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> Run:
     from .harness import verify_stream
-    results = verify_stream(_read_lines(args.stream), eps=args.eps, jobs=args.jobs)
+    results = verify_stream(_read_lines(args.stream), jobs=args.jobs)
     counts = results["counts"]
     shown = [row for row in results["items"]
              if "error" in row or row["classification"] == "counterexample"]
@@ -323,28 +299,16 @@ def _cmd_verify(args: argparse.Namespace) -> Run:
         "verify: total={total} errors={errors} ".format(**results)
         + " ".join(f"{k}={counts[k]}" for k in counts)
     )
-    config = {"input": args.stream, "eps": args.eps, "jobs": args.jobs}
+    config = {"input": args.stream, "jobs": args.jobs}
     return Run(config, results, text_lines, verify_exit_code(results))
 
 
-# suite command -> (its function in harness, accepted grid keys, whether
-# --seed is passed, summary word for a failure)
-_SUITES = {
-    "lemmas": ("lemma_suite", ("max_n", "max_s", "pairs"), True, "FAILURES"),
-    "identities": ("identity_suite", ("max_delta",), False, "MISMATCHES"),
-}
-
-
 def _cmd_suite(args: argparse.Namespace) -> Run:
-    from . import harness
-    name, keys, seeded, failure = _SUITES[args.subcommand]
-    suite = getattr(harness, name)
-    grid = dict(args.grid or {})
-    bad = set(grid) - set(keys)
-    if bad:
-        raise ValueError(f"unknown grid keys {sorted(bad)} (known: {list(keys)})")
-    results = suite(**grid, seed=args.seed) if seeded else suite(**grid)
-    config = {"grid": grid, "seed": args.seed} if seeded else {"grid": grid}
+    from .harness import identity_suite, lemma_suite
+    if args.subcommand == "lemmas":
+        config, results, failure = {"seed": args.seed}, lemma_suite(seed=args.seed), "FAILURES"
+    else:
+        config, results, failure = {}, identity_suite(), "MISMATCHES"
     text_lines = [
         f"{name}: {'PASS' if section['passed'] else 'FAIL'}"
         for name, section in results.items() if isinstance(section, dict)
@@ -362,10 +326,8 @@ def _cmd_agreement(args: argparse.Namespace) -> Run:
         samples=args.samples,
         p=args.p,
         seed=args.seed,
-        max_order=args.max_enum_order,
     )
-    config = {key: getattr(args, key)
-              for key in ("n", "samples", "connected_only", "p", "max_enum_order")}
+    config = {key: getattr(args, key) for key in ("n", "samples", "connected_only", "p")}
     config["exhaustive"] = args.samples is None
     config["seed"] = None if args.samples is None else args.seed
     text_lines = [
@@ -419,9 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", _cmd_verify, "classify a stream against the theorem")
     p.add_argument("--stream", required=True, metavar="FILE",
                    help="graph6 file or - for stdin")
-    p.add_argument("--eps", type=_at_least(float, 0), default=1e-8,
-                   help="threshold comparison band, >= 0 (default 1e-8)")
-    p.add_argument("--jobs", type=_at_least(int, 1), default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes, >= 1 (default 1)")
     # Benchmark holdovers: perfbench/workloads.py still passes these flags,
     # and perfbench/ changes only in a benchmark change. Accepted, ignored.
@@ -429,27 +389,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, type=int, help=argparse.SUPPRESS)
     p.add_argument("--allow-undecided", action="store_true", help=argparse.SUPPRESS)
 
-    for name, help in (("lemmas", "run the supporting-lemma suite"),
-                       ("identities", "run the exact identity suite")):
-        _, keys, seeded, _ = _SUITES[name]
-        p = add(name, _cmd_suite, help)
-        if seeded:
-            p.add_argument("--seed", type=int, default=0, help="seed for the random pairs")
-        p.add_argument("--grid", type=_parse_grid, default=None,
-                       help="key=value,... among " + ",".join(keys))
+    p = add("lemmas", _cmd_suite, "run the supporting-lemma suite")
+    p.add_argument("--seed", type=int, default=0, help="seed for the random pairs")
+    add("identities", _cmd_suite, "run the exact identity suite")
 
     p = add("agreement", _cmd_agreement, "criterion-vs-even-factor cross-tabulation")
     p.add_argument("--n", type=int, required=True, help="graph order (even)")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true",
-                      help="every labeled graph of order n (the default; guarded)")
-    mode.add_argument("--samples", type=int, default=None,
-                      help="number of seeded random graphs (>= 1) instead of exhaustion")
+    p.add_argument("--samples", type=int, default=None,
+                   help="number of seeded random graphs (>= 1) instead of every "
+                        "labeled graph of order n (n <= 7)")
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--p", type=float, default=0.5, help="edge probability for samples")
     p.add_argument("--seed", type=int, default=0, help="seed for samples")
-    p.add_argument("--max-enum-order", type=int, default=DEFAULT_ENUM_ORDER, metavar="N",
-                   help="exhaustive-enumeration order guard (default %(default)s)")
 
     return parser
 
@@ -457,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand, then write its report and stdout projection."""
     args = build_parser().parse_args(argv)
-    from .graphs import GuardExceeded
     from .reportio import make_report
     start = time.perf_counter()
     try:
@@ -474,10 +424,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # missing or unreadable input (a directory, a non-ASCII byte)
         print(f"qfactor: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, GuardExceeded) as exc:
-        # the command's own validation (2) or agreement's enumeration guard (3)
+    except ValueError as exc:
+        # the command's own validation
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, GuardExceeded) else 2
+        return 2
 
 
 if __name__ == "__main__":

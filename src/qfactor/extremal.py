@@ -191,7 +191,6 @@ def build_g4(n: int, delta: int, s: int) -> Graph:
 class ContainmentReport:
     """Whether g4 embeds into gstar(n, delta) as a spanning subgraph."""
 
-    identity: bool
     embedded: bool
     mapping: tuple[int, ...] | None
 
@@ -199,22 +198,16 @@ class ContainmentReport:
 def g4_containment(n: int, delta: int, s: int) -> ContainmentReport:
     """Check (never assume) that g4 is a subgraph of gstar(n, delta).
 
-    Identity embedding is attempted first; if it fails, a constructed map
-    is tried: g4's universal vertices (S plus the first delta-s w's) onto
-    the join cell, its degree-delta independent set (first V_1 clique plus
-    the later cliques' detached anchors) onto the singleton slots, and the
-    rest onto the big clique. The result is verified edge by edge.
+    The map sends g4's universal vertices (S plus the first delta-s w's)
+    onto the join cell, its degree-delta independent set (first V_1 clique
+    plus the later cliques' detached anchors) onto the singleton slots, and
+    the rest onto the big clique. It is verified edge by edge. The identity
+    map never works: g4's vertex w_1 is universal, and its index is at
+    least delta, outside gstar's join cell 0..delta-1.
     """
     plan = surgery_plan(n, delta, s)
     g4 = build_g4(n, delta, s)
     gs = build_gstar(n, delta)
-
-    def embeds(mapping: Sequence[int]) -> bool:
-        return all(gs.has_edge(mapping[u], mapping[v]) for u, v in g4.edges())
-
-    ident = tuple(range(n))
-    if embeds(ident):
-        return ContainmentReport(True, True, ident)
 
     t = delta + 1 - s
     universal = list(range(plan.s))
@@ -232,8 +225,8 @@ def g4_containment(n: int, delta: int, s: int) -> ContainmentReport:
         mapping[v] = delta + slot              # big clique slots
     for slot, v in enumerate(low):
         mapping[v] = delta + big + slot        # singleton slots
-    ok = embeds(mapping)
-    return ContainmentReport(False, ok, tuple(mapping) if ok else None)
+    ok = all(gs.has_edge(mapping[u], mapping[v]) for u, v in g4.edges())
+    return ContainmentReport(ok, tuple(mapping) if ok else None)
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import DEFAULT_ENUM_ORDER
-
 
 class Graph6Error(ValueError):
     """Malformed graph6 input."""
-
-
-class GuardExceeded(RuntimeError):
-    """A size guard blocked a computation; raise the guard to proceed."""
 
 
 _GRAPH6_HEADER = b">>graph6<<"
@@ -47,6 +41,10 @@ _MASK64 = (1 << 64) - 1
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MUL1 = 0xBF58476D1CE4E5B9
 _SM_MUL2 = 0x94D049BB133111EB
+
+# The largest order an exhaustive census labels: at n = 7 the label array
+# has 2**21 entries; n = 8 would need 2**28.
+MAX_ENUM_ORDER = 7
 
 
 @dataclass(frozen=True)
@@ -352,9 +350,7 @@ def mask_graph(n: int, pairs: Sequence[tuple[int, int]], mask: int) -> Graph:
     return _trusted_graph(n, tuple(rows))
 
 
-def isomorphism_classes(
-    n: int, *, max_order: int = DEFAULT_ENUM_ORDER
-) -> tuple[array, list[Graph]]:
+def isomorphism_classes(n: int) -> tuple[array, list[Graph]]:
     """Label every edge mask on n vertices with its isomorphism class.
 
     Bit k of a mask is the k-th pair of lexicographic_pairs(n), as in
@@ -367,11 +363,9 @@ def isomorphism_classes(
     (i, i+1), which generate the symmetric group. Each transposition
     permutes the pair bits and is applied to a mask with two precomputed
     table lookups, one per half of the mask, so no Graph is built per mask.
-    The guard is checked before anything is allocated.
+    Raises ValueError, before anything is allocated, for n > MAX_ENUM_ORDER.
     """
-    if n > max_order:
-        raise GuardExceeded(
-            f"isomorphism_classes(n={n}) exceeds guard max_order={max_order}")
+    _check_enum_order(n)
     pairs = lexicographic_pairs(n)
     index = {pair: k for k, pair in enumerate(pairs)}
     half = (len(pairs) + 1) // 2
@@ -405,7 +399,7 @@ def isomorphism_classes(
     return labels, representatives
 
 
-def mask_graph6_encoder(n: int, *, max_order: int = DEFAULT_ENUM_ORDER) -> Callable[[int], str]:
+def mask_graph6_encoder(n: int) -> Callable[[int], str]:
     """A function taking an edge mask on n vertices (bit k is the k-th
     lexicographic pair) to its graph6, equal to
     write_graph6(mask_graph(n, lexicographic_pairs(n), mask)).
@@ -414,11 +408,9 @@ def mask_graph6_encoder(n: int, *, max_order: int = DEFAULT_ENUM_ORDER) -> Calla
     graph6 column-order position, counted from the top of the padded
     payload; the 6-bit groups are then read off directly. The tables have
     2**ceil(n(n-1)/4) entries, as in isomorphism_classes, and the same
-    guard is checked before they are built.
+    order cap is checked before they are built.
     """
-    if n > max_order:
-        raise GuardExceeded(
-            f"mask_graph6_encoder(n={n}) exceeds guard max_order={max_order}")
+    _check_enum_order(n)
     position = {pair: k for k, pair in enumerate(_pair_stream(n))}
     pairs = lexicographic_pairs(n)
     width = 6 * ((len(pairs) + 5) // 6)
@@ -435,6 +427,11 @@ def mask_graph6_encoder(n: int, *, max_order: int = DEFAULT_ENUM_ORDER) -> Calla
         return header + "".join([chars[bits >> s & 63] for s in shifts])
 
     return encode
+
+
+def _check_enum_order(n: int) -> None:
+    if n > MAX_ENUM_ORDER:
+        raise ValueError(f"an exhaustive census needs n <= {MAX_ENUM_ORDER}, got n={n}")
 
 
 def _bit_table(targets: Sequence[int]) -> list[int]:

@@ -24,17 +24,15 @@ The threshold itself is the largest real root of an exact integer
 characteristic polynomial, bisected in integers at dyadic points and
 correctly rounded to a double, then cross-checked against a directly
 computed spectral radius, so a near-band instance cannot be misclassified
-by float drift greater than the stated ``eps``.
+by float drift greater than :data:`EPS`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from . import DEFAULT_ENUM_ORDER
 from .extremal import (
     build_g1,
     build_g2,
@@ -81,7 +79,8 @@ from .spectra import (
     signless_laplacian,
 )
 
-DEFAULT_EPS = 1e-8
+# A graph is below the threshold only when its q is more than EPS below it.
+EPS = 1e-8
 # Sampled connected-only studies give up after this many disconnected draws
 # in a row: connected graphs are then too rare at (n, p) to sample.
 MAX_REJECTED_DRAWS = 10_000
@@ -188,7 +187,7 @@ def _decided(classification: str, fixed: dict[str, Any], witness=None) -> Theore
 
 def _threshold(g: Graph, fixed: dict[str, Any]) -> TheoremOutcome | None:
     fixed["threshold"] = threshold_q(g.n, fixed["delta"])
-    if fixed["q"] < fixed["threshold"] - fixed["eps"]:
+    if fixed["q"] < fixed["threshold"] - EPS:
         return _decided("below_threshold", fixed)
 
 
@@ -206,10 +205,10 @@ def _even_factor(g: Graph, fixed: dict[str, Any]) -> TheoremOutcome:
 
 
 # The theorem's ladder as (rung, needs q) pairs.  A rung maps a graph and the
-# values earlier rungs fixed (delta, q, threshold, and the run's eps) to an
-# outcome, or to None to pass the graph on.  The rungs that need no Perron
-# value run first, before a chunk's eigh stack is built; the last rung
-# decides every graph that reaches it.
+# values earlier rungs fixed (delta, q and threshold) to an outcome, or to
+# None to pass the graph on.  The rungs that need no Perron value run first,
+# before a chunk's eigh stack is built; the last rung decides every graph
+# that reaches it.
 RUNGS = (
     (_hypotheses, False),
     (_threshold, True),
@@ -229,15 +228,12 @@ def _climb(g: Graph, fixed: dict[str, Any], with_q: bool) -> Any:
         return exc
 
 
-def _classify(graphs: Sequence[Graph], eps: float) -> list[Any]:
+def _classify(graphs: Sequence[Graph]) -> list[Any]:
     """Each graph's outcome on RUNGS, or the error that stopped it (the
     residual gate or LinAlgError, a rejected certificate, the threshold
     cross-check).  The graphs the rungs without q leave open get it from one
-    perron_many call, one eigh per order.  Raises ValueError for a negative
-    eps, which would call graphs above the threshold below it, or a NaN."""
-    if not eps >= 0:
-        raise ValueError(f"eps must be a nonnegative number, got {eps!r}")
-    fixed = [{"eps": eps} for _ in graphs]
+    perron_many call, one eigh per order."""
+    fixed: list[dict[str, Any]] = [{} for _ in graphs]
     results = [_climb(g, f, False) for g, f in zip(graphs, fixed)]
     pending = [i for i, result in enumerate(results) if result is None]
     for i, pd in zip(pending, perron_many([graphs[i] for i in pending], 1)):
@@ -249,11 +245,11 @@ def _classify(graphs: Sequence[Graph], eps: float) -> list[Any]:
     return results
 
 
-def check_theorem_instance(g: Graph, *, eps: float = DEFAULT_EPS) -> TheoremOutcome:
+def check_theorem_instance(g: Graph) -> TheoremOutcome:
     """Classify one graph: the one-graph case of the classifier that
     :func:`verify_stream` runs per chunk, raising the error that stops the
-    graph, or ValueError for a negative or NaN *eps*."""
-    result = _classify([g], eps)[0]
+    graph."""
+    result = _classify([g])[0]
     if isinstance(result, Exception):
         raise result
     return result
@@ -270,7 +266,7 @@ def check_theorem_instance(g: Graph, *, eps: float = DEFAULT_EPS) -> TheoremOutc
 CHUNK_LINES = 128
 
 
-def _classify_chunk(chunk: Sequence[tuple[int, str]], eps: float) -> list[dict[str, Any]]:
+def _classify_chunk(chunk: Sequence[tuple[int, str]]) -> list[dict[str, Any]]:
     """Rows of a chunk of (line number, stripped text) pairs: the lines that
     parse go through one _classify call.  A malformed line or a graph's
     error becomes its error row and the run goes on."""
@@ -281,19 +277,14 @@ def _classify_chunk(chunk: Sequence[tuple[int, str]], eps: float) -> list[dict[s
             parsed.append((pos, parse_graph6(text)))
         except Graph6Error as exc:
             results[pos] = exc
-    for (pos, _), result in zip(parsed, _classify([g for _, g in parsed], eps)):
+    for (pos, _), result in zip(parsed, _classify([g for _, g in parsed])):
         results[pos] = result
     return [{"line": lineno, "graph6": text, "error": str(result)}
             if isinstance(result, Exception) else result.as_row(graph6_payload(text), lineno)
             for (lineno, text), result in zip(chunk, results)]
 
 
-def verify_stream(
-    lines: Iterable[str],
-    *,
-    eps: float = DEFAULT_EPS,
-    jobs: int = 1,
-) -> dict[str, Any]:
+def verify_stream(lines: Iterable[str], *, jobs: int = 1) -> dict[str, Any]:
     """Classify every graph6 line of a stream.
 
     Blank lines are skipped; malformed lines and instances whose numeric
@@ -302,7 +293,6 @@ def verify_stream(
     CHUNK_LINES, with one LAPACK eigh call per graph order per chunk.  With
     ``jobs > 1`` the chunks fan out over a process pool; rows are returned
     in input order either way, so reports are independent of ``jobs``.
-    Raises ValueError for a negative or NaN *eps* if a line is nonblank.
     """
     work = [
         (lineno, stripped)
@@ -310,16 +300,15 @@ def verify_stream(
         if (stripped := raw.strip())
     ]
     chunks = [work[i:i + CHUNK_LINES] for i in range(0, len(work), CHUNK_LINES)]
-    classify = functools.partial(_classify_chunk, eps=eps)
     if jobs > 1 and len(chunks) > 1:
         import multiprocessing
 
         import numpy  # before the fork, so workers inherit it instead of each importing it
 
         with multiprocessing.Pool(processes=min(jobs, len(chunks))) as pool:
-            done = pool.map(classify, chunks, chunksize=1)
+            done = pool.map(_classify_chunk, chunks, chunksize=1)
     else:
-        done = map(classify, chunks)
+        done = map(_classify_chunk, chunks)
     rows = [row for chunk_rows in done for row in chunk_rows]
 
     decided = [row["classification"] for row in rows if "error" not in row]
@@ -360,14 +349,6 @@ def odd_compositions(total: int, parts: int, minimum: int = 1):
     yield from rec(total, parts, lo)
 
 
-def _require_minimums(**limits: tuple[int, int]) -> None:
-    """Reject a grid key below its minimum, the smallest value at which its
-    section still has a case to check: an empty section passes vacuously."""
-    for key, (value, minimum) in limits.items():
-        if value < minimum:
-            raise ValueError(f"grid key {key} must be at least {minimum}, got {value}")
-
-
 def _q_values(graphs: Sequence[Graph]) -> list[float]:
     """Signless-Laplacian radii from one perron_many call, raising the first
     error as perron_q would."""
@@ -379,14 +360,14 @@ def _q_values(graphs: Sequence[Graph]) -> list[float]:
     return out
 
 
-def _redistribution_lemma(*, max_n: int, max_s: int) -> dict[str, Any]:
+def _redistribution_lemma() -> dict[str, Any]:
     """Merging clique mass into the largest part never lowers the radius:
     q(K_s v union K_{n_i}) <= q(K_s v ((t-1)K_p u K_{n-s-p(t-1)})) whenever
     every n_i >= p, with equality exactly when the smaller parts already
-    all equal p."""
+    all equal p.  Checked for s <= 4 and even n <= 16."""
     comparisons = []
-    for s in range(2, max_s + 1):
-        for n in range(2 * s + 2, max_n + 1, 2):
+    for s in range(2, 5):
+        for n in range(2 * s + 2, 17, 2):
             for parts in odd_compositions(n - s, s):
                 for p in range(1, parts[0] + 1, 2):
                     big = n - s - p * (s - 1)
@@ -427,9 +408,11 @@ def _redistribution_lemma(*, max_n: int, max_s: int) -> dict[str, Any]:
     }
 
 
-def _edge_monotonicity_lemma(*, seed: int, pairs: int) -> dict[str, Any]:
+def _edge_monotonicity_lemma(seed: int) -> dict[str, Any]:
     """Removing an edge from a connected graph strictly lowers the
-    signless-Laplacian radius; checked on seeded random connected graphs."""
+    signless-Laplacian radius; checked on 100 seeded random connected
+    graphs of order 10."""
+    pairs = 100
     stream = splitmix64(seed)
     drawn: list[Graph] = []  # g, h for each pair
     attempts = 0
@@ -454,10 +437,10 @@ def _edge_monotonicity_lemma(*, seed: int, pairs: int) -> dict[str, Any]:
     }
 
 
-def _gstar_grid(max_order: int = 18) -> list[tuple[int, int]]:
+def _gstar_grid() -> list[tuple[int, int]]:
     grid = []
     for delta in (2, 3):
-        for n in range(max(2 * delta + 2, 7 * delta - 7 + (7 * delta - 7) % 2), max_order + 1, 2):
+        for n in range(max(2 * delta + 2, 7 * delta - 7 + (7 * delta - 7) % 2), 19, 2):
             grid.append((n, delta))
     return grid
 
@@ -567,20 +550,12 @@ def _cell_ordering_lemma() -> dict[str, Any]:
     return {"cases": rows, "violations": violations, "passed": violations == 0}
 
 
-def lemma_suite(
-    *,
-    seed: int = 0,
-    max_n: int = 16,
-    max_s: int = 4,
-    pairs: int = 100,
-) -> dict[str, Any]:
+def lemma_suite(*, seed: int = 0) -> dict[str, Any]:
     """Run every supporting-lemma check and return one section per lemma,
-    each with a ``passed`` flag and its measured margins.  Raises ValueError
-    for a grid that would leave a section without cases."""
-    _require_minimums(max_n=(max_n, 6), max_s=(max_s, 2), pairs=(pairs, 1))
+    each with a ``passed`` flag and its measured margins."""
     sections = {
-        "clique_redistribution": _redistribution_lemma(max_n=max_n, max_s=max_s),
-        "edge_monotonicity": _edge_monotonicity_lemma(seed=seed, pairs=pairs),
+        "clique_redistribution": _redistribution_lemma(),
+        "edge_monotonicity": _edge_monotonicity_lemma(seed),
         "quotient_radius": _quotient_radius_lemma(),
         "eigenvector_cells": _eigenvector_cell_lemma(),
         "cell_ordering": _cell_ordering_lemma(),
@@ -595,11 +570,12 @@ def lemma_suite(
 # identity suite
 
 
-def _identity_grid(max_delta: int = 6) -> list[tuple[int, int, int]]:
-    """(n, delta, s) triples spanning both sides of s = delta, with n even
-    and large enough for every block of the quotient to be nonempty."""
+def _identity_grid() -> list[tuple[int, int, int]]:
+    """(n, delta, s) triples for delta <= 6 spanning both sides of s = delta,
+    with n even and large enough for every block of the quotient to be
+    nonempty."""
     grid = []
-    for delta in range(2, max_delta + 1):
+    for delta in range(2, 7):
         lo = 7 * delta - 7
         lo += lo % 2
         for s in range(2, delta + 4):
@@ -608,16 +584,14 @@ def _identity_grid(max_delta: int = 6) -> list[tuple[int, int, int]]:
     return grid
 
 
-def identity_suite(*, max_delta: int = 6) -> dict[str, Any]:
+def identity_suite() -> dict[str, Any]:
     """Exact-arithmetic checks of the polynomial identities behind the
     threshold, plus the numeric comparison chain that pins the extremal
-    graph at the top of the near-threshold family.  Raises ValueError for
-    ``max_delta < 2``, which leaves the identity grid empty."""
-    _require_minimums(max_delta=(max_delta, 2))
+    graph at the top of the near-threshold family."""
     sections: dict[str, Any] = {}
 
     # (a) phi_{B_2}(n, s) - phi_{B_*}(n, delta) == (s - delta) * f(n, s, delta), exactly.
-    grid = _identity_grid(max_delta)
+    grid = _identity_grid()
     mismatches = []
     for n, delta, s in grid:
         lhs = phi_b2(n, s) - phi_bstar(n, delta)
@@ -711,7 +685,6 @@ def identity_suite(*, max_delta: int = 6) -> dict[str, Any]:
                     "q_g3": q3,
                     "q_g4": q4,
                     "threshold": qstar,
-                    "embedding": containment.identity and "identity" or "mapped",
                     "ok": case_ok,
                 }
             )
@@ -764,12 +737,11 @@ def agreement_study(
     samples: int | None = None,
     p: float = 0.5,
     seed: int = 0,
-    max_order: int = DEFAULT_ENUM_ORDER,
 ) -> dict[str, Any]:
     """Cross-tabulate the parity-subset criterion against the exact
     even-factor test over a population of graphs of even order ``n``:
-    either every labeled graph (optionally connected-only, with
-    ``max_order`` capping the enumeration) or a seeded random sample.
+    either every labeled graph (optionally connected-only; n at most
+    :data:`~qfactor.graphs.MAX_ENUM_ORDER`) or a seeded random sample.
     Off-diagonal graphs are listed in graph6 form.
 
     An exhaustive census runs :func:`~qfactor.factors.factor_verdict` once
@@ -793,12 +765,12 @@ def agreement_study(
     }
     if samples is None:
         mode = "exhaustive"
-        labels, representatives = isomorphism_classes(n, max_order=max_order)
+        labels, representatives = isomorphism_classes(n)
         by_class = [
             agreement(g) if not connected_only or is_connected(g) else None
             for g in representatives
         ]
-        encode = mask_graph6_encoder(n, max_order=max_order)
+        encode = mask_graph6_encoder(n)
         for mask, label in enumerate(labels):
             verdict = by_class[label]
             if verdict is not None:

@@ -14,11 +14,15 @@ from typing import Iterator
 
 from qfactor.graphs import (
     Graph,
-    GuardExceeded,
     is_connected,
     lexicographic_pairs,
     mask_graph,
 )
+
+
+class GuardExceeded(RuntimeError):
+    """A size guard blocked an exhaustive search; raise the guard to proceed."""
+
 
 DEFAULT_CERT_ORDER = 12
 DEFAULT_CERT_EDGES = 40

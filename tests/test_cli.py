@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and its exit-code contract."""
 
+import copy
 import csv
 import dataclasses
 import io
@@ -38,6 +39,34 @@ def factorless_file(tmp_path):
     path = tmp_path / "factorless.g6"
     path.write_text(f"{FACTORLESS}\n")
     return str(path)
+
+
+@pytest.fixture
+def no_threshold(monkeypatch):
+    """A threshold band so wide that every applicable graph climbs past it,
+    which makes FACTORLESS a counterexample."""
+    monkeypatch.setattr(qfactor.harness, "EPS", 1e6)
+
+
+@pytest.fixture(scope="module")
+def suite_runs():
+    return {}
+
+
+@pytest.fixture
+def cached_suites(monkeypatch, suite_runs):
+    """The lemma and identity suites, each run once per module and argument:
+    at their one fixed size they take about 0.3 s together."""
+    def cached(suite):
+        def run_once(**kwargs):
+            key = (suite.__name__, tuple(sorted(kwargs.items())))
+            if key not in suite_runs:
+                suite_runs[key] = suite(**kwargs)
+            return copy.deepcopy(suite_runs[key])
+        return run_once
+
+    for name in ("lemma_suite", "identity_suite"):
+        monkeypatch.setattr(qfactor.harness, name, cached(getattr(qfactor.harness, name)))
 
 
 def run(capsys, *argv):
@@ -265,22 +294,19 @@ class TestVerify:
         assert results["counts"]["confirmed_factor"] == 1
         assert results["counts"]["extremal_match"] == 1
 
-    def test_counterexample_exit_1(self, capsys, tmp_path):
+    def test_counterexample_exit_1(self, capsys, tmp_path, no_threshold):
         path = tmp_path / "noeven.g6"
         path.write_text(FACTORLESS + "\n")
-        code, out, _ = run(
-            capsys, "verify", "--stream", str(path), "--eps", "1e6",
-            "--format", "json",
-        )
+        code, out, _ = run(capsys, "verify", "--stream", str(path), "--format", "json")
         assert code == 1
         results = json.loads(out)["results"]
         assert results["counterexamples"] == [FACTORLESS]
         assert results["items"][0]["witness"] == {"kind": "no_even_factor"}
 
-    def test_malformed_exit_2_wins_over_counterexample(self, capsys, tmp_path):
+    def test_malformed_exit_2_wins_over_counterexample(self, capsys, tmp_path, no_threshold):
         path = tmp_path / "mixed.g6"
         path.write_text(FACTORLESS + "\n!!bogus!!\n")
-        code, _, _ = run(capsys, "verify", "--stream", str(path), "--eps", "1e6")
+        code, _, _ = run(capsys, "verify", "--stream", str(path))
         assert code == 2
 
     def test_failed_instance_is_an_error_row(self, capsys, tmp_path, monkeypatch):
@@ -306,11 +332,11 @@ class TestVerify:
     # FACTORLESS has no even factor. With the threshold disabled it is a
     # counterexample, whatever the old certificate-search flags say: verify
     # still accepts them for the benchmark, and ignores them.
-    def test_counterexample_despite_certificate_flags(self, capsys, factorless_file):
+    def test_counterexample_despite_certificate_flags(self, capsys, factorless_file,
+                                                      no_threshold):
         code, out, _ = run(
             capsys, "verify", "--stream", factorless_file,
-            "--eps", "1e6", "--max-cert-order", "4", "--max-cert-edges", "4",
-            "--format", "json",
+            "--max-cert-order", "4", "--max-cert-edges", "4", "--format", "json",
         )
         assert code == 1
         report = json.loads(out)
@@ -318,12 +344,11 @@ class TestVerify:
         assert report["results"]["counts"]["undecided"] == 0
         assert "guards" not in report["config"]
 
-    def test_undecided_allowed(self, capsys, factorless_file):
+    def test_undecided_allowed(self, capsys, factorless_file, no_threshold):
         # --allow-undecided is accepted and ignored: nothing is undecided.
         code, out, _ = run(
             capsys, "verify", "--stream", factorless_file,
-            "--eps", "1e6", "--max-cert-order", "4",
-            "--allow-undecided", "--format", "json",
+            "--max-cert-order", "4", "--allow-undecided", "--format", "json",
         )
         assert code == 1
         assert "allow_undecided" not in json.loads(out)["config"]
@@ -345,8 +370,8 @@ class TestVerify:
         # The jobs knob may echo into config; results must be identical.
         assert a["results"] == b["results"]
 
-    # G*(8,2) plus one edge: q = 12.623 lies above the threshold 12.385, so
-    # a negative band would call it below_threshold.
+    # --eps is gone, so every value, the once rejected negative and NaN ones
+    # included, is a usage error and classifies nothing.
     @pytest.mark.parametrize("eps", ["-1", "-0.5e-8", "nan", "NaN", "-inf", "x"])
     def test_negative_or_nan_eps_is_a_usage_error(self, capsys, tmp_path, eps):
         path = tmp_path / "plus_edge.g6"
@@ -358,11 +383,13 @@ class TestVerify:
         assert "--eps" in err and "below_threshold" not in out
         assert not report.exists()
 
-    def test_zero_eps_accepted(self, capsys, tmp_path):
+    def test_zero_eps_accepted(self, capsys, tmp_path, monkeypatch):
+        # G*(8,2) plus one edge: q = 12.623 lies above the threshold 12.385
+        # with no band at all.
+        monkeypatch.setattr(qfactor.harness, "EPS", 0.0)
         path = tmp_path / "plus_edge.g6"
         path.write_text(GSTAR82_PLUS_EDGE + "\n")
-        code, out, _ = run(capsys, "verify", "--stream", str(path), "--eps", "0",
-                           "--format", "json")
+        code, out, _ = run(capsys, "verify", "--stream", str(path), "--format", "json")
         assert code == 0
         assert json.loads(out)["results"]["items"][0]["classification"] == "confirmed_factor"
 
@@ -390,7 +417,7 @@ class TestVerifyExitCode:
 
     def test_undecided(self):
         # The undecided count is a benchmark holdover; it never sets the
-        # exit code, and 3 is left to agreement's enumeration guard.
+        # exit code.
         results = {"errors": 0, "counts": {"counterexample": 0, "undecided": 1}}
         assert verify_exit_code(results) == 0
 
@@ -405,31 +432,26 @@ class TestVerifyExitCode:
 
 
 class TestSuitesCli:
-    def test_lemmas_pass(self, capsys):
-        code, out, _ = run(
-            capsys, "lemmas", "--grid", "max_n=10,max_s=3,pairs=10",
-            "--format", "json",
-        )
+    def test_lemmas_pass(self, capsys, cached_suites):
+        code, out, _ = run(capsys, "lemmas", "--format", "json")
         assert code == 0
         report = json.loads(out)
         assert report["results"]["all_passed"] is True
         assert report["seed"] == 0
+        assert report["config"] == {"format": "json", "seed": 0, "subcommand": "lemmas"}
 
-    def test_lemmas_seed_in_envelope(self, capsys):
-        code, out, _ = run(
-            capsys, "lemmas", "--seed", "9", "--grid", "max_n=10,max_s=3,pairs=5",
-            "--format", "json",
-        )
+    def test_lemmas_seed_in_envelope(self, capsys, cached_suites):
+        code, out, _ = run(capsys, "lemmas", "--seed", "3", "--format", "json")
         assert code == 0
-        assert json.loads(out)["seed"] == 9
+        assert json.loads(out)["seed"] == 3
 
+    # --grid is gone: any grid, the once unknown, repeated or below-minimum
+    # keys included, is a usage error before a suite runs.
     def test_unknown_grid_key(self, capsys):
-        code, _, err = run(capsys, "lemmas", "--grid", "bogus=3")
-        assert code == 2
-        # The divisibility check always runs; its old order cap is no key.
-        code, out, err = run(capsys, "lemmas", "--grid", "det_eval_max_order=8")
-        assert (code, out) == (2, "")
-        assert err.startswith("lemmas: unknown grid keys ['det_eval_max_order']")
+        for grid in ("bogus=3", "det_eval_max_order=8"):
+            code, out, err = run(capsys, "lemmas", "--grid", grid)
+            assert (code, out) == (2, "")
+            assert "unrecognized arguments: --grid" in err
 
     def test_lemma_failure_exits_1_with_its_report(self, capsys, monkeypatch, tmp_path):
         # A Perron vector that is not constant on a cell fails a section:
@@ -444,8 +466,7 @@ class TestSuitesCli:
 
         monkeypatch.setattr("qfactor.harness.perron_q", skewed)
         path = tmp_path / "lemmas.json"
-        code, out, err = run(capsys, "lemmas", "--grid", "max_n=6,max_s=2,pairs=1",
-                             "--report", str(path))
+        code, out, err = run(capsys, "lemmas", "--report", str(path))
         assert (code, err) == (1, "")
         assert "eigenvector_cells: FAIL" in out and "lemmas: FAILURES" in out
         results = json.loads(path.read_text())["results"]
@@ -461,10 +482,9 @@ class TestSuitesCli:
         ("identities", "max_delta=2, max_delta =3", "max_delta"),
     ])
     def test_repeated_grid_key_is_a_usage_error(self, capsys, command, grid, key):
-        # The first value is not dropped in favour of the last: nothing runs.
         code, out, err = run(capsys, command, "--grid", grid)
         assert (code, out) == (2, "")
-        assert f"argument --grid: grid key '{key}' is given more than once" in err
+        assert "unrecognized arguments: --grid" in err and "more than once" not in err
 
     @pytest.mark.parametrize("command, grid, message", [
         ("lemmas", "max_n=5", "max_n must be at least 6, got 5"),
@@ -476,14 +496,12 @@ class TestSuitesCli:
     ])
     def test_grid_below_minimum_is_a_usage_error(self, capsys, command, grid, message):
         code, out, err = run(capsys, command, "--grid", grid)
-        assert (code, out, err) == (2, "", f"{command}: grid key {message}\n")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --grid" in err and message not in err
 
-    @pytest.mark.parametrize("command, grid", [
-        ("lemmas", "max_n=6,max_s=2,pairs=1"),
-        ("identities", "max_delta=2"),
-    ])
-    def test_grid_at_minimum_passes_with_valid_json(self, capsys, command, grid):
-        code, out, _ = run(capsys, command, "--grid", grid, "--format", "json")
+    @pytest.mark.parametrize("command", ["lemmas", "identities"])
+    def test_suite_passes_with_valid_json(self, capsys, cached_suites, command):
+        code, out, _ = run(capsys, command, "--format", "json")
         assert code == 0
 
         def reject(constant):
@@ -491,11 +509,12 @@ class TestSuitesCli:
 
         assert json.loads(out, parse_constant=reject)["results"]["all_passed"] is True
 
-    def test_identities_pass(self, capsys):
-        code, out, _ = run(capsys, "identities", "--grid", "max_delta=3",
-                           "--format", "json")
+    def test_identities_pass(self, capsys, cached_suites):
+        code, out, _ = run(capsys, "identities", "--format", "json")
         assert code == 0
-        assert json.loads(out)["results"]["all_passed"] is True
+        report = json.loads(out)
+        assert report["results"]["all_passed"] is True
+        assert report["config"] == {"format": "json", "subcommand": "identities"}
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +524,7 @@ class TestSuitesCli:
 
 class TestAgreement:
     def test_n4_exhaustive(self, capsys):
-        code, out, _ = run(
-            capsys, "agreement", "--n", "4", "--exhaustive", "--format", "json"
-        )
+        code, out, _ = run(capsys, "agreement", "--n", "4", "--format", "json")
         assert code == 0
         results = json.loads(out)["results"]
         assert results["counts"] == {
@@ -518,13 +535,9 @@ class TestAgreement:
         }
 
     def test_odd_n_exit_2(self, capsys):
-        code, _, err = run(capsys, "agreement", "--n", "5", "--exhaustive")
+        code, _, err = run(capsys, "agreement", "--n", "5")
         assert code == 2
         assert "even" in err
-
-    def test_enum_guard_exit_3(self, capsys):
-        code, _, _ = run(capsys, "agreement", "--n", "8", "--exhaustive")
-        assert code == 3
 
     def test_sampled(self, capsys):
         code, out, _ = run(
@@ -565,13 +578,45 @@ class TestAgreement:
         assert err == f"agreement: samples must be at least 1, got {samples}\n"
 
     def test_exhaustive_is_default_and_modes_are_exclusive(self, capsys):
+        # Without --samples the census is exhaustive; --exhaustive is gone.
         code, out, _ = run(capsys, "agreement", "--n", "4", "--format", "json")
         assert code == 0
-        assert json.loads(out)["results"]["mode"] == "exhaustive"
+        report = json.loads(out)
+        assert report["results"]["mode"] == "exhaustive"
+        assert report["config"]["exhaustive"] is True
         code, _, _ = run(
             capsys, "agreement", "--n", "4", "--exhaustive", "--samples", "5"
         )
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# removed knobs
+# ---------------------------------------------------------------------------
+
+
+# Each run parameter has one value: the flags that once set another are usage
+# errors that print nothing to stdout, and so is a census above order 7.  The
+# benchmark's certificate flags still parse, and are ignored.
+@pytest.mark.parametrize("argv, exit_code", [
+    (["verify", "--stream", "-", "--eps", "1"], 2),
+    (["lemmas", "--grid", "max_n=6"], 2),
+    (["identities", "--grid", "max_delta=2"], 2),
+    (["agreement", "--n", "4", "--exhaustive"], 2),
+    (["agreement", "--n", "4", "--max-enum-order", "7"], 2),
+    (["agreement", "--n", "8"], 2),
+    (["verify", "--stream", "-", "--max-cert-order", "24", "--max-cert-edges", "400",
+      "--allow-undecided"], 0),
+], ids=["verify-eps", "lemmas-grid", "identities-grid", "agreement-exhaustive",
+        "agreement-max-enum-order", "agreement-n8", "verify-cert-flags"])
+def test_one_value_per_run_parameter(capsys, monkeypatch, argv, exit_code):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{C8}\n{K8}\n{GSTAR82}\n"))
+    code, out, err = run(capsys, *argv)
+    assert code == exit_code
+    if exit_code == 2:
+        assert out == "" and err
+    else:
+        assert out.endswith("confirmed_factor=1 extremal_match=1 counterexample=0 undecided=0\n")
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +661,9 @@ class TestEnvelope:
 # tests/golden/cli/<name>.<format>. Graph input comes from stdin, so the
 # report's "input" is "-" and no temporary path leaks into the output. The
 # stream mixes the smoke graphs, a blank line, a malformed line, a graph
-# with no even factor (a counterexample once --eps 1e6 lifts the threshold),
-# an odd-order graph and G*(8,2) plus one edge.
+# with no even factor (a counterexample, since the golden run lifts the
+# threshold by setting harness.EPS to 1e6), an odd-order graph and G*(8,2)
+# plus one edge.
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
 GOLDEN_INPUT = "\n".join(
     [C8, K8, GSTAR82, "", "!!bogus!!", FACTORLESS, "D??", GSTAR82_PLUS_EDGE]) + "\n"
@@ -625,7 +671,7 @@ GOLDEN_CASES = [
     # (name, argv without --format, formats, exit code)
     ("spectrum", ["spectrum", "-"], ("text", "json", "csv"), 2),
     ("factor", ["factor", "-"], ("text", "json", "csv"), 2),
-    ("verify", ["verify", "--stream", "-", "--eps", "1e6"], ("text", "json", "csv"), 2),
+    ("verify", ["verify", "--stream", "-"], ("text", "json", "csv"), 2),
     ("extremal_gstar", ["extremal", "--family", "gstar", "--n", "8", "--delta", "2"],
      ("text", "json"), 0),
     ("extremal_g1", ["extremal", "--family", "g1", "--n", "10", "--s", "2",
@@ -636,9 +682,8 @@ GOLDEN_CASES = [
      ("text", "json"), 0),
     ("extremal_g4", ["extremal", "--family", "g4", "--n", "14", "--delta", "3", "--s", "2"],
      ("text", "json"), 0),
-    ("lemmas", ["lemmas", "--seed", "3", "--grid", "max_n=10,max_s=3,pairs=5"],
-     ("text", "json"), 0),
-    ("identities", ["identities", "--grid", "max_delta=3"], ("text", "json"), 0),
+    ("lemmas", ["lemmas", "--seed", "3"], ("text", "json"), 0),
+    ("identities", ["identities"], ("text", "json"), 0),
     ("agreement", ["agreement", "--n", "4"], ("text", "json"), 0),
     ("agreement_sampled", ["agreement", "--n", "6", "--samples", "5", "--seed", "1"],
      ("text", "json"), 0),
@@ -671,19 +716,20 @@ def _golden_stdout(capsys, monkeypatch, argv):
     (name, argv, fmt, exit_code)
     for name, argv, formats, exit_code in GOLDEN_CASES for fmt in formats
 ])
-def test_golden_projection(capsys, monkeypatch, name, argv, fmt, exit_code):
+def test_golden_projection(capsys, monkeypatch, no_threshold, cached_suites,
+                           name, argv, fmt, exit_code):
     code, out = _golden_stdout(capsys, monkeypatch, [*argv, "--format", fmt])
     expected = (GOLDEN_DIR / f"{name}.{fmt}").read_text(encoding="ascii")
     assert code == exit_code
     assert _mask_floats(out) == _mask_floats(expected)
 
 
-def test_golden_json_with_report_prints_summary_only(capsys, monkeypatch, tmp_path):
+def test_golden_json_with_report_prints_summary_only(capsys, monkeypatch, tmp_path,
+                                                     no_threshold):
     # With --report, --format json prints only the text summary line; the
     # file holds the envelope that --format json alone would print.
     path = tmp_path / "r.json"
-    argv = ["verify", "--stream", "-", "--eps", "1e6", "--format", "json",
-            "--report", str(path)]
+    argv = ["verify", "--stream", "-", "--format", "json", "--report", str(path)]
     code, out = _golden_stdout(capsys, monkeypatch, argv)
     assert code == 2
     assert out == (GOLDEN_DIR / "verify.text").read_text().splitlines(True)[-1]

@@ -129,6 +129,9 @@ def test_g4_embeds_in_gstar():
         assert sorted(mapping) == list(range(n))
         for u, v in g4.edges():
             assert gstar.has_edge(mapping[u], mapping[v]), (n, delta, s, u, v)
+        # The identity map is no embedding: g4's universal vertex w_1 lies
+        # outside gstar's join cell.
+        assert not all(gstar.has_edge(u, v) for u, v in g4.edges())
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ import time
 import networkx as nx
 import pytest
 
-from exhaustive_search import enumerate_labeled, find_even_factor
+from exhaustive_search import GuardExceeded, enumerate_labeled, find_even_factor
 from qfactor import factors
 from qfactor.extremal import build_gstar
 from qfactor.graphs import (
     Graph,
-    GuardExceeded,
     complete,
     isomorphism_classes,
     odd_components_after_removal,

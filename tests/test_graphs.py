@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codec_oracles import parse_graph6_by_strings
-from exhaustive_search import enumerate_labeled
+from exhaustive_search import GuardExceeded, enumerate_labeled
 from qfactor.graphs import (
     Graph,
     Graph6Error,
-    GuardExceeded,
     _component_masks,
     complete,
     disjoint_union,
@@ -269,7 +268,7 @@ def test_mask_graph6_encoder_matches_write_graph6():
             assert encode(mask) == write_graph6(mask_graph(n, pairs, mask)), (n, mask)
         full = (1 << len(pairs)) - 1
         assert encode(full) == write_graph6(complete(n) if n else Graph.empty(0))
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(ValueError, match="n <= 7, got n=8"):
         mask_graph6_encoder(8)
 
 
@@ -388,11 +387,11 @@ def test_isomorphism_labels_are_orbits(n):
 
 
 def test_isomorphism_classes_guard_and_order():
-    # The guard fires before the 2^(n(n-1)/2)-entry label table exists.
-    with pytest.raises(GuardExceeded):
+    # The order cap holds before the 2^(n(n-1)/2)-entry label table exists.
+    with pytest.raises(ValueError, match="n <= 7, got n=30"):
         isomorphism_classes(30)
-    with pytest.raises(GuardExceeded):
-        isomorphism_classes(8, max_order=7)
+    with pytest.raises(ValueError, match="n <= 7, got n=8"):
+        isomorphism_classes(8)
     with pytest.raises(ValueError):
         isomorphism_classes(-2)
     labels, representatives = isomorphism_classes(0)

@@ -18,7 +18,6 @@ from qfactor.factors import (
 )
 from qfactor.graphs import (
     Graph,
-    GuardExceeded,
     complete,
     is_connected,
     min_degree,
@@ -45,9 +44,15 @@ from qfactor.harness import (
 
 # A connected order-8 graph with delta = 2 and no even factor: a complete
 # bipartite K_{2,3} bridged by one edge to a triangle.  Its q exceeds no
-# threshold at the default eps, but with eps large enough to disable the
-# threshold test it exercises the counterexample branch honestly.
+# threshold, but with harness.EPS large enough to disable the threshold test
+# it exercises the counterexample branch honestly.
 FACTORLESS = "G]o_GK"
+
+
+@pytest.fixture
+def no_threshold(monkeypatch):
+    """A threshold band so wide that every applicable graph climbs past it."""
+    monkeypatch.setattr(harness, "EPS", 1e6)
 
 
 def cycle(n):
@@ -197,9 +202,9 @@ class TestCheckTheoremInstance:
         assert out.witness is None
         assert out.q == pytest.approx(out.threshold, abs=1e-9)
 
-    def test_counterexample_with_disabled_threshold(self):
+    def test_counterexample_with_disabled_threshold(self, no_threshold):
         g = parse_graph6(FACTORLESS)
-        out = check_theorem_instance(g, eps=1e6)
+        out = check_theorem_instance(g)
         assert out.classification == "counterexample"
         assert out.witness == {"kind": "no_even_factor"}
 
@@ -230,15 +235,10 @@ class TestCheckTheoremInstance:
             "counterexample",
         }
 
-    @pytest.mark.parametrize("eps", [-1.0, -1e-300, float("nan")])
-    def test_negative_or_nan_eps_rejected(self, eps):
-        # G*(8,2) plus one edge lies above the threshold; eps = -1 used to
-        # call it below_threshold.
-        with pytest.raises(ValueError, match="eps"):
-            check_theorem_instance(build_gstar(8, 2).add_edges([(6, 7)]), eps=eps)
-
-    def test_zero_eps_accepted(self):
-        out = check_theorem_instance(build_gstar(8, 2).add_edges([(6, 7)]), eps=0.0)
+    def test_zero_eps_accepted(self, monkeypatch):
+        # G*(8,2) plus one edge lies above the threshold with no band at all.
+        monkeypatch.setattr(harness, "EPS", 0.0)
+        out = check_theorem_instance(build_gstar(8, 2).add_edges([(6, 7)]))
         assert out.classification == "confirmed_factor"
 
     def test_as_row_shape(self):
@@ -271,13 +271,8 @@ class TestVerifyStream:
         lines = [write_graph6(random_graph(9, 0.5, seed=s)) for s in range(12)]
         assert verify_stream(lines) == verify_stream(lines, jobs=3)
 
-    @pytest.mark.parametrize("eps", [-1.0, float("nan")])
-    def test_negative_or_nan_eps_rejected(self, eps):
-        with pytest.raises(ValueError, match="eps"):
-            verify_stream(self.LINES, eps=eps)
-
-    def test_counterexample_listed(self):
-        report = verify_stream([FACTORLESS], eps=1e6)
+    def test_counterexample_listed(self, no_threshold):
+        report = verify_stream([FACTORLESS])
         assert report["counts"]["counterexample"] == 1
         assert report["counterexamples"] == [FACTORLESS]
 
@@ -555,13 +550,25 @@ class TestHelpers:
 
 
 # ---------------------------------------------------------------------------
-# Study suites (reduced grids for speed; full grids run in acceptance)
+# Study suites
 # ---------------------------------------------------------------------------
 
 
+# Each suite runs at its one fixed size once for the module; a test that
+# patches a callee runs the sections it needs itself.
+@pytest.fixture(scope="module")
+def lemma_report():
+    return lemma_suite()
+
+
+@pytest.fixture(scope="module")
+def identity_report():
+    return identity_suite()
+
+
 class TestSuites:
-    def test_lemma_suite_passes(self):
-        report = lemma_suite(seed=0, max_n=12, max_s=3, pairs=20)
+    def test_lemma_suite_passes(self, lemma_report):
+        report = lemma_report
         assert report["all_passed"] is True
         sections = {
             "clique_redistribution",
@@ -580,14 +587,13 @@ class TestSuites:
         assert report["quotient_radius"]["all_divide"] is True
         assert all(case["divides"] for case in report["quotient_radius"]["cases"])
 
-    def test_lemma_spectra_batched_equal_one_by_one(self, monkeypatch):
+    def test_lemma_spectra_batched_equal_one_by_one(self, monkeypatch, lemma_report):
         # The redistribution and edge-monotonicity lemmas take their radii
         # from one stacked perron_many call; one eigh per graph gives the
         # same floats bit for bit, so the same report bytes.
-        batched = lemma_suite(seed=3)
         one_by_one = lambda graphs, alpha: [perron_many([g], alpha)[0] for g in graphs]
         monkeypatch.setattr("qfactor.harness.perron_many", one_by_one)
-        assert lemma_suite(seed=3) == batched
+        assert lemma_suite() == lemma_report
 
     def test_quotient_radius_rejects_a_non_dividing_polynomial(self, monkeypatch):
         # Add 1 to the constant term of every full order-n polynomial; the
@@ -599,7 +605,7 @@ class TestSuites:
             return poly + IntPolynomial((1,))
 
         monkeypatch.setattr("qfactor.harness.char_poly", skewed)
-        report = lemma_suite(seed=0, max_n=6, max_s=2, pairs=2)["quotient_radius"]
+        report = harness._quotient_radius_lemma()
         assert report["all_equitable"] is True
         assert report["max_root_vs_perron"] < 1e-8
         assert not any(case["divides"] for case in report["cases"])
@@ -611,32 +617,18 @@ class TestSuites:
         # nothing raises.
         monkeypatch.setattr("qfactor.harness.gstar_cells",
                             lambda n, delta: [[0], list(range(1, n))])
-        report = lemma_suite(**self.LEMMA_MINIMUMS)
-        section = report["quotient_radius"]
+        section = harness._quotient_radius_lemma()
         assert section["passed"] is False and section["all_equitable"] is False
         assert section["all_divide"] is False
         assert all(case["equitable"] is False and case["root_vs_perron"] is None
                    for case in section["cases"])
-        assert report["eigenvector_cells"]["passed"] is False
-        assert report["all_passed"] is False
+        assert harness._eigenvector_cell_lemma()["passed"] is False
 
-    # Each grid key at its minimum, the smallest value at which its section
-    # still has a case: max_n = 6 is the smallest order with a redistribution
-    # case.
-    LEMMA_MINIMUMS = {"max_n": 6, "max_s": 2, "pairs": 1}
-
-    @pytest.mark.parametrize("key", sorted(LEMMA_MINIMUMS))
-    def test_lemma_grid_below_minimum_is_rejected(self, key):
-        grid = {**self.LEMMA_MINIMUMS, key: self.LEMMA_MINIMUMS[key] - 1}
-        with pytest.raises(ValueError, match=f"{key} must be at least "
-                                             f"{self.LEMMA_MINIMUMS[key]}"):
-            lemma_suite(**grid)
-
-    def test_lemma_grid_at_minimum_checks_every_section(self):
-        report = lemma_suite(**self.LEMMA_MINIMUMS)
+    def test_lemma_suite_checks_every_section(self, lemma_report):
+        report = lemma_report
         assert report["all_passed"] is True
         assert report["clique_redistribution"]["cases"] >= 1
-        assert report["edge_monotonicity"]["pairs"] == 1
+        assert report["edge_monotonicity"]["pairs"] == 100
         assert 0 < report["edge_monotonicity"]["min_margin"] < float("inf")
         cases = report["quotient_radius"]["cases"]
         assert cases and all(case["divides"] for case in cases)
@@ -655,10 +647,10 @@ class TestSuites:
 
         monkeypatch.setattr("qfactor.harness.perron", skew(harness.perron))
         monkeypatch.setattr("qfactor.harness.perron_q", skew(harness.perron_q))
-        ordering = lemma_suite(**self.LEMMA_MINIMUMS)["cell_ordering"]
+        ordering = harness._cell_ordering_lemma()
         assert ordering["violations"] == len(ordering["cases"]) > 0
         assert ordering["passed"] is False
-        surgery = identity_suite(max_delta=2)["surgery_chain"]
+        surgery = identity_suite()["surgery_chain"]
         assert surgery["cases"] and not any(case["ok"] for case in surgery["cases"])
         assert surgery["passed"] is False
 
@@ -666,25 +658,17 @@ class TestSuites:
         # With equal radii every pair is a violation and no margin is
         # positive: min_margin is null, not the invalid JSON token Infinity.
         monkeypatch.setattr("qfactor.harness._q_values", lambda graphs: [1.0] * len(graphs))
-        report = lemma_suite(**self.LEMMA_MINIMUMS)
+        section = harness._edge_monotonicity_lemma(0)
 
         def reject(token):
             raise ValueError(f"not JSON: {token}")
 
-        text = dumps_canonical(make_report("lemmas", self.LEMMA_MINIMUMS, report))
-        section = json.loads(text, parse_constant=reject)["results"]["edge_monotonicity"]
-        assert section == {"min_margin": None, "pairs": 1, "passed": False, "violations": 1}
+        text = dumps_canonical(make_report("lemmas", {"seed": 0}, section))
+        assert json.loads(text, parse_constant=reject)["results"] == {
+            "min_margin": None, "pairs": 100, "passed": False, "violations": 100}
 
-    def test_identity_grid_minimum(self):
-        with pytest.raises(ValueError, match="max_delta must be at least 2"):
-            identity_suite(max_delta=1)
-        report = identity_suite(max_delta=2)
-        assert report["all_passed"] is True
-        assert report["difference_identity"]["cases"] > 0
-        assert report["f_positivity"]["cases"]
-
-    def test_identity_suite_passes(self):
-        report = identity_suite(max_delta=4)
+    def test_identity_suite_passes(self, identity_report):
+        report = identity_report
         assert report["all_passed"] is True
         sections = {
             "difference_identity",
@@ -699,6 +683,19 @@ class TestSuites:
             assert report[name]["passed"] is True, name
         assert report["difference_identity"]["mismatches"] == []
         assert report["f_positivity"]["min_value"] >= 3
+
+    def test_identity_grid_minimum(self, identity_report):
+        # The fixed grid starts at delta = 2 with s = delta and s > delta there,
+        # so the smallest case the proof covers is always checked.
+        grid = harness._identity_grid()
+        assert min(delta for _, delta, _ in grid) == 2
+        at_two = {s for _, delta, s in grid if delta == 2}
+        assert 2 in at_two and max(at_two) > 2
+        assert all(n % 2 == 0 and n >= 2 * s for n, _, s in grid)
+        report = identity_report
+        assert report["all_passed"] is True
+        assert report["difference_identity"]["cases"] == len(grid) > 0
+        assert report["f_positivity"]["cases"]
 
 
 def reference_census(n, connected_only=False):
@@ -804,5 +801,6 @@ class TestAgreementStudy:
             agreement_study(6, samples=samples)
 
     def test_enum_guard(self):
-        with pytest.raises(GuardExceeded):
-            agreement_study(8, max_order=7)
+        # The census is capped at order MAX_ENUM_ORDER = 7.
+        with pytest.raises(ValueError, match="n <= 7, got n=8"):
+            agreement_study(8)

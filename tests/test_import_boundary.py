@@ -107,8 +107,8 @@ def test_perron_commands_load_numpy(argv, stdin):
 # The exact routes are integer-only: no command loads fractions.
 @pytest.mark.parametrize("argv, stdin", [
     (["verify", "--stream", "-"], "G~~~~{\n"),
-    (["lemmas", "--grid", "max_n=6,max_s=2,pairs=1"], ""),
-    (["identities", "--grid", "max_delta=2"], ""),
+    (["lemmas"], ""),
+    (["identities"], ""),
     (["extremal", "--family", "g2", "--n", "8", "--s", "2"], ""),
     (["agreement", "--n", "4", "--connected-only"], ""),
 ], ids=["verify", "lemmas", "identities", "extremal-g2", "agreement"])

@@ -20,6 +20,7 @@ counterexample or suite failure was found (reports are still written);
 2 = usage or malformed input (``spectrum``, ``factor`` and ``verify`` still
 write their error rows), including an exhaustive ``agreement`` census above
 order 7.  Input-integrity problems (2) take precedence over findings (1).
+A reader of stdout that leaves early does not change the exit code.
 Every other computation is polynomial and has no guard.
 
 The CLI parses before it loads: at import time this module needs only the
@@ -39,6 +40,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from typing import Any, Callable, NamedTuple, Sequence
@@ -328,7 +330,6 @@ def _cmd_agreement(args: argparse.Namespace) -> Run:
         seed=args.seed,
     )
     config = {key: getattr(args, key) for key in ("n", "samples", "connected_only", "p")}
-    config["exhaustive"] = args.samples is None
     config["seed"] = None if args.samples is None else args.seed
     text_lines = [
         f"agreement n={args.n} ({results['mode']}, "
@@ -417,9 +418,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         report = make_report(args.subcommand, config, run.results, seed=config.get("seed"),
                              wall_time_s=time.perf_counter() - start)
         _write_outputs(args, report, run)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
         return run.exit_code
     except BrokenPipeError:
-        return 0
+        # A reader of stdout left early (``| head``). The run is complete and
+        # any report file was written first, so its exit code stands. stdout
+        # goes to devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return run.exit_code
     except (OSError, UnicodeDecodeError) as exc:
         # missing or unreadable input (a directory, a non-ASCII byte)
         print(f"qfactor: {exc}", file=sys.stderr)

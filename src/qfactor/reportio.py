@@ -6,26 +6,29 @@ Every command that can write a report uses the same envelope::
       "schema": "qfactor.report/v1",
       "tool": {"name": "qfactor", "version": ...},
       "command": "verify",
-      "config": {...},          # resolved options, guards, tolerances
+      "config": {...},          # the command's resolved options
       "seed": ...,              # null when the command consumed no randomness
       "meta": {"timestamp": ..., "wall_time_s": ...},
       "results": {...}
     }
 
 Serialization is deterministic: keys are sorted, floats are rounded to 15
-significant digits before encoding, and the only volatile fields are
+significant digits as they are written, and the only volatile fields are
 ``meta.timestamp`` and ``meta.wall_time_s``.  Two runs over the same input
 therefore produce byte-identical reports once those two fields are dropped;
 :func:`strip_volatile` does exactly that for comparisons.
 
-The text is ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline,
-byte for byte.  :func:`dumps_canonical` does not call it: with an
-``indent``, CPython (3.10 to 3.12 at least) runs json's pure-Python
-encoder, which takes about twice as long on a ``verify`` report.  The
-writer uses json's own primitives (the C string escaper, ``int.__repr__``,
-``float.__repr__``, and ``json.dumps`` for NaN, infinities, subclasses and
-unsupported types), so the bytes and the TypeErrors are the same;
-``tests/test_reportio.py`` checks that on random JSON trees.
+A report holds str, int, bool, None, float, dict with str keys, list and
+tuple, exactly those types.  Its text is ``json.dumps(report, indent=2,
+sort_keys=True)`` plus a newline, byte for byte, of the report with every
+float rounded.  :func:`dumps_canonical` builds it in one pass over the tree,
+rounding and checking types as it writes; any other type, subclasses and
+numpy values included, raises TypeError.  It does not call ``json.dumps``:
+with an ``indent``, CPython (3.10 to 3.12 at least) runs json's pure-Python
+encoder, which takes about twice as long on a ``verify`` report.  The writer
+uses json's own primitives (the C string escaper, ``int.__repr__``,
+``float.__repr__`` and json's tokens for NaN and the infinities);
+``tests/test_reportio.py`` checks the bytes on random report trees.
 """
 
 from __future__ import annotations
@@ -51,27 +54,6 @@ def format_float(x: float) -> str:
     return format(float(x), f".{FLOAT_DIGITS}g")
 
 
-# Types that json_ready returns unchanged.
-_AS_IS = frozenset({str, int, bool, type(None)})
-
-
-def json_ready(obj: Any) -> Any:
-    """Recursively convert *obj* into plain JSON types with rounded floats.
-
-    Reports hold str, int, bool, None, float, dict, list and tuple, exactly
-    those types; any other, subclasses included, raises TypeError."""
-    kind = type(obj)
-    if kind in _AS_IS:
-        return obj
-    if kind is float:
-        return round_float(obj)
-    if kind is dict:
-        return {str(k): json_ready(v) for k, v in obj.items()}
-    if kind is list or kind is tuple:
-        return [json_ready(v) for v in obj]
-    raise TypeError(f"cannot serialize {kind.__name__}")
-
-
 def make_report(
     command: str,
     config: dict[str, Any],
@@ -80,41 +62,36 @@ def make_report(
     seed: int | None = None,
     wall_time_s: float = 0.0,
 ) -> dict[str, Any]:
+    """The envelope around *config* and *results*, which are neither copied
+    nor converted: :func:`dumps_canonical` rounds and checks them."""
     return {
         "schema": REPORT_SCHEMA,
         "tool": {"name": "qfactor", "version": __version__},
         "command": command,
-        "config": json_ready(config),
+        "config": config,
         "seed": seed,
         "meta": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "wall_time_s": round_float(wall_time_s),
+            "wall_time_s": wall_time_s,
         },
-        "results": json_ready(results),
+        "results": results,
     }
 
 
 def dumps_canonical(report: dict[str, Any]) -> str:
-    """Canonical text of a JSON-ready report: make_report output or data
-    already passed through json_ready (it is not converted again).
-
-    Equal to ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``.
-    """
+    """Canonical text of a report: ``json.dumps(report, indent=2,
+    sort_keys=True) + "\\n"`` with every float rounded to 15 significant
+    digits.  A value outside the report domain raises TypeError."""
     out: list[str] = []
     _write(report, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-def _key_text(key: Any) -> str:
-    """A dict key as json.dumps converts it before encoding: str as is;
-    int, float, bool and None as their JSON text."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return json.dumps(key)
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+def _float_text(x: float) -> str:
+    """json's text of *x* rounded to 15 significant digits."""
+    x = round_float(x)  # NaN and the infinities stay; 1.8e308 rounds to inf
+    return float.__repr__(x) if isfinite(x) else json.dumps(x)
 
 
 def _write(value: Any, newline: str, out: list[str]) -> None:
@@ -125,9 +102,9 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
         out.append(_encode_str(value))
     elif kind is int:
         out.append(int.__repr__(value))
-    elif kind is float and isfinite(value):
-        out.append(float.__repr__(value))
-    elif isinstance(value, dict):
+    elif kind is float:
+        out.append(_float_text(value))
+    elif kind is dict:
         if not value:
             out.append("{}")
             return
@@ -135,7 +112,7 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
         lead = "{" + inner
         for key, item in sorted(value.items()):
             if type(key) is not str:
-                key = _key_text(key)
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             head = f"{lead}{_encode_str(key)}: "
             lead = "," + inner
             # The common scalars inline, as json's own encoder does.
@@ -144,15 +121,15 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
                 out.append(head + _encode_str(item))
             elif kind is int:
                 out.append(head + int.__repr__(item))
-            elif kind is float and isfinite(item):
-                out.append(head + float.__repr__(item))
+            elif kind is float:
+                out.append(head + _float_text(item))
             elif item is None:
                 out.append(head + "null")
             else:
                 out.append(head)
                 _write(item, inner, out)
         out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
             return
@@ -176,9 +153,7 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
     elif value is False:
         out.append("false")
     else:
-        # NaN, infinities and subclasses of str, int and float; any other
-        # type raises json's TypeError.
-        out.append(json.dumps(value))
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def strip_volatile(report: dict[str, Any]) -> dict[str, Any]:

@@ -207,7 +207,7 @@ class IntPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        """Horner evaluation; exact for int and Fraction arguments."""
+        """Horner evaluation; exact for int arguments."""
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
@@ -218,12 +218,6 @@ class IntPolynomial:
         a = list(self.coeffs) + [0] * (size - len(self.coeffs))
         b = list(other.coeffs) + [0] * (size - len(other.coeffs))
         return IntPolynomial(tuple(x - y for x, y in zip(a, b)))
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        size = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (size - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (size - len(other.coeffs))
-        return IntPolynomial(tuple(x + y for x, y in zip(a, b)))
 
     def __mod__(self, divisor: "IntPolynomial") -> "IntPolynomial":
         """Remainder of exact long division by a monic divisor."""

@@ -3,9 +3,10 @@
 ``parse_graph6_by_strings`` is the graph6 decoder that turned the payload into
 one text character per bit and transposed the lower triangle with ``zip``
 before ``qfactor.graphs.parse_graph6`` moved to an int bit matrix.
-``dumps_by_json`` is the report writer that called ``json.dumps`` before
-``qfactor.reportio.dumps_canonical`` built the same text itself. The tests
-compare the package's codec against both.
+``dumps_by_json`` is the report writer that copied the report with its
+floats rounded, then called ``json.dumps``, before
+``qfactor.reportio.dumps_canonical`` built the same text itself in one pass.
+The tests compare the package's codec against both.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 from typing import Any
 
 from qfactor.graphs import Graph, Graph6Error
+from qfactor.reportio import round_float
 
 _GRAPH6_HEADER = b">>graph6<<"
 _GRAPH6_BYTES = bytes(range(63, 127))
@@ -63,6 +65,22 @@ def parse_graph6_by_strings(text: str | bytes) -> Graph:
     return Graph(n, tuple(int((lower[v][:v] + upper[v][v:])[::-1], 2) for v in range(n)))
 
 
+def _rounded(obj: Any) -> Any:
+    """A copy of a report tree with every float rounded to 15 significant
+    digits and tuples as lists; a value of a type outside the report domain
+    raises, and json.dumps then judges the keys."""
+    kind = type(obj)
+    if kind in (str, int, bool, type(None)):
+        return obj
+    if kind is float:
+        return round_float(obj)
+    if kind is dict:
+        return {k: _rounded(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [_rounded(v) for v in obj]
+    raise TypeError(f"cannot serialize {kind.__name__}")
+
+
 def dumps_by_json(report: Any) -> str:
-    """The canonical report text as json.dumps writes it."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The canonical report text: the rounded copy as json.dumps writes it."""
+    return json.dumps(_rounded(report), indent=2, sort_keys=True) + "\n"

@@ -38,7 +38,7 @@ from qfactor.harness import (
     lemma_suite,
     recognize_gstar,
 )
-from qfactor.reportio import dumps_canonical, json_ready, strip_volatile
+from qfactor.reportio import dumps_canonical, strip_volatile
 from qfactor.spectra import char_poly, perron_q, quotient
 
 FACTORLESS = "G]o_GK"
@@ -232,7 +232,7 @@ def test_07_agreement_tables_frozen(tmp_path):
     import pathlib
 
     golden = pathlib.Path(__file__).parent / "golden" / "agreement_n6.json"
-    assert dumps_canonical(json_ready(six)) == golden.read_text()
+    assert dumps_canonical(six) == golden.read_text()
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"budget exceeded: {elapsed:.1f}s"
     announce(7, f"agreement censuses frozen (orders 2, 4, 6-connected; "

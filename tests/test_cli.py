@@ -278,6 +278,27 @@ class TestFactor:
         assert good["graph6"] == C8
         assert good["agreement"] == "criterion_no_factor_yes"
 
+    @pytest.mark.parametrize("copies", [1, 600], ids=["flushed-at-end", "flushed-midway"])
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path, copies):
+        # A reader that leaves early (`| head -n 1`) does not change the
+        # verdict: a bad line still exits 2, and nothing reaches stderr.
+        # The pipe's read end is closed before the run starts, so every
+        # write to stdout fails, whether the text fits one buffer or not.
+        path = tmp_path / "in.g6"
+        path.write_text(f"{C8}\n" * copies + "!!bogus!!\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(qfactor.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "qfactor.cli", "factor", str(path)],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert done.stderr == b""
+
 
 # ---------------------------------------------------------------------------
 # verify
@@ -583,7 +604,8 @@ class TestAgreement:
         assert code == 0
         report = json.loads(out)
         assert report["results"]["mode"] == "exhaustive"
-        assert report["config"]["exhaustive"] is True
+        # The mode is a result; the config does not restate it.
+        assert "exhaustive" not in report["config"]
         code, _, _ = run(
             capsys, "agreement", "--n", "4", "--exhaustive", "--samples", "5"
         )

@@ -602,7 +602,7 @@ class TestSuites:
             poly = char_poly(m)
             if poly.degree <= 3:
                 return poly
-            return poly + IntPolynomial((1,))
+            return poly - IntPolynomial((-1,))
 
         monkeypatch.setattr("qfactor.harness.char_poly", skewed)
         report = harness._quotient_radius_lemma()

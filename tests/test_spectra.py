@@ -293,7 +293,7 @@ def test_int_polynomial_ops():
     assert p.degree == 3
     assert p(0) == -6 and p(1) == 0 and p(4) == 6
     q = IntPolynomial((1, 1))
-    assert (p + q).coeffs == (-5, 12, -6, 1)
+    assert (p - q).coeffs == (-7, 10, -6, 1)
     assert (p - p).is_zero()
     assert p.scaled(-2).coeffs == (12, -22, 12, -2)
     assert IntPolynomial((3, 0, 0)).coeffs == (3,)  # trailing zeros trimmed

@@ -19,7 +19,9 @@ Exit codes: 0 = completed with no counterexample or mismatch; 1 = a
 counterexample or suite failure was found (reports are still written);
 2 = usage or malformed input (``spectrum``, ``factor`` and ``verify`` still
 write their error rows), including an exhaustive ``agreement`` census above
-order 7.  Input-integrity problems (2) take precedence over findings (1).
+order 7, or a failed hard check (the residual gate, the threshold
+cross-check), printed as ``qfactor: <message>``.  Input-integrity problems
+(2) take precedence over findings (1).
 A reader of stdout that leaves early does not change the exit code.
 Every other computation is polynomial and has no guard.
 
@@ -30,9 +32,9 @@ qfactor module.  Each runner imports what it runs when it is dispatched, and
 ``agreement`` load ``harness`` and with it every module; ``factor`` loads
 ``graphs``, ``matching`` and ``factors``; ``spectrum`` loads ``graphs`` and
 ``spectra``; ``extremal`` loads those two and ``extremal``.  numpy loads at
-the first Perron value.  The imports sit inside the functions, not in module
-globals, so a wrapper installed on a module's function (the benchmark's
-tracer) is the function called.
+the first Perron value, which ``identities`` never computes.  The imports
+sit inside the functions, not in module globals, so a wrapper installed on
+a module's function (the benchmark's tracer) is the function called.
 """
 
 from __future__ import annotations
@@ -426,8 +428,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # goes to devnull so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return run.exit_code
-    except (OSError, UnicodeDecodeError) as exc:
-        # missing or unreadable input (a directory, a non-ASCII byte)
+    except (OSError, UnicodeDecodeError, ArithmeticError, RuntimeError) as exc:
+        # unreadable input (a directory, a non-ASCII byte) or a failed hard
+        # check outside a stream's error rows: no finding, so never exit 1
         print(f"qfactor: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

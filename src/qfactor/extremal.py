@@ -18,8 +18,9 @@ The characteristic polynomials of the 3x3 quotients of g2 and gstar are
 kept in closed form as exact integer objects, so identity checks are
 coefficient-exact.
 threshold_q is the load-bearing number: the largest root of the gstar
-polynomial, bisected in integers and correctly rounded to a double, then
-cross-validated against LAPACK eigh on the actual graph.
+polynomial, bisected in integers and correctly rounded to a double, after
+the closed form is checked against the characteristic polynomial of the
+quotient counted from the built graph.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .graphs import Graph, complete, disjoint_union, join
-from .spectra import IntPolynomial, largest_real_root, perron_q
+from .spectra import IntPolynomial, char_poly, largest_real_root, quotient
 
 
 def _join_cliques(s: int, parts: Sequence[int]) -> Graph:
@@ -269,12 +270,10 @@ def f_poly(n: int, s: int, delta: int) -> IntPolynomial:
 @lru_cache(maxsize=None)
 def threshold_q(n: int, delta: int) -> float:
     """q(gstar(n, delta)): the largest root of phi_bstar, correctly rounded,
-    cross-validated against perron_q on the built graph (a mismatch > 1e-8
-    raises RuntimeError, also under python -O)."""
-    root = largest_real_root(phi_bstar(n, delta), 0.0, float(2 * n))
-    check = perron_q(build_gstar(n, delta)).value
-    if abs(root - check) > 1e-8:
-        raise RuntimeError(
-            f"threshold cross-validation failed at (n={n}, delta={delta}): "
-            f"root {root!r} vs perron {check!r}")
-    return root
+    once phi_bstar is checked against the quotient polynomial counted from
+    the built graph (a mismatch raises RuntimeError, also under python -O)."""
+    poly = phi_bstar(n, delta)
+    if char_poly(quotient(build_gstar(n, delta), gstar_cells(n, delta))) != poly:
+        raise RuntimeError(f"threshold cross-validation failed at (n={n}, delta={delta}): "
+                           f"phi_bstar {poly.coeffs} is not the quotient's polynomial")
+    return largest_real_root(poly, 0.0, float(2 * n))

@@ -20,11 +20,11 @@ with a checked edge list, or a ``counterexample`` whose ``no_even_factor``
 witness rests on a checked Tutte barrier of the gadget (or a vertex of
 degree below 2).  Every such graph is decided; no size guard applies.
 
-The threshold itself is the largest real root of an exact integer
-characteristic polynomial, bisected in integers at dyadic points and
-correctly rounded to a double, then cross-checked against a directly
-computed spectral radius, so a near-band instance cannot be misclassified
-by float drift greater than :data:`EPS`.
+The threshold itself is the largest real root of the closed-form integer
+polynomial phi_bstar, checked equal to the quotient polynomial counted from
+the built extremal graph, then bisected in integers and correctly rounded
+to a double.  q is an eigh value behind the residual gate, so only a q more
+than :data:`EPS` below the threshold counts as below it.
 """
 
 from __future__ import annotations
@@ -68,15 +68,16 @@ from .graphs import (
     write_graph6,
 )
 from .spectra import (
+    IntPolynomial,
     cell_values,
     char_poly,
+    equitable_partition,
     largest_real_root,
     perron,
     perron_many,
     perron_q,
     perron_rho,
     quotient,
-    signless_laplacian,
 )
 
 # A graph is below the threshold only when its q is more than EPS below it.
@@ -584,10 +585,23 @@ def _identity_grid() -> list[tuple[int, int, int]]:
     return grid
 
 
+def _quotient_root(g: Graph, cells: Sequence[Sequence[int]]) -> tuple[IntPolynomial, float]:
+    """The characteristic polynomial of Q(g)'s quotient over the cells, which
+    must be equitable, and its largest root: q(g) of a connected g, correctly
+    rounded.  Every eigenvalue of Q lies below 2n."""
+    b = quotient(g, cells)
+    if b is None:
+        raise ValueError("the cells are not an equitable partition")
+    poly = char_poly(b)
+    return poly, largest_real_root(poly, 0.0, 2.0 * g.n)
+
+
 def identity_suite() -> dict[str, Any]:
     """Exact-arithmetic checks of the polynomial identities behind the
-    threshold, plus the numeric comparison chain that pins the extremal
-    graph at the top of the near-threshold family."""
+    threshold, plus the comparison chain that pins the extremal graph at the
+    top of the near-threshold family.  Each radius is the correctly rounded
+    largest root of a quotient polynomial, so a strict comparison of two
+    decides the radii; a tie passes only between equal polynomials."""
     sections: dict[str, Any] = {}
 
     # (a) phi_{B_2}(n, s) - phi_{B_*}(n, delta) == (s - delta) * f(n, s, delta), exactly.
@@ -630,64 +644,45 @@ def identity_suite() -> dict[str, Any]:
     rows = []
     ok = True
     for delta in (2, 3, 4):
+        n = 7 * delta - 7 + (7 * delta - 7) % 2 + 14
         for s in range(delta + 1, delta + 4):
-            for n in (7 * delta - 7 + (7 * delta - 7) % 2 + 14,):
-                if n < 2 * s or (n - 2 * s + 1) < 1:
-                    continue
-                margin = threshold_q(n, delta) - perron_q(build_g2(n, s)).value
-                ok = ok and margin > 0
-                rows.append({"n": n, "delta": delta, "s": s, "threshold_margin": margin})
+            margin = threshold_q(n, delta) - _quotient_root(build_g2(n, s), gstar_cells(n, s))[1]
+            ok = ok and margin > 0
+            rows.append({"n": n, "delta": delta, "s": s, "threshold_margin": margin})
     sections["large_join_below_threshold"] = {"cases": rows, "passed": ok}
 
     # (d) the surgery chain: rewiring the layered join strictly raises the
-    # radius (Rayleigh quotient certificate + closed form), lands at or
+    # radius (the Rayleigh step's closed-form gain is positive), lands at or
     # below the extremal graph, and the rewired graph embeds in it.
     rows = []
     ok = True
-    q_g3 = {}
+    g3_roots = {}
     for delta in (3, 4, 5):
         for s in range(2, delta):
             n = 7 * delta - 7 + (7 * delta - 7) % 2
             plan = surgery_plan(n, delta, s)
-            g3 = build_g3(n, delta, s)
             g4 = build_g4(n, delta, s)
-            g3_perron = perron_q(g3)
-            x = g3_perron.vector
-            q3_matrix = signless_laplacian(g3)
-            q4_matrix = signless_laplacian(g4)
-            diff_form = float(x @ q4_matrix @ x) - float(x @ q3_matrix @ x)
-
-            cells = g3_cells(n, delta, s)
-            values = cell_values(x, cells)
-            x2 = values[1]
-            x3 = values[-1]
-            closed = len(plan.added) * (x2 + x3) ** 2 - len(plan.removed) * (2 * x2) ** 2
-            q3 = q_g3[delta, s] = g3_perron.value
-            q4 = perron_q(g4).value
+            poly3, q3 = g3_roots[delta, s] = _quotient_root(build_g3(n, delta, s),
+                                                           g3_cells(n, delta, s))
+            poly4, q4 = _quotient_root(g4, equitable_partition(g4))
             qstar = threshold_q(n, delta)
-            containment = g4_containment(n, delta, s)
+            # The paper's Rayleigh step on G3's Perron vector: x_0 = 1 on S and
+            # x_i = s / (q3 - 2 n_i - s + 2) on a clique of n_i vertices, scaled
+            # to unit length; x2 is its value on V_1 and x3 on V_2.
+            sizes = [delta + 1 - s] * (s - 1) + [plan.m]
+            x = [s / (q3 - 2 * size - s + 2) for size in sizes]
+            norm = math.sqrt(s + sum(size * xi * xi for size, xi in zip(sizes, x)))
+            x2, x3 = x[0] / norm, x[-1] / norm
+            closed = len(plan.added) * (x2 + x3) ** 2 - len(plan.removed) * (2 * x2) ** 2
             case_ok = (
-                _cell_spread(x, cells) <= 1e-8
-                and diff_form > 0
-                and abs(diff_form - closed) <= 1e-6 * max(1.0, abs(closed))
-                and q4 - q3 > 1e-6
-                and q4 <= qstar + 1e-9
-                and containment.embedded
+                closed > 0
+                and q3 < q4
+                and (q4 < qstar or poly4 == phi_bstar(n, delta))
+                and g4_containment(n, delta, s).embedded
             )
             ok = ok and case_ok
-            rows.append(
-                {
-                    "n": n,
-                    "delta": delta,
-                    "s": s,
-                    "rayleigh_gain": diff_form,
-                    "closed_form_gain": closed,
-                    "q_g3": q3,
-                    "q_g4": q4,
-                    "threshold": qstar,
-                    "ok": case_ok,
-                }
-            )
+            rows.append({"n": n, "delta": delta, "s": s, "closed_form_gain": closed,
+                         "q_g3": q3, "q_g4": q4, "threshold": qstar, "ok": case_ok})
     sections["surgery_chain"] = {"cases": rows, "passed": ok}
 
     # (e) every admissible layered configuration dominates the general join:
@@ -696,26 +691,28 @@ def identity_suite() -> dict[str, Any]:
     ok = True
     for delta, s in [(3, 2), (4, 2), (4, 3)]:
         n = 7 * delta - 7 + (7 * delta - 7) % 2
-        g3_value = q_g3[delta, s]
+        poly3, q3 = g3_roots[delta, s]
         for parts in odd_compositions(n - s, s, minimum=delta + 1 - s):
-            value = perron_q(build_g1(s, parts)).value
-            margin = g3_value - value
-            ok = ok and margin >= -1e-8
-            rows.append(
-                {"n": n, "delta": delta, "s": s, "parts": list(parts), "margin": margin}
-            )
+            poly, value = _quotient_root(build_g1(s, parts), g1_cells(s, parts))
+            margin = q3 - value
+            ok = ok and (margin > 0 or poly == poly3)
+            rows.append({"n": n, "delta": delta, "s": s, "parts": list(parts), "margin": margin})
     sections["layered_dominates"] = {"cases": rows, "passed": ok}
 
     # (f) the threshold root is a signless-Laplacian quantity: the largest
-    # real root of the quotient polynomial matches q(G),  not rho(G).
+    # real root of phi_b2 is q(G), the root of G's Q quotient, not rho(G),
+    # the root of its adjacency quotient (Q's minus each cell's degree, half
+    # its row sum, on the diagonal).
     rows = []
     ok = True
     for n, s in [(8, 2), (14, 3), (20, 4)]:
-        root = largest_real_root(phi_b2(n, s), 0, 2 * n)
-        g2 = build_g2(n, s)
-        q_diff = abs(root - perron_q(g2).value)
-        rho_diff = abs(root - perron_rho(g2).value)
-        case_ok = q_diff < 1e-8 and rho_diff > 1.0
+        root = largest_real_root(phi_b2(n, s), 0.0, 2.0 * n)
+        g2, cells = build_g2(n, s), gstar_cells(n, s)
+        q_diff = abs(root - _quotient_root(g2, cells)[1])
+        adjacency = [[v - (r == c) * (sum(row) // 2) for c, v in enumerate(row)]
+                     for r, row in enumerate(quotient(g2, cells))]
+        rho_diff = abs(root - largest_real_root(char_poly(adjacency), 0.0, 2.0 * n))
+        case_ok = q_diff == 0 and rho_diff > 0
         ok = ok and case_ok
         rows.append({"n": n, "s": s, "vs_q": q_diff, "vs_rho": rho_diff, "ok": case_ok})
     sections["root_semantics"] = {"cases": rows, "passed": ok}

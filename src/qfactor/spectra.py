@@ -9,14 +9,14 @@ Two arithmetic regimes coexist on purpose and are kept separate:
   calls give bitwise-equal eigenpairs. perron is its one-graph case.
   This regime imports numpy on its first call, so a process that stays in
   the exact regime never loads it;
-* exact integer arithmetic: quotient matrices counted from the bitrows,
-  characteristic polynomials (Faddeev-LeVerrier over Python ints) and
-  the largest root of such a polynomial, bisected over dyadic points by the
-  integer signs of the polynomial and its derivatives until it is correctly
-  rounded to a double.
+* exact integer arithmetic: quotient matrices counted from the bitrows (over
+  given cells or the coarsest equitable partition), characteristic
+  polynomials (Faddeev-LeVerrier over Python ints) and the largest root of
+  such a polynomial, bisected over dyadic points by the integer signs of the
+  polynomial and its derivatives until it is correctly rounded to a double.
 
-Every identity check downstream compares a float route against an exact
-route; nothing here collapses the two.
+The lemma suite compares the two routes; the threshold and the identity
+suite stay in the exact one. Nothing here collapses the two.
 """
 
 from __future__ import annotations
@@ -176,6 +176,23 @@ def quotient(g: Graph, cells: Cells) -> list[list[int]] | None:
         row[r] += g.rows[cell[0]].bit_count()
         out.append(row)
     return out
+
+
+def equitable_partition(g: Graph) -> list[list[int]]:
+    """The coarsest equitable partition of g, by colour refinement from one
+    cell: each round splits every cell by how many neighbours a vertex has in
+    each cell, until no cell splits. Cells are listed by least vertex."""
+    cells = [list(range(g.n))]
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        split: dict[tuple, list[int]] = {}
+        for i, cell in enumerate(cells):
+            for v in cell:
+                key = (i, tuple((g.rows[v] & mask).bit_count() for mask in masks))
+                split.setdefault(key, []).append(v)
+        if len(split) == len(cells):
+            return cells
+        cells = sorted(split.values())
 
 
 def cell_values(vector: np.ndarray, cells: Cells) -> list[float]:

@@ -543,6 +543,52 @@ class TestSuitesCli:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture
+def tampered_threshold(monkeypatch):
+    """phi_bstar with its constant term off by one, which threshold_q's
+    cross-check must reject. The threshold cache is cleared before, so no
+    value computed earlier skips the check, and after."""
+    from qfactor.extremal import phi_b2, threshold_q
+    from qfactor.spectra import IntPolynomial
+
+    monkeypatch.setattr("qfactor.extremal.phi_bstar",
+                        lambda n, delta: phi_b2(n, delta) - IntPolynomial((1,)))
+    threshold_q.cache_clear()
+    yield
+    threshold_q.cache_clear()
+
+
+class TestHardChecks:
+    """A hard check that fails outside a stream's error rows exits 2 with one
+    ``qfactor: <message>`` line on stderr: no traceback, and never exit 1,
+    which reports a counterexample or a failed suite."""
+
+    @pytest.mark.parametrize("argv", [
+        ["extremal", "--family", "gstar", "--n", "8", "--delta", "2"],
+        ["lemmas"],
+    ], ids=["extremal", "lemmas"])
+    def test_residual_gate(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("qfactor.spectra.RESIDUAL_GATE", -1.0)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("qfactor: eigenpair residual") and err.count("\n") == 1
+
+    def test_tampered_threshold_polynomial_fails_identities(self, capsys, tampered_threshold):
+        code, out, err = run(capsys, "identities")
+        assert (code, out) == (2, "")
+        assert err.startswith("qfactor: threshold cross-validation failed at (n=22, delta=2)")
+
+    def test_tampered_threshold_polynomial_is_a_verify_error_row(self, capsys, tmp_path,
+                                                                 tampered_threshold):
+        path = tmp_path / "k8.g6"
+        path.write_text(f"{K8}\n")
+        code, out, _ = run(capsys, "verify", "--stream", str(path), "--format", "json")
+        assert code == 2
+        results = json.loads(out)["results"]
+        assert results["errors"] == 1 and results["total"] == 1
+        assert "threshold cross-validation failed at (n=8, delta=2)" in results["items"][0]["error"]
+
+
 class TestAgreement:
     def test_n4_exhaustive(self, capsys):
         code, out, _ = run(capsys, "agreement", "--n", "4", "--format", "json")

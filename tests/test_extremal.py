@@ -19,8 +19,8 @@ from qfactor.extremal import (
     threshold_q,
 )
 from qfactor.graphs import Graph, is_connected, min_degree
-from qfactor.harness import _gstar_grid, _identity_grid, odd_compositions
-from qfactor.spectra import char_poly, perron_q, quotient
+from qfactor.harness import _gstar_grid, _identity_grid, max_theorem_delta, odd_compositions
+from qfactor.spectra import IntPolynomial, char_poly, perron_q, quotient
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +204,30 @@ def test_threshold_deterministic():
 
 def test_threshold_cross_check_raises_on_wrong_polynomial(monkeypatch):
     # phi_b2(n, delta + 1) is a valid cubic with a root in [0, 2n], but of
-    # another graph: the eigh cross-check must reject it, also under -O.
-    monkeypatch.setattr("qfactor.extremal.phi_bstar", lambda n, delta: phi_b2(n, delta + 1))
-    threshold_q.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="cross-validation failed"):
-            threshold_q(12, 2)
-    finally:
+    # another graph, and phi_bstar with its constant term off by one is the
+    # polynomial of no graph: the exact cross-check must reject both, also
+    # under -O.
+    for wrong in (lambda n, delta: phi_b2(n, delta + 1),
+                  lambda n, delta: phi_b2(n, delta) - IntPolynomial((1,))):
+        monkeypatch.setattr("qfactor.extremal.phi_bstar", wrong)
         threshold_q.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="cross-validation failed"):
+                threshold_q(12, 2)
+        finally:
+            threshold_q.cache_clear()
+
+
+def test_threshold_identity_at_every_order():
+    # The identity threshold_q checks, at every (n, delta) verify can ask
+    # for: every even n up to 62, the graph6 short-form limit, and every
+    # delta >= 2 the theorem admits at n.
+    pairs = [(n, delta) for n in range(4, 63, 2)
+             for delta in range(2, max_theorem_delta(n) + 1)]
+    assert len(pairs) == 128
+    for n, delta in pairs:
+        counted = char_poly(quotient(build_gstar(n, delta), gstar_cells(n, delta)))
+        assert counted == phi_bstar(n, delta), (n, delta)
 
 
 def test_family_builders_equal_validated_graphs():

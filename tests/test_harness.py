@@ -25,9 +25,16 @@ from qfactor.graphs import (
     random_graph,
     write_graph6,
 )
-from qfactor.extremal import build_gstar, threshold_q
+from qfactor.extremal import ContainmentReport, build_g3, build_g4, build_gstar, threshold_q
 from qfactor.reportio import dumps_canonical, make_report
-from qfactor.spectra import IntPolynomial, char_poly, perron_many, perron_q
+from qfactor.spectra import (
+    IntPolynomial,
+    char_poly,
+    equitable_partition,
+    perron_many,
+    perron_q,
+    signless_laplacian,
+)
 from qfactor.harness import (
     CHUNK_LINES,
     CLASSIFICATIONS,
@@ -635,8 +642,8 @@ class TestSuites:
 
     def test_cell_spread_fails_ordering_and_surgery_cases(self, monkeypatch):
         # A Perron vector off by 1e-3 at vertex 0, in the join cell, is not
-        # constant on its cell: every case that reads cell values is marked
-        # not ok, and nothing raises.
+        # constant on its cell: every cell-ordering case is marked not ok,
+        # and nothing raises.
         def skew(solve):
             def skewed(*args):
                 data = solve(*args)
@@ -645,14 +652,43 @@ class TestSuites:
                 return dataclasses.replace(data, vector=vector)
             return skewed
 
-        monkeypatch.setattr("qfactor.harness.perron", skew(harness.perron))
-        monkeypatch.setattr("qfactor.harness.perron_q", skew(harness.perron_q))
-        ordering = harness._cell_ordering_lemma()
+        with monkeypatch.context() as patch:
+            patch.setattr("qfactor.harness.perron", skew(harness.perron))
+            ordering = harness._cell_ordering_lemma()
         assert ordering["violations"] == len(ordering["cases"]) > 0
         assert ordering["passed"] is False
-        surgery = identity_suite()["surgery_chain"]
-        assert surgery["cases"] and not any(case["ok"] for case in surgery["cases"])
-        assert surgery["passed"] is False
+
+        # The surgery chain reads no Perron vector; its exact route fails
+        # every case when the rewired graph does not embed in G*, and when
+        # the surgery is skipped, so that G4's radius equals G3's.
+        def surgery_fails_everywhere():
+            surgery = identity_suite()["surgery_chain"]
+            return (surgery["passed"] is False and len(surgery["cases"]) == 6
+                    and not any(case["ok"] for case in surgery["cases"]))
+
+        with monkeypatch.context() as patch:
+            patch.setattr("qfactor.harness.g4_containment",
+                          lambda n, delta, s: ContainmentReport(False, None))
+            assert surgery_fails_everywhere()
+        with monkeypatch.context() as patch:
+            patch.setattr("qfactor.harness.build_g4", harness.build_g3)
+            assert surgery_fails_everywhere()
+        assert identity_suite()["surgery_chain"]["passed"] is True
+
+    def test_surgery_radii_match_eigvalsh(self, identity_report):
+        # q(G3) and q(G4) come from the quotients over G3's cells and G4's
+        # coarsest equitable partition. That partition has three cells
+        # exactly where G4 is G*(n, delta), and four at (28, 5, 4).
+        cases = identity_report["surgery_chain"]["cases"]
+        assert len(cases) == 6
+        for case in cases:
+            n, delta, s = case["n"], case["delta"], case["s"]
+            g3, g4 = build_g3(n, delta, s), build_g4(n, delta, s)
+            for q, g in ((case["q_g3"], g3), (case["q_g4"], g4)):
+                assert abs(q - np.linalg.eigvalsh(signless_laplacian(g))[-1]) < 1e-12
+            cells = equitable_partition(g4)
+            assert len(cells) == (4 if (n, delta, s) == (28, 5, 4) else 3)
+            assert (recognize_gstar(g4) == (n, delta)) == (len(cells) == 3)
 
     def test_no_positive_edge_margin_reports_null(self, monkeypatch):
         # With equal radii every pair is a violation and no margin is

@@ -1,5 +1,5 @@
-"""Each command loads only the modules it runs, numpy only for Perron values,
-and ``fractions`` never.
+"""Each command loads only the modules it runs, numpy only for Perron values
+(so never for ``identities``), and ``fractions`` never.
 
 The CLI parses before it loads: ``--version``, ``--help`` and usage errors
 load no qfactor module beyond the package and ``qfactor.cli``, and each
@@ -91,7 +91,10 @@ def test_each_command_loads_only_what_it_runs(argv, stdin, forbidden, code):
     (["verify", "--jobs", "0", "--stream", "-"], "", 2),
     # K7 and K9: odd order, so every row is not_applicable and nothing is solved
     (["verify", "--stream", "-"], "F~~~w\nH~~~~~~\n", 0),
-], ids=["version", "agreement", "factor", "usage-error", "verify-not-applicable"])
+    # every radius of the identity suite is an exact quotient root
+    (["identities"], "", 0),
+], ids=["version", "agreement", "factor", "usage-error", "verify-not-applicable",
+        "identities"])
 def test_exact_commands_do_not_load_numpy(argv, stdin, code):
     assert _run_main(["numpy"], argv, stdin) == code
 

@@ -24,6 +24,7 @@ from qfactor.spectra import (
     _alpha_stack,
     cell_values,
     char_poly,
+    equitable_partition,
     largest_real_root,
     perron,
     perron_many,
@@ -260,6 +261,36 @@ def test_quotient_partition_validation():
         quotient(g, [[0, 1], [1, 2]])  # overlap
     with pytest.raises(ValueError):
         quotient(g, [[0, 1, 2], []])  # empty cell
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 12), p=st.floats(0, 1), seed=st.integers(0, 2**32), data=st.data())
+def test_equitable_partition_is_canonical(n, p, seed, data):
+    # Colour refinement gives an equitable partition, the coarsest one: no
+    # two cells merge into an equitable one. It is unique, so relabelling the
+    # graph relabels its cells and their sizes do not change. On a connected
+    # graph the quotient's largest root is q.
+    g = random_graph(n, p, seed)
+    cells = equitable_partition(g)
+    assert quotient(g, cells) is not None
+    for b in range(len(cells)):
+        for a in range(b):
+            rest = [cell for i, cell in enumerate(cells) if i not in (a, b)]
+            assert quotient(g, rest + [cells[a] + cells[b]]) is None
+    perm = data.draw(st.permutations(range(n)))
+    h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert equitable_partition(h) == sorted(sorted(perm[v] for v in cell) for cell in cells)
+    if n > 1 and is_connected(g):
+        root = largest_real_root(char_poly(quotient(g, cells)), 0.0, 2.0 * n)
+        assert abs(root - np.linalg.eigvalsh(signless_laplacian(g))[-1]) < 1e-12
+
+
+def test_equitable_partition_examples():
+    assert equitable_partition(complete(5)) == [[0, 1, 2, 3, 4]]
+    assert equitable_partition(star(3)) == [[0], [1, 2, 3]]
+    # the path 0-1-2-3: ends and middle
+    assert equitable_partition(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])) == [[0, 3], [1, 2]]
+    assert equitable_partition(Graph(0, ())) == []
 
 
 def test_cell_values_and_spread_error():

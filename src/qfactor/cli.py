@@ -32,9 +32,10 @@ qfactor module.  Each runner imports what it runs when it is dispatched, and
 ``agreement`` load ``harness`` and with it every module; ``factor`` loads
 ``graphs``, ``matching`` and ``factors``; ``spectrum`` loads ``graphs`` and
 ``spectra``; ``extremal`` loads those two and ``extremal``.  numpy loads at
-the first Perron value, which ``identities`` never computes.  The imports
-sit inside the functions, not in module globals, so a wrapper installed on
-a module's function (the benchmark's tracer) is the function called.
+the first Perron value, which ``identities`` and ``lemmas`` never compute.
+The imports sit inside the functions, not in module globals, so a wrapper
+installed on a module's function (the benchmark's tracer) is the function
+called.
 """
 
 from __future__ import annotations

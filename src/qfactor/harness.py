@@ -25,12 +25,19 @@ polynomial phi_bstar, checked equal to the quotient polynomial counted from
 the built extremal graph, then bisected in integers and correctly rounded
 to a double.  q is an eigh value behind the residual gate, so only a q more
 than :data:`EPS` below the threshold counts as below it.
+
+The lemma and identity suites are exact.  Every radius they compare is the
+correctly rounded largest root of an equitable quotient's integer
+characteristic polynomial, and each edge-removal margin of the lemma suite
+is an integer certificate, so neither suite runs an eigensolver or loads
+numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Any, Iterable, Sequence
 
 from .extremal import (
@@ -69,14 +76,11 @@ from .graphs import (
 )
 from .spectra import (
     IntPolynomial,
-    cell_values,
+    above_roots,
     char_poly,
     equitable_partition,
     largest_real_root,
-    perron,
     perron_many,
-    perron_q,
-    perron_rho,
     quotient,
 )
 
@@ -350,22 +354,32 @@ def odd_compositions(total: int, parts: int, minimum: int = 1):
     yield from rec(total, parts, lo)
 
 
-def _q_values(graphs: Sequence[Graph]) -> list[float]:
-    """Signless-Laplacian radii from one perron_many call, raising the first
-    error as perron_q would."""
-    out = []
-    for result in perron_many(graphs, 1):
-        if isinstance(result, Exception):
-            raise result
-        out.append(result.value)
-    return out
+def _quotient_root(g: Graph, cells: Sequence[Sequence[int]]) -> tuple[IntPolynomial, float]:
+    """The characteristic polynomial of Q(g)'s quotient over the cells, which
+    must be equitable, and its largest root: q(g) of a connected g, correctly
+    rounded.  Every eigenvalue of Q lies below 2n."""
+    b = quotient(g, cells)
+    if b is None:
+        raise ValueError("the cells are not an equitable partition")
+    poly = char_poly(b)
+    return poly, largest_real_root(poly, 0.0, 2.0 * g.n)
+
+
+def _adjacency(b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The adjacency quotient from Q's quotient b over the same cells: Q's
+    minus each cell's degree, half its row sum, on the diagonal."""
+    return [[v - (r == c) * (sum(row) // 2) for c, v in enumerate(row)]
+            for r, row in enumerate(b)]
 
 
 def _redistribution_lemma() -> dict[str, Any]:
     """Merging clique mass into the largest part never lowers the radius:
     q(K_s v union K_{n_i}) <= q(K_s v ((t-1)K_p u K_{n-s-p(t-1)})) whenever
     every n_i >= p, with equality exactly when the smaller parts already
-    all equal p.  Checked for s <= 4 and even n <= 16."""
+    all equal p.  Checked for s <= 4 and even n <= 16 on correctly rounded
+    quotient roots: rounding is monotone, so a strict comparison of two
+    decides the radii, and a tie is an equality only between equal
+    polynomials."""
     comparisons = []
     for s in range(2, 5):
         for n in range(2 * s + 2, 17, 2):
@@ -375,26 +389,25 @@ def _redistribution_lemma() -> dict[str, Any]:
                     if big < p or big % 2 == 0:
                         continue
                     comparisons.append((s, parts, p, (p,) * (s - 1) + (big,)))
-    joins = list(dict.fromkeys(
-        key for s, parts, _, merged in comparisons for key in ((s, parts), (s, merged))))
-    radius = dict(zip(joins, _q_values([build_g1(s, parts) for s, parts in joins])))
+    radius = {key: _quotient_root(build_g1(*key), g1_cells(*key)) for key in dict.fromkeys(
+        key for s, parts, _, merged in comparisons for key in ((s, parts), (s, merged)))}
 
     cases = equalities = strict = violations = 0
     min_strict = math.inf
-    max_eq_dev = 0.0
     bad: list[dict[str, Any]] = []
     for s, parts, p, merged in comparisons:
-        left, right = radius[s, parts], radius[s, merged]
+        (left_poly, left), (right_poly, right) = radius[s, parts], radius[s, merged]
         cases += 1
-        if left > right + 1e-8:
-            violations += 1
-            bad.append({"s": s, "parts": list(parts), "p": p})
-        elif parts == merged:
-            equalities += 1
-            max_eq_dev = max(max_eq_dev, abs(left - right))
-        else:
+        if left == right and left_poly != right_poly:
+            raise ValueError(f"radii of K_{s} v {parts} and {merged} round to one double")
+        if left < right:
             strict += 1
             min_strict = min(min_strict, right - left)
+        elif left == right and parts == merged:
+            equalities += 1
+        else:
+            violations += 1
+            bad.append({"s": s, "parts": list(parts), "p": p})
     return {
         "cases": cases,
         "equality_cases": equalities,
@@ -402,22 +415,56 @@ def _redistribution_lemma() -> dict[str, Any]:
         "violations": violations,
         "violating_cases": bad,
         "min_strict_margin": None if strict == 0 else min_strict,
-        "max_equality_deviation": max_eq_dev,
-        "passed": violations == 0
-        and (strict == 0 or min_strict > 1e-6)
-        and max_eq_dev <= 1e-9,
+        "max_equality_deviation": 0.0,
+        "passed": violations == 0,
     }
+
+
+# Power steps the edge certificate takes before it gives up on a pair.  The
+# suite's pairs need at most 14; sparse graphs on 12 vertices about 100.
+EDGE_POWER_STEPS = 1000
+
+
+def _edge_certificate(h: Graph, u: int, v: int) -> tuple[int, int, int, int] | None:
+    """Integers a, b, c, d with q(h + uv) >= a/b > c/d >= q(h), proving
+    that adding the non-edge uv to h raises its signless-Laplacian radius,
+    or None if EDGE_POWER_STEPS power steps find none.
+
+    For every positive vector y, Collatz-Wielandt gives
+    q(h) <= max_i (Q y)_i / y_i, and the Rayleigh quotient with
+    Q(h + uv) = Q + (e_u + e_v)(e_u + e_v)^T gives
+    q(h + uv) >= (y^T Q y + (y_u + y_v)^2) / y^T y.  y starts at all ones
+    and steps to Q y + y, which stays positive on isolated vertices, until
+    the two bounds, compared by cross-multiplication, separate.  Q y is
+    counted from the bitrows.
+    """
+    neighbours = [[j for j in range(h.n) if row >> j & 1] for row in h.rows]
+    y = [1] * h.n
+    for _ in range(EDGE_POWER_STEPS):
+        qy = [len(nbrs) * y[i] + sum(y[j] for j in nbrs) for i, nbrs in enumerate(neighbours)]
+        c, d = qy[0], y[0]
+        for qi, yi in zip(qy, y):
+            if qi * d > c * yi:
+                c, d = qi, yi
+        a = sum(map(mul, y, qy)) + (y[u] + y[v]) ** 2
+        b = sum(yi * yi for yi in y)
+        if a * d > c * b:
+            return a, b, c, d
+        y = [qi + yi for qi, yi in zip(qy, y)]
+    return None
 
 
 def _edge_monotonicity_lemma(seed: int) -> dict[str, Any]:
     """Removing an edge from a connected graph strictly lowers the
     signless-Laplacian radius; checked on 100 seeded random connected
-    graphs of order 10."""
+    graphs of order 10, each pair by an exact certificate.  A pair whose
+    certificate is not found is a violation; min_margin is the smallest
+    certified lower bound on q(G) - q(G - uv)."""
     pairs = 100
     stream = splitmix64(seed)
-    drawn: list[Graph] = []  # g, h for each pair
+    margins: list[float | None] = []
     attempts = 0
-    while len(drawn) < 2 * pairs:
+    while len(margins) < pairs:
         attempts += 1
         if attempts > 50 * pairs:
             raise RuntimeError("random graph stream failed to produce enough cases")
@@ -425,15 +472,19 @@ def _edge_monotonicity_lemma(seed: int) -> dict[str, Any]:
         edges = g.edges()
         if not edges or not is_connected(g):
             continue
-        drop = edges[next(stream) % len(edges)]
-        drawn += [g, g.remove_edges([drop])]
-    values = _q_values(drawn)
-    margins = [q_g - q_h for q_g, q_h in zip(values[::2], values[1::2])]
-    violations = sum(margin <= 0 for margin in margins)
+        u, v = edges[next(stream) % len(edges)]
+        bounds = _edge_certificate(g.remove_edges([(u, v)]), u, v)
+        if bounds is None:
+            margins.append(None)
+        else:
+            a, b, c, d = bounds
+            margins.append((a * d - c * b) / (b * d))
+    certified = [margin for margin in margins if margin is not None]
+    violations = pairs - len(certified)
     return {
-        "pairs": len(margins),
+        "pairs": pairs,
         "violations": violations,
-        "min_margin": min((margin for margin in margins if margin > 0), default=None),
+        "min_margin": min(certified, default=None),
         "passed": violations == 0,
     }
 
@@ -448,15 +499,17 @@ def _gstar_grid() -> list[tuple[int, int]]:
 
 def _quotient_radius_lemma() -> dict[str, Any]:
     """For the extremal graph's equitable partition, the largest real root
-    of the quotient characteristic polynomial equals the full
-    signless-Laplacian radius; additionally the quotient's characteristic
-    polynomial divides the exact order-n integer characteristic polynomial,
-    the quotient over the discrete partition (Godsil & Royle, Algebraic
-    Graph Theory, section 9.3), checked by exact long division: both are
-    monic, so the quotient and remainder are integral.  A partition that is
-    not equitable fails its case."""
+    of the quotient characteristic polynomial is the full
+    signless-Laplacian radius.  The quotient's polynomial divides the exact
+    order-n characteristic polynomial, the quotient over the discrete
+    partition (Godsil & Royle, Algebraic Graph Theory, section 9.3):
+    checked as quotient times cofactor equal to it, the cofactor from exact
+    long division (both are monic, so it is integral).  If the cofactor and
+    all its derivatives are positive just below the correctly rounded root,
+    no other eigenvalue reaches it, so root_vs_perron is 0.0; otherwise it
+    is None and the case fails.  A partition that is not equitable fails
+    its case."""
     rows = []
-    max_root_diff = 0.0
     for n, delta in _gstar_grid():
         g = build_gstar(n, delta)
         b = quotient(g, gstar_cells(n, delta))
@@ -464,50 +517,58 @@ def _quotient_radius_lemma() -> dict[str, Any]:
                "root_vs_perron": None, "divides": False}
         if b is not None:
             poly = char_poly(b)
-            diff = abs(largest_real_root(poly, 0, 2 * n) - perron_q(g).value)
-            max_root_diff = max(max_root_diff, diff)
-            row["root_vs_perron"] = diff
-            row["divides"] = (char_poly(quotient(g, [[v] for v in range(n)])) % poly).is_zero()
+            root = largest_real_root(poly, 0.0, 2.0 * n)
+            full = char_poly(quotient(g, [[v] for v in range(n)]))
+            cofactor = full // poly
+            row["divides"] = poly * cofactor == full
+            if above_roots(cofactor, math.nextafter(root, 0)):
+                row["root_vs_perron"] = 0.0
         rows.append(row)
+    proved = all(r["root_vs_perron"] is not None for r in rows)
     all_divide = all(r["divides"] for r in rows)
+    all_equitable = all(r["equitable"] for r in rows)
     return {
         "cases": rows,
-        "max_root_vs_perron": max_root_diff,
+        "max_root_vs_perron": 0.0 if proved else None,
         "all_divide": all_divide,
-        "all_equitable": all(r["equitable"] for r in rows),
-        "passed": all(r["equitable"] for r in rows)
-        and max_root_diff < 1e-8
-        and all_divide,
+        "all_equitable": all_equitable,
+        "passed": all_equitable and proved and all_divide,
     }
-
-
-def _cell_spread(vector, cells: Sequence[Sequence[int]]) -> float:
-    """The largest max - min of the vector on one cell.  For the unit
-    Perron vectors checked here, 1e-8 absolute is 1e-8 relative to
-    max(1, largest magnitude)."""
-    return max(float(vector[cell].max() - vector[cell].min()) for cell in cells)
 
 
 def _eigenvector_cell_lemma() -> dict[str, Any]:
     """Perron vectors are constant on the cells of the equitable partition,
-    for both the adjacency and signless-Laplacian matrices."""
+    for both the adjacency and signless-Laplacian matrices.  Checked as the
+    theorem's hypotheses, for each matrix: the partition is equitable for
+    it (for A exactly when for Q = D + A) and the graph is connected, so
+    the Perron root is simple and its eigenvector lifts from the quotient
+    (Godsil & Royle, section 9.3; Perron-Frobenius).  A proved case has
+    max_spread 0.0, any other None."""
     rows = []
-    max_spread = 0.0
     for n, delta in _gstar_grid():
         g = build_gstar(n, delta)
-        cells = gstar_cells(n, delta)
-        for label, data in (("q", perron_q(g)), ("rho", perron_rho(g))):
-            spread = _cell_spread(data.vector, cells)
-            max_spread = max(max_spread, spread)
-            rows.append({"n": n, "delta": delta, "matrix": label, "max_spread": spread})
-    return {"cases": rows, "max_spread": max_spread, "passed": bool(max_spread < 1e-8)}
+        proved = quotient(g, gstar_cells(n, delta)) is not None and is_connected(g)
+        for label in ("q", "rho"):
+            rows.append({"n": n, "delta": delta, "matrix": label,
+                         "max_spread": 0.0 if proved else None})
+    passed = all(r["max_spread"] is not None for r in rows)
+    return {"cases": rows, "max_spread": 0.0 if passed else None, "passed": passed}
 
 
 def _cell_ordering_lemma() -> dict[str, Any]:
-    """On a join of cliques the Perron value on a clique cell increases with
-    the clique's size (equal sizes give equal values), for both the
-    adjacency matrix and the signless Laplacian."""
-    instances: list[tuple[Graph, Sequence[Sequence[int]], tuple[int, ...]]] = []
+    """On a join K_s v union K_{n_i} of cliques the Perron value on a
+    clique cell increases with the clique's size (equal sizes give equal
+    values), for both the adjacency matrix and the signless Laplacian.
+
+    With x_0 on the join cell, the eigenvalue equations give
+    x_i = s x_0 / (r - 2 n_i - s + 2) for Q and s x_0 / (r - n_i + 1) for
+    A, where r is the radius: the largest root of the quotient over the
+    cells.  So the ordering holds exactly when every denominator is
+    positive, that is when r exceeds 2 max n_i + s - 2 (Q) or max n_i - 1
+    (A).  r is correctly rounded and the bound an integer, so one float
+    comparison decides it.  cell_values are the x_i scaled to a unit
+    vector."""
+    instances: list[tuple[Graph, Sequence[Sequence[int]], int, tuple[int, ...]]] = []
     for s, parts in [
         (2, (3, 3)),
         (2, (1, 9)),
@@ -517,43 +578,39 @@ def _cell_ordering_lemma() -> dict[str, Any]:
         (3, (3, 3, 3)),
         (4, (1, 1, 3, 7)),
     ]:
-        instances.append((build_g1(s, parts), g1_cells(s, parts), tuple(parts)))
+        instances.append((build_g1(s, parts), g1_cells(s, parts), s, tuple(parts)))
     for n, delta, s in [(14, 3, 2), (22, 4, 2), (22, 4, 3)]:
         g = build_g3(n, delta, s)
         sizes = tuple([delta + 1 - s] * (s - 1) + [n - s - (delta + 1 - s) * (s - 1)])
-        instances.append((g, g3_cells(n, delta, s), sizes))
+        instances.append((g, g3_cells(n, delta, s), s, sizes))
 
     rows = []
     violations = 0
-    for g, cells, sizes in instances:
+    for g, cells, s, sizes in instances:
+        b = quotient(g, cells)
         for alpha in (0, 1):
-            data = perron(g, alpha)
-            values = cell_values(data.vector, cells)[1:]  # skip the join cell
-            ordered = sorted(range(len(sizes)), key=lambda i: sizes[i])
-            ok = _cell_spread(data.vector, cells) <= 1e-8
-            for a, b in zip(ordered, ordered[1:]):
-                if sizes[a] == sizes[b]:
-                    if abs(values[a] - values[b]) > 1e-8:
-                        ok = False
-                else:
-                    if values[b] - values[a] <= 1e-9:
-                        ok = False
-            if not ok:
-                violations += 1
-            rows.append(
-                {
-                    "sizes": list(sizes),
-                    "alpha": alpha,
-                    "cell_values": sorted(values),
-                    "ok": ok,
-                }
-            )
+            values = None
+            if b is not None:
+                r = largest_real_root(char_poly(_adjacency(b) if alpha == 0 else b),
+                                      0.0, 2.0 * g.n)
+                k, j = (2, s - 2) if alpha else (1, -1)  # x_i = s x_0 / (r - k n_i - j)
+                if r > k * max(sizes) + j:
+                    x = [s / (r - k * size - j) for size in sizes]
+                    norm = math.sqrt(s + sum(size * xi * xi for size, xi in zip(sizes, x)))
+                    values = sorted(xi / norm for xi in x)
+            ok = values is not None
+            violations += not ok
+            rows.append({"sizes": list(sizes), "alpha": alpha, "cell_values": values, "ok": ok})
     return {"cases": rows, "violations": violations, "passed": violations == 0}
 
 
 def lemma_suite(*, seed: int = 0) -> dict[str, Any]:
     """Run every supporting-lemma check and return one section per lemma,
-    each with a ``passed`` flag and its measured margins."""
+    each with a ``passed`` flag and its measured margins.  Every check is
+    exact: radii are correctly rounded roots of integer quotient
+    polynomials, compared strictly or against integers, and the edge
+    margins integer certificates, so no eigensolver runs and numpy is
+    never loaded."""
     sections = {
         "clique_redistribution": _redistribution_lemma(),
         "edge_monotonicity": _edge_monotonicity_lemma(seed),
@@ -583,17 +640,6 @@ def _identity_grid() -> list[tuple[int, int, int]]:
             for n in range(max(lo, 2 * s), 7 * delta + 9, 2):
                 grid.append((n, delta, s))
     return grid
-
-
-def _quotient_root(g: Graph, cells: Sequence[Sequence[int]]) -> tuple[IntPolynomial, float]:
-    """The characteristic polynomial of Q(g)'s quotient over the cells, which
-    must be equitable, and its largest root: q(g) of a connected g, correctly
-    rounded.  Every eigenvalue of Q lies below 2n."""
-    b = quotient(g, cells)
-    if b is None:
-        raise ValueError("the cells are not an equitable partition")
-    poly = char_poly(b)
-    return poly, largest_real_root(poly, 0.0, 2.0 * g.n)
 
 
 def identity_suite() -> dict[str, Any]:
@@ -701,17 +747,15 @@ def identity_suite() -> dict[str, Any]:
 
     # (f) the threshold root is a signless-Laplacian quantity: the largest
     # real root of phi_b2 is q(G), the root of G's Q quotient, not rho(G),
-    # the root of its adjacency quotient (Q's minus each cell's degree, half
-    # its row sum, on the diagonal).
+    # the root of its adjacency quotient.
     rows = []
     ok = True
     for n, s in [(8, 2), (14, 3), (20, 4)]:
         root = largest_real_root(phi_b2(n, s), 0.0, 2.0 * n)
         g2, cells = build_g2(n, s), gstar_cells(n, s)
         q_diff = abs(root - _quotient_root(g2, cells)[1])
-        adjacency = [[v - (r == c) * (sum(row) // 2) for c, v in enumerate(row)]
-                     for r, row in enumerate(quotient(g2, cells))]
-        rho_diff = abs(root - largest_real_root(char_poly(adjacency), 0.0, 2.0 * n))
+        rho = largest_real_root(char_poly(_adjacency(quotient(g2, cells))), 0.0, 2.0 * n)
+        rho_diff = abs(root - rho)
         case_ok = q_diff == 0 and rho_diff > 0
         ok = ok and case_ok
         rows.append({"n": n, "s": s, "vs_q": q_diff, "vs_rho": rho_diff, "ok": case_ok})

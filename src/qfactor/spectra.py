@@ -14,9 +14,12 @@ Two arithmetic regimes coexist on purpose and are kept separate:
   polynomials (Faddeev-LeVerrier over Python ints) and the largest root of
   such a polynomial, bisected over dyadic points by the integer signs of the
   polynomial and its derivatives until it is correctly rounded to a double.
+  The same signs (above_roots) prove that a polynomial has no root at or
+  above a given double.
 
-The lemma suite compares the two routes; the threshold and the identity
-suite stay in the exact one. Nothing here collapses the two.
+The threshold and the lemma and identity suites stay in the exact regime;
+``spectrum``, ``extremal`` and ``verify`` take their Perron values from the
+float one. Nothing here collapses the two.
 """
 
 from __future__ import annotations
@@ -58,11 +61,6 @@ def _alpha_stack(graphs: Sequence[Graph], alpha: int) -> np.ndarray:
         diagonal = np.arange(n)
         m[:, diagonal, diagonal] = m.sum(axis=2)
     return m
-
-
-def signless_laplacian(g: Graph) -> np.ndarray:
-    """Q = D + A."""
-    return _alpha_stack([g], 1)[0]
 
 
 def perron_many(
@@ -195,11 +193,6 @@ def equitable_partition(g: Graph) -> list[list[int]]:
         cells = sorted(split.values())
 
 
-def cell_values(vector: np.ndarray, cells: Cells) -> list[float]:
-    """The mean of the vector on each cell."""
-    return [float(vector[cell].mean()) for cell in _check_partition(len(vector), cells)]
-
-
 # ---------------------------------------------------------------------------
 # exact integer polynomials
 
@@ -236,18 +229,30 @@ class IntPolynomial:
         b = list(other.coeffs) + [0] * (size - len(other.coeffs))
         return IntPolynomial(tuple(x - y for x, y in zip(a, b)))
 
-    def __mod__(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Remainder of exact long division by a monic divisor."""
+    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return IntPolynomial(tuple(out))
+
+    def __floordiv__(self, divisor: "IntPolynomial") -> "IntPolynomial":
+        """Quotient of exact long division by a monic divisor."""
         if divisor.coeffs[-1] != 1:
             raise ValueError("divisor must be monic")
         d = divisor.degree
         rem = list(self.coeffs)
+        quot = [0] * max(len(rem) - d, 1)
         for top in range(len(rem) - 1, d - 1, -1):
-            lead = rem[top]
+            lead = quot[top - d] = rem[top]
             if lead:
                 for i, c in enumerate(divisor.coeffs):
                     rem[top - d + i] -= lead * c
-        return IntPolynomial(tuple(rem[:d]) or (0,))
+        return IntPolynomial(tuple(quot))
+
+    def __mod__(self, divisor: "IntPolynomial") -> "IntPolynomial":
+        """Remainder of exact long division by a monic divisor."""
+        return self - divisor * (self // divisor)
 
     def scaled(self, k: int) -> "IntPolynomial":
         return IntPolynomial(tuple(k * c for c in self.coeffs))
@@ -296,6 +301,22 @@ def _sign_at(coeffs: tuple[int, ...], m: int, e: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _derivatives(coeffs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The coefficients of the polynomial and of each of its derivatives."""
+    out = [coeffs]
+    while len(out[-1]) > 1:
+        out.append(tuple(k * c for k, c in enumerate(out[-1]))[1:])
+    return out
+
+
+def above_roots(p: IntPolynomial, x: float) -> bool:
+    """Whether p and all its derivatives are positive at the double x, each
+    sign an integer Horner evaluation. If so, Taylor's formula at x leaves
+    p no root at or above x."""
+    m, d = x.as_integer_ratio()
+    return all(_sign_at(c, m, d.bit_length() - 1) > 0 for c in _derivatives(p.coeffs))
+
+
 def largest_real_root(p: IntPolynomial, lo: float, hi: float) -> float:
     """Largest root of p in (lo, hi), correctly rounded to a double, for a
     real-rooted p whose largest root is simple, as that of a quotient of Q
@@ -321,9 +342,7 @@ def largest_real_root(p: IntPolynomial, lo: float, hi: float) -> float:
     a, b = a * ((1 << e) // da), b * ((1 << e) // db)
     if a >= b:
         raise ValueError("need lo < hi")
-    derivatives = [p.coeffs]
-    while len(derivatives[-1]) > 1:
-        derivatives.append(tuple(k * c for k, c in enumerate(derivatives[-1]))[1:])
+    derivatives = _derivatives(p.coeffs)
     if not all(_sign_at(c, b, e) > 0 for c in derivatives):
         raise ValueError("p and its derivatives must be positive at hi")
     while a / (1 << e) != b / (1 << e):

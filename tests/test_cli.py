@@ -2,7 +2,6 @@
 
 import copy
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -475,17 +474,11 @@ class TestSuitesCli:
             assert "unrecognized arguments: --grid" in err
 
     def test_lemma_failure_exits_1_with_its_report(self, capsys, monkeypatch, tmp_path):
-        # A Perron vector that is not constant on a cell fails a section:
-        # a suite failure (exit 1) with the report written, not a usage error.
-        perron_q = qfactor.harness.perron_q
-
-        def skewed(g):
-            data = perron_q(g)
-            vector = data.vector.copy()
-            vector[0] += 1e-3
-            return dataclasses.replace(data, vector=vector)
-
-        monkeypatch.setattr("qfactor.harness.perron_q", skewed)
+        # A G* partition that is not equitable (vertex 0 alone, every other
+        # vertex in one cell) fails a section: a suite failure (exit 1) with
+        # the report written, not a usage error.
+        monkeypatch.setattr("qfactor.harness.gstar_cells",
+                            lambda n, delta: [[0], list(range(1, n))])
         path = tmp_path / "lemmas.json"
         code, out, err = run(capsys, "lemmas", "--report", str(path))
         assert (code, err) == (1, "")
@@ -563,6 +556,7 @@ class TestHardChecks:
     ``qfactor: <message>`` line on stderr: no traceback, and never exit 1,
     which reports a counterexample or a failed suite."""
 
+    # lemmas runs no eigensolver, so no residual gate can fail it.
     @pytest.mark.parametrize("argv", [
         ["extremal", "--family", "gstar", "--n", "8", "--delta", "2"],
         ["lemmas"],
@@ -570,6 +564,9 @@ class TestHardChecks:
     def test_residual_gate(self, capsys, monkeypatch, argv):
         monkeypatch.setattr("qfactor.spectra.RESIDUAL_GATE", -1.0)
         code, out, err = run(capsys, *argv)
+        if argv == ["lemmas"]:
+            assert (code, err) == (0, "") and out.endswith("lemmas: all passed\n")
+            return
         assert (code, out) == (2, "")
         assert err.startswith("qfactor: eigenpair residual") and err.count("\n") == 1
 
@@ -757,11 +754,11 @@ GOLDEN_CASES = [
      ("text", "json"), 0),
 ]
 
-# Eigensolver noise (cell spreads near 1e-15, a radius of 7 printed as
-# 7.00000000000001) differs between OpenBLAS kernels on the same input, so
-# every decimal float is compared at 9 significant digits and anything below
-# 1e-9 in magnitude reads as 0. Integers, graph6 strings, keys, column order
-# and layout are compared exactly.
+# Eigensolver noise (a radius of 7 printed as 7.00000000000001) differs
+# between OpenBLAS kernels on the same input, so every decimal float is
+# compared at 9 significant digits and anything below 1e-9 in magnitude
+# reads as 0. Integers, graph6 strings, keys, column order and layout are
+# compared exactly.
 _DECIMAL = re.compile(r"-?\d+(?:\.\d+(?:e[-+]?\d+)?|e[-+]?\d+)")
 
 

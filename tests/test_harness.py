@@ -1,11 +1,12 @@
 """Tests for classification, streaming verification, and the study suites."""
 
-import dataclasses
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exhaustive_search import enumerate_labeled, find_even_factor
 from qfactor import harness
@@ -25,15 +26,23 @@ from qfactor.graphs import (
     random_graph,
     write_graph6,
 )
-from qfactor.extremal import ContainmentReport, build_g3, build_g4, build_gstar, threshold_q
+from qfactor.extremal import (
+    ContainmentReport,
+    build_g1,
+    build_g3,
+    build_g4,
+    build_gstar,
+    g1_cells,
+    threshold_q,
+)
 from qfactor.reportio import dumps_canonical, make_report
 from qfactor.spectra import (
     IntPolynomial,
     char_poly,
     equitable_partition,
+    perron,
     perron_many,
     perron_q,
-    signless_laplacian,
 )
 from qfactor.harness import (
     CHUNK_LINES,
@@ -64,6 +73,12 @@ def no_threshold(monkeypatch):
 
 def cycle(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def signless_laplacian(g):
+    """Q = D + A, entry by entry from the bitrows."""
+    a = np.array([[row >> j & 1 for j in range(g.n)] for row in g.rows], float).reshape(g.n, g.n)
+    return np.diag(a.sum(axis=1)) + a
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +576,22 @@ class TestHelpers:
 # ---------------------------------------------------------------------------
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 12), p=st.floats(0, 1), seed=st.integers(0, 2**32), data=st.data())
+def test_edge_certificate_brackets_eigvalsh(n, p, seed, data):
+    # G is a random tree plus a random graph, so connected; H = G - uv.
+    # The certificate is found, its lower bound is at most q(G) and its
+    # upper bound at least q(H).
+    tree = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    g = Graph.from_edges(n, sorted(set(tree) | set(random_graph(n, p, seed).edges())))
+    u, v = data.draw(st.sampled_from(g.edges()))
+    h = g.remove_edges([(u, v)])
+    a, b, c, d = harness._edge_certificate(h, u, v)
+    assert a * d > c * b
+    assert a / b <= np.linalg.eigvalsh(signless_laplacian(g))[-1] + 1e-10
+    assert c / d >= np.linalg.eigvalsh(signless_laplacian(h))[-1] - 1e-10
+
+
 # Each suite runs at its one fixed size once for the module; a test that
 # patches a callee runs the sections it needs itself.
 @pytest.fixture(scope="module")
@@ -594,13 +625,16 @@ class TestSuites:
         assert report["quotient_radius"]["all_divide"] is True
         assert all(case["divides"] for case in report["quotient_radius"]["cases"])
 
-    def test_lemma_spectra_batched_equal_one_by_one(self, monkeypatch, lemma_report):
-        # The redistribution and edge-monotonicity lemmas take their radii
-        # from one stacked perron_many call; one eigh per graph gives the
-        # same floats bit for bit, so the same report bytes.
-        one_by_one = lambda graphs, alpha: [perron_many([g], alpha)[0] for g in graphs]
-        monkeypatch.setattr("qfactor.harness.perron_many", one_by_one)
-        assert lemma_suite() == lemma_report
+    def test_lemma_suite_is_exact(self, lemma_report):
+        # Every radius is a correctly rounded quotient root and every edge
+        # margin an integer certificate: the deviations are exactly 0.0, and
+        # a second run gives the same report.
+        report = lemma_report
+        assert report["clique_redistribution"]["max_equality_deviation"] == 0.0
+        assert report["quotient_radius"]["max_root_vs_perron"] == 0.0
+        assert all(case["root_vs_perron"] == 0.0 for case in report["quotient_radius"]["cases"])
+        assert report["eigenvector_cells"]["max_spread"] == 0.0
+        assert lemma_suite() == report
 
     def test_quotient_radius_rejects_a_non_dividing_polynomial(self, monkeypatch):
         # Add 1 to the constant term of every full order-n polynomial; the
@@ -631,6 +665,46 @@ class TestSuites:
                    for case in section["cases"])
         assert harness._eigenvector_cell_lemma()["passed"] is False
 
+    def test_quotient_radius_rejects_a_wrong_cofactor(self, monkeypatch):
+        # A cofactor off by one in its constant term: quotient times
+        # cofactor is not the full polynomial, so no case divides.
+        divide = IntPolynomial.__floordiv__
+        monkeypatch.setattr(IntPolynomial, "__floordiv__",
+                            lambda p, d: divide(p, d) - IntPolynomial((1,)))
+        section = harness._quotient_radius_lemma()
+        assert section["all_equitable"] is True
+        assert not any(case["divides"] for case in section["cases"])
+        assert section["passed"] is False
+
+    def test_quotient_radius_needs_the_top_eigenvalue(self, monkeypatch):
+        # With a cofactor that has a root above the quotient's, the quotient
+        # root is not proved to be q: root_vs_perron is null and each case
+        # fails, although the quotient still divides.
+        divide = IntPolynomial.__floordiv__
+        monkeypatch.setattr(IntPolynomial, "__floordiv__",
+                            lambda p, d: divide(p, d) * IntPolynomial((-10**6, 1)))
+        section = harness._quotient_radius_lemma()
+        assert all(case["root_vs_perron"] is None for case in section["cases"])
+        assert section["max_root_vs_perron"] is None and section["passed"] is False
+
+    def test_eigenvector_cells_fail_a_one_cell_partition(self, monkeypatch):
+        # G* is not regular, so one cell is not equitable: no case is proved.
+        monkeypatch.setattr("qfactor.harness.gstar_cells", lambda n, delta: [list(range(n))])
+        section = harness._eigenvector_cell_lemma()
+        assert section["passed"] is False and section["max_spread"] is None
+        assert all(case["max_spread"] is None for case in section["cases"])
+
+    def test_cell_values_match_eigh(self, lemma_report):
+        # Every instance is K_s joined to s cliques of the listed sizes. The
+        # closed-form cell values, scaled to a unit vector, are the clique
+        # cells' means of eigh's Perron vector, within 1e-12.
+        for case in lemma_report["cell_ordering"]["cases"]:
+            sizes = case["sizes"]
+            g, cells = build_g1(len(sizes), sizes), g1_cells(len(sizes), sizes)
+            vector = perron(g, case["alpha"]).vector
+            means = sorted(float(vector[cell].mean()) for cell in cells[1:])
+            assert np.abs(np.array(case["cell_values"]) - means).max() < 1e-12
+
     def test_lemma_suite_checks_every_section(self, lemma_report):
         report = lemma_report
         assert report["all_passed"] is True
@@ -641,21 +715,15 @@ class TestSuites:
         assert cases and all(case["divides"] for case in cases)
 
     def test_cell_spread_fails_ordering_and_surgery_cases(self, monkeypatch):
-        # A Perron vector off by 1e-3 at vertex 0, in the join cell, is not
-        # constant on its cell: every cell-ordering case is marked not ok,
-        # and nothing raises.
-        def skew(solve):
-            def skewed(*args):
-                data = solve(*args)
-                vector = data.vector.copy()
-                vector[0] += 1e-3
-                return dataclasses.replace(data, vector=vector)
-            return skewed
-
+        # One cell for the whole graph is not equitable on a join of
+        # cliques: no quotient, so no radius and no cell values, and every
+        # cell-ordering case is marked not ok. Nothing raises.
         with monkeypatch.context() as patch:
-            patch.setattr("qfactor.harness.perron", skew(harness.perron))
+            patch.setattr("qfactor.harness.g1_cells", lambda s, parts: [list(range(s + sum(parts)))])
+            patch.setattr("qfactor.harness.g3_cells", lambda n, delta, s: [list(range(n))])
             ordering = harness._cell_ordering_lemma()
         assert ordering["violations"] == len(ordering["cases"]) > 0
+        assert all(case["cell_values"] is None for case in ordering["cases"])
         assert ordering["passed"] is False
 
         # The surgery chain reads no Perron vector; its exact route fails
@@ -691,9 +759,10 @@ class TestSuites:
             assert (recognize_gstar(g4) == (n, delta)) == (len(cells) == 3)
 
     def test_no_positive_edge_margin_reports_null(self, monkeypatch):
-        # With equal radii every pair is a violation and no margin is
-        # positive: min_margin is null, not the invalid JSON token Infinity.
-        monkeypatch.setattr("qfactor.harness._q_values", lambda graphs: [1.0] * len(graphs))
+        # With no certificate found every pair is a violation and no margin
+        # is certified: min_margin is null, not the invalid JSON token
+        # Infinity.
+        monkeypatch.setattr("qfactor.harness._edge_certificate", lambda h, u, v: None)
         section = harness._edge_monotonicity_lemma(0)
 
         def reject(token):

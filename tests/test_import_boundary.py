@@ -1,5 +1,5 @@
 """Each command loads only the modules it runs, numpy only for Perron values
-(so never for ``identities``), and ``fractions`` never.
+(so never for ``identities`` or ``lemmas``), and ``fractions`` never.
 
 The CLI parses before it loads: ``--version``, ``--help`` and usage errors
 load no qfactor module beyond the package and ``qfactor.cli``, and each
@@ -93,8 +93,11 @@ def test_each_command_loads_only_what_it_runs(argv, stdin, forbidden, code):
     (["verify", "--stream", "-"], "F~~~w\nH~~~~~~\n", 0),
     # every radius of the identity suite is an exact quotient root
     (["identities"], "", 0),
+    # and so is every radius of the lemma suite; its edge margins are
+    # integer certificates
+    (["lemmas"], "", 0),
 ], ids=["version", "agreement", "factor", "usage-error", "verify-not-applicable",
-        "identities"])
+        "identities", "lemmas"])
 def test_exact_commands_do_not_load_numpy(argv, stdin, code):
     assert _run_main(["numpy"], argv, stdin) == code
 

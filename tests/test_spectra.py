@@ -22,7 +22,7 @@ from qfactor.spectra import (
     IntPolynomial,
     RESIDUAL_GATE,
     _alpha_stack,
-    cell_values,
+    above_roots,
     char_poly,
     equitable_partition,
     largest_real_root,
@@ -31,7 +31,6 @@ from qfactor.spectra import (
     perron_q,
     perron_rho,
     quotient,
-    signless_laplacian,
 )
 
 
@@ -41,6 +40,12 @@ def cycle(n):
 
 def star(leaves):
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def signless_laplacian(g):
+    """Q = D + A, entry by entry from the bitrows."""
+    a = np.array([[row >> j & 1 for j in range(g.n)] for row in g.rows], float).reshape(g.n, g.n)
+    return np.diag(a.sum(axis=1)) + a
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +298,6 @@ def test_equitable_partition_examples():
     assert equitable_partition(Graph(0, ())) == []
 
 
-def test_cell_values_and_spread_error():
-    # cell_values gives the cell means and raises no error on a spread; the
-    # lemmas measure the spread themselves and fail the case instead.
-    g = complete(4)
-    data = perron_q(g)
-    values = cell_values(data.vector, [[0, 1], [2, 3]])
-    assert values[0] == pytest.approx(values[1], abs=1e-12)
-    spread = np.array([0.0, 1.0, 0.0, 0.0])
-    assert cell_values(spread, [[0, 1], [2, 3]]) == [0.5, 0.0]
-
-
 def test_quadratic_form():
     # The surgery chain's Rayleigh gain rests on x^T Q x = sum over edges of
     # (x_u + x_v)^2.
@@ -341,6 +335,32 @@ def test_int_polynomial_monic_remainder():
     assert (IntPolynomial((5, 1)) % p).coeffs == (5, 1)
     with pytest.raises(ValueError):
         p % IntPolynomial((1, 2))
+    with pytest.raises(ValueError):
+        p // IntPolynomial((1, 2))
+
+
+def test_int_polynomial_product_and_quotient():
+    p = IntPolynomial((-6, 11, -6, 1))  # (x-1)(x-2)(x-3)
+    assert IntPolynomial((2, -3, 1)) * IntPolynomial((-3, 1)) == p
+    assert (p * IntPolynomial((0,))).is_zero()
+    assert p // IntPolynomial((2, -3, 1)) == IntPolynomial((-3, 1))
+    assert p // IntPolynomial((1, 0, 1)) == IntPolynomial((-6, 1))  # remainder 10x
+    assert p // IntPolynomial((1,)) == p
+    assert (IntPolynomial((5, 1)) // p).is_zero()
+    for divisor in (IntPolynomial((1, 0, 1)), IntPolynomial((7, -1, 1)), IntPolynomial((0, 1))):
+        assert (p % divisor).degree < divisor.degree
+
+
+def test_above_roots():
+    # p and every derivative are positive above 3, its largest root, and not
+    # at it; (x-1)^2 (x-4) is negative at 3.5, between its derivative's
+    # largest root 3 and its own root 4.
+    p = IntPolynomial((-6, 11, -6, 1))
+    assert above_roots(p, 3.5) and above_roots(p, 1e9)
+    assert not above_roots(p, 3.0) and not above_roots(p, 2.5) and not above_roots(p, -1.0)
+    assert above_roots(p, math.nextafter(3.0, 4.0))
+    q = IntPolynomial((-4, 9, -6, 1))
+    assert not above_roots(q, 3.5) and above_roots(q, 4.25)
 
 
 def test_char_poly_known_matrix():

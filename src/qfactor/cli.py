@@ -19,9 +19,9 @@ Exit codes: 0 = completed with no counterexample or mismatch; 1 = a
 counterexample or suite failure was found (reports are still written);
 2 = usage or malformed input (``spectrum``, ``factor`` and ``verify`` still
 write their error rows), including an exhaustive ``agreement`` census above
-order 7, or a failed hard check (the residual gate, the threshold
-cross-check), printed as ``qfactor: <message>``.  Input-integrity problems
-(2) take precedence over findings (1).
+order 7, or a failed hard check (the threshold cross-check), printed as
+``qfactor: <message>``.  Input-integrity problems (2) take precedence over
+findings (1).
 A reader of stdout that leaves early does not change the exit code.
 Every other computation is polynomial and has no guard.
 
@@ -32,7 +32,9 @@ qfactor module.  Each runner imports what it runs when it is dispatched, and
 ``agreement`` load ``harness`` and with it every module; ``factor`` loads
 ``graphs``, ``matching`` and ``factors``; ``spectrum`` loads ``graphs`` and
 ``spectra``; ``extremal`` loads those two and ``extremal``.  numpy loads at
-the first Perron value, which ``identities`` and ``lemmas`` never compute.
+the first Perron value of an input graph, which only ``spectrum`` and
+``verify`` compute: ``extremal``, ``identities`` and ``lemmas`` take every
+radius as an exact quotient root.
 The imports sit inside the functions, not in module globals, so a wrapper
 installed on a module's function (the benchmark's tracer) is the function
 called.
@@ -181,13 +183,13 @@ def _cmd_per_line(args: argparse.Namespace) -> Run:
 
 def _spectrum_row(g) -> dict[str, Any]:
     from .graphs import min_degree
-    from .spectra import perron_q, perron_rho
+    from .spectra import perron
     return {
         "n": g.n,
         "m": g.edge_count,
         "delta": min_degree(g),
-        "q": perron_q(g).value,
-        "rho": perron_rho(g).value,
+        "q": perron(g, 1),
+        "rho": perron(g, 0),
     }
 
 
@@ -217,26 +219,30 @@ def _factor_text(row: dict[str, Any]) -> str:
 _PER_LINE = {"spectrum": (_spectrum_row, _spectrum_text), "factor": (_factor_row, _factor_text)}
 
 
-# family -> the flags its extremal.build_<family> requires, in argument order
+# family -> (the flags its extremal.build_<family> requires, in argument
+# order; the extremal function that gives its equitable cells from those
+# flags, or None for the coarsest equitable partition of the built graph)
 _FAMILIES = {
-    "gstar": ("n", "delta"),
-    "g1": ("s", "parts"),
-    "g2": ("n", "s"),
-    "g3": ("n", "delta", "s"),
-    "g4": ("n", "delta", "s"),
+    "gstar": (("n", "delta"), "gstar_cells"),
+    "g1": (("s", "parts"), "g1_cells"),
+    "g2": (("n", "s"), "gstar_cells"),
+    "g3": (("n", "delta", "s"), "g3_cells"),
+    "g4": (("n", "delta", "s"), None),
 }
 
 
 def _cmd_extremal(args: argparse.Namespace) -> Run:
     from . import extremal
     from .graphs import write_graph6
-    from .spectra import char_poly, largest_real_root, perron_q, quotient
-    flags = _FAMILIES[args.family]
+    from .spectra import equitable_partition, largest_real_root, quotient_root
+    flags, cells_of = _FAMILIES[args.family]
     values = [getattr(args, flag) for flag in flags]
     if None in values:
         names = [f"--{flag}" for flag in flags]
         raise ValueError(f"{args.family} requires {', '.join(names[:-1])} and {names[-1]}")
     g = getattr(extremal, f"build_{args.family}")(*values)
+    cells = getattr(extremal, cells_of)(*values) if cells_of else equitable_partition(g)
+    poly, q = quotient_root(g, cells)
     config = {key: getattr(args, key) for key in ("family", "n", "delta", "s")}
     config["parts"] = list(args.parts) if args.parts else None
 
@@ -245,36 +251,27 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
         "graph6": write_graph6(g),
         "order": g.n,
         "edges": g.edge_count,
-        "q": perron_q(g).value,
+        "q": q,
+        "coefficients": list(poly.coeffs),
     }
     # only the family's own parameters: g1 has no n, gstar no s
     meta.update((flag, value) for flag, value in zip(flags, values) if flag != "parts")
-    if args.family == "gstar":
-        poly = extremal.phi_bstar(args.n, args.delta)
-        meta["coefficients"] = list(poly.coeffs)
+    if args.family in ("gstar", "g4"):
         meta["threshold"] = extremal.threshold_q(args.n, args.delta)
-    elif args.family == "g2":
-        poly = extremal.phi_b2(args.n, args.s)
-        meta["coefficients"] = list(poly.coeffs)
-        meta["root"] = largest_real_root(poly, 0.0, 2.0 * args.n)
+    if args.family == "g2":
+        meta["root"] = largest_real_root(extremal.phi_b2(args.n, args.s), 0.0, 2.0 * args.n)
     elif args.family == "g1":
         meta["parts"] = list(args.parts)
-        cells = extremal.g1_cells(args.s, args.parts)
-        meta["coefficients"] = list(char_poly(quotient(g, cells)).coeffs)
     elif args.family == "g3":
-        cells = extremal.g3_cells(args.n, args.delta, args.s)
-        meta["coefficients"] = list(char_poly(quotient(g, cells)).coeffs)
-        meta["m"] = g.n - args.s - (args.delta + 1 - args.s) * (args.s - 1)
-    else:  # g4
+        meta["m"] = len(cells[-1])  # V_2, the last clique
+    elif args.family == "g4":
         plan = extremal.surgery_plan(args.n, args.delta, args.s)
-        containment = extremal.g4_containment(args.n, args.delta, args.s)
-        meta["threshold"] = extremal.threshold_q(args.n, args.delta)
         meta["surgery"] = {
             "removed": [list(e) for e in plan.removed],
             "added_join_side": [list(e) for e in plan.added_e1],
             "added_interior": [list(e) for e in plan.added_e2],
         }
-        meta["embeds_in_extremal"] = containment.embedded
+        meta["embeds_in_extremal"] = extremal.g4_containment(args.n, args.delta, args.s).embedded
 
     text_lines = [meta["graph6"]] + [
         f"{key} = {_fmt(value) if isinstance(value, float) else value}"

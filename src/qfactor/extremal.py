@@ -16,11 +16,14 @@ The families are joins of a clique S with disjoint clique unions:
 
 The characteristic polynomials of the 3x3 quotients of g2 and gstar are
 kept in closed form as exact integer objects, so identity checks are
-coefficient-exact.
-threshold_q is the load-bearing number: the largest root of the gstar
-polynomial, bisected in integers and correctly rounded to a double, after
-the closed form is checked against the characteristic polynomial of the
-quotient counted from the built graph.
+coefficient-exact. Every family has a known equitable partition (the
+*_cells functions; g4 takes the coarsest one), so the radius of each member
+is an exact quotient root (spectra.quotient_root), never an eigensolver
+value.
+threshold_q is the load-bearing number: the largest root of the quotient
+polynomial counted from the built gstar, bisected in integers and correctly
+rounded to a double, after that polynomial is checked against the closed
+form.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .graphs import Graph, complete, disjoint_union, join
-from .spectra import IntPolynomial, char_poly, largest_real_root, quotient
+from .spectra import IntPolynomial, quotient_root
 
 
 def _join_cliques(s: int, parts: Sequence[int]) -> Graph:
@@ -269,11 +272,13 @@ def f_poly(n: int, s: int, delta: int) -> IntPolynomial:
 
 @lru_cache(maxsize=None)
 def threshold_q(n: int, delta: int) -> float:
-    """q(gstar(n, delta)): the largest root of phi_bstar, correctly rounded,
-    once phi_bstar is checked against the quotient polynomial counted from
-    the built graph (a mismatch raises RuntimeError, also under python -O)."""
+    """q(gstar(n, delta)): the largest root of the quotient polynomial counted
+    from the built graph, correctly rounded, once that polynomial is checked
+    equal to the closed form phi_bstar (a mismatch raises RuntimeError, also
+    under python -O)."""
     poly = phi_bstar(n, delta)
-    if char_poly(quotient(build_gstar(n, delta), gstar_cells(n, delta))) != poly:
+    counted, root = quotient_root(build_gstar(n, delta), gstar_cells(n, delta))
+    if counted != poly:
         raise RuntimeError(f"threshold cross-validation failed at (n={n}, delta={delta}): "
                            f"phi_bstar {poly.coeffs} is not the quotient's polynomial")
-    return largest_real_root(poly, 0.0, float(2 * n))
+    return root

@@ -75,13 +75,13 @@ from .graphs import (
     write_graph6,
 )
 from .spectra import (
-    IntPolynomial,
     above_roots,
     char_poly,
     equitable_partition,
     largest_real_root,
     perron_many,
     quotient,
+    quotient_root,
 )
 
 # A graph is below the threshold only when its q is more than EPS below it.
@@ -173,12 +173,13 @@ def recognize_gstar(g: Graph) -> tuple[int, int] | None:
 
 
 def _hypotheses(g: Graph, fixed: dict[str, Any]) -> TheoremOutcome | None:
-    """Even order >= 4, connected, and ``delta = min(delta(G), floor((n+7)/7))
+    """Even order >= 8, connected, and ``delta = min(delta(G), floor((n+7)/7))
     >= 2``: a minimum degree above what the order supports is capped, which
-    is sound because the hypothesis only bounds it from below."""
+    is sound because the hypothesis only bounds it from below.  Below order
+    8 that cap is 1, so no graph is applicable whatever its degrees."""
     n = g.n
-    if n < 4 or n % 2 == 1:
-        return TheoremOutcome("not_applicable", note="order must be even and at least 4")
+    if n < 8 or n % 2 == 1:
+        return TheoremOutcome("not_applicable", note="order must be even and at least 8")
     if not is_connected(g):
         return TheoremOutcome("not_applicable", note="graph is disconnected")
     fixed["delta"] = min(min_degree(g), max_theorem_delta(n))
@@ -241,11 +242,11 @@ def _classify(graphs: Sequence[Graph]) -> list[Any]:
     fixed: list[dict[str, Any]] = [{} for _ in graphs]
     results = [_climb(g, f, False) for g, f in zip(graphs, fixed)]
     pending = [i for i, result in enumerate(results) if result is None]
-    for i, pd in zip(pending, perron_many([graphs[i] for i in pending], 1)):
-        if isinstance(pd, Exception):
-            results[i] = pd
+    for i, q in zip(pending, perron_many([graphs[i] for i in pending], 1)):
+        if isinstance(q, Exception):
+            results[i] = q
         else:
-            fixed[i]["q"] = pd.value
+            fixed[i]["q"] = q
             results[i] = _climb(graphs[i], fixed[i], True)
     return results
 
@@ -354,17 +355,6 @@ def odd_compositions(total: int, parts: int, minimum: int = 1):
     yield from rec(total, parts, lo)
 
 
-def _quotient_root(g: Graph, cells: Sequence[Sequence[int]]) -> tuple[IntPolynomial, float]:
-    """The characteristic polynomial of Q(g)'s quotient over the cells, which
-    must be equitable, and its largest root: q(g) of a connected g, correctly
-    rounded.  Every eigenvalue of Q lies below 2n."""
-    b = quotient(g, cells)
-    if b is None:
-        raise ValueError("the cells are not an equitable partition")
-    poly = char_poly(b)
-    return poly, largest_real_root(poly, 0.0, 2.0 * g.n)
-
-
 def _adjacency(b: Sequence[Sequence[int]]) -> list[list[int]]:
     """The adjacency quotient from Q's quotient b over the same cells: Q's
     minus each cell's degree, half its row sum, on the diagonal."""
@@ -389,7 +379,7 @@ def _redistribution_lemma() -> dict[str, Any]:
                     if big < p or big % 2 == 0:
                         continue
                     comparisons.append((s, parts, p, (p,) * (s - 1) + (big,)))
-    radius = {key: _quotient_root(build_g1(*key), g1_cells(*key)) for key in dict.fromkeys(
+    radius = {key: quotient_root(build_g1(*key), g1_cells(*key)) for key in dict.fromkeys(
         key for s, parts, _, merged in comparisons for key in ((s, parts), (s, merged)))}
 
     cases = equalities = strict = violations = 0
@@ -692,7 +682,7 @@ def identity_suite() -> dict[str, Any]:
     for delta in (2, 3, 4):
         n = 7 * delta - 7 + (7 * delta - 7) % 2 + 14
         for s in range(delta + 1, delta + 4):
-            margin = threshold_q(n, delta) - _quotient_root(build_g2(n, s), gstar_cells(n, s))[1]
+            margin = threshold_q(n, delta) - quotient_root(build_g2(n, s), gstar_cells(n, s))[1]
             ok = ok and margin > 0
             rows.append({"n": n, "delta": delta, "s": s, "threshold_margin": margin})
     sections["large_join_below_threshold"] = {"cases": rows, "passed": ok}
@@ -708,9 +698,9 @@ def identity_suite() -> dict[str, Any]:
             n = 7 * delta - 7 + (7 * delta - 7) % 2
             plan = surgery_plan(n, delta, s)
             g4 = build_g4(n, delta, s)
-            poly3, q3 = g3_roots[delta, s] = _quotient_root(build_g3(n, delta, s),
-                                                           g3_cells(n, delta, s))
-            poly4, q4 = _quotient_root(g4, equitable_partition(g4))
+            poly3, q3 = g3_roots[delta, s] = quotient_root(build_g3(n, delta, s),
+                                                          g3_cells(n, delta, s))
+            poly4, q4 = quotient_root(g4, equitable_partition(g4))
             qstar = threshold_q(n, delta)
             # The paper's Rayleigh step on G3's Perron vector: x_0 = 1 on S and
             # x_i = s / (q3 - 2 n_i - s + 2) on a clique of n_i vertices, scaled
@@ -739,7 +729,7 @@ def identity_suite() -> dict[str, Any]:
         n = 7 * delta - 7 + (7 * delta - 7) % 2
         poly3, q3 = g3_roots[delta, s]
         for parts in odd_compositions(n - s, s, minimum=delta + 1 - s):
-            poly, value = _quotient_root(build_g1(s, parts), g1_cells(s, parts))
+            poly, value = quotient_root(build_g1(s, parts), g1_cells(s, parts))
             margin = q3 - value
             ok = ok and (margin > 0 or poly == poly3)
             rows.append({"n": n, "delta": delta, "s": s, "parts": list(parts), "margin": margin})
@@ -753,7 +743,7 @@ def identity_suite() -> dict[str, Any]:
     for n, s in [(8, 2), (14, 3), (20, 4)]:
         root = largest_real_root(phi_b2(n, s), 0.0, 2.0 * n)
         g2, cells = build_g2(n, s), gstar_cells(n, s)
-        q_diff = abs(root - _quotient_root(g2, cells)[1])
+        q_diff = abs(root - quotient_root(g2, cells)[1])
         rho = largest_real_root(char_poly(_adjacency(quotient(g2, cells))), 0.0, 2.0 * n)
         rho_diff = abs(root - rho)
         case_ok = q_diff == 0 and rho_diff > 0

@@ -2,11 +2,11 @@
 
 Two arithmetic regimes coexist on purpose and are kept separate:
 
-* float64 + LAPACK ``eigh`` for Perron values of ``alpha*D + A``, each
+* float64 + LAPACK ``eigh`` for the Perron value of ``alpha*D + A``, each
   graph solved whole behind a hard residual gate. The matrices are
   unpacked from the bitrows by numpy, and perron_many stacks many graphs
   by order, so each order costs one ``eigh`` call; stacked and one-matrix
-  calls give bitwise-equal eigenpairs. perron is its one-graph case.
+  calls give bitwise-equal values. perron is its one-graph case.
   This regime imports numpy on its first call, so a process that stays in
   the exact regime never loads it;
 * exact integer arithmetic: quotient matrices counted from the bitrows (over
@@ -14,12 +14,14 @@ Two arithmetic regimes coexist on purpose and are kept separate:
   polynomials (Faddeev-LeVerrier over Python ints) and the largest root of
   such a polynomial, bisected over dyadic points by the integer signs of the
   polynomial and its derivatives until it is correctly rounded to a double.
-  The same signs (above_roots) prove that a polynomial has no root at or
-  above a given double.
+  quotient_root chains the three. The same signs (above_roots) prove that a
+  polynomial has no root at or above a given double.
 
-The threshold and the lemma and identity suites stay in the exact regime;
-``spectrum``, ``extremal`` and ``verify`` take their Perron values from the
-float one. Nothing here collapses the two.
+A graph whose equitable partition is known (the extremal families, the
+threshold, the lemma and identity suites) gets its radius from
+quotient_root. Only arbitrary input graphs, in ``spectrum`` and
+``verify``, take theirs from the float regime. Nothing here collapses the
+two.
 """
 
 from __future__ import annotations
@@ -32,12 +34,6 @@ from .graphs import Graph
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-@dataclass(frozen=True)
-class PerronData:
-    value: float
-    vector: np.ndarray
 
 
 # Hard gate on ||M x - value x||_inf. eigh stays below 2e-13 on random
@@ -65,21 +61,20 @@ def _alpha_stack(graphs: Sequence[Graph], alpha: int) -> np.ndarray:
 
 def perron_many(
     graphs: Sequence[Graph], alpha: int
-) -> list[PerronData | ValueError | ArithmeticError]:
-    """Perron data of alpha*D + A for each graph, or the error it raises.
+) -> list[float | ValueError | ArithmeticError]:
+    """The Perron value of alpha*D + A for each graph, or the error it raises.
 
     Each graph is one matrix in the stack of its order, so each order costs
-    one LAPACK eigh call. value is the largest eigenvalue and vector the
-    absolute value of its unit eigenvector: the Perron vector of a
-    connected graph. The spectrum of a disjoint union is the union of its
-    parts' spectra, so for a disconnected graph value is the largest over
-    its components and vector a nonnegative unit eigenvector for it, which
-    on a tie may spread over the tied components. If a stacked call raises
-    (LinAlgError is a ValueError), that order is retried one graph at a
-    time, so an error stays with its own graph. A graph whose residual
-    ||M x - value x||_inf exceeds RESIDUAL_GATE gets an ArithmeticError;
-    an order-0 graph a ValueError. One stack holds every graph of an
-    order, so the caller bounds memory by the number of graphs it passes.
+    one LAPACK eigh call. The value is the largest eigenvalue; the spectrum
+    of a disjoint union is the union of its parts' spectra, so for a
+    disconnected graph it is the largest over its components. If a stacked
+    call raises (LinAlgError is a ValueError), that order is retried one
+    graph at a time, so an error stays with its own graph. The value is
+    returned only once its eigenvector x, taken nonnegative, passes the
+    residual gate: a graph whose ||M x - value x||_inf exceeds
+    RESIDUAL_GATE gets an ArithmeticError; an order-0 graph a ValueError.
+    One stack holds every graph of an order, so the caller bounds memory by
+    the number of graphs it passes.
     """
     out: list = [None] * len(graphs)
     by_order: dict[int, list[int]] = {}
@@ -105,17 +100,17 @@ def perron_many(
             top = values[:, -1]
             x = np.abs(vectors[:, :, -1])
             residual = np.abs((mats @ x[:, :, None])[:, :, 0] - top[:, None] * x).max(axis=1)
-            for i, value, xi, r in zip(ids, top.tolist(), x, residual.tolist()):
+            for i, value, r in zip(ids, top.tolist(), residual.tolist()):
                 if not r <= RESIDUAL_GATE:  # NaN fails too
                     out[i] = ArithmeticError(
                         f"eigenpair residual {r:.3e} exceeds gate {RESIDUAL_GATE:.0e}")
                 else:
-                    out[i] = PerronData(value, xi)
+                    out[i] = value
     return out
 
 
-def perron(g: Graph, alpha: int) -> PerronData:
-    """Largest eigenvalue and nonnegative unit eigenvector of alpha*D + A.
+def perron(g: Graph, alpha: int) -> float:
+    """The largest eigenvalue of alpha*D + A: q for alpha = 1, rho for 0.
 
     The one-graph case of perron_many: one LAPACK eigh call, whose residual
     ``||M x - value x||_inf`` must stay within RESIDUAL_GATE, else
@@ -125,16 +120,6 @@ def perron(g: Graph, alpha: int) -> PerronData:
     if isinstance(result, Exception):
         raise result
     return result
-
-
-def perron_q(g: Graph) -> PerronData:
-    """Perron data of the signless Laplacian."""
-    return perron(g, 1)
-
-
-def perron_rho(g: Graph) -> PerronData:
-    """Perron data of the adjacency matrix."""
-    return perron(g, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +235,6 @@ class IntPolynomial:
                     rem[top - d + i] -= lead * c
         return IntPolynomial(tuple(quot))
 
-    def __mod__(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Remainder of exact long division by a monic divisor."""
-        return self - divisor * (self // divisor)
-
     def scaled(self, k: int) -> "IntPolynomial":
         return IntPolynomial(tuple(k * c for c in self.coeffs))
 
@@ -357,3 +338,14 @@ def largest_real_root(p: IntPolynomial, lo: float, hi: float) -> float:
     if _sign_at(p.coeffs, a, e) >= 0:
         raise ValueError("no proved largest root in (lo, hi)")
     return b / (1 << e)
+
+
+def quotient_root(g: Graph, cells: Cells) -> tuple[IntPolynomial, float]:
+    """The characteristic polynomial of Q(g)'s quotient over the cells, which
+    must be equitable, and its largest root: q(g) of a connected g, correctly
+    rounded.  Every eigenvalue of Q lies below 2n."""
+    b = quotient(g, cells)
+    if b is None:
+        raise ValueError("the cells are not an equitable partition")
+    poly = char_poly(b)
+    return poly, largest_real_root(poly, 0.0, 2.0 * g.n)

@@ -20,7 +20,7 @@ from qfactor.extremal import (
 )
 from qfactor.graphs import Graph, is_connected, min_degree
 from qfactor.harness import _gstar_grid, _identity_grid, max_theorem_delta, odd_compositions
-from qfactor.spectra import IntPolynomial, char_poly, perron_q, quotient
+from qfactor.spectra import IntPolynomial, char_poly, perron, quotient
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def test_threshold_frozen_values():
 
 def test_threshold_matches_direct_perron():
     for n, delta in [(8, 2), (10, 2), (14, 3), (16, 3), (22, 4)]:
-        direct = perron_q(build_gstar(n, delta)).value
+        direct = perron(build_gstar(n, delta), 1)
         assert threshold_q(n, delta) == pytest.approx(direct, abs=1e-8)
 
 

@@ -38,11 +38,11 @@ from qfactor.extremal import (
 from qfactor.reportio import dumps_canonical, make_report
 from qfactor.spectra import (
     IntPolynomial,
+    _alpha_stack,
     char_poly,
     equitable_partition,
     perron,
     perron_many,
-    perron_q,
 )
 from qfactor.harness import (
     CHUNK_LINES,
@@ -201,8 +201,16 @@ class TestCheckTheoremInstance:
         assert check_theorem_instance(Graph.empty(3)).classification == "not_applicable"
         assert "even" in check_theorem_instance(cycle(7)).note
         assert "disconnected" in check_theorem_instance(Graph.empty(8)).note
-        path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        path = Graph.from_edges(8, [(v, v + 1) for v in range(7)])
         assert "minimum degree" in check_theorem_instance(path).note
+
+    @pytest.mark.parametrize("text", ["C~", "E~~w"], ids=["K4", "K6"])
+    def test_order_below_8_is_not_applicable_whatever_its_degrees(self, text):
+        # K4 and K6 have minimum degrees 3 and 5, but below order 8 the cap
+        # (n+7)//7 is 1: the order, not the degree, rules them out.
+        out = check_theorem_instance(parse_graph6(text))
+        assert (out.classification, out.note) == ("not_applicable",
+                                                   "order must be even and at least 8")
 
     def test_complete_graph_confirmed_with_capped_delta(self):
         out = check_theorem_instance(complete(8))
@@ -538,7 +546,7 @@ class TestSharpnessProbe:
     def test_8_2(self):
         g = build_gstar(8, 2)
         threshold = threshold_q(8, 2)
-        q = perron_q(g).value
+        q = perron(g, 1)
         assert q == pytest.approx(threshold, abs=1e-9)
         assert q >= threshold - 1e-8
         # The criterion fails on the join cell, yet a Hamiltonian cycle is
@@ -548,12 +556,12 @@ class TestSharpnessProbe:
         assert len(factor) == 8 and verify_even_factor(g, factor)
         # Every single-edge deletion drops the radius below the threshold.
         for edge in g.edges():
-            assert perron_q(g.remove_edges([edge])).value < threshold - 1e-8, edge
+            assert perron(g.remove_edges([edge]), 1) < threshold - 1e-8, edge
         # Additions only increase the radius, and none gives G*(8, 2) again.
         for edge in itertools.combinations(range(8), 2):
             if not g.has_edge(*edge):
                 h = g.add_edges([edge])
-                hq = perron_q(h).value
+                hq = perron(h, 1)
                 assert hq >= threshold - 1e-8 and hq > q, edge
                 assert recognize_gstar(h) != (8, 2), edge
 
@@ -701,7 +709,7 @@ class TestSuites:
         for case in lemma_report["cell_ordering"]["cases"]:
             sizes = case["sizes"]
             g, cells = build_g1(len(sizes), sizes), g1_cells(len(sizes), sizes)
-            vector = perron(g, case["alpha"]).vector
+            vector = np.abs(np.linalg.eigh(_alpha_stack([g], case["alpha"])[0])[1][:, -1])
             means = sorted(float(vector[cell].mean()) for cell in cells[1:])
             assert np.abs(np.array(case["cell_values"]) - means).max() < 1e-12
 

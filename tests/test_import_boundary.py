@@ -1,5 +1,6 @@
-"""Each command loads only the modules it runs, numpy only for Perron values
-(so never for ``identities`` or ``lemmas``), and ``fractions`` never.
+"""Each command loads only the modules it runs, numpy only for the Perron
+values of input graphs (so never for ``extremal``, ``identities`` or
+``lemmas``), and ``fractions`` never.
 
 The CLI parses before it loads: ``--version``, ``--help`` and usage errors
 load no qfactor module beyond the package and ``qfactor.cli``, and each
@@ -78,7 +79,7 @@ def test_importing_the_package_does_not_load_numpy():
      ("qfactor.harness", "qfactor.spectra", "qfactor.extremal", "numpy"), 0),
     (["spectrum"], "G~~~~{\n", ("qfactor.harness", "qfactor.factors", "qfactor.extremal"), 0),
     (["extremal", "--family", "gstar", "--n", "8", "--delta", "2"], "",
-     ("qfactor.harness", "qfactor.factors"), 0),
+     ("qfactor.harness", "qfactor.factors", "numpy"), 0),
 ], ids=["version", "help", "usage-error", "factor", "spectrum", "extremal"])
 def test_each_command_loads_only_what_it_runs(argv, stdin, forbidden, code):
     assert _run_main(forbidden, argv, stdin) == code
@@ -96,8 +97,10 @@ def test_each_command_loads_only_what_it_runs(argv, stdin, forbidden, code):
     # and so is every radius of the lemma suite; its edge margins are
     # integer certificates
     (["lemmas"], "", 0),
+    # and so is the radius of every extremal family member, g4 included
+    (["extremal", "--family", "g4", "--n", "14", "--delta", "3", "--s", "2"], "", 0),
 ], ids=["version", "agreement", "factor", "usage-error", "verify-not-applicable",
-        "identities", "lemmas"])
+        "identities", "lemmas", "extremal"])
 def test_exact_commands_do_not_load_numpy(argv, stdin, code):
     assert _run_main(["numpy"], argv, stdin) == code
 

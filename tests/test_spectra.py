@@ -1,4 +1,5 @@
-"""Perron data by LAPACK eigh, integer quotients, integer characteristic polynomials."""
+"""Perron values by LAPACK eigh, integer quotients, integer characteristic
+polynomials and exact quotient roots."""
 
 import math
 from fractions import Fraction
@@ -14,13 +15,13 @@ from qfactor.graphs import (
     complete,
     disjoint_union,
     is_connected,
+    join,
     random_graph,
     write_graph6,
 )
 from qfactor.harness import check_theorem_instance
 from qfactor.spectra import (
     IntPolynomial,
-    RESIDUAL_GATE,
     _alpha_stack,
     above_roots,
     char_poly,
@@ -28,9 +29,8 @@ from qfactor.spectra import (
     largest_real_root,
     perron,
     perron_many,
-    perron_q,
-    perron_rho,
     quotient,
+    quotient_root,
 )
 
 
@@ -69,45 +69,31 @@ def test_matrix_builders():
 def test_perron_complete_graphs():
     # q(K_m) = 2m - 2 and rho(K_m) = m - 1
     for m in (2, 7, 13):
-        assert perron_q(complete(m)).value == pytest.approx(2 * m - 2, abs=1e-10)
-        assert perron_rho(complete(m)).value == pytest.approx(m - 1, abs=1e-10)
+        assert perron(complete(m), 1) == pytest.approx(2 * m - 2, abs=1e-10)
+        assert perron(complete(m), 0) == pytest.approx(m - 1, abs=1e-10)
 
 
 def test_perron_regular_and_bipartite():
     c8 = cycle(8)
-    assert perron_q(c8).value == pytest.approx(4, abs=1e-10)
-    assert perron_rho(c8).value == pytest.approx(2, abs=1e-10)
+    assert perron(c8, 1) == pytest.approx(4, abs=1e-10)
+    assert perron(c8, 0) == pytest.approx(2, abs=1e-10)
     # bipartite adjacency spectra are symmetric about 0; rho is the top end
-    assert perron_rho(star(3)).value == pytest.approx(math.sqrt(3), abs=1e-10)
-    assert perron_rho(star(8)).value == pytest.approx(math.sqrt(8), abs=1e-10)
+    assert perron(star(3), 0) == pytest.approx(math.sqrt(3), abs=1e-10)
+    assert perron(star(8), 0) == pytest.approx(math.sqrt(8), abs=1e-10)
 
 
 def test_perron_disconnected_takes_max_block():
-    # The whole matrix is solved: q is the larger block's, and a strict
-    # winner's Perron vector vanishes off its block. On the 2*K_4 tie the
-    # vector is some nonnegative unit eigenvector for q = 6.
+    # The whole matrix is solved: q is the larger block's, also on the
+    # 2*K_4 tie.
     for small, big in [(3, 5), (4, 4)]:
         g = disjoint_union(complete(small), complete(big))
-        data = perron_q(g)
-        assert data.value == pytest.approx(2 * big - 2, abs=1e-10)
-        assert data.vector.min() >= 0
-        assert np.linalg.norm(data.vector) == pytest.approx(1, abs=1e-12)
-        m = signless_laplacian(g)
-        assert np.abs(m @ data.vector - data.value * data.vector).max() <= RESIDUAL_GATE
-        if small < big:
-            assert data.vector[:small].max() <= 1e-12
-            assert data.vector[small:].min() > 0.1
+        assert perron(g, 1) == pytest.approx(2 * big - 2, abs=1e-10)
 
 
 def test_perron_data_quality():
     g = random_graph(10, 0.5, 17)
-    data = perron_q(g)
-    m = signless_laplacian(g)
-    residual = np.linalg.norm(m @ data.vector - data.value * data.vector)
-    assert residual < 1e-10
-    assert abs(np.linalg.norm(data.vector) - 1) < 1e-12
-    eigs = np.linalg.eigvalsh(m)
-    assert data.value == pytest.approx(float(eigs[-1]), abs=1e-9)
+    eigs = np.linalg.eigvalsh(signless_laplacian(g))
+    assert perron(g, 1) == pytest.approx(float(eigs[-1]), abs=1e-9)
 
 
 def test_perron_matches_numpy_on_seeded_graphs():
@@ -115,7 +101,7 @@ def test_perron_matches_numpy_on_seeded_graphs():
         g = random_graph(8, 0.45, seed)
         m = signless_laplacian(g)
         expected = float(np.linalg.eigvalsh(m)[-1])
-        assert perron_q(g).value == pytest.approx(expected, abs=1e-9)
+        assert perron(g, 1) == pytest.approx(expected, abs=1e-9)
 
 
 def test_perron_input_validation():
@@ -125,9 +111,8 @@ def test_perron_input_validation():
 
 def test_perron_residual_gate(monkeypatch):
     g = random_graph(9, 0.4, 3)
-    data = perron(g, 1)
-    m = signless_laplacian(g)
-    assert np.abs(m @ data.vector - data.value * data.vector).max() < 1e-12
+    expected = float(np.linalg.eigvalsh(signless_laplacian(g))[-1])
+    assert perron(g, 1) == pytest.approx(expected, abs=1e-9)
     eigh = np.linalg.eigh
 
     def skewed(m):
@@ -141,7 +126,7 @@ def test_perron_residual_gate(monkeypatch):
 
 def test_stacked_eigh_is_bitwise_equal_to_one_matrix_eigh():
     # One eigh per order over a stack gives exactly the per-matrix eigenpairs,
-    # and perron_many gives exactly what perron gives one graph at a time.
+    # and perron_many gives exactly the value perron gives one graph at a time.
     for n in range(2, 63):
         graphs = [random_graph(n, p, 1000 * n + k) for k, p in enumerate((0.3, 0.6, 0.9))]
         mats = [signless_laplacian(g) for g in graphs]
@@ -149,10 +134,8 @@ def test_stacked_eigh_is_bitwise_equal_to_one_matrix_eigh():
         for k, m in enumerate(mats):
             v2, w2 = np.linalg.eigh(m)
             assert np.array_equal(values[k], v2) and np.array_equal(vectors[k], w2), n
-        for g, pd in zip(graphs, perron_many(graphs, 1)):
-            one = perron_q(g)
-            assert pd.value == one.value, n
-            assert np.array_equal(pd.vector, one.vector), n
+        for g, value in zip(graphs, perron_many(graphs, 1)):
+            assert value == perron(g, 1), n
 
 
 def _alpha_matrix(g, alpha):
@@ -182,26 +165,19 @@ def test_perron_many_matches_per_component_eigh_on_disconnected_graphs():
     assert all(len(_component_blocks(g)) > 1 for g in graphs[:7])
     strict = 0
     for alpha in (0, 1):
-        for g, pd in zip(graphs, perron_many(graphs, alpha)):
+        for g, value in zip(graphs, perron_many(graphs, alpha)):
             m = _alpha_matrix(g, alpha)
-            tops = sorted(((float(np.linalg.eigvalsh(m[np.ix_(b, b)])[-1]), b)
+            tops = sorted((float(np.linalg.eigvalsh(m[np.ix_(b, b)])[-1])
                            for b in _component_blocks(g)), reverse=True)
-            assert abs(pd.value - tops[0][0]) <= 1e-12
-            assert pd.vector.min() >= 0
-            assert abs(np.linalg.norm(pd.vector) - 1) <= 1e-12
-            assert np.abs(m @ pd.vector - pd.value * pd.vector).max() <= RESIDUAL_GATE
-            if len(tops) > 1 and tops[0][0] - tops[1][0] > 1e-9:
-                strict += 1
-                off = np.ones(g.n, dtype=bool)
-                off[tops[0][1]] = False
-                assert pd.vector[off].max() <= 1e-12
+            assert abs(value - tops[0]) <= 1e-12
+            strict += len(tops) > 1 and tops[0] - tops[1] > 1e-9
     assert strict >= 4
-    assert perron_q(Graph.empty(5)).value == 0
+    assert perron(Graph.empty(5), 1) == 0
 
 
 def test_perron_many_keeps_errors_per_graph():
     out = perron_many([complete(3), Graph(0, ()), cycle(6)], 1)
-    assert out[0].value == pytest.approx(4.0) and out[2].value == pytest.approx(4.0)
+    assert out[0] == pytest.approx(4.0) and out[2] == pytest.approx(4.0)
     assert isinstance(out[1], ValueError)
 
 
@@ -218,9 +194,7 @@ def test_perron_relabeling_invariance(n, p, seed, data):
     g = Graph.from_edges(n, random_graph(n, p, seed).edges() + path)
     perm = data.draw(st.permutations(range(n)))
     h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
-    a, b = perron_q(g), perron_q(h)
-    assert abs(a.value - b.value) < 1e-12
-    assert b.vector[perm] == pytest.approx(a.vector, abs=1e-9)
+    assert abs(perron(g, 1) - perron(h, 1)) < 1e-12
     assert (check_theorem_instance(h).classification
             == check_theorem_instance(g).classification)
 
@@ -266,6 +240,19 @@ def test_quotient_partition_validation():
         quotient(g, [[0, 1], [1, 2]])  # overlap
     with pytest.raises(ValueError):
         quotient(g, [[0, 1, 2], []])  # empty cell
+
+
+def test_quotient_root():
+    # K_2 join (K_3 u K_3) over its three cells: the cubic divides Q's own
+    # polynomial, the largest roots of both round to the same double, and
+    # that double is eigh's q up to eigensolver noise.
+    g = join(complete(2), disjoint_union(complete(3), complete(3)))
+    poly, q = quotient_root(g, [[0, 1], [2, 3, 4], [5, 6, 7]])
+    full, q_full = quotient_root(g, [[v] for v in range(g.n)])
+    assert poly.degree == 3 and (full - poly * (full // poly)).is_zero()
+    assert q == q_full == pytest.approx(perron(g, 1), abs=1e-12)
+    with pytest.raises(ValueError, match="equitable"):
+        quotient_root(g, [[0, 1, 2], [3, 4, 5, 6, 7]])
 
 
 @settings(max_examples=150, deadline=None)
@@ -325,16 +312,18 @@ def test_int_polynomial_ops():
     assert IntPolynomial((0, 0)).coeffs == (0,)
 
 
+def _remainder(p, d):
+    return p - d * (p // d)
+
+
 def test_int_polynomial_monic_remainder():
     p = IntPolynomial((-6, 11, -6, 1))  # (x-1)(x-2)(x-3)
-    assert (p % IntPolynomial((2, -3, 1))).is_zero()  # (x-1)(x-2)
-    assert (p % IntPolynomial((-3, 1))).is_zero()
-    assert (p % IntPolynomial((1, 0, 1))).coeffs == (0, 10)  # x^2 + 1
-    assert (p % IntPolynomial((0, 1))).coeffs == (-6,)  # p(0)
-    assert (p % IntPolynomial((1,))).is_zero()
-    assert (IntPolynomial((5, 1)) % p).coeffs == (5, 1)
-    with pytest.raises(ValueError):
-        p % IntPolynomial((1, 2))
+    assert _remainder(p, IntPolynomial((2, -3, 1))).is_zero()  # (x-1)(x-2)
+    assert _remainder(p, IntPolynomial((-3, 1))).is_zero()
+    assert _remainder(p, IntPolynomial((1, 0, 1))).coeffs == (0, 10)  # x^2 + 1
+    assert _remainder(p, IntPolynomial((0, 1))).coeffs == (-6,)  # p(0)
+    assert _remainder(p, IntPolynomial((1,))).is_zero()
+    assert _remainder(IntPolynomial((5, 1)), p).coeffs == (5, 1)
     with pytest.raises(ValueError):
         p // IntPolynomial((1, 2))
 
@@ -348,7 +337,7 @@ def test_int_polynomial_product_and_quotient():
     assert p // IntPolynomial((1,)) == p
     assert (IntPolynomial((5, 1)) // p).is_zero()
     for divisor in (IntPolynomial((1, 0, 1)), IntPolynomial((7, -1, 1)), IntPolynomial((0, 1))):
-        assert (p % divisor).degree < divisor.degree
+        assert _remainder(p, divisor).degree < divisor.degree
 
 
 def test_above_roots():

@@ -143,7 +143,7 @@ def _v_index(s: int, delta: int, i: int, j: int) -> int:
     return s + (i - 1) * (delta + 1 - s) + (j - 1)
 
 
-def _w_index(s: int, delta: int, m: int, r: int) -> int:
+def _w_index(s: int, delta: int, r: int) -> int:
     # w_r: r in 1..m
     return s + (s - 1) * (delta + 1 - s) + (r - 1)
 
@@ -169,14 +169,14 @@ def surgery_plan(n: int, delta: int, s: int) -> SurgeryPlan:
         for j in range(1, t + 1):
             v = _v_index(s, delta, i, j)
             for r in range(1, delta - s + 1):
-                e1.append(tuple(sorted((v, _w_index(s, delta, m, r)))))
+                e1.append(tuple(sorted((v, _w_index(s, delta, r)))))
 
     e2 = []
     for i in range(2, s):
         for j in range(2, t + 1):
             v = _v_index(s, delta, i, j)
             for r in range(delta - s + 1, m + 1):
-                e2.append(tuple(sorted((v, _w_index(s, delta, m, r)))))
+                e2.append(tuple(sorted((v, _w_index(s, delta, r)))))
 
     return SurgeryPlan(
         n, delta, s, m,
@@ -215,7 +215,7 @@ def g4_containment(n: int, delta: int, s: int) -> ContainmentReport:
 
     t = delta + 1 - s
     universal = list(range(plan.s))
-    universal += [_w_index(s, delta, plan.m, r) for r in range(1, delta - s + 1)]
+    universal += [_w_index(s, delta, r) for r in range(1, delta - s + 1)]
     low = [_v_index(s, delta, 1, j) for j in range(1, t + 1)]
     low += [_v_index(s, delta, i, 1) for i in range(2, s)]
     low.sort()

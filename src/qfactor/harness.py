@@ -10,12 +10,13 @@ itself the unique exception.  ``G*(n, delta)`` itself *has* an even factor
 parity criterion, which it fails on its join cell, not for even factors.
 
 :func:`check_theorem_instance` and :func:`verify_stream` classify graphs
-against that statement by one ladder, the table :data:`RUNGS`: the
-hypotheses, the threshold, the recognizer, then the exact even-factor test
-:func:`~qfactor.factors.even_factor` (the two-factor fast path, else one
-perfect-matching question on a gadget).  The hypotheses need no Perron
-value, so they run on a whole chunk of lines before its eigh stack is
-built.  Above the threshold, a non-extremal graph is ``confirmed_factor``
+against that statement in two steps.  ``_applicable`` checks the
+hypotheses, which need no Perron value, so they run on a whole chunk of
+lines before its eigh stack is built.  ``_decide`` then takes each
+applicable graph with its q through the threshold, the recognizer and the
+exact even-factor test :func:`~qfactor.factors.even_factor` (the
+two-factor fast path, else one perfect-matching question on a gadget).
+Above the threshold, a non-extremal graph is ``confirmed_factor``
 with a checked edge list, or a ``counterexample`` whose ``no_even_factor``
 witness rests on a checked Tutte barrier of the gadget (or a vertex of
 degree below 2).  Every such graph is decided; no size guard applies.
@@ -136,44 +137,35 @@ class TheoremOutcome:
 
 
 def recognize_gstar(g: Graph) -> tuple[int, int] | None:
-    """Decide whether ``g`` *is* (not merely is isomorphic in spirit to) the
-    extremal graph ``K_delta v (K_{n-2*delta+1} u (delta-1)K_1)`` for some
-    ``delta >= 2`` with ``n > 2*delta``, up to relabeling.
+    """Decide whether ``g`` *is* the extremal graph
+    ``K_delta v (K_{n-2*delta+1} u (delta-1)K_1)`` for some ``delta >= 2``
+    with ``n > 2*delta``, up to relabeling.  Returns ``(n, delta)`` or
+    ``None``.
 
-    Works from the degree multiset: the join vertices have degree ``n-1``,
-    the big-clique vertices ``n-delta``, the singletons ``delta``; those
-    three values are pairwise distinct exactly when ``delta >= 2`` and
-    ``n != 2*delta``, so membership reduces to checking the multiset and
-    then the two adjacency constraints the degrees do not already force.
-    Returns ``(n, delta)`` or ``None``.
+    The degree multiset alone decides it: ``delta`` universal vertices of
+    degree ``n-1``, ``n-2*delta+1`` of degree ``n-delta`` and ``delta-1`` of
+    degree ``delta``, with ``delta`` the number of degree-``(n-1)``
+    vertices.  Any graph with that multiset is ``G*(n, delta)``: each
+    degree-``delta`` vertex touches the ``delta`` universal vertices, so it
+    touches nothing else; each degree-``(n-delta)`` vertex then has
+    ``n-2*delta`` further neighbours, all inside its own set of
+    ``n-2*delta+1`` vertices, so that set is a clique.
     """
     n = g.n
     degs = g.degrees()
-    delta = sum(1 for d in degs if d == n - 1)
+    delta = degs.count(n - 1)
     if delta < 2 or n <= 2 * delta:
         return None
     big = n - 2 * delta + 1
     if sorted(degs) != sorted([n - 1] * delta + [n - delta] * big + [delta] * (delta - 1)):
         return None
-    rest_mask = 0
-    low = []
-    for v, d in enumerate(degs):
-        if d == n - delta:
-            rest_mask |= 1 << v
-        elif d == delta:
-            low.append(v)
-    universal_mask = sum(1 << v for v, d in enumerate(degs) if d == n - 1)
-    for v in low:
-        if g.rows[v] != universal_mask:
-            return None
-    for v in range(n):
-        if rest_mask >> v & 1 and g.rows[v] & rest_mask != rest_mask ^ (1 << v):
-            return None
     return (n, delta)
 
 
-def _hypotheses(g: Graph, fixed: dict[str, Any]) -> TheoremOutcome | None:
-    """Even order >= 8, connected, and ``delta = min(delta(G), floor((n+7)/7))
+def _applicable(g: Graph) -> TheoremOutcome | int:
+    """The theorem's hypotheses: the ``not_applicable`` outcome, or delta.
+
+    Even order >= 8, connected, and ``delta = min(delta(G), floor((n+7)/7))
     >= 2``: a minimum degree above what the order supports is capped, which
     is sound because the hypothesis only bounds it from below.  Below order
     8 that cap is 1, so no graph is applicable whatever its degrees."""
@@ -182,72 +174,43 @@ def _hypotheses(g: Graph, fixed: dict[str, Any]) -> TheoremOutcome | None:
         return TheoremOutcome("not_applicable", note="order must be even and at least 8")
     if not is_connected(g):
         return TheoremOutcome("not_applicable", note="graph is disconnected")
-    fixed["delta"] = min(min_degree(g), max_theorem_delta(n))
-    if fixed["delta"] < 2:
+    delta = min(min_degree(g), max_theorem_delta(n))
+    if delta < 2:
         return TheoremOutcome("not_applicable", note="minimum degree below 2")
+    return delta
 
 
-def _decided(classification: str, fixed: dict[str, Any], witness=None) -> TheoremOutcome:
-    return TheoremOutcome(classification, fixed["q"], fixed["threshold"], fixed["delta"], witness)
-
-
-def _threshold(g: Graph, fixed: dict[str, Any]) -> TheoremOutcome | None:
-    fixed["threshold"] = threshold_q(g.n, fixed["delta"])
-    if fixed["q"] < fixed["threshold"] - EPS:
-        return _decided("below_threshold", fixed)
-
-
-def _extremal(g: Graph, fixed: dict[str, Any]) -> TheoremOutcome | None:
-    if recognize_gstar(g) == (g.n, fixed["delta"]):
-        return _decided("extremal_match", fixed)
-
-
-def _even_factor(g: Graph, fixed: dict[str, Any]) -> TheoremOutcome:
+def _decide(g: Graph, delta: int, q: float) -> TheoremOutcome:
+    """The verdict on an applicable graph with Perron value q: below the
+    threshold, the extremal graph itself, or else the exact even-factor
+    test's confirmed factor or counterexample."""
+    threshold = threshold_q(g.n, delta)
+    if q < threshold - EPS:
+        return TheoremOutcome("below_threshold", q, threshold, delta)
+    if recognize_gstar(g) == (g.n, delta):
+        return TheoremOutcome("extremal_match", q, threshold, delta)
     factor = even_factor(g)
     if factor is None:
-        return _decided("counterexample", fixed, {"kind": "no_even_factor"})
-    return _decided("confirmed_factor", fixed,
-                    {"kind": "even_factor", "edges": [list(e) for e in factor]})
-
-
-# The theorem's ladder as (rung, needs q) pairs.  A rung maps a graph and the
-# values earlier rungs fixed (delta, q and threshold) to an outcome, or to
-# None to pass the graph on.  The rungs that need no Perron value run first,
-# before a chunk's eigh stack is built; the last rung decides every graph
-# that reaches it.
-RUNGS = (
-    (_hypotheses, False),
-    (_threshold, True),
-    (_extremal, True),
-    (_even_factor, True),
-)
-
-
-def _climb(g: Graph, fixed: dict[str, Any], with_q: bool) -> Any:
-    """The first outcome of the rungs whose need for q is *with_q*, None if
-    none decides, or the error that stopped the graph."""
-    try:
-        for rung, needs_q in RUNGS:
-            if needs_q == with_q and (outcome := rung(g, fixed)) is not None:
-                return outcome
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        return exc
+        return TheoremOutcome("counterexample", q, threshold, delta, {"kind": "no_even_factor"})
+    return TheoremOutcome("confirmed_factor", q, threshold, delta,
+                          {"kind": "even_factor", "edges": [list(e) for e in factor]})
 
 
 def _classify(graphs: Sequence[Graph]) -> list[Any]:
-    """Each graph's outcome on RUNGS, or the error that stopped it (the
-    residual gate or LinAlgError, a rejected certificate, the threshold
-    cross-check).  The graphs the rungs without q leave open get it from one
-    perron_many call, one eigh per order."""
-    fixed: list[dict[str, Any]] = [{} for _ in graphs]
-    results = [_climb(g, f, False) for g, f in zip(graphs, fixed)]
-    pending = [i for i, result in enumerate(results) if result is None]
+    """Each graph's outcome, or the error that stopped it (the residual
+    gate or LinAlgError, a rejected certificate, the threshold
+    cross-check).  The hypotheses need no Perron value, so the applicable
+    graphs get theirs from one perron_many call, one eigh per order."""
+    results: list[Any] = [_applicable(g) for g in graphs]
+    pending = [i for i, result in enumerate(results) if isinstance(result, int)]
     for i, q in zip(pending, perron_many([graphs[i] for i in pending], 1)):
         if isinstance(q, Exception):
             results[i] = q
-        else:
-            fixed[i]["q"] = q
-            results[i] = _climb(graphs[i], fixed[i], True)
+            continue
+        try:
+            results[i] = _decide(graphs[i], results[i], q)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            results[i] = exc
     return results
 
 
@@ -353,13 +316,6 @@ def odd_compositions(total: int, parts: int, minimum: int = 1):
             v += 2
 
     yield from rec(total, parts, lo)
-
-
-def _adjacency(b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The adjacency quotient from Q's quotient b over the same cells: Q's
-    minus each cell's degree, half its row sum, on the diagonal."""
-    return [[v - (r == c) * (sum(row) // 2) for c, v in enumerate(row)]
-            for r, row in enumerate(b)]
 
 
 def _redistribution_lemma() -> dict[str, Any]:
@@ -501,13 +457,12 @@ def _quotient_radius_lemma() -> dict[str, Any]:
     its case."""
     rows = []
     for n, delta in _gstar_grid():
-        g = build_gstar(n, delta)
-        b = quotient(g, gstar_cells(n, delta))
-        row = {"n": n, "delta": delta, "equitable": b is not None,
+        g, cells = build_gstar(n, delta), gstar_cells(n, delta)
+        equitable = quotient(g, cells) is not None
+        row = {"n": n, "delta": delta, "equitable": equitable,
                "root_vs_perron": None, "divides": False}
-        if b is not None:
-            poly = char_poly(b)
-            root = largest_real_root(poly, 0.0, 2.0 * n)
+        if equitable:
+            poly, root = quotient_root(g, cells)
             full = char_poly(quotient(g, [[v] for v in range(n)]))
             cofactor = full // poly
             row["divides"] = poly * cofactor == full
@@ -577,12 +532,11 @@ def _cell_ordering_lemma() -> dict[str, Any]:
     rows = []
     violations = 0
     for g, cells, s, sizes in instances:
-        b = quotient(g, cells)
+        equitable = quotient(g, cells) is not None
         for alpha in (0, 1):
             values = None
-            if b is not None:
-                r = largest_real_root(char_poly(_adjacency(b) if alpha == 0 else b),
-                                      0.0, 2.0 * g.n)
+            if equitable:
+                r = quotient_root(g, cells, alpha)[1]
                 k, j = (2, s - 2) if alpha else (1, -1)  # x_i = s x_0 / (r - k n_i - j)
                 if r > k * max(sizes) + j:
                     x = [s / (r - k * size - j) for size in sizes]
@@ -744,7 +698,7 @@ def identity_suite() -> dict[str, Any]:
         root = largest_real_root(phi_b2(n, s), 0.0, 2.0 * n)
         g2, cells = build_g2(n, s), gstar_cells(n, s)
         q_diff = abs(root - quotient_root(g2, cells)[1])
-        rho = largest_real_root(char_poly(_adjacency(quotient(g2, cells))), 0.0, 2.0 * n)
+        rho = quotient_root(g2, cells, 0)[1]
         rho_diff = abs(root - rho)
         case_ok = q_diff == 0 and rho_diff > 0
         ok = ok and case_ok

@@ -138,15 +138,17 @@ def _check_partition(n: int, cells: Cells) -> list[list[int]]:
     return norm
 
 
-def quotient(g: Graph, cells: Cells) -> list[list[int]] | None:
-    """The quotient of Q = D + A over an equitable partition, or None.
+def quotient(g: Graph, cells: Cells, alpha: int = 1) -> list[list[int]] | None:
+    """The quotient of alpha*D + A over an equitable partition, or None:
+    of Q for alpha = 1, of A for 0, as in perron.
 
-    Entry (r, c) is Q's row sum over cell c for a vertex i of cell r: the
-    neighbours of i in c, plus deg(i) when c is r. The partition is
-    equitable when these counts agree for every vertex of each cell, and
-    then its quotient's characteristic polynomial divides Q's (Godsil &
-    Royle, Algebraic Graph Theory, section 9.3). Counted in integers from
-    the bitrows; the discrete partition gives Q itself.
+    Entry (r, c) is the matrix's row sum over cell c for a vertex i of cell
+    r: the neighbours of i in c, plus alpha*deg(i) when c is r. The
+    partition is equitable when these counts agree for every vertex of each
+    cell, and then its quotient's characteristic polynomial divides the
+    matrix's (Godsil & Royle, Algebraic Graph Theory, section 9.3). Counted
+    in integers from the bitrows; the discrete partition gives the matrix
+    itself.
     """
     norm = _check_partition(g.n, cells)
     masks = [sum(1 << v for v in cell) for cell in norm]
@@ -156,7 +158,7 @@ def quotient(g: Graph, cells: Cells) -> list[list[int]] | None:
         if len(sums) > 1:
             return None
         row = list(sums.pop())
-        row[r] += g.rows[cell[0]].bit_count()
+        row[r] += alpha * g.rows[cell[0]].bit_count()
         out.append(row)
     return out
 
@@ -340,11 +342,12 @@ def largest_real_root(p: IntPolynomial, lo: float, hi: float) -> float:
     return b / (1 << e)
 
 
-def quotient_root(g: Graph, cells: Cells) -> tuple[IntPolynomial, float]:
-    """The characteristic polynomial of Q(g)'s quotient over the cells, which
-    must be equitable, and its largest root: q(g) of a connected g, correctly
-    rounded.  Every eigenvalue of Q lies below 2n."""
-    b = quotient(g, cells)
+def quotient_root(g: Graph, cells: Cells, alpha: int = 1) -> tuple[IntPolynomial, float]:
+    """The characteristic polynomial of the quotient of alpha*D + A over the
+    cells, which must be equitable, and its largest root: q(g) for alpha = 1
+    and rho(g) for 0 of a connected g, correctly rounded.  Every eigenvalue
+    of Q, and so of A, lies below 2n."""
+    b = quotient(g, cells, alpha)
     if b is None:
         raise ValueError("the cells are not an equitable partition")
     poly = char_poly(b)

@@ -21,6 +21,7 @@ from qfactor.graphs import (
     Graph,
     complete,
     is_connected,
+    isomorphism_classes,
     min_degree,
     parse_graph6,
     random_graph,
@@ -153,12 +154,21 @@ class TestRecognizer:
         g = build_gstar(8, 2)
         for perm in itertools.islice(itertools.permutations(range(8)), 0, 720, 97):
             assert recognize_gstar(permuted(g, list(perm))) == (8, 2)
+        # Labels reversed, so no vertex keeps its canonical role, at every
+        # even order the graph6 short form holds.
+        for n in range(6, 63, 2):
+            for delta in range(2, n // 2):
+                g = permuted(build_gstar(n, delta), list(range(n))[::-1])
+                assert recognize_gstar(g) == (n, delta), (n, delta)
 
     def test_matches_brute_force_on_small_orders(self):
         # Oracle cross-check on every graph the backtracker can afford:
+        # one representative of each of the 156 isomorphism classes of
+        # order 6, which covers every degree multiset on six vertices;
         # permuted extremal graphs, their one-edge perturbations, and a
         # seeded random population of orders 4..8.
-        cases = []
+        cases = list(isomorphism_classes(6)[1])
+        assert len(cases) == 156
         for n, delta in [(6, 2), (8, 2), (8, 3)]:
             try:
                 base = build_gstar(n, delta)
@@ -324,66 +334,33 @@ class TestVerifyStream:
             assert "non-factor" in report["items"][0]["error"]
 
 
-def _with_rung(rung, needs_q, at):
-    rungs = list(harness.RUNGS)
-    rungs.insert(at, (rung, needs_q))
-    return tuple(rungs)
-
-
-def _first_rung_with_q():
-    return next(i for i, (_, needs_q) in enumerate(harness.RUNGS) if needs_q)
-
-
-class TestRungTable:
-    """The table is the only ladder: one entry added to it reaches the
-    one-graph path and the chunked stream alike."""
+class TestHypothesesBeforeEigh:
+    """The hypotheses need no Perron value: a graph they rule out never
+    reaches perron_many, on the one-graph path or in the chunked stream."""
 
     K8, K10 = "G~~~~{", "I~~~~~~~w"
 
-    def test_added_rung_decides_on_both_paths(self, monkeypatch):
-        def set_order_8_aside(g, fixed):
-            if g.n == 8:
-                return TheoremOutcome("not_applicable", fixed["q"], delta=fixed["delta"],
-                                      note="order 8 set aside")
-            return None
-
-        monkeypatch.setattr(harness, "RUNGS",
-                            _with_rung(set_order_8_aside, True, _first_rung_with_q()))
-        out = check_theorem_instance(complete(8))
-        assert (out.classification, out.note) == ("not_applicable", "order 8 set aside")
-        assert out.q == pytest.approx(14.0, abs=1e-9) and out.delta == 2
-        assert check_theorem_instance(complete(10)).classification == "confirmed_factor"
-
-        report = verify_stream([self.K8, self.K10], jobs=1)
-        first, second = report["items"]
-        assert first["classification"] == "not_applicable"
-        assert first["note"] == "order 8 set aside" and first["line"] == 1
-        assert second["classification"] == "confirmed_factor"
-        assert report["counts"]["not_applicable"] == report["counts"]["confirmed_factor"] == 1
-
-    def test_rung_without_q_keeps_its_graphs_out_of_the_eigh_stack(self, monkeypatch):
+    def test_inapplicable_graphs_stay_out_of_the_eigh_stack(self, monkeypatch):
         received = []
 
         def recording(graphs, alpha):
             received.extend(g.n for g in graphs)
             return perron_many(graphs, alpha)
 
-        def set_order_8_aside(g, fixed):
-            if g.n == 8:
-                return TheoremOutcome("not_applicable", note="order 8 set aside")
-            return None
-
         monkeypatch.setattr("qfactor.harness.perron_many", recording)
-        monkeypatch.setattr(harness, "RUNGS", _with_rung(set_order_8_aside, False, 0))
-        assert check_theorem_instance(complete(8)).note == "order 8 set aside"
+        path = Graph.from_edges(8, [(v, v + 1) for v in range(7)])
+        inapplicable = [parse_graph6("F~~~w"), Graph.empty(8), path]
+        for g in inapplicable:
+            assert check_theorem_instance(g).classification == "not_applicable"
         assert received == []
 
-        lines = [self.K8, self.K10, write_graph6(build_gstar(8, 2)), write_graph6(cycle(10))]
+        lines = [self.K8, *map(write_graph6, inapplicable), self.K10]
         rows = verify_stream(lines, jobs=1)["items"]
-        assert received == [10, 10]
+        assert received == [8, 10]
         assert [row["classification"] for row in rows] == [
-            "not_applicable", "confirmed_factor", "not_applicable", "below_threshold"]
-        assert rows[0]["q"] is None and rows[2]["delta"] is None
+            "confirmed_factor", "not_applicable", "not_applicable", "not_applicable",
+            "confirmed_factor"]
+        assert all(row["q"] is None and row["delta"] is None for row in rows[1:4])
 
 
 def _interleaved_stream(count):

@@ -271,7 +271,8 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
             "added_join_side": [list(e) for e in plan.added_e1],
             "added_interior": [list(e) for e in plan.added_e2],
         }
-        meta["embeds_in_extremal"] = extremal.g4_containment(args.n, args.delta, args.s).embedded
+        gs = extremal.build_gstar(args.n, args.delta)
+        meta["embeds_in_extremal"] = extremal.g4_containment(plan, g, gs).embedded
 
     text_lines = [meta["graph6"]] + [
         f"{key} = {_fmt(value) if isinstance(value, float) else value}"

@@ -186,8 +186,10 @@ def surgery_plan(n: int, delta: int, s: int) -> SurgeryPlan:
     )
 
 
-def build_g4(n: int, delta: int, s: int) -> Graph:
-    plan = surgery_plan(n, delta, s)
+def build_g4(n: int, delta: int, s: int, plan: SurgeryPlan | None = None) -> Graph:
+    """G3 rewired by surgery_plan(n, delta, s), or by the plan given."""
+    if plan is None:
+        plan = surgery_plan(n, delta, s)
     return build_g3(n, delta, s).remove_edges(plan.removed).add_edges(plan.added)
 
 
@@ -199,8 +201,9 @@ class ContainmentReport:
     mapping: tuple[int, ...] | None
 
 
-def g4_containment(n: int, delta: int, s: int) -> ContainmentReport:
-    """Check (never assume) that g4 is a subgraph of gstar(n, delta).
+def g4_containment(plan: SurgeryPlan, g4: Graph, gs: Graph) -> ContainmentReport:
+    """Check (never assume) that g4, built by the plan, is a subgraph of
+    gs = gstar(plan.n, plan.delta).
 
     The map sends g4's universal vertices (S plus the first delta-s w's)
     onto the join cell, its degree-delta independent set (first V_1 clique
@@ -209,10 +212,7 @@ def g4_containment(n: int, delta: int, s: int) -> ContainmentReport:
     map never works: g4's vertex w_1 is universal, and its index is at
     least delta, outside gstar's join cell 0..delta-1.
     """
-    plan = surgery_plan(n, delta, s)
-    g4 = build_g4(n, delta, s)
-    gs = build_gstar(n, delta)
-
+    n, delta, s = plan.n, plan.delta, plan.s
     t = delta + 1 - s
     universal = list(range(plan.s))
     universal += [_w_index(s, delta, r) for r in range(1, delta - s + 1)]

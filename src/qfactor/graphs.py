@@ -359,10 +359,10 @@ def isomorphism_classes(n: int) -> tuple[array, list[Graph]]:
     mask in class c, so classes are numbered in ascending order of their
     lowest mask.
 
-    Orbits are flood-filled under the n - 1 adjacent transpositions
-    (i, i+1), which generate the symmetric group. Each transposition
-    permutes the pair bits and is applied to a mask with two precomputed
-    table lookups, one per half of the mask, so no Graph is built per mask.
+    Orbits are flood-filled under two generators of the symmetric group:
+    the transposition (0 1) and the n-cycle v -> v + 1 mod n. Each permutes
+    the pair bits and is applied to a mask with two precomputed table
+    lookups, one per half of the mask, so no Graph is built per mask.
     Raises ValueError, before anything is allocated, for n > MAX_ENUM_ORDER.
     """
     _check_enum_order(n)
@@ -370,14 +370,13 @@ def isomorphism_classes(n: int) -> tuple[array, list[Graph]]:
     index = {pair: k for k, pair in enumerate(pairs)}
     half = (len(pairs) + 1) // 2
     low = (1 << half) - 1
-    swaps = []
-    for i in range(n - 1):
-        image = {i: i + 1, i + 1: i}
+    generators = []
+    for image in ([1, 0, *range(2, n)], [*range(1, n), 0]):  # (0 1), v -> v + 1
         targets = []
         for a, b in pairs:
-            a, b = image.get(a, a), image.get(b, b)
+            a, b = image[a], image[b]
             targets.append(index[(a, b) if a < b else (b, a)])
-        swaps.append((_bit_table(targets[:half]), _bit_table(targets[half:])))
+        generators.append((_bit_table(targets[:half]), _bit_table(targets[half:])))
 
     labels = array("i", [-1]) * (1 << len(pairs))
     representatives = []
@@ -391,7 +390,7 @@ def isomorphism_classes(n: int) -> tuple[array, list[Graph]]:
         while stack:
             x = stack.pop()
             x_low, x_high = x & low, x >> half
-            for lo, hi in swaps:
+            for lo, hi in generators:
                 y = lo[x_low] | hi[x_high]
                 if labels[y] < 0:
                     labels[y] = label

@@ -648,14 +648,14 @@ def identity_suite() -> dict[str, Any]:
     ok = True
     g3_roots = {}
     for delta in (3, 4, 5):
+        n = 7 * delta - 7 + (7 * delta - 7) % 2
+        gs, qstar = build_gstar(n, delta), threshold_q(n, delta)
         for s in range(2, delta):
-            n = 7 * delta - 7 + (7 * delta - 7) % 2
             plan = surgery_plan(n, delta, s)
-            g4 = build_g4(n, delta, s)
+            g4 = build_g4(n, delta, s, plan)
             poly3, q3 = g3_roots[delta, s] = quotient_root(build_g3(n, delta, s),
                                                           g3_cells(n, delta, s))
             poly4, q4 = quotient_root(g4, equitable_partition(g4))
-            qstar = threshold_q(n, delta)
             # The paper's Rayleigh step on G3's Perron vector: x_0 = 1 on S and
             # x_i = s / (q3 - 2 n_i - s + 2) on a clique of n_i vertices, scaled
             # to unit length; x2 is its value on V_1 and x3 on V_2.
@@ -668,7 +668,7 @@ def identity_suite() -> dict[str, Any]:
                 closed > 0
                 and q3 < q4
                 and (q4 < qstar or poly4 == phi_bstar(n, delta))
-                and g4_containment(n, delta, s).embedded
+                and g4_containment(plan, g4, gs).embedded
             )
             ok = ok and case_ok
             rows.append({"n": n, "delta": delta, "s": s, "closed_form_gain": closed,

@@ -11,8 +11,10 @@ Two arithmetic regimes coexist on purpose and are kept separate:
   the exact regime never loads it;
 * exact integer arithmetic: quotient matrices counted from the bitrows (over
   given cells or the coarsest equitable partition), characteristic
-  polynomials (Faddeev-LeVerrier over Python ints) and the largest root of
-  such a polynomial, bisected over dyadic points by the integer signs of the
+  polynomials (Hessenberg reduction modulo a prime above twice the
+  coefficient bound, O(n**3)) and the largest root of such a polynomial,
+  bracketed around a float Newton estimate where integer signs prove the
+  ends, then bisected over dyadic points by the integer signs of the
   polynomial and its derivatives until it is correctly rounded to a double.
   quotient_root chains the three. The same signs (above_roots) prove that a
   polynomial has no root at or above a given double.
@@ -26,6 +28,7 @@ two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
@@ -244,34 +247,61 @@ class IntPolynomial:
         return self.coeffs == (0,)
 
 
-def char_poly(a: Sequence[Sequence[int]]) -> IntPolynomial:
-    """det(xI - A) over exact integers via Faddeev-LeVerrier, for the
-    integer rows of a square matrix (as quotient returns them).
+_PRIMES = ((1 << 61) - 1, (1 << 127) - 1, (1 << 521) - 1)  # Mersenne
 
-    Python ints never overflow, so coefficients are exact at every order
-    this toolkit touches. Each inner product is one sum(map(mul, row,
-    column)) over a row of A and a column of M_k.
+
+def char_poly(a: Sequence[Sequence[int]]) -> IntPolynomial:
+    """det(xI - A) for the integer rows of a square matrix (as quotient
+    returns them), exactly, in O(n**3) operations modulo a prime p.
+
+    Every eigenvalue lies within the largest absolute row sum r, so each
+    coefficient is at most (1 + r)**n in absolute value, and modulo the
+    first of _PRIMES above twice that the symmetric residues are the
+    coefficients (Q of any graph up to n = 62 fits the last; beyond every
+    prime, ArithmeticError). A is reduced to upper Hessenberg form H by
+    similarities, and p_(m+1) = (x - h_mm) p_m - sum over i < m of
+    h_im h_(i+1,i) ... h_(m,m-1) p_i gives the characteristic polynomial of
+    each leading block (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.2.4).
     """
     if not all(type(v) is int for row in a for v in row):
         raise ValueError("matrix entries must be ints")
     n = len(a)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    columns = [(0,) * n] * n  # of M_0 = 0
-    c_prev = 1                 # c_n
-    for k in range(1, n + 1):
-        # M_k = A @ M_{k-1} + c_{n-k+1} I
-        mk = [[sum(map(mul, row, col)) for col in columns] for row in a]
-        for i in range(n):
-            mk[i][i] += c_prev
-        columns = list(zip(*mk))
-        trace = sum(sum(map(mul, row, col)) for row, col in zip(a, columns))
-        q, r = divmod(-trace, k)
-        if r:
-            raise ArithmeticError("Faddeev-LeVerrier division not exact")
-        coeffs[n - k] = q
-        c_prev = q
-    return IntPolynomial(tuple(coeffs))
+    bound = (1 + max((sum(map(abs, row)) for row in a), default=0)) ** n
+    p = next((p for p in _PRIMES if p > 2 * bound), None)
+    if p is None:
+        raise ArithmeticError(f"coefficient bound of {bound.bit_length()} bits exceeds every prime")
+    h = [[v % p for v in row] for row in a]
+    for j in range(n - 2):
+        k = j + 1
+        i = next((i for i in range(k, n) if h[i][j]), None)
+        if i is None:
+            continue
+        if i != k:
+            h[i], h[k] = h[k], h[i]
+            for row in h:
+                row[i], row[k] = row[k], row[i]
+        # row r -= u_r row k, then column k += u_r column r: a similarity
+        inv = pow(h[k][j], -1, p)
+        us = [h[r][j] * inv % p for r in range(k + 1, n)]
+        for r, u in enumerate(us, k + 1):
+            if u:
+                h[r] = [(x - u * y) % p for x, y in zip(h[r], h[k])]
+        for row in h:
+            row[k] = (row[k] + sum(map(mul, us, row[k + 1:]))) % p
+    polys = [[1]]  # p_0, p_1, ..., coefficients ascending by degree
+    for m in range(n):
+        cur = [0] + polys[m]
+        t = 1  # h_(i+1,i) ... h_(m,m-1)
+        for i in range(m, -1, -1):
+            c = t * h[i][m] % p
+            if c:
+                cur[:i + 1] = [x - c * v for x, v in zip(cur, polys[i])]
+            if i:
+                t = t * h[i][i - 1] % p
+        polys.append([v % p for v in cur])
+    half = p // 2
+    return IntPolynomial(tuple(v - p if v > half else v for v in polys[n]))
 
 
 def _sign_at(coeffs: tuple[int, ...], m: int, e: int) -> int:
@@ -308,12 +338,15 @@ def largest_real_root(p: IntPolynomial, lo: float, hi: float) -> float:
     If p and all its derivatives are positive at x, Taylor's formula at x
     leaves p no root at or above x. For such a p the roots of every
     derivative lie below its largest root (Rolle), so this test holds
-    exactly at the points above that root. Bisection over dyadic points
-    m / 2**e, every sign an integer Horner evaluation, keeps b where the
-    test holds and moves a to every midpoint where it fails; a midpoint
-    where p is 0 and every derivative positive is the root and is returned
-    as it is. It stops when a and b round to the same double, and p(a) < 0
-    then proves a root in (a, b), which rounds to that double too.
+    exactly at the points above that root. A float Newton estimate x from
+    hi narrows the bracket first: x + 2**-40 |x| becomes b where the test
+    holds there, x - 2**-40 |x| becomes a where p < 0 there, and an end not
+    so proved (as with a NaN estimate) keeps its value. Bisection over
+    dyadic points m / 2**e, every sign an integer Horner evaluation, keeps
+    b where the test holds and moves a to every midpoint where it fails; a
+    midpoint where p is 0 and every derivative positive is the root and is
+    returned as it is. It stops when a and b round to the same double, and
+    p(a) < 0 then proves a root in (a, b), which rounds to that double too.
     Raises ValueError when the test fails at hi, or p(a) < 0 fails at the
     end (a repeated largest root, a derivative root above it, or two roots
     within one double), so a value returned is always proved.
@@ -328,6 +361,28 @@ def largest_real_root(p: IntPolynomial, lo: float, hi: float) -> float:
     derivatives = _derivatives(p.coeffs)
     if not all(_sign_at(c, b, e) > 0 for c in derivatives):
         raise ValueError("p and its derivatives must be positive at hi")
+    try:  # float Newton from hi; an estimate of the largest root
+        floats, x = [float(v) for v in reversed(p.coeffs)], float(hi)
+        for _ in range(100):
+            f = df = 0.0
+            for v in floats:
+                f, df = f * x + v, df * x + f
+            step = f / df
+            x -= step
+            if not abs(step) > 2.0 ** -50 * abs(x):  # NaN stops too
+                break
+    except (OverflowError, ZeroDivisionError):
+        x = math.nan
+    if math.isfinite(x):  # x and 2**-40 |x| as multiples of a common 2**-e
+        m, d = x.as_integer_ratio()
+        shift = max(e, d.bit_length() + 39) - e
+        a, b, e = a << shift, b << shift, e + shift
+        m <<= e - d.bit_length() + 1
+        upper, lower = m + (abs(m) >> 40), m - (abs(m) >> 40)
+        if a < upper < b and all(_sign_at(c, upper, e) > 0 for c in derivatives):
+            b = upper
+        if a < lower < b and _sign_at(p.coeffs, lower, e) < 0:
+            a = lower
     while a / (1 << e) != b / (1 << e):
         mid, a, b, e = a + b, 2 * a, 2 * b, e + 1
         sign = _sign_at(p.coeffs, mid, e)

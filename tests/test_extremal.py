@@ -121,11 +121,11 @@ def test_g4_degrees_and_edge_budget():
 
 def test_g4_embeds_in_gstar():
     for n, delta, s in [(14, 3, 2), (22, 4, 2), (22, 4, 3), (28, 5, 4)]:
-        report = g4_containment(n, delta, s)
+        plan = surgery_plan(n, delta, s)
+        g4, gstar = build_g4(n, delta, s, plan), build_gstar(n, delta)
+        report = g4_containment(plan, g4, gstar)
         assert report.embedded
         mapping = report.mapping
-        g4 = build_g4(n, delta, s)
-        gstar = build_gstar(n, delta)
         assert sorted(mapping) == list(range(n))
         for u, v in g4.edges():
             assert gstar.has_edge(mapping[u], mapping[v]), (n, delta, s, u, v)

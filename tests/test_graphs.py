@@ -1,6 +1,9 @@
 """Bitset graphs, graph6 codec, deterministic RNG, enumeration."""
 
+import hashlib
 import itertools
+import sys
+from array import array
 
 import networkx as nx
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from codec_oracles import parse_graph6_by_strings
 from exhaustive_search import GuardExceeded, enumerate_labeled
+from kernel_oracles import transposition_classes
 from qfactor.graphs import (
     Graph,
     Graph6Error,
@@ -384,6 +388,26 @@ def test_isomorphism_labels_are_orbits(n):
     for perm in perms:
         for mask, label in enumerate(labels):
             assert labels[relabeled_mask(n, mask, perm)] == label
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_isomorphism_classes_match_the_transposition_flood(n):
+    # Two generators flood the same orbits as the n - 1 adjacent
+    # transpositions: the same labels and the same representative rows.
+    assert isomorphism_classes(n) == transposition_classes(n)
+
+
+def test_isomorphism_classes_order_7_labels_pinned():
+    # The sha256 of the order-7 label array (int32, little-endian) as the
+    # transposition flood wrote it; 1044 classes (OEIS A000088).
+    labels, representatives = isomorphism_classes(7)
+    data = array("i", labels)
+    assert data.itemsize == 4
+    if sys.byteorder == "big":
+        data.byteswap()
+    digest = hashlib.sha256(data.tobytes()).hexdigest()
+    assert digest == "09e2f2e457beb93168a02b852921a9d713c09d73ea582a602da3e3031b9bd7de"
+    assert len(representatives) == 1044
 
 
 def test_isomorphism_classes_guard_and_order():

@@ -721,12 +721,37 @@ class TestSuites:
 
         with monkeypatch.context() as patch:
             patch.setattr("qfactor.harness.g4_containment",
-                          lambda n, delta, s: ContainmentReport(False, None))
+                          lambda plan, g4, gs: ContainmentReport(False, None))
             assert surgery_fails_everywhere()
         with monkeypatch.context() as patch:
-            patch.setattr("qfactor.harness.build_g4", harness.build_g3)
+            patch.setattr("qfactor.harness.build_g4",
+                          lambda n, delta, s, plan: build_g3(n, delta, s))
             assert surgery_fails_everywhere()
         assert identity_suite()["surgery_chain"]["passed"] is True
+
+    def test_surgery_chain_builds_each_plan_once(self, monkeypatch):
+        # One surgery plan, one G4 and one containment check per (delta, s),
+        # and one G* per delta: build_g4 reuses the plan it is given.
+        counts = {"plan": 0, "g4": 0, "gstar": 0}
+
+        def counting(name, build):
+            def wrapper(*args):
+                counts[name] += 1
+                return build(*args)
+            return wrapper
+
+        plan_wrapper = counting("plan", harness.surgery_plan)
+        monkeypatch.setattr("qfactor.harness.surgery_plan", plan_wrapper)
+        monkeypatch.setattr("qfactor.extremal.surgery_plan", plan_wrapper)
+        monkeypatch.setattr("qfactor.harness.build_g4", counting("g4", harness.build_g4))
+        monkeypatch.setattr("qfactor.harness.build_gstar", counting("gstar", harness.build_gstar))
+        harness.threshold_q.cache_clear()
+        try:
+            surgery = identity_suite()["surgery_chain"]
+        finally:
+            harness.threshold_q.cache_clear()
+        assert surgery["passed"] is True and len(surgery["cases"]) == 6
+        assert counts == {"plan": 6, "g4": 6, "gstar": 3}
 
     def test_surgery_radii_match_eigvalsh(self, identity_report):
         # q(G3) and q(G4) come from the quotients over G3's cells and G4's

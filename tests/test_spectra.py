@@ -7,9 +7,12 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kernel_oracles import faddeev_leverrier, fraction_root
+from qfactor import spectra
+from qfactor.extremal import phi_bstar, threshold_q
 from qfactor.graphs import (
     Graph,
     complete,
@@ -19,7 +22,7 @@ from qfactor.graphs import (
     random_graph,
     write_graph6,
 )
-from qfactor.harness import check_theorem_instance
+from qfactor.harness import check_theorem_instance, identity_suite, lemma_suite
 from qfactor.spectra import (
     IntPolynomial,
     _alpha_stack,
@@ -378,6 +381,124 @@ def test_char_poly_rejects_non_integers():
         char_poly(np.array([[1, 0], [0, 1]]))  # numpy ints, not Python ints
 
 
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices with n = 0..12: non-symmetric, mostly sparse,
+    negative entries, entries up to 10**6 (so every prime is reached), and
+    often zero columns, which leave the reduction no pivot."""
+    n = draw(st.integers(0, 12))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**6, 10**6))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    for c in draw(st.lists(st.integers(0, n - 1), max_size=3)) if n else ():
+        for row in rows:
+            row[c] = 0
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+@example([[0, 0, 1], [0, 0, 0], [1, 0, 0]])  # column 0 needs a row swap
+@example([[1, 0, 2, 0], [3, 0, 1, 0], [0, 0, 4, 0], [5, 0, 0, 0]])  # zero columns
+@example([[2, 0, 0], [0, 3, 0], [0, 0, -4]])  # already triangular
+@example([[7]])
+@example([])
+def test_char_poly_matches_faddeev_leverrier(a):
+    assert char_poly(a) == faddeev_leverrier(a)
+
+
+def test_char_poly_matches_faddeev_leverrier_on_graphs():
+    # The full Q of seeded random graphs up to n = 30, and of one graph at
+    # n = 62, whose coefficient bound needs the largest prime.
+    for n in (5, 10, 15, 20, 25, 30):
+        for seed in (1, 2):
+            m = quotient(random_graph(n, 0.5, seed), [[v] for v in range(n)])
+            assert char_poly(m) == faddeev_leverrier(m), (n, seed)
+    m = quotient(random_graph(62, 0.5, 62), [[v] for v in range(62)])
+    assert (1 + max(map(sum, m))) ** 62 * 2 > (1 << 127) - 1
+    assert char_poly(m) == faddeev_leverrier(m)
+
+
+def test_char_poly_beyond_every_prime_raises():
+    with pytest.raises(ArithmeticError):
+        char_poly([[2**600]])
+
+
+def _record_sign_points(monkeypatch) -> list[Fraction]:
+    """The points largest_real_root evaluates signs at, in order, each run of
+    evaluations at one point recorded once."""
+    points = []
+    real = spectra._sign_at
+
+    def recording(coeffs, m, e):
+        x = Fraction(m, 1 << e)
+        if not points or points[-1] != x:
+            points.append(x)
+        return real(coeffs, m, e)
+
+    monkeypatch.setattr("qfactor.spectra._sign_at", recording)
+    return points
+
+
+def test_largest_real_root_float_overflow_keeps_the_bracket(monkeypatch):
+    # Float Horner overflows on (x - 2)(x + 1)^32 at 1e10 (the Newton
+    # estimate is NaN), and float() itself on the coefficients of
+    # (x - 3)(x + 10^400): no end is proved, so the first point after hi is
+    # the midpoint of (lo, hi), and the proved root is still returned.
+    wide = IntPolynomial((-2, 1))
+    for _ in range(32):
+        wide = wide * IntPolynomial((1, 1))
+    huge = IntPolynomial((-3, 1)) * IntPolynomial((10**400, 1))
+    points = _record_sign_points(monkeypatch)
+    for p, hi, root in [(wide, 1e10, 2.0), (huge, 10.0, 3.0)]:
+        points.clear()
+        assert largest_real_root(p, 0.0, hi) == root
+        assert points[:2] == [Fraction(hi), Fraction(hi) / 2]
+
+
+def test_largest_real_root_returns_a_dyadic_root_at_a_midpoint(monkeypatch):
+    # (x + 3)(x + 2)(x - 4): Newton from 16 lands on 4, both ends 4 -+ 2^-38
+    # are proved, and their midpoint is the root, returned as it is.
+    points = _record_sign_points(monkeypatch)
+    p = IntPolynomial((-24, -14, 1, 1))
+    assert largest_real_root(p, 0.0, 16.0) == 4.0
+    ends = [4 + Fraction(4, 2**40), 4 - Fraction(4, 2**40)]
+    assert points == [16, *ends, 4]
+
+
+def _isolating_bracket(p: IntPolynomial) -> tuple[Fraction, Fraction]:
+    """A Fraction interval around p's largest real root, from numpy.roots,
+    well inside the gap to the next root."""
+    roots = np.roots([float(c) for c in reversed(p.coeffs)])
+    real = sorted(r.real for r in roots if abs(r.imag) <= 1e-9 * max(1.0, abs(r)))
+    top = real[-1]
+    gap = top - real[-2] if len(real) > 1 else 1.0
+    width = Fraction(min(gap / 4, 1e-6 * max(1.0, abs(top))))
+    return Fraction(top) - width, Fraction(top) + width
+
+
+def test_largest_real_root_matches_fraction_oracle_on_suite_polynomials(monkeypatch):
+    # Every polynomial the lemma and identity suites root, with the cached
+    # thresholds recomputed, against the Fraction bisection oracle.
+    calls = []
+
+    def recording(p, lo, hi):
+        root = largest_real_root(p, lo, hi)
+        calls.append((p, root))
+        return root
+
+    monkeypatch.setattr("qfactor.spectra.largest_real_root", recording)
+    monkeypatch.setattr("qfactor.harness.largest_real_root", recording)
+    threshold_q.cache_clear()
+    try:
+        lemma_suite(seed=0)
+        identity_suite()
+    finally:
+        threshold_q.cache_clear()
+    assert len(calls) > 100
+    for p, root in calls:
+        assert root == fraction_root(p, *_isolating_bracket(p)), p.coeffs
+
+
 def test_largest_real_root_frozen():
     # det(xI - B) for B the 3x3 quotient of the order-8 extremal graph
     poly = IntPolynomial((-120, 104, -20, 1))
@@ -415,25 +536,12 @@ def test_largest_real_root_double_root():
 
 
 def test_largest_real_root_correctly_rounded_thresholds():
-    # phi_bstar's largest root against a Fraction bisection to 1e-30: the
-    # double returned is the one nearest the exact root.
-    from qfactor.extremal import phi_bstar
-
+    # phi_bstar's largest root, for every n <= 62, against the Fraction
+    # bisection oracle on its sign change in (n, 2n): q(gstar) >= n.
     for n in range(4, 63, 2):
         for delta in range(2, n // 2 + 1):
             p = phi_bstar(n, delta)
-            root = largest_real_root(p, 0.0, float(2 * n))
-            lo, hi = Fraction(n), Fraction(2 * n)  # q(gstar) >= n
-            assert p(lo) < 0 < p(hi)
-            while hi - lo > Fraction(1, 10**30):
-                mid = (lo + hi) / 2
-                lo, hi = (mid, hi) if p(mid) < 0 else (lo, mid)
-            exact = (lo + hi) / 2
-            ulp = math.ulp(root)
-            assert abs(Fraction(root) - exact) <= Fraction(ulp) / 2, (n, delta)
-            below, above = math.nextafter(root, 0), math.nextafter(root, math.inf)
-            assert abs(Fraction(root) - exact) <= abs(Fraction(below) - exact)
-            assert abs(Fraction(root) - exact) <= abs(Fraction(above) - exact)
+            assert largest_real_root(p, 0.0, float(2 * n)) == fraction_root(p, n, 2 * n), (n, delta)
 
 
 def test_largest_real_root_correctly_rounded_on_graphs():

@@ -10,7 +10,9 @@ Subcommands::
     identities  run the exact polynomial-identity suite
     agreement   criterion-vs-even-factor cross-tabulation over a population
 
-Graphs are read one graph6 string per line (``-`` means standard input).
+Graphs are read one graph6 string per line (``-`` means standard input),
+in chunks by graphs.line_chunks and graphs.chunk_rows for all three
+per-line commands: a line that fails is an error row.
 ``--report PATH`` writes the canonical JSON report envelope; without it,
 ``--format json`` prints the same envelope to standard output.  ``text``
 and ``csv`` are human/flat projections of the same rows.
@@ -156,41 +158,32 @@ def _row_lines(rows: list[dict[str, Any]], text_of: Callable[[dict], str]) -> li
 
 
 def _cmd_per_line(args: argparse.Namespace) -> Run:
-    """One row per nonblank input line: the line number, the graph6 and the
-    command's fields for the graph.  A line that fails is an error row, and
+    """One row per nonblank input line, read in chunks as verify reads them;
     any error row makes the exit code 2."""
-    from .graphs import graph6_payload, parse_graph6
-    row_of, text_of = _PER_LINE[args.subcommand]
-    rows: list[dict[str, Any]] = []
-    errors = 0
-    for lineno, raw in enumerate(_read_lines(args.input), start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        try:
-            row = {"line": lineno, "graph6": graph6_payload(text), **row_of(parse_graph6(text))}
-        except (ValueError, ArithmeticError) as exc:
-            # Graph6Error, an order-0 or odd-order graph, the perron residual
-            # gate or a rejected certificate: this line fails, the run goes on.
-            errors += 1
-            row = {"line": lineno, "graph6": text, "error": str(exc)}
-        rows.append(row)
+    from .graphs import chunk_rows, line_chunks
+    fields_of, text_of = _PER_LINE[args.subcommand]
+    rows = [row for chunk in line_chunks(_read_lines(args.input))
+            for row in chunk_rows(fields_of, chunk)]
+    errors = sum("error" in row for row in rows)
     text_lines = _row_lines(rows, text_of)
     text_lines.append(f"{args.subcommand}: {len(rows)} graphs, {errors} errors")
     results = {"items": rows, "errors": errors, "total": len(rows)}
     return Run({"input": args.input}, results, text_lines, 2 if errors else 0)
 
 
-def _spectrum_row(g) -> dict[str, Any]:
+def _spectrum_fields(graphs: list) -> list[Any]:
+    """Each graph's n, m, delta, q and rho, or its first error; q and rho
+    take one stacked eigh call per order each."""
     from .graphs import min_degree
-    from .spectra import perron
-    return {
-        "n": g.n,
-        "m": g.edge_count,
-        "delta": min_degree(g),
-        "q": perron(g, 1),
-        "rho": perron(g, 0),
-    }
+    from .spectra import perron_many
+    out: list[Any] = []
+    for g, q, rho in zip(graphs, perron_many(graphs, 1), perron_many(graphs, 0)):
+        try:
+            fields = {"n": g.n, "m": g.edge_count, "delta": min_degree(g), "q": q, "rho": rho}
+        except ValueError as exc:  # order 0: min_degree's error comes first
+            fields = exc
+        out.append(next((v for v in (fields, q, rho) if isinstance(v, Exception)), fields))
+    return out
 
 
 def _spectrum_text(row: dict[str, Any]) -> str:
@@ -198,15 +191,21 @@ def _spectrum_text(row: dict[str, Any]) -> str:
     return " ".join(f"{key}={_fmt(row[key])}" for key in keys)
 
 
-def _factor_row(g) -> dict[str, Any]:
+def _factor_fields(graphs: list) -> list[Any]:
+    """Each graph's criterion verdict and certificate, or its error."""
     from .factors import factor_verdict
-    verdict = factor_verdict(g)
-    return {
-        "criterion_holds": verdict.criterion_holds,
-        "blocking": list(verdict.blocking) if verdict.blocking else None,
-        "certificate": [list(e) for e in verdict.certificate] if verdict.certificate else None,
-        "agreement": verdict.agreement,
-    }
+    out: list[Any] = []
+    for g in graphs:
+        try:
+            v = factor_verdict(g)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            out.append(exc)
+            continue
+        out.append({"criterion_holds": v.criterion_holds,
+                    "blocking": list(v.blocking) if v.blocking else None,
+                    "certificate": [list(e) for e in v.certificate] if v.certificate else None,
+                    "agreement": v.agreement})
+    return out
 
 
 def _factor_text(row: dict[str, Any]) -> str:
@@ -215,13 +214,13 @@ def _factor_text(row: dict[str, Any]) -> str:
             f"certificate_edges={len(row['certificate'] or ())} agreement={row['agreement']}")
 
 
-# per-line command -> (the fields of one graph's row, the text of that row)
-_PER_LINE = {"spectrum": (_spectrum_row, _spectrum_text), "factor": (_factor_row, _factor_text)}
+# per-line command -> (the fields of each graph of a chunk, the text of a row)
+_PER_LINE = {"spectrum": (_spectrum_fields, _spectrum_text), "factor": (_factor_fields, _factor_text)}
 
 
-# family -> (the flags its extremal.build_<family> requires, in argument
-# order; the extremal function that gives its equitable cells from those
-# flags, or None for the coarsest equitable partition of the built graph)
+# family -> (the flags its extremal.build_<family> requires in argument order,
+# for g4 those of the build_g3 and surgery_plan it rewires; the extremal function
+# that gives its cells from them, or None for the coarsest equitable partition)
 _FAMILIES = {
     "gstar": (("n", "delta"), "gstar_cells"),
     "g1": (("s", "parts"), "g1_cells"),
@@ -240,7 +239,11 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
     if None in values:
         names = [f"--{flag}" for flag in flags]
         raise ValueError(f"{args.family} requires {', '.join(names[:-1])} and {names[-1]}")
-    g = getattr(extremal, f"build_{args.family}")(*values)
+    if args.family == "g4":
+        plan = extremal.surgery_plan(*values)
+        g = extremal.build_g4(extremal.build_g3(*values), plan)
+    else:
+        g = getattr(extremal, f"build_{args.family}")(*values)
     cells = getattr(extremal, cells_of)(*values) if cells_of else equitable_partition(g)
     poly, q = quotient_root(g, cells)
     config = {key: getattr(args, key) for key in ("family", "n", "delta", "s")}
@@ -265,7 +268,6 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
     elif args.family == "g3":
         meta["m"] = len(cells[-1])  # V_2, the last clique
     elif args.family == "g4":
-        plan = extremal.surgery_plan(args.n, args.delta, args.s)
         meta["surgery"] = {
             "removed": [list(e) for e in plan.removed],
             "added_join_side": [list(e) for e in plan.added_e1],

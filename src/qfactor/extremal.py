@@ -186,11 +186,9 @@ def surgery_plan(n: int, delta: int, s: int) -> SurgeryPlan:
     )
 
 
-def build_g4(n: int, delta: int, s: int, plan: SurgeryPlan | None = None) -> Graph:
-    """G3 rewired by surgery_plan(n, delta, s), or by the plan given."""
-    if plan is None:
-        plan = surgery_plan(n, delta, s)
-    return build_g3(n, delta, s).remove_edges(plan.removed).add_edges(plan.added)
+def build_g4(g3: Graph, plan: SurgeryPlan) -> Graph:
+    """build_g3(n, delta, s) rewired by surgery_plan(n, delta, s), both given."""
+    return g3.remove_edges(plan.removed).add_edges(plan.added)
 
 
 @dataclass(frozen=True)

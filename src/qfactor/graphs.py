@@ -11,6 +11,9 @@ in column order x(0,1), x(0,2), x(1,2), x(0,3), ..., packed six per byte
 most-significant bit first, each byte offset by 63. Trailing pad bits must
 be zero. An optional ">>graph6<<" prefix is accepted on input.
 
+line_chunks and chunk_rows turn graph6 lines into report rows, one batched
+evaluation per chunk of lines: every per-line command reads through them.
+
 random_graph draws edges from a bit-exact splitmix64 stream so that seeded
 populations are reproducible down to the byte across platforms.
 isomorphism_classes labels every edge mask of an exhaustive population with
@@ -322,6 +325,39 @@ def graph6_payload(text: str) -> str:
     the line without its optional header, equal to write_graph6 of the
     parsed graph, so it need not be re-encoded."""
     return text.removeprefix(_GRAPH6_HEADER.decode("ascii"))
+
+
+# Lines evaluated together: one eigh call per graph order per chunk, and the
+# unit of work of verify's process pool. 128 lines keep a Q stack under 4 MB
+# even at n = 62, and leave the pool enough chunks to balance streams whose
+# costly lines cluster (on the benchmark sweep, 256 made --jobs 2 slower).
+CHUNK_LINES = 128
+
+
+def line_chunks(lines: Iterable[str]) -> list[list[tuple[int, str]]]:
+    """(line number from 1, stripped text) of each nonblank line, in chunks."""
+    work = [(lineno, text) for lineno, raw in enumerate(lines, start=1) if (text := raw.strip())]
+    return [work[i:i + CHUNK_LINES] for i in range(0, len(work), CHUNK_LINES)]
+
+
+def chunk_rows(fields_of: Callable, chunk: Sequence[tuple[int, str]]) -> list[dict]:
+    """The rows of a chunk. The lines that parse go through one fields_of
+    call, which gives each graph's fields or the exception that stopped it.
+    A malformed line or an exception gives {line, graph6, error} with the
+    text as read, anything else {line, graph6, **fields} with its payload."""
+    results: list = [None] * len(chunk)
+    parsed = []
+    for pos, (_, text) in enumerate(chunk):
+        try:
+            parsed.append((pos, parse_graph6(text)))
+        except Graph6Error as exc:
+            results[pos] = exc
+    for (pos, _), result in zip(parsed, fields_of([g for _, g in parsed])):
+        results[pos] = result
+    return [{"line": lineno, "graph6": text, "error": str(result)}
+            if isinstance(result, Exception)
+            else {"line": lineno, "graph6": graph6_payload(text), **result}
+            for (lineno, text), result in zip(chunk, results)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ parity criterion, which it fails on its join cell, not for even factors.
 :func:`check_theorem_instance` and :func:`verify_stream` classify graphs
 against that statement in two steps.  ``_applicable`` checks the
 hypotheses, which need no Perron value, so they run on a whole chunk of
-lines before its eigh stack is built.  ``_decide`` then takes each
-applicable graph with its q through the threshold, the recognizer and the
+lines (read by graphs.chunk_rows, as spectrum and factor read theirs)
+before its eigh stack is built.  ``_decide`` then takes each applicable
+graph with its q through the threshold, the recognizer and the
 exact even-factor test :func:`~qfactor.factors.even_factor` (the
 two-factor fast path, else one perfect-matching question on a gadget).
 Above the threshold, a non-extremal graph is ``confirmed_factor``
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
 from typing import Any, Iterable, Sequence
 
@@ -64,13 +66,12 @@ from .factors import (
 )
 from .graphs import (
     Graph,
-    Graph6Error,
-    graph6_payload,
+    chunk_rows,
     is_connected,
     isomorphism_classes,
+    line_chunks,
     mask_graph6_encoder,
     min_degree,
-    parse_graph6,
     random_graph,
     splitmix64,
     write_graph6,
@@ -122,17 +123,11 @@ class TheoremOutcome:
     witness: dict[str, Any] | None = None
     note: str | None = None
 
-    def as_row(self, graph6: str | None = None, line: int | None = None) -> dict[str, Any]:
-        row = {
-            "classification": self.classification,
-            "q": self.q,
-            "threshold": self.threshold,
-            "delta": self.delta,
-            "witness": self.witness,
-        }
-        for key, value in (("graph6", graph6), ("line", line), ("note", self.note)):
-            if value is not None:
-                row[key] = value
+    def as_row(self) -> dict[str, Any]:
+        """The fields in order, without ``note`` when it is None."""
+        row = dict(vars(self))
+        if self.note is None:
+            del row["note"]
         return row
 
 
@@ -228,57 +223,34 @@ def check_theorem_instance(g: Graph) -> TheoremOutcome:
 # stream verification
 
 
-# Lines classified together: one eigh call per graph order per chunk, and the
-# unit of work of the process pool. 128 lines keep a Q stack under 4 MB even
-# at n = 62, and leave the pool enough chunks to balance streams whose
-# costly lines cluster (on the benchmark sweep, 256 made --jobs 2 slower).
-CHUNK_LINES = 128
-
-
-def _classify_chunk(chunk: Sequence[tuple[int, str]]) -> list[dict[str, Any]]:
-    """Rows of a chunk of (line number, stripped text) pairs: the lines that
-    parse go through one _classify call.  A malformed line or a graph's
-    error becomes its error row and the run goes on."""
-    results: list[Any] = [None] * len(chunk)
-    parsed = []
-    for pos, (_, text) in enumerate(chunk):
-        try:
-            parsed.append((pos, parse_graph6(text)))
-        except Graph6Error as exc:
-            results[pos] = exc
-    for (pos, _), result in zip(parsed, _classify([g for _, g in parsed])):
-        results[pos] = result
-    return [{"line": lineno, "graph6": text, "error": str(result)}
-            if isinstance(result, Exception) else result.as_row(graph6_payload(text), lineno)
-            for (lineno, text), result in zip(chunk, results)]
+def _classify_rows(graphs: Sequence[Graph]) -> list[Any]:
+    """verify's fields_of for chunk_rows: each graph's outcome row or error."""
+    return [result if isinstance(result, Exception) else result.as_row()
+            for result in _classify(graphs)]
 
 
 def verify_stream(lines: Iterable[str], *, jobs: int = 1) -> dict[str, Any]:
     """Classify every graph6 line of a stream.
 
-    Blank lines are skipped; malformed lines and instances whose numeric
-    or certificate checks fail become error rows (they make the run a
-    usage failure but do not stop it).  Lines are classified in chunks of
-    CHUNK_LINES, with one LAPACK eigh call per graph order per chunk.  With
-    ``jobs > 1`` the chunks fan out over a process pool; rows are returned
-    in input order either way, so reports are independent of ``jobs``.
+    The lines are read in chunks as spectrum and factor read theirs
+    (graphs.chunk_rows): malformed lines and instances whose numeric or
+    certificate checks fail become error rows, which make the run a usage
+    failure but do not stop it.  A chunk costs one eigh call per graph
+    order.  With ``jobs > 1`` the chunks fan out over a process pool; rows
+    come in input order either way, so reports are independent of ``jobs``.
     """
-    work = [
-        (lineno, stripped)
-        for lineno, raw in enumerate(lines, start=1)
-        if (stripped := raw.strip())
-    ]
-    chunks = [work[i:i + CHUNK_LINES] for i in range(0, len(work), CHUNK_LINES)]
+    chunks = line_chunks(lines)
+    classify = partial(chunk_rows, _classify_rows)
     if jobs > 1 and len(chunks) > 1:
         import multiprocessing
 
         import numpy  # before the fork, so workers inherit it instead of each importing it
 
         with multiprocessing.Pool(processes=min(jobs, len(chunks))) as pool:
-            done = pool.map(_classify_chunk, chunks, chunksize=1)
+            done = pool.map(classify, chunks, chunksize=1)
     else:
-        done = map(_classify_chunk, chunks)
-    rows = [row for chunk_rows in done for row in chunk_rows]
+        done = map(classify, chunks)
+    rows = [row for chunk in done for row in chunk]
 
     decided = [row["classification"] for row in rows if "error" not in row]
     counts = {name: decided.count(name) for name in CLASSIFICATIONS}
@@ -651,10 +623,9 @@ def identity_suite() -> dict[str, Any]:
         n = 7 * delta - 7 + (7 * delta - 7) % 2
         gs, qstar = build_gstar(n, delta), threshold_q(n, delta)
         for s in range(2, delta):
-            plan = surgery_plan(n, delta, s)
-            g4 = build_g4(n, delta, s, plan)
-            poly3, q3 = g3_roots[delta, s] = quotient_root(build_g3(n, delta, s),
-                                                          g3_cells(n, delta, s))
+            plan, g3 = surgery_plan(n, delta, s), build_g3(n, delta, s)
+            g4 = build_g4(g3, plan)
+            poly3, q3 = g3_roots[delta, s] = quotient_root(g3, g3_cells(n, delta, s))
             poly4, q4 = quotient_root(g4, equitable_partition(g4))
             # The paper's Rayleigh step on G3's Perron vector: x_0 = 1 on S and
             # x_i = s / (q3 - 2 n_i - s + 2) on a clique of n_i vertices, scaled

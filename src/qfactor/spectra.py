@@ -6,7 +6,8 @@ Two arithmetic regimes coexist on purpose and are kept separate:
   graph solved whole behind a hard residual gate. The matrices are
   unpacked from the bitrows by numpy, and perron_many stacks many graphs
   by order, so each order costs one ``eigh`` call; stacked and one-matrix
-  calls give bitwise-equal values. perron is its one-graph case.
+  calls give bitwise-equal values, so a value does not depend on which
+  graphs share its call.
   This regime imports numpy on its first call, so a process that stays in
   the exact regime never loads it;
 * exact integer arithmetic: quotient matrices counted from the bitrows (over
@@ -22,8 +23,8 @@ Two arithmetic regimes coexist on purpose and are kept separate:
 A graph whose equitable partition is known (the extremal families, the
 threshold, the lemma and identity suites) gets its radius from
 quotient_root. Only arbitrary input graphs, in ``spectrum`` and
-``verify``, take theirs from the float regime. Nothing here collapses the
-two.
+``verify``, take theirs from the float regime, one perron_many call per
+chunk of input lines. Nothing here collapses the two.
 """
 
 from __future__ import annotations
@@ -112,19 +113,6 @@ def perron_many(
     return out
 
 
-def perron(g: Graph, alpha: int) -> float:
-    """The largest eigenvalue of alpha*D + A: q for alpha = 1, rho for 0.
-
-    The one-graph case of perron_many: one LAPACK eigh call, whose residual
-    ``||M x - value x||_inf`` must stay within RESIDUAL_GATE, else
-    ArithmeticError.
-    """
-    result = perron_many([g], alpha)[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 # ---------------------------------------------------------------------------
 # partitions and exact quotients
 
@@ -143,7 +131,7 @@ def _check_partition(n: int, cells: Cells) -> list[list[int]]:
 
 def quotient(g: Graph, cells: Cells, alpha: int = 1) -> list[list[int]] | None:
     """The quotient of alpha*D + A over an equitable partition, or None:
-    of Q for alpha = 1, of A for 0, as in perron.
+    of Q for alpha = 1, of A for 0, as in perron_many.
 
     Entry (r, c) is the matrix's row sum over cell c for a vertex i of cell
     r: the neighbours of i in c, plus alpha*deg(i) when c is r. The

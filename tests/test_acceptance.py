@@ -39,7 +39,7 @@ from qfactor.harness import (
     recognize_gstar,
 )
 from qfactor.reportio import dumps_canonical, strip_volatile
-from qfactor.spectra import char_poly, perron, quotient
+from qfactor.spectra import char_poly, perron_many, quotient
 
 FACTORLESS = "G]o_GK"
 
@@ -130,14 +130,14 @@ def test_04_threshold_root_matches_spectrum():
     for delta in (2, 3, 4):
         for n in range(even_up(7 * delta - 7), 7 * delta + 14, 2):
             root = threshold_q(n, delta)
-            q = perron(build_gstar(n, delta), 1)
+            q = perron_many([build_gstar(n, delta)], 1)[0]
             worst = max(worst, abs(q - root))
             assert abs(q - root) < 1e-8, (n, delta, q, root)
             cases += 1
     from qfactor.graphs import complete
 
     for m in range(2, 51):
-        q = perron(complete(m), 1)
+        q = perron_many([complete(m)], 1)[0]
         assert abs(q - (2 * m - 2)) < 1e-10, m
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"budget exceeded: {elapsed:.1f}s"
@@ -299,7 +299,7 @@ def test_09_sharpness_probes():
     for n, delta in ((8, 2), (14, 3)):
         g = build_gstar(n, delta)
         threshold = threshold_q(n, delta)
-        q = perron(g, 1)
+        q = perron_many([g], 1)[0]
         assert q >= threshold - 1e-8
         assert abs(q - threshold) < 1e-8, (n, delta)
         assert strong_tutte_check(g) == (False, tuple(range(delta)))
@@ -309,11 +309,11 @@ def test_09_sharpness_probes():
         assert factor is not None and verify_even_factor(g, factor)
         # Deleting any edge falls below; adding any edge rises above.
         for edge in g.edges():
-            assert perron(g.remove_edges([edge]), 1) < threshold - 1e-8, edge
+            assert perron_many([g.remove_edges([edge])], 1)[0] < threshold - 1e-8, edge
         for edge in itertools.combinations(range(n), 2):
             if not g.has_edge(*edge):
                 h = g.add_edges([edge])
-                assert perron(h, 1) >= threshold - 1e-8, edge
+                assert perron_many([h], 1)[0] >= threshold - 1e-8, edge
                 assert recognize_gstar(h) != (n, delta), edge
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"budget exceeded: {elapsed:.1f}s"

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,10 @@ import pytest
 
 import qfactor
 import qfactor.harness
-from qfactor.cli import main, verify_exit_code
+from qfactor.cli import _cmd_per_line, _cmd_verify, main, verify_exit_code
+from qfactor.graphs import CHUNK_LINES, parse_graph6, random_graph, write_graph6
 from qfactor.reportio import dumps_canonical, strip_volatile
+from qfactor.spectra import perron_many
 
 C8 = "GhCGKC"
 K8 = "G~~~~{"
@@ -207,6 +210,21 @@ class TestExtremal:
         result = json.loads(out)["results"]
         assert result["surgery"]["removed"] == [[2, 3]]
         assert result["embeds_in_extremal"] is True
+
+    def test_g4_builds_its_plan_and_g3_once(self, capsys, monkeypatch):
+        # build_g4 rewires the G3 and the plan the command built; the
+        # surgery metadata reads that same plan.
+        from qfactor import extremal
+        counts = {"surgery_plan": 0, "build_g3": 0}
+        for name in counts:
+            def counting(*args, name=name, build=getattr(extremal, name)):
+                counts[name] += 1
+                return build(*args)
+            monkeypatch.setattr(extremal, name, counting)
+        code, _, _ = run(capsys, "extremal", "--family", "g4", "--n", "14", "--delta", "3",
+                         "--s", "2")
+        assert code == 0
+        assert counts == {"surgery_plan": 1, "build_g3": 1}
 
     def test_invalid_parameters_exit_2(self, capsys):
         code, _, err = run(
@@ -424,6 +442,61 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--stream", smoke_file)
         assert code == 0
         assert "total=3" in out.replace(" ", "")
+
+
+# ---------------------------------------------------------------------------
+# the per-line pipeline shared by spectrum, factor and verify
+# ---------------------------------------------------------------------------
+
+
+def _mixed_stream():
+    """2*CHUNK_LINES + 37 lines, so three chunks: random graphs of orders 1..12
+    (7 is odd) with a blank, a header-prefixed, a malformed and an order-0
+    line among them."""
+    lines = [write_graph6(random_graph((8, 10, 4, 12, 6, 7, 10, 1)[i % 8],
+                                       (0.3, 0.6, 0.9)[i % 3], seed=i))
+             for i in range(2 * CHUNK_LINES + 37)]
+    lines[5] = ""
+    lines[60] = ">>graph6<<" + lines[60]
+    lines[101] = "!!bogus!!"
+    lines[200] = "?"
+    return lines
+
+
+def test_per_line_commands_share_one_reader(tmp_path):
+    # The three commands run one reader: the same rows in the same order,
+    # each with the same line number and graph6. A malformed line is an
+    # error row in all three; beyond it each command fails only where its
+    # own fields do: spectrum on order 0 (no minimum degree), factor on odd
+    # orders (the criterion needs an even order), verify nowhere.
+    lines = _mixed_stream()
+    path = tmp_path / "mixed.g6"
+    path.write_text("\n".join(lines) + "\n")
+    runs = {name: _cmd_per_line(Namespace(subcommand=name, input=str(path)))
+            for name in ("spectrum", "factor")}
+    runs["verify"] = _cmd_verify(Namespace(stream=str(path), jobs=1))
+    rows = {name: run.results["items"] for name, run in runs.items()}
+    keys = [(row["line"], row["graph6"]) for row in rows["verify"]]
+    assert len(keys) == len(lines) - 1 and keys[59] == (61, lines[60][len(">>graph6<<"):])
+    fails = {
+        "spectrum": lambda g: g.n == 0,
+        "factor": lambda g: g.n % 2 == 1,
+        "verify": lambda g: False,
+    }
+    for name, command_rows in rows.items():
+        assert [(row["line"], row["graph6"]) for row in command_rows] == keys, name
+        errors = [row["line"] for row in command_rows if "error" in row]
+        expected = [line for line, text in keys
+                    if text == "!!bogus!!" or fails[name](parse_graph6(text))]
+        assert errors == expected, name
+        assert runs[name].exit_code == 2
+    assert (201, "?") in keys
+    # spectrum's q and rho are the one-graph values, bit for bit, though
+    # each order of a chunk is one eigh call
+    for row in rows["spectrum"]:
+        if "error" not in row:
+            g = parse_graph6(row["graph6"])
+            assert (row["q"], row["rho"]) == (perron_many([g], 1)[0], perron_many([g], 0)[0])
 
 
 class TestVerifyExitCode:

@@ -20,7 +20,7 @@ from qfactor.extremal import (
 )
 from qfactor.graphs import Graph, is_connected, min_degree
 from qfactor.harness import _gstar_grid, _identity_grid, max_theorem_delta, odd_compositions
-from qfactor.spectra import IntPolynomial, char_poly, perron, quotient
+from qfactor.spectra import IntPolynomial, char_poly, perron_many, quotient
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +112,8 @@ def test_surgery_counts_match_closed_forms():
 def test_g4_degrees_and_edge_budget():
     for n, delta, s in [(14, 3, 2), (22, 4, 2), (22, 4, 3), (28, 5, 3)]:
         g3 = build_g3(n, delta, s)
-        g4 = build_g4(n, delta, s)
         plan = surgery_plan(n, delta, s)
+        g4 = build_g4(g3, plan)
         assert g4.edge_count == g3.edge_count - len(plan.removed) + len(plan.added)
         assert min_degree(g4) == delta
         assert is_connected(g4)
@@ -122,7 +122,7 @@ def test_g4_degrees_and_edge_budget():
 def test_g4_embeds_in_gstar():
     for n, delta, s in [(14, 3, 2), (22, 4, 2), (22, 4, 3), (28, 5, 4)]:
         plan = surgery_plan(n, delta, s)
-        g4, gstar = build_g4(n, delta, s, plan), build_gstar(n, delta)
+        g4, gstar = build_g4(build_g3(n, delta, s), plan), build_gstar(n, delta)
         report = g4_containment(plan, g4, gstar)
         assert report.embedded
         mapping = report.mapping
@@ -193,7 +193,7 @@ def test_threshold_frozen_values():
 
 def test_threshold_matches_direct_perron():
     for n, delta in [(8, 2), (10, 2), (14, 3), (16, 3), (22, 4)]:
-        direct = perron(build_gstar(n, delta), 1)
+        direct = perron_many([build_gstar(n, delta)], 1)[0]
         assert threshold_q(n, delta) == pytest.approx(direct, abs=1e-8)
 
 
@@ -237,7 +237,8 @@ def test_family_builders_equal_validated_graphs():
     for n, delta, s in _identity_grid():
         built.append(build_g2(n, s))
         if 2 <= s <= delta - 1:
-            built += [build_g3(n, delta, s), build_g4(n, delta, s)]
+            g3 = build_g3(n, delta, s)
+            built += [g3, build_g4(g3, surgery_plan(n, delta, s))]
     for s in range(2, 5):
         for n in range(2 * s + 2, 17, 2):
             built += [build_g1(s, parts) for parts in odd_compositions(n - s, s)]

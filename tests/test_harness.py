@@ -18,6 +18,7 @@ from qfactor.factors import (
     verify_even_factor,
 )
 from qfactor.graphs import (
+    CHUNK_LINES,
     Graph,
     complete,
     is_connected,
@@ -34,6 +35,7 @@ from qfactor.extremal import (
     build_g4,
     build_gstar,
     g1_cells,
+    surgery_plan,
     threshold_q,
 )
 from qfactor.reportio import dumps_canonical, make_report
@@ -42,11 +44,9 @@ from qfactor.spectra import (
     _alpha_stack,
     char_poly,
     equitable_partition,
-    perron,
     perron_many,
 )
 from qfactor.harness import (
-    CHUNK_LINES,
     CLASSIFICATIONS,
     TheoremOutcome,
     agreement_study,
@@ -282,9 +282,9 @@ class TestCheckTheoremInstance:
         assert out.classification == "confirmed_factor"
 
     def test_as_row_shape(self):
-        row = TheoremOutcome("below_threshold", 4.0, 12.0, 2).as_row("Ghello")
-        assert row["graph6"] == "Ghello"
-        assert "note" not in row
+        row = TheoremOutcome("below_threshold", 4.0, 12.0, 2).as_row()
+        assert row == {"classification": "below_threshold", "q": 4.0, "threshold": 12.0,
+                       "delta": 2, "witness": None}
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +391,8 @@ def _reference_rows(lines):
         except ValueError as exc:
             rows.append({"line": lineno, "graph6": text, "error": str(exc)})
             continue
-        row = check_theorem_instance(g).as_row(graph6=write_graph6(g))
-        row["line"] = lineno
-        rows.append(row)
+        rows.append({"line": lineno, "graph6": write_graph6(g),
+                     **check_theorem_instance(g).as_row()})
     return rows
 
 
@@ -523,7 +522,7 @@ class TestSharpnessProbe:
     def test_8_2(self):
         g = build_gstar(8, 2)
         threshold = threshold_q(8, 2)
-        q = perron(g, 1)
+        q = perron_many([g], 1)[0]
         assert q == pytest.approx(threshold, abs=1e-9)
         assert q >= threshold - 1e-8
         # The criterion fails on the join cell, yet a Hamiltonian cycle is
@@ -533,12 +532,12 @@ class TestSharpnessProbe:
         assert len(factor) == 8 and verify_even_factor(g, factor)
         # Every single-edge deletion drops the radius below the threshold.
         for edge in g.edges():
-            assert perron(g.remove_edges([edge]), 1) < threshold - 1e-8, edge
+            assert perron_many([g.remove_edges([edge])], 1)[0] < threshold - 1e-8, edge
         # Additions only increase the radius, and none gives G*(8, 2) again.
         for edge in itertools.combinations(range(8), 2):
             if not g.has_edge(*edge):
                 h = g.add_edges([edge])
-                hq = perron(h, 1)
+                hq = perron_many([h], 1)[0]
                 assert hq >= threshold - 1e-8 and hq > q, edge
                 assert recognize_gstar(h) != (8, 2), edge
 
@@ -724,15 +723,15 @@ class TestSuites:
                           lambda plan, g4, gs: ContainmentReport(False, None))
             assert surgery_fails_everywhere()
         with monkeypatch.context() as patch:
-            patch.setattr("qfactor.harness.build_g4",
-                          lambda n, delta, s, plan: build_g3(n, delta, s))
+            patch.setattr("qfactor.harness.build_g4", lambda g3, plan: g3)
             assert surgery_fails_everywhere()
         assert identity_suite()["surgery_chain"]["passed"] is True
 
     def test_surgery_chain_builds_each_plan_once(self, monkeypatch):
-        # One surgery plan, one G4 and one containment check per (delta, s),
-        # and one G* per delta: build_g4 reuses the plan it is given.
-        counts = {"plan": 0, "g4": 0, "gstar": 0}
+        # One surgery plan, one G3, one G4 and one containment check per
+        # (delta, s), and one G* per delta: build_g4 rewires the G3 and the
+        # plan it is given, and G3's radius comes from that same G3.
+        counts = {"plan": 0, "g3": 0, "g4": 0, "gstar": 0}
 
         def counting(name, build):
             def wrapper(*args):
@@ -743,6 +742,9 @@ class TestSuites:
         plan_wrapper = counting("plan", harness.surgery_plan)
         monkeypatch.setattr("qfactor.harness.surgery_plan", plan_wrapper)
         monkeypatch.setattr("qfactor.extremal.surgery_plan", plan_wrapper)
+        g3_wrapper = counting("g3", harness.build_g3)
+        monkeypatch.setattr("qfactor.harness.build_g3", g3_wrapper)
+        monkeypatch.setattr("qfactor.extremal.build_g3", g3_wrapper)
         monkeypatch.setattr("qfactor.harness.build_g4", counting("g4", harness.build_g4))
         monkeypatch.setattr("qfactor.harness.build_gstar", counting("gstar", harness.build_gstar))
         harness.threshold_q.cache_clear()
@@ -751,7 +753,7 @@ class TestSuites:
         finally:
             harness.threshold_q.cache_clear()
         assert surgery["passed"] is True and len(surgery["cases"]) == 6
-        assert counts == {"plan": 6, "g4": 6, "gstar": 3}
+        assert counts == {"plan": 6, "g3": 6, "g4": 6, "gstar": 3}
 
     def test_surgery_radii_match_eigvalsh(self, identity_report):
         # q(G3) and q(G4) come from the quotients over G3's cells and G4's
@@ -761,7 +763,8 @@ class TestSuites:
         assert len(cases) == 6
         for case in cases:
             n, delta, s = case["n"], case["delta"], case["s"]
-            g3, g4 = build_g3(n, delta, s), build_g4(n, delta, s)
+            g3 = build_g3(n, delta, s)
+            g4 = build_g4(g3, surgery_plan(n, delta, s))
             for q, g in ((case["q_g3"], g3), (case["q_g4"], g4)):
                 assert abs(q - np.linalg.eigvalsh(signless_laplacian(g))[-1]) < 1e-12
             cells = equitable_partition(g4)

@@ -113,6 +113,16 @@ def test_perron_commands_load_numpy(argv, stdin):
     assert _run_main(["numpy"], argv, stdin) == 100
 
 
+# The per-line commands share verify's chunked reader (graphs.line_chunks,
+# graphs.chunk_rows) but not its process pool, which stays in harness.
+@pytest.mark.parametrize("argv, stdin, code", [
+    (["spectrum"], "G~~~~{\n", 0),
+    (["factor"], "G]o_GK\nG~~~~{\n", 0),
+], ids=["spectrum", "factor"])
+def test_per_line_commands_do_not_load_multiprocessing(argv, stdin, code):
+    assert _run_main(["multiprocessing"], argv, stdin) == code
+
+
 # The exact routes are integer-only: no command loads fractions.
 @pytest.mark.parametrize("argv, stdin", [
     (["verify", "--stream", "-"], "G~~~~{\n"),

@@ -28,15 +28,15 @@ A reader of stdout that leaves early does not change the exit code.
 Every other computation is polynomial and has no guard.
 
 The CLI parses before it loads: at import time this module needs only the
-standard library, so ``--version``, ``--help`` and usage errors load no other
-qfactor module.  Each runner imports what it runs when it is dispatched, and
-``main`` then loads ``reportio``.  ``verify``, ``lemmas``, ``identities`` and
-``agreement`` load ``harness`` and with it every module; ``factor`` loads
-``graphs``, ``matching`` and ``factors``; ``spectrum`` loads ``graphs`` and
-``spectra``; ``extremal`` loads those two and ``extremal``.  numpy loads at
-the first Perron value of an input graph, which only ``spectrum`` and
-``verify`` compute: ``extremal``, ``identities`` and ``lemmas`` take every
-radius as an exact quotient root.
+standard library (not csv or json), so ``--version``, ``--help`` and usage
+errors load no other qfactor module.  Each runner imports what it runs when
+it is dispatched, and ``main`` then loads ``reportio``.  ``verify``,
+``lemmas``, ``identities`` and ``agreement`` load ``harness`` and with it
+every module; ``factor`` loads ``graphs``, ``matching`` and ``factors``;
+``spectrum`` loads ``graphs`` and ``spectra``; ``extremal`` loads those two
+and ``extremal``.  numpy loads at the first Perron value of an input graph,
+which only ``spectrum`` and ``verify`` compute: ``extremal``, ``identities``
+and ``lemmas`` take every radius as an exact quotient root.
 The imports sit inside the functions, not in module globals, so a wrapper
 installed on a module's function (the benchmark's tracer) is the function
 called.
@@ -45,8 +45,6 @@ called.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 import time
@@ -96,6 +94,9 @@ def _fmt(value: Any) -> str:
         return format_float(value)
     if value is None:
         return ""
+    if isinstance(value, dict):  # verify's witness, as sorted JSON
+        import json
+        return json.dumps(value, sort_keys=True)
     return str(value)
 
 
@@ -109,7 +110,6 @@ _CSV_COLUMNS = {
                "note", "error"),
 }
 _CSV_FORMAT: dict[str, Callable[[Any], str]] = {
-    "witness": lambda witness: json.dumps(witness, sort_keys=True) if witness else "",
     "criterion_holds": lambda holds: "" if holds is None else str(holds).lower(),
     "blocking": lambda blocking: " ".join(map(str, blocking)) if blocking else "",
     "certificate": lambda edges: " ".join(f"{u}-{v}" for u, v in edges) if edges else "",
@@ -136,6 +136,7 @@ def _write_outputs(args: argparse.Namespace, report: dict[str, Any], run: Run) -
         else:
             sys.stdout.write(dumps_canonical(report))
     elif args.format == "csv":
+        import csv
         columns = _CSV_COLUMNS[args.subcommand]
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)

@@ -28,10 +28,9 @@ form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph, complete, disjoint_union, join
 from .spectra import IntPolynomial, quotient_root
@@ -121,8 +120,7 @@ def g3_cells(n: int, delta: int, s: int) -> list[list[int]]:
     return _cells(s, [delta + 1 - s] * (s - 1) + [m])
 
 
-@dataclass(frozen=True)
-class SurgeryPlan:
+class SurgeryPlan(NamedTuple):
     """Edge rewiring that turns g3 into g4. All edges are (u, v), u < v."""
 
     n: int
@@ -191,8 +189,7 @@ def build_g4(g3: Graph, plan: SurgeryPlan) -> Graph:
     return g3.remove_edges(plan.removed).add_edges(plan.added)
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
+class ContainmentReport(NamedTuple):
     """Whether g4 embeds into gstar(n, delta) as a spanning subgraph."""
 
     embedded: bool

@@ -20,8 +20,8 @@ hard-checked certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .graphs import Graph, _trusted_graph, odd_components_after_removal
 from .matching import _augment, _mates, two_factor
@@ -165,8 +165,7 @@ AGREEMENT_CLASSES = (
 )
 
 
-@dataclass(frozen=True)
-class FactorVerdict:
+class FactorVerdict(NamedTuple):
     criterion_holds: bool
     blocking: tuple[int, ...] | None
     certificate: tuple[tuple[int, int], ...] | None

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -50,12 +49,46 @@ _SM_MUL2 = 0x94D049BB133111EB
 MAX_ENUM_ORDER = 7
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected graph on vertices 0..n-1 with bitmask adjacency rows."""
+class _Frozen:
+    """Immutable value whose fields are its __slots__, set by __init__ through
+    object.__setattr__: equal to an instance of its class iff their fields are."""
 
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._fields() == other._fields() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Graph(_Frozen):
+    """Undirected graph on 0..n-1 with bitmask adjacency rows, validated in __post_init__."""
+
+    __slots__ = ("n", "rows")
     n: int
     rows: tuple[int, ...]
+
+    def __init__(self, n: int, rows: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.n < 0:

@@ -38,10 +38,9 @@ numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from operator import mul
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .extremal import (
     build_g1,
@@ -107,8 +106,7 @@ def max_theorem_delta(n: int) -> int:
     return (n + 7) // 7
 
 
-@dataclass(frozen=True)
-class TheoremOutcome:
+class TheoremOutcome(NamedTuple):
     """Classification of one graph against the even-factor theorem.
 
     ``witness`` carries the evidence object: an even factor's edge list,
@@ -125,10 +123,7 @@ class TheoremOutcome:
 
     def as_row(self) -> dict[str, Any]:
         """The fields in order, without ``note`` when it is None."""
-        row = dict(vars(self))
-        if self.note is None:
-            del row["note"]
-        return row
+        return {k: v for k, v in self._asdict().items() if k != "note" or v is not None}
 
 
 def recognize_gstar(g: Graph) -> tuple[int, int] | None:

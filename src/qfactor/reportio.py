@@ -34,7 +34,7 @@ uses json's own primitives (the C string escaper, ``int.__repr__``,
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
+import time
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
 from typing import Any
@@ -64,6 +64,7 @@ def make_report(
 ) -> dict[str, Any]:
     """The envelope around *config* and *results*, which are neither copied
     nor converted: :func:`dumps_canonical` rounds and checks them."""
+    seconds, us = divmod(time.time_ns() // 1000, 10**6)
     return {
         "schema": REPORT_SCHEMA,
         "tool": {"name": "qfactor", "version": __version__},
@@ -71,7 +72,7 @@ def make_report(
         "config": config,
         "seed": seed,
         "meta": {
-            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "timestamp": time.strftime(f"%Y-%m-%dT%H:%M:%S.{us:06d}+00:00", time.gmtime(seconds)),
             "wall_time_s": wall_time_s,
         },
         "results": results,

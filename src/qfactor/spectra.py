@@ -30,11 +30,10 @@ chunk of input lines. Nothing here collapses the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _Frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -174,18 +173,18 @@ def equitable_partition(g: Graph) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # exact integer polynomials
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(_Frozen):
     """Integer-coefficient polynomial, coefficients ascending by degree."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if not coeffs:
             raise ValueError("need at least one coefficient")
-        if any(not isinstance(c, int) for c in self.coeffs):
+        if any(not isinstance(c, int) for c in coeffs):
             raise ValueError("coefficients must be ints")
-        trimmed = list(self.coeffs)
+        trimmed = list(coeffs)
         while len(trimmed) > 1 and trimmed[-1] == 0:
             trimmed.pop()
         object.__setattr__(self, "coeffs", tuple(trimmed))

@@ -1,7 +1,9 @@
 """Bitset graphs, graph6 codec, deterministic RNG, enumeration."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import sys
 from array import array
 
@@ -17,6 +19,7 @@ from qfactor.graphs import (
     Graph,
     Graph6Error,
     _component_masks,
+    _trusted_graph,
     complete,
     disjoint_union,
     graph6_payload,
@@ -54,16 +57,63 @@ def test_from_edges_basic():
 
 
 def test_graph_rejects_loops_and_asymmetry():
-    with pytest.raises(ValueError):
-        Graph(2, (0b01, 0b00))  # 0 claims 1 but not vice versa
-    with pytest.raises(ValueError):
-        Graph(2, (0b01, 0b10))  # loops on the diagonal
-    with pytest.raises(ValueError):
-        Graph(1, (0b10,))  # bit beyond the vertex range
+    # the constructor's own cases, with their messages: test_graph_validation_errors
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+
+
+def test_graph_is_a_value():
+    g, same, other = cycle(4), Graph(4, (0b1010, 0b0101, 0b1010, 0b0101)), cycle(5)
+    assert g == same and hash(g) == hash(same) and g is not same
+    assert g != other and g != (4, g.rows)
+    assert len({g, same, other}) == 2
+    assert repr(g) == "Graph(n=4, rows=(10, 5, 10, 5))"
+    assert eval(repr(g)) == g
+    assert pickle.loads(pickle.dumps(g)) == g and copy.deepcopy(g) == g
+
+
+def test_graph_is_immutable():
+    g = cycle(4)
+    with pytest.raises(AttributeError, match="cannot assign to field 'n'"):
+        g.n = 5
+    with pytest.raises(AttributeError, match="cannot delete field 'rows'"):
+        del g.rows
+    with pytest.raises(AttributeError):
+        g.label = "c4"  # no other attribute either
+    assert g == cycle(4)
+
+
+@pytest.mark.parametrize("n, rows, message", [
+    (-1, (), "order must be nonnegative"),
+    (2, (0,), "row count must equal order"),
+    (2, (0b01, 0b10), "loop at vertex 0"),  # loops on the diagonal
+    (1, (0b10,), "row 0 has bits outside 0..n-1"),
+    (2, (0b10, 0b00), "asymmetric adjacency 0,1"),  # 0 claims 1 but not vice versa
+])
+def test_graph_validation_errors(n, rows, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(n, rows)
+
+
+def test_public_constructors_validate_in_post_init(monkeypatch):
+    """Every public way to build a Graph runs __post_init__, which a tracer
+    may wrap; _trusted_graph, for rows correct by construction, does not."""
+    calls = []
+    validate = Graph.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting)
+    built = [Graph(3, (0b010, 0b101, 0b010)), Graph.from_edges(3, [(0, 1), (1, 2)]),
+             random_graph(5, 0.5, 7)]
+    assert calls == built
+    trusted = [_trusted_graph(2, (0b10, 0b01)), complete(4), parse_graph6("G~~~~{")]
+    assert [g.n for g in trusted] == [2, 4, 8]
+    assert len(calls) == 3
 
 
 def test_add_remove_edges_pure():

@@ -1,6 +1,7 @@
 """Each command loads only the modules it runs, numpy only for the Perron
 values of input graphs (so never for ``extremal``, ``identities`` or
-``lemmas``), and ``fractions`` never.
+``lemmas``), ``fractions`` and ``dataclasses`` never, and ``datetime`` and
+``inspect`` only through numpy.
 
 The CLI parses before it loads: ``--version``, ``--help`` and usage errors
 load no qfactor module beyond the package and ``qfactor.cli``, and each
@@ -51,7 +52,7 @@ sys.exit("numpy" in sys.modules)
 PARSER_ONLY = (
     *(info.name for info in pkgutil.iter_modules(qfactor.__path__, "qfactor.")
       if info.name != "qfactor.cli"),
-    "numpy", "fractions", "dataclasses", "datetime",
+    "numpy", "fractions", "dataclasses", "datetime", "csv", "json",
 )
 
 
@@ -133,3 +134,26 @@ def test_per_line_commands_do_not_load_multiprocessing(argv, stdin, code):
 ], ids=["verify", "lemmas", "identities", "extremal-g2", "agreement"])
 def test_no_command_loads_fractions(argv, stdin):
     assert _run_main(["fractions"], argv, stdin) == 0
+
+
+# qfactor imports neither dataclasses nor datetime, so a run that loads no
+# numpy loads neither, and no inspect (which dataclasses used to pull in, with
+# ast, dis and tokenize). numpy imports datetime and inspect itself.
+EXACT_RUN = ("dataclasses", "datetime", "inspect")
+PERRON_RUN = ("dataclasses",)
+
+
+@pytest.mark.parametrize("argv, stdin, forbidden, code", [
+    (["--version"], "", EXACT_RUN, 0),
+    (["agreement", "--n", "4", "--connected-only"], "", EXACT_RUN, 0),
+    (["lemmas"], "", EXACT_RUN, 0),
+    (["identities"], "", EXACT_RUN, 0),
+    (["extremal", "--family", "g4", "--n", "14", "--delta", "3", "--s", "2"], "", EXACT_RUN, 0),
+    (["factor"], "G]o_GK\nG~~~~{\n", EXACT_RUN, 0),
+    (["verify", "--stream", "-"], "F~~~w\nH~~~~~~\n", EXACT_RUN, 0),
+    (["spectrum"], "G~~~~{\n", PERRON_RUN, 0),
+    (["verify", "--stream", "-"], "G~~~~{\n", PERRON_RUN, 0),
+], ids=["version", "agreement", "lemmas", "identities", "extremal", "factor",
+        "verify-not-applicable", "spectrum", "verify-applicable"])
+def test_no_command_loads_dataclasses(argv, stdin, forbidden, code):
+    assert _run_main(forbidden, argv, stdin) == code

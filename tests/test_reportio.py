@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -75,6 +77,23 @@ class TestEnvelope:
         assert report["seed"] == 5
         assert report["results"] == {"rows": []}
         assert set(report["meta"]) == {"timestamp", "wall_time_s"}
+
+    def test_timestamp_is_utc_iso_with_microseconds(self, monkeypatch):
+        from datetime import datetime, timedelta  # the test's parser, not reportio's
+
+        now = time.time()
+        stamp = make_report("demo", {}, {})["meta"]["timestamp"]
+        parsed = datetime.fromisoformat(stamp)
+        assert parsed.utcoffset() == timedelta(0) and stamp.endswith("+00:00")
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00", stamp)
+        assert abs(parsed.timestamp() - now) < 5
+        # A whole second keeps its six digits, which datetime.isoformat() dropped.
+        for ns, text in [(1_700_000_000 * 10**9, "2023-11-14T22:13:20.000000+00:00"),
+                         (1_700_000_000_123_456_789, "2023-11-14T22:13:20.123456+00:00")]:
+            monkeypatch.setattr(time, "time_ns", lambda: ns)
+            stamp = make_report("demo", {}, {})["meta"]["timestamp"]
+            assert stamp == text
+            assert datetime.fromisoformat(stamp).timestamp() == ns // 1000 / 10**6
 
     def test_canonical_dump_round_trips(self):
         report = make_report("demo", {}, {"q": 1 / 3})

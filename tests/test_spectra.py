@@ -1,7 +1,9 @@
 """Perron values by LAPACK eigh, integer quotients, integer characteristic
 polynomials and exact quotient roots."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import networkx as nx
@@ -311,6 +313,35 @@ def test_int_polynomial_ops():
     assert p.scaled(-2).coeffs == (12, -22, 12, -2)
     assert IntPolynomial((3, 0, 0)).coeffs == (3,)  # trailing zeros trimmed
     assert IntPolynomial((0, 0)).coeffs == (0,)
+
+
+def test_int_polynomial_is_a_value():
+    p, same = IntPolynomial((-6, 11, -6, 1)), IntPolynomial([-6, 11, -6, 1, 0, 0])
+    assert p == same and hash(p) == hash(same) and p is not same
+    assert p != IntPolynomial((-6, 11, -6, 2)) and p != p.coeffs
+    assert len({p, same, IntPolynomial((1,))}) == 2
+    assert repr(same) == "IntPolynomial(coeffs=(-6, 11, -6, 1))"
+    assert eval(repr(p)) == p
+    assert pickle.loads(pickle.dumps(p)) == p and copy.deepcopy(p) == p
+
+
+def test_int_polynomial_is_immutable():
+    p = IntPolynomial((1, 1))
+    with pytest.raises(AttributeError, match="cannot assign to field 'coeffs'"):
+        p.coeffs = (2,)
+    with pytest.raises(AttributeError, match="cannot delete field 'coeffs'"):
+        del p.coeffs
+    assert p.coeffs == (1, 1)
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ((), "need at least one coefficient"),
+    ((1, 2.0), "coefficients must be ints"),
+    ((Fraction(1, 2),), "coefficients must be ints"),
+])
+def test_int_polynomial_validation_errors(coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        IntPolynomial(coeffs)
 
 
 def _remainder(p, d):

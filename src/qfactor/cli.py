@@ -219,15 +219,16 @@ def _factor_text(row: dict[str, Any]) -> str:
 _PER_LINE = {"spectrum": (_spectrum_fields, _spectrum_text), "factor": (_factor_fields, _factor_text)}
 
 
-# family -> (the flags its extremal.build_<family> requires in argument order,
-# for g4 those of the build_g3 and surgery_plan it rewires; the extremal function
-# that gives its cells from them, or None for the coarsest equitable partition)
+# family -> (the flags its builder requires in argument order; the extremal
+# function that builds it from them, for g4 the build_g3 that surgery_plan
+# rewires; the extremal function that gives its cells from them, or None for
+# the coarsest equitable partition). G2(n, s) is G*(n, s).
 _FAMILIES = {
-    "gstar": (("n", "delta"), "gstar_cells"),
-    "g1": (("s", "parts"), "g1_cells"),
-    "g2": (("n", "s"), "gstar_cells"),
-    "g3": (("n", "delta", "s"), "g3_cells"),
-    "g4": (("n", "delta", "s"), None),
+    "gstar": (("n", "delta"), "build_gstar", "gstar_cells"),
+    "g1": (("s", "parts"), "build_g1", "g1_cells"),
+    "g2": (("n", "s"), "build_gstar", "gstar_cells"),
+    "g3": (("n", "delta", "s"), "build_g3", "g3_cells"),
+    "g4": (("n", "delta", "s"), "build_g3", None),
 }
 
 
@@ -235,16 +236,18 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
     from . import extremal
     from .graphs import write_graph6
     from .spectra import equitable_partition, largest_real_root, quotient_root
-    flags, cells_of = _FAMILIES[args.family]
+    flags, builder, cells_of = _FAMILIES[args.family]
     values = [getattr(args, flag) for flag in flags]
     if None in values:
         names = [f"--{flag}" for flag in flags]
         raise ValueError(f"{args.family} requires {', '.join(names[:-1])} and {names[-1]}")
+    # write_graph6's limit, checked before a build that could be huge
+    if (args.s + sum(args.parts) if args.family == "g1" else args.n) > 62:
+        raise ValueError("short-form graph6 supports n <= 62 only")
+    g = getattr(extremal, builder)(*values)
     if args.family == "g4":
         plan = extremal.surgery_plan(*values)
-        g = extremal.build_g4(extremal.build_g3(*values), plan)
-    else:
-        g = getattr(extremal, f"build_{args.family}")(*values)
+        g = extremal.build_g4(g, plan)
     cells = getattr(extremal, cells_of)(*values) if cells_of else equitable_partition(g)
     poly, q = quotient_root(g, cells)
     config = {key: getattr(args, key) for key in ("family", "n", "delta", "s")}
@@ -263,7 +266,7 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
     if args.family in ("gstar", "g4"):
         meta["threshold"] = extremal.threshold_q(args.n, args.delta)
     if args.family == "g2":
-        meta["root"] = largest_real_root(extremal.phi_b2(args.n, args.s), 0.0, 2.0 * args.n)
+        meta["root"] = largest_real_root(extremal.phi_bstar(args.n, args.s), 0.0, 2.0 * args.n)
     elif args.family == "g1":
         meta["parts"] = list(args.parts)
     elif args.family == "g3":
@@ -275,7 +278,7 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
             "added_interior": [list(e) for e in plan.added_e2],
         }
         gs = extremal.build_gstar(args.n, args.delta)
-        meta["embeds_in_extremal"] = extremal.g4_containment(plan, g, gs).embedded
+        meta["embeds_in_extremal"] = extremal.g4_containment(plan, g, gs) is not None
 
     text_lines = [meta["graph6"]] + [
         f"{key} = {_fmt(value) if isinstance(value, float) else value}"

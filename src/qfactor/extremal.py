@@ -3,19 +3,20 @@
 The families are joins of a clique S with disjoint clique unions:
 
 * gstar(n, delta): K_delta joined to (K_{n-2delta+1} union (delta-1)K_1),
-  the tight graph for the spectral threshold. Layout: join cell first,
-  then the big clique, then the singletons.
+  the tight graph for the spectral threshold, for any n >= 2*delta. Layout:
+  join cell first, then the big clique, then the singletons. The proof's
+  G2(n, s) is gstar(n, s), for any n >= 2*s. recognize_gstar tells it from
+  its degree multiset.
 * g1(s, parts): K_s joined to arbitrary cliques (the blocking-set family).
-* g2(n, s): same shape as gstar with parameter s.
-* g3(n, delta, s): K_s joined to (s-1) cliques K_{delta+1-s} followed by
-  K_m, m = n - s - (delta+1-s)(s-1). Layout [S | V_1 cells | V_2].
+* g3(n, delta, s): K_s joined to the cliques g3_parts(n, delta, s): (s-1)
+  copies of K_{delta+1-s}, then K_m. Layout [S | V_1 cells | V_2].
 * g4(n, delta, s): g3 after a degree-raising surgery that empties the
   first V_1 clique, detaches each later clique's first vertex, and wires
   V_1 to V_2 (e1 to the first delta-s w's from all of V_1, e2 from the
   detached cliques' interiors to the remaining w's).
 
-The characteristic polynomials of the 3x3 quotients of g2 and gstar are
-kept in closed form as exact integer objects, so identity checks are
+The characteristic polynomial of gstar's 3x3 quotient is kept in closed
+form as an exact integer polynomial (phi_bstar), so identity checks are
 coefficient-exact. Every family has a known equitable partition (the
 *_cells functions; g4 takes the coarsest one), so the radius of each member
 is an exact quotient root (spectra.quotient_root), never an eigensolver
@@ -52,15 +53,17 @@ def _cells(s: int, parts: Sequence[int]) -> list[list[int]]:
     return out
 
 
-def build_gstar(n: int, delta: int) -> Graph:
-    """The extremal graph for (n, delta). Requires delta >= 2, n even,
-    n >= 2*delta."""
+def _check_gstar_params(n: int, delta: int) -> None:
     if delta < 2:
         raise ValueError("delta must be >= 2")
-    if n % 2:
-        raise ValueError("n must be even")
     if n < 2 * delta:
         raise ValueError("need n >= 2*delta")
+
+
+def build_gstar(n: int, delta: int) -> Graph:
+    """The extremal graph for (n, delta), of either parity. Requires
+    delta >= 2 and n >= 2*delta."""
+    _check_gstar_params(n, delta)
     return _join_cliques(delta, [n - 2 * delta + 1] + [1] * (delta - 1))
 
 
@@ -72,6 +75,32 @@ def gstar_cells(n: int, delta: int) -> list[list[int]]:
         list(range(delta, delta + big)),
         list(range(delta + big, n)),
     ]
+
+
+def recognize_gstar(g: Graph) -> tuple[int, int] | None:
+    """Decide whether ``g`` *is* the extremal graph
+    ``K_delta v (K_{n-2*delta+1} u (delta-1)K_1)`` for some ``delta >= 2``
+    with ``n > 2*delta``, up to relabeling.  Returns ``(n, delta)`` or
+    ``None``.
+
+    The degree multiset alone decides it: ``delta`` universal vertices of
+    degree ``n-1``, ``n-2*delta+1`` of degree ``n-delta`` and ``delta-1`` of
+    degree ``delta``, with ``delta`` the number of degree-``(n-1)``
+    vertices.  Any graph with that multiset is ``G*(n, delta)``: each
+    degree-``delta`` vertex touches the ``delta`` universal vertices, so it
+    touches nothing else; each degree-``(n-delta)`` vertex then has
+    ``n-2*delta`` further neighbours, all inside its own set of
+    ``n-2*delta+1`` vertices, so that set is a clique.
+    """
+    n = g.n
+    degs = g.degrees()
+    delta = degs.count(n - 1)
+    if delta < 2 or n <= 2 * delta:
+        return None
+    big = n - 2 * delta + 1
+    if sorted(degs) != sorted([n - 1] * delta + [n - delta] * big + [delta] * (delta - 1)):
+        return None
+    return (n, delta)
 
 
 def build_g1(s: int, parts: Sequence[int]) -> Graph:
@@ -87,37 +116,25 @@ def g1_cells(s: int, parts: Sequence[int]) -> list[list[int]]:
     return _cells(s, list(parts))
 
 
-def build_g2(n: int, s: int) -> Graph:
-    """K_s joined to (K_{n-2s+1} union (s-1)K_1); gstar with parameter s."""
-    if s < 2:
-        raise ValueError("s must be >= 2")
-    if n < 2 * s:
-        raise ValueError("need n >= 2*s")
-    return _join_cliques(s, [n - 2 * s + 1] + [1] * (s - 1))
-
-
-def _g3_m(n: int, delta: int, s: int) -> int:
-    return n - s - (delta + 1 - s) * (s - 1)
-
-
-def _check_g3_params(n: int, delta: int, s: int) -> int:
+def g3_parts(n: int, delta: int, s: int) -> list[int]:
+    """The orders of g3's cliques after S: (s-1) copies of delta+1-s (V_1),
+    then m = n - s - (delta+1-s)(s-1) (V_2). Requires 2 <= s <= delta-1
+    and m >= delta+1-s."""
     if not 2 <= s <= delta - 1:
         raise ValueError("need 2 <= s <= delta-1")
-    m = _g3_m(n, delta, s)
+    m = n - s - (delta + 1 - s) * (s - 1)
     if m < delta + 1 - s:
         raise ValueError(f"big part m={m} must be >= delta+1-s={delta + 1 - s}")
-    return m
+    return [delta + 1 - s] * (s - 1) + [m]
 
 
 def build_g3(n: int, delta: int, s: int) -> Graph:
     """K_s joined to ((s-1) copies of K_{delta+1-s}, then K_m)."""
-    m = _check_g3_params(n, delta, s)
-    return _join_cliques(s, [delta + 1 - s] * (s - 1) + [m])
+    return _join_cliques(s, g3_parts(n, delta, s))
 
 
 def g3_cells(n: int, delta: int, s: int) -> list[list[int]]:
-    m = _check_g3_params(n, delta, s)
-    return _cells(s, [delta + 1 - s] * (s - 1) + [m])
+    return _cells(s, g3_parts(n, delta, s))
 
 
 class SurgeryPlan(NamedTuple):
@@ -126,7 +143,6 @@ class SurgeryPlan(NamedTuple):
     n: int
     delta: int
     s: int
-    m: int
     removed: tuple[tuple[int, int], ...]
     added_e1: tuple[tuple[int, int], ...]
     added_e2: tuple[tuple[int, int], ...]
@@ -151,7 +167,7 @@ def surgery_plan(n: int, delta: int, s: int) -> SurgeryPlan:
     clique, plus each later clique's star at its first vertex. Added:
     e1 = all of V_1 to w_1..w_{delta-s}; e2 = later cliques' interiors to
     w_{delta-s+1}..w_m."""
-    m = _check_g3_params(n, delta, s)
+    m = g3_parts(n, delta, s)[-1]
     t = delta + 1 - s  # clique size within V_1
 
     removed = []
@@ -177,7 +193,7 @@ def surgery_plan(n: int, delta: int, s: int) -> SurgeryPlan:
                 e2.append(tuple(sorted((v, _w_index(s, delta, r)))))
 
     return SurgeryPlan(
-        n, delta, s, m,
+        n, delta, s,
         tuple(sorted(removed)),
         tuple(sorted(e1)),
         tuple(sorted(e2)),
@@ -189,16 +205,9 @@ def build_g4(g3: Graph, plan: SurgeryPlan) -> Graph:
     return g3.remove_edges(plan.removed).add_edges(plan.added)
 
 
-class ContainmentReport(NamedTuple):
-    """Whether g4 embeds into gstar(n, delta) as a spanning subgraph."""
-
-    embedded: bool
-    mapping: tuple[int, ...] | None
-
-
-def g4_containment(plan: SurgeryPlan, g4: Graph, gs: Graph) -> ContainmentReport:
-    """Check (never assume) that g4, built by the plan, is a subgraph of
-    gs = gstar(plan.n, plan.delta).
+def g4_containment(plan: SurgeryPlan, g4: Graph, gs: Graph) -> tuple[int, ...] | None:
+    """Check (never assume) that g4, built by the plan, is a spanning
+    subgraph of gs = gstar(plan.n, plan.delta): the embedding, or None.
 
     The map sends g4's universal vertices (S plus the first delta-s w's)
     onto the join cell, its degree-delta independent set (first V_1 clique
@@ -224,21 +233,20 @@ def g4_containment(plan: SurgeryPlan, g4: Graph, gs: Graph) -> ContainmentReport
         mapping[v] = delta + slot              # big clique slots
     for slot, v in enumerate(low):
         mapping[v] = delta + big + slot        # singleton slots
-    ok = all(gs.has_edge(mapping[u], mapping[v]) for u, v in g4.edges())
-    return ContainmentReport(ok, tuple(mapping) if ok else None)
+    if all(gs.has_edge(mapping[u], mapping[v]) for u, v in g4.edges()):
+        return tuple(mapping)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # closed-form quotient polynomials
 
-def phi_b2(n: int, s: int) -> IntPolynomial:
-    """Characteristic polynomial of the quotient of Q(g2(n, s)) over
-    [join, big clique, singletons], closed form. That quotient is
+def phi_bstar(n: int, s: int) -> IntPolynomial:
+    """Characteristic polynomial of the quotient of Q(gstar(n, s)) over
+    [join, big clique, singletons], closed form: the proof's phi_B2(n, s),
+    and phi_B*(n, delta) at s = delta. That quotient is
     [[n+s-2, n-2s+1, s-1], [s, 2n-3s, 0], [s, 0, s]]."""
-    if s < 2:
-        raise ValueError("s must be >= 2")
-    if n < 2 * s:
-        raise ValueError("need n >= 2*s")
+    _check_gstar_params(n, s)
     return IntPolynomial((
         -2 * s * n * n + 4 * n * s * s + 2 * n * s - 2 * s ** 3 - 2 * s * s,
         2 * n * n + n * s - 4 * n - 4 * s * s + 4 * s,
@@ -247,16 +255,8 @@ def phi_b2(n: int, s: int) -> IntPolynomial:
     ))
 
 
-def phi_bstar(n: int, delta: int) -> IntPolynomial:
-    """Characteristic polynomial of the quotient of Q(gstar(n, delta)):
-    phi_b2 with s -> delta."""
-    if n % 2:
-        raise ValueError("n must be even")
-    return phi_b2(n, delta)
-
-
 def f_poly(n: int, s: int, delta: int) -> IntPolynomial:
-    """The quadratic with phi_b2 - phi_bstar == (s - delta) * f."""
+    """The quadratic with phi_bstar(n, s) - phi_bstar(n, delta) == (s - delta) * f."""
     return IntPolynomial((
         -2 * n * n + 2 * n * (2 * s + 2 * delta + 1)
         - 2 * (s * s + s * delta + delta * delta) - 2 * (s + delta),

@@ -44,17 +44,17 @@ from typing import Any, Iterable, NamedTuple, Sequence
 
 from .extremal import (
     build_g1,
-    build_g2,
     build_g3,
     build_g4,
     build_gstar,
     f_poly,
     g1_cells,
     g3_cells,
+    g3_parts,
     g4_containment,
     gstar_cells,
-    phi_b2,
     phi_bstar,
+    recognize_gstar,
     surgery_plan,
     threshold_q,
 )
@@ -106,6 +106,13 @@ def max_theorem_delta(n: int) -> int:
     return (n + 7) // 7
 
 
+def min_theorem_order(delta: int) -> int:
+    """Least even order ``n >= 7*delta - 7``: the smallest graph the
+    hypotheses admit at degree parameter ``delta``."""
+    n = 7 * delta - 7
+    return n + n % 2
+
+
 class TheoremOutcome(NamedTuple):
     """Classification of one graph against the even-factor theorem.
 
@@ -124,32 +131,6 @@ class TheoremOutcome(NamedTuple):
     def as_row(self) -> dict[str, Any]:
         """The fields in order, without ``note`` when it is None."""
         return {k: v for k, v in self._asdict().items() if k != "note" or v is not None}
-
-
-def recognize_gstar(g: Graph) -> tuple[int, int] | None:
-    """Decide whether ``g`` *is* the extremal graph
-    ``K_delta v (K_{n-2*delta+1} u (delta-1)K_1)`` for some ``delta >= 2``
-    with ``n > 2*delta``, up to relabeling.  Returns ``(n, delta)`` or
-    ``None``.
-
-    The degree multiset alone decides it: ``delta`` universal vertices of
-    degree ``n-1``, ``n-2*delta+1`` of degree ``n-delta`` and ``delta-1`` of
-    degree ``delta``, with ``delta`` the number of degree-``(n-1)``
-    vertices.  Any graph with that multiset is ``G*(n, delta)``: each
-    degree-``delta`` vertex touches the ``delta`` universal vertices, so it
-    touches nothing else; each degree-``(n-delta)`` vertex then has
-    ``n-2*delta`` further neighbours, all inside its own set of
-    ``n-2*delta+1`` vertices, so that set is a clique.
-    """
-    n = g.n
-    degs = g.degrees()
-    delta = degs.count(n - 1)
-    if delta < 2 or n <= 2 * delta:
-        return None
-    big = n - 2 * delta + 1
-    if sorted(degs) != sorted([n - 1] * delta + [n - delta] * big + [delta] * (delta - 1)):
-        return None
-    return (n, delta)
 
 
 def _applicable(g: Graph) -> TheoremOutcome | int:
@@ -405,7 +386,7 @@ def _edge_monotonicity_lemma(seed: int) -> dict[str, Any]:
 def _gstar_grid() -> list[tuple[int, int]]:
     grid = []
     for delta in (2, 3):
-        for n in range(max(2 * delta + 2, 7 * delta - 7 + (7 * delta - 7) % 2), 19, 2):
+        for n in range(max(2 * delta + 2, min_theorem_order(delta)), 19, 2):
             grid.append((n, delta))
     return grid
 
@@ -467,19 +448,35 @@ def _eigenvector_cell_lemma() -> dict[str, Any]:
     return {"cases": rows, "max_spread": 0.0 if passed else None, "passed": passed}
 
 
+def _join_perron_values(s: int, sizes: Sequence[int], r: float,
+                        alpha: int) -> list[float] | None:
+    """The Perron vector of a join K_s v union K_{n_i} of cliques on its
+    clique cells, scaled to a unit vector, from the radius r of
+    alpha*D + A (Q for alpha 1, A for alpha 0); None when some
+    denominator below is not positive.
+
+    With x_0 on the join cell, the eigenvalue equations give
+    x_i = s x_0 / (r - 2 n_i - s + 2) for Q and s x_0 / (r - n_i + 1) for
+    A.  Every denominator is positive exactly when r exceeds
+    2 max n_i + s - 2 (Q) or max n_i - 1 (A).  r is correctly rounded and
+    the bound an integer, so one float comparison decides it."""
+    k, j = (2, s - 2) if alpha else (1, -1)  # x_i = s x_0 / (r - k n_i - j)
+    if r <= k * max(sizes) + j:
+        return None
+    x = [s / (r - k * size - j) for size in sizes]
+    norm = math.sqrt(s + sum(size * xi * xi for size, xi in zip(sizes, x)))
+    return [xi / norm for xi in x]
+
+
 def _cell_ordering_lemma() -> dict[str, Any]:
     """On a join K_s v union K_{n_i} of cliques the Perron value on a
     clique cell increases with the clique's size (equal sizes give equal
     values), for both the adjacency matrix and the signless Laplacian.
 
-    With x_0 on the join cell, the eigenvalue equations give
-    x_i = s x_0 / (r - 2 n_i - s + 2) for Q and s x_0 / (r - n_i + 1) for
-    A, where r is the radius: the largest root of the quotient over the
-    cells.  So the ordering holds exactly when every denominator is
-    positive, that is when r exceeds 2 max n_i + s - 2 (Q) or max n_i - 1
-    (A).  r is correctly rounded and the bound an integer, so one float
-    comparison decides it.  cell_values are the x_i scaled to a unit
-    vector."""
+    By the eigenvalue equations (_join_perron_values) the ordering holds
+    exactly when every denominator there is positive, where r is the
+    radius: the largest root of the quotient over the cells.  cell_values
+    are the unit-scaled x_i."""
     instances: list[tuple[Graph, Sequence[Sequence[int]], int, tuple[int, ...]]] = []
     for s, parts in [
         (2, (3, 3)),
@@ -492,23 +489,18 @@ def _cell_ordering_lemma() -> dict[str, Any]:
     ]:
         instances.append((build_g1(s, parts), g1_cells(s, parts), s, tuple(parts)))
     for n, delta, s in [(14, 3, 2), (22, 4, 2), (22, 4, 3)]:
-        g = build_g3(n, delta, s)
-        sizes = tuple([delta + 1 - s] * (s - 1) + [n - s - (delta + 1 - s) * (s - 1)])
-        instances.append((g, g3_cells(n, delta, s), s, sizes))
+        instances.append((build_g3(n, delta, s), g3_cells(n, delta, s), s,
+                          tuple(g3_parts(n, delta, s))))
 
     rows = []
     violations = 0
     for g, cells, s, sizes in instances:
         equitable = quotient(g, cells) is not None
         for alpha in (0, 1):
-            values = None
+            x = None
             if equitable:
-                r = quotient_root(g, cells, alpha)[1]
-                k, j = (2, s - 2) if alpha else (1, -1)  # x_i = s x_0 / (r - k n_i - j)
-                if r > k * max(sizes) + j:
-                    x = [s / (r - k * size - j) for size in sizes]
-                    norm = math.sqrt(s + sum(size * xi * xi for size, xi in zip(sizes, x)))
-                    values = sorted(xi / norm for xi in x)
+                x = _join_perron_values(s, sizes, quotient_root(g, cells, alpha)[1], alpha)
+            values = None if x is None else sorted(x)
             ok = values is not None
             violations += not ok
             rows.append({"sizes": list(sizes), "alpha": alpha, "cell_values": values, "ok": ok})
@@ -545,10 +537,8 @@ def _identity_grid() -> list[tuple[int, int, int]]:
     nonempty."""
     grid = []
     for delta in range(2, 7):
-        lo = 7 * delta - 7
-        lo += lo % 2
         for s in range(2, delta + 4):
-            for n in range(max(lo, 2 * s), 7 * delta + 9, 2):
+            for n in range(max(min_theorem_order(delta), 2 * s), 7 * delta + 9, 2):
                 grid.append((n, delta, s))
     return grid
 
@@ -565,7 +555,7 @@ def identity_suite() -> dict[str, Any]:
     grid = _identity_grid()
     mismatches = []
     for n, delta, s in grid:
-        lhs = phi_b2(n, s) - phi_bstar(n, delta)
+        lhs = phi_bstar(n, s) - phi_bstar(n, delta)
         rhs = f_poly(n, s, delta).scaled(s - delta)
         if not (lhs - rhs).is_zero():
             mismatches.append({"n": n, "delta": delta, "s": s})
@@ -601,9 +591,9 @@ def identity_suite() -> dict[str, Any]:
     rows = []
     ok = True
     for delta in (2, 3, 4):
-        n = 7 * delta - 7 + (7 * delta - 7) % 2 + 14
+        n = min_theorem_order(delta) + 14
         for s in range(delta + 1, delta + 4):
-            margin = threshold_q(n, delta) - quotient_root(build_g2(n, s), gstar_cells(n, s))[1]
+            margin = threshold_q(n, delta) - quotient_root(build_gstar(n, s), gstar_cells(n, s))[1]
             ok = ok and margin > 0
             rows.append({"n": n, "delta": delta, "s": s, "threshold_margin": margin})
     sections["large_join_below_threshold"] = {"cases": rows, "passed": ok}
@@ -615,26 +605,23 @@ def identity_suite() -> dict[str, Any]:
     ok = True
     g3_roots = {}
     for delta in (3, 4, 5):
-        n = 7 * delta - 7 + (7 * delta - 7) % 2
+        n = min_theorem_order(delta)
         gs, qstar = build_gstar(n, delta), threshold_q(n, delta)
         for s in range(2, delta):
             plan, g3 = surgery_plan(n, delta, s), build_g3(n, delta, s)
             g4 = build_g4(g3, plan)
             poly3, q3 = g3_roots[delta, s] = quotient_root(g3, g3_cells(n, delta, s))
             poly4, q4 = quotient_root(g4, equitable_partition(g4))
-            # The paper's Rayleigh step on G3's Perron vector: x_0 = 1 on S and
-            # x_i = s / (q3 - 2 n_i - s + 2) on a clique of n_i vertices, scaled
-            # to unit length; x2 is its value on V_1 and x3 on V_2.
-            sizes = [delta + 1 - s] * (s - 1) + [plan.m]
-            x = [s / (q3 - 2 * size - s + 2) for size in sizes]
-            norm = math.sqrt(s + sum(size * xi * xi for size, xi in zip(sizes, x)))
-            x2, x3 = x[0] / norm, x[-1] / norm
-            closed = len(plan.added) * (x2 + x3) ** 2 - len(plan.removed) * (2 * x2) ** 2
+            # The paper's Rayleigh step on G3's unit Perron vector, whose value
+            # is x[0] on V_1 and x[-1] on V_2.
+            x = _join_perron_values(s, g3_parts(n, delta, s), q3, 1)
+            closed = None if x is None else (
+                len(plan.added) * (x[0] + x[-1]) ** 2 - len(plan.removed) * (2 * x[0]) ** 2)
             case_ok = (
-                closed > 0
+                closed is not None and closed > 0
                 and q3 < q4
                 and (q4 < qstar or poly4 == phi_bstar(n, delta))
-                and g4_containment(plan, g4, gs).embedded
+                and g4_containment(plan, g4, gs) is not None
             )
             ok = ok and case_ok
             rows.append({"n": n, "delta": delta, "s": s, "closed_form_gain": closed,
@@ -646,7 +633,7 @@ def identity_suite() -> dict[str, Any]:
     rows = []
     ok = True
     for delta, s in [(3, 2), (4, 2), (4, 3)]:
-        n = 7 * delta - 7 + (7 * delta - 7) % 2
+        n = min_theorem_order(delta)
         poly3, q3 = g3_roots[delta, s]
         for parts in odd_compositions(n - s, s, minimum=delta + 1 - s):
             poly, value = quotient_root(build_g1(s, parts), g1_cells(s, parts))
@@ -656,13 +643,13 @@ def identity_suite() -> dict[str, Any]:
     sections["layered_dominates"] = {"cases": rows, "passed": ok}
 
     # (f) the threshold root is a signless-Laplacian quantity: the largest
-    # real root of phi_b2 is q(G), the root of G's Q quotient, not rho(G),
+    # real root of phi_bstar is q(G), the root of G's Q quotient, not rho(G),
     # the root of its adjacency quotient.
     rows = []
     ok = True
     for n, s in [(8, 2), (14, 3), (20, 4)]:
-        root = largest_real_root(phi_b2(n, s), 0.0, 2.0 * n)
-        g2, cells = build_g2(n, s), gstar_cells(n, s)
+        root = largest_real_root(phi_bstar(n, s), 0.0, 2.0 * n)
+        g2, cells = build_gstar(n, s), gstar_cells(n, s)
         q_diff = abs(root - quotient_root(g2, cells)[1])
         rho = quotient_root(g2, cells, 0)[1]
         rho_diff = abs(root - rho)

@@ -18,7 +18,6 @@ from qfactor.extremal import (
     build_gstar,
     f_poly,
     gstar_cells,
-    phi_b2,
     phi_bstar,
     surgery_plan,
     threshold_q,
@@ -64,12 +63,11 @@ def test_01_quotient_polynomials_exact():
     for n in range(8, 41, 2):
         for s in range(2, n // 2 + 1):
             closed = [[n + s - 2, n - 2 * s + 1, s - 1], [s, 2 * n - 3 * s, 0], [s, 0, s]]
-            assert phi_b2(n, s) == char_poly(closed), (n, s)
+            assert phi_bstar(n, s) == char_poly(closed), (n, s)
             # The closed form agrees with the quotient of the real graph.
             g = build_gstar(n, s) if n > 2 * s else None
             if g is not None:
                 assert quotient(g, gstar_cells(n, s)) == closed, (n, s)
-                assert phi_bstar(n, s) == phi_b2(n, s)
             cases += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"budget exceeded: {elapsed:.1f}s"
@@ -85,7 +83,7 @@ def test_02_difference_identity_exact():
     for delta in range(2, 7):
         for n in range(even_up(7 * delta - 7), 7 * delta + 14, 2):
             for s in range(delta + 1, n // 2 + 1):
-                difference = phi_b2(n, s) - phi_bstar(n, delta)
+                difference = phi_bstar(n, s) - phi_bstar(n, delta)
                 predicted = f_poly(n, s, delta).scaled(s - delta)
                 assert difference == predicted, (n, delta, s)
                 cases += 1

@@ -228,10 +228,33 @@ class TestExtremal:
 
     def test_invalid_parameters_exit_2(self, capsys):
         code, _, err = run(
-            capsys, "extremal", "--family", "gstar", "--n", "7", "--delta", "2"
+            capsys, "extremal", "--family", "gstar", "--n", "5", "--delta", "3"
         )
         assert code == 2
-        assert "even" in err
+        assert "need n >= 2*delta" in err
+
+    @pytest.mark.parametrize("family, flag", [("gstar", "--delta"), ("g2", "--s")])
+    def test_odd_order_gstar_is_g2(self, capsys, family, flag):
+        # G2(n, s) is G*(n, s) at either parity: one graph, one q
+        code, out, _ = run(capsys, "extremal", "--family", family, "--n", "9", flag, "2")
+        assert code == 0
+        assert out.startswith("H~~~~~?\ncoefficients = [-168, 136, -23, 1]\n")
+        assert "\nq = 14.3245553203368\n" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "g1", "--s", "2", "--parts", "63"],
+        ["--family", "g4", "--n", "3000", "--delta", "5", "--s", "3"],
+    ], ids=["g1", "g4"])
+    def test_order_above_62_exit_2_before_any_build(self, capsys, monkeypatch, argv):
+        from qfactor import extremal
+
+        def fail(*args):
+            raise AssertionError("built a graph write_graph6 must refuse")
+
+        for name in ("build_gstar", "build_g1", "build_g3", "build_g4", "surgery_plan"):
+            monkeypatch.setattr(extremal, name, fail)
+        code, out, err = run(capsys, "extremal", *argv)
+        assert (code, out, err) == (2, "", "extremal: short-form graph6 supports n <= 62 only\n")
 
     def test_bad_parts_string_exit_2(self, capsys):
         code, _, err = run(
@@ -614,11 +637,11 @@ def tampered_threshold(monkeypatch):
     """phi_bstar with its constant term off by one, which threshold_q's
     cross-check must reject. The threshold cache is cleared before, so no
     value computed earlier skips the check, and after."""
-    from qfactor.extremal import phi_b2, threshold_q
+    from qfactor.extremal import phi_bstar, threshold_q
     from qfactor.spectra import IntPolynomial
 
     monkeypatch.setattr("qfactor.extremal.phi_bstar",
-                        lambda n, delta: phi_b2(n, delta) - IntPolynomial((1,)))
+                        lambda n, delta: phi_bstar(n, delta) - IntPolynomial((1,)))
     threshold_q.cache_clear()
     yield
     threshold_q.cache_clear()

@@ -4,7 +4,6 @@ import pytest
 
 from qfactor.extremal import (
     build_g1,
-    build_g2,
     build_g3,
     build_g4,
     build_gstar,
@@ -13,13 +12,18 @@ from qfactor.extremal import (
     g3_cells,
     g4_containment,
     gstar_cells,
-    phi_b2,
     phi_bstar,
     surgery_plan,
     threshold_q,
 )
 from qfactor.graphs import Graph, is_connected, min_degree
-from qfactor.harness import _gstar_grid, _identity_grid, max_theorem_delta, odd_compositions
+from qfactor.harness import (
+    _gstar_grid,
+    _identity_grid,
+    max_theorem_delta,
+    min_theorem_order,
+    odd_compositions,
+)
 from qfactor.spectra import IntPolynomial, char_poly, perron_many, quotient
 
 
@@ -34,16 +38,17 @@ def test_gstar_8_2_shape():
     assert sorted(g.degrees()) == [2, 6, 6, 6, 6, 6, 7, 7]
     assert min_degree(g) == 2
     assert is_connected(g)
-    assert g.rows == build_g2(8, 2).rows  # same construction when s = delta
 
 
 def test_gstar_parameter_validation():
-    with pytest.raises(ValueError):
-        build_gstar(9, 2)  # odd order
-    with pytest.raises(ValueError):
-        build_gstar(8, 1)  # degree parameter below 2
-    with pytest.raises(ValueError):
-        build_gstar(4, 3)  # big clique would be empty
+    assert build_gstar(9, 2).n == 9  # odd orders are built too
+    assert sorted(build_gstar(6, 3).degrees()) == [3, 3, 3, 5, 5, 5]  # n = 2*delta: K_3 v 3K_1
+    for build in (build_gstar, phi_bstar):
+        with pytest.raises(ValueError, match="delta must be >= 2"):
+            build(8, 1)  # degree parameter below 2
+        for n, delta in [(4, 3), (5, 3)]:
+            with pytest.raises(ValueError, match="need n >= 2"):
+                build(n, delta)  # big clique would be empty
 
 
 def test_gstar_cells_are_equitable():
@@ -98,7 +103,7 @@ def test_surgery_plan_smallest_case():
 def test_surgery_counts_match_closed_forms():
     for delta in (3, 4, 5):
         for s in range(2, delta):
-            for n in range(7 * delta - 7 + (7 * delta - 7) % 2, 7 * delta + 14, 2):
+            for n in range(min_theorem_order(delta), 7 * delta + 14, 2):
                 plan = surgery_plan(n, delta, s)
                 m = n - s - (delta + 1 - s) * (s - 1)
                 t = delta + 1 - s
@@ -123,9 +128,8 @@ def test_g4_embeds_in_gstar():
     for n, delta, s in [(14, 3, 2), (22, 4, 2), (22, 4, 3), (28, 5, 4)]:
         plan = surgery_plan(n, delta, s)
         g4, gstar = build_g4(build_g3(n, delta, s), plan), build_gstar(n, delta)
-        report = g4_containment(plan, g4, gstar)
-        assert report.embedded
-        mapping = report.mapping
+        mapping = g4_containment(plan, g4, gstar)
+        assert mapping is not None
         assert sorted(mapping) == list(range(n))
         for u, v in g4.edges():
             assert gstar.has_edge(mapping[u], mapping[v]), (n, delta, s, u, v)
@@ -139,14 +143,13 @@ def test_g4_embeds_in_gstar():
 
 
 def b2_rows(n, s):
-    """The closed-form quotient of Q(g2(n, s)) that phi_b2 documents."""
+    """The closed-form quotient of Q(gstar(n, s)) that phi_bstar documents."""
     return [[n + s - 2, n - 2 * s + 1, s - 1], [s, 2 * n - 3 * s, 0], [s, 0, s]]
 
 
 def test_quotient_b2_frozen_entries():
-    b = quotient(build_g2(8, 2), gstar_cells(8, 2))
+    b = quotient(build_gstar(8, 2), gstar_cells(8, 2))
     assert b == b2_rows(8, 2) == [[8, 5, 1], [2, 10, 0], [2, 0, 2]]
-    assert quotient(build_gstar(8, 2), gstar_cells(8, 2)) == b
 
 
 def test_quotient_matches_graph_quotient():
@@ -155,21 +158,22 @@ def test_quotient_matches_graph_quotient():
 
 
 def test_phi_b2_frozen_coefficients():
-    assert phi_b2(8, 2).coeffs == (-120, 104, -20, 1)
     assert phi_bstar(8, 2).coeffs == (-120, 104, -20, 1)
+    assert phi_bstar(9, 2).coeffs == (-168, 136, -23, 1)
 
 
 def test_phi_equals_char_poly_of_quotient():
-    for n in range(8, 30, 2):
+    # every order up to 62, the graph6 short-form limit, of both parities
+    for n in range(4, 63):
         for s in range(2, n // 2 + 1):
-            b = quotient(build_g2(n, s), gstar_cells(n, s))
+            b = quotient(build_gstar(n, s), gstar_cells(n, s))
             assert b == b2_rows(n, s), (n, s)
-            assert phi_b2(n, s).coeffs == char_poly(b).coeffs, (n, s)
+            assert phi_bstar(n, s).coeffs == char_poly(b).coeffs, (n, s)
 
 
 def test_difference_identity_exact():
     for n, s, delta in [(14, 2, 3), (22, 3, 4), (16, 5, 2), (30, 4, 4)]:
-        lhs = phi_b2(n, s) - phi_bstar(n, delta)
+        lhs = phi_bstar(n, s) - phi_bstar(n, delta)
         rhs = f_poly(n, s, delta).scaled(s - delta)
         assert (lhs - rhs).is_zero(), (n, s, delta)
 
@@ -189,10 +193,13 @@ def test_f_poly_shape():
 def test_threshold_frozen_values():
     assert threshold_q(8, 2) == pytest.approx(12.385164807134505, abs=1e-9)
     assert threshold_q(14, 3) == pytest.approx(22.667346179666595, abs=1e-9)
+    # odd n: 8 + 2 sqrt(10), the largest root of (q - 7)(q^2 - 16q + 24),
+    # correctly rounded
+    assert threshold_q(9, 2) == 14.324555320336758
 
 
 def test_threshold_matches_direct_perron():
-    for n, delta in [(8, 2), (10, 2), (14, 3), (16, 3), (22, 4)]:
+    for n, delta in [(8, 2), (9, 2), (10, 2), (14, 3), (16, 3), (17, 3), (22, 4)]:
         direct = perron_many([build_gstar(n, delta)], 1)[0]
         assert threshold_q(n, delta) == pytest.approx(direct, abs=1e-8)
 
@@ -203,12 +210,12 @@ def test_threshold_deterministic():
 
 
 def test_threshold_cross_check_raises_on_wrong_polynomial(monkeypatch):
-    # phi_b2(n, delta + 1) is a valid cubic with a root in [0, 2n], but of
-    # another graph, and phi_bstar with its constant term off by one is the
-    # polynomial of no graph: the exact cross-check must reject both, also
-    # under -O.
-    for wrong in (lambda n, delta: phi_b2(n, delta + 1),
-                  lambda n, delta: phi_b2(n, delta) - IntPolynomial((1,))):
+    # phi_bstar(n, delta + 1) is a valid cubic with a root in [0, 2n], but
+    # of another graph, and phi_bstar with its constant term off by one is
+    # the polynomial of no graph: the exact cross-check must reject both,
+    # also under -O.
+    for wrong in (lambda n, delta: phi_bstar(n, delta + 1),
+                  lambda n, delta: phi_bstar(n, delta) - IntPolynomial((1,))):
         monkeypatch.setattr("qfactor.extremal.phi_bstar", wrong)
         threshold_q.cache_clear()
         try:
@@ -235,7 +242,7 @@ def test_family_builders_equal_validated_graphs():
     # constructor must give the same graph on every lemma and identity grid
     built = [build_gstar(n, delta) for n, delta in _gstar_grid()]
     for n, delta, s in _identity_grid():
-        built.append(build_g2(n, s))
+        built.append(build_gstar(n, s))
         if 2 <= s <= delta - 1:
             g3 = build_g3(n, delta, s)
             built += [g3, build_g4(g3, surgery_plan(n, delta, s))]

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from qfactor.graphs import (
     write_graph6,
 )
 from qfactor.extremal import (
-    ContainmentReport,
     build_g1,
     build_g3,
     build_g4,
@@ -54,6 +54,7 @@ from qfactor.harness import (
     identity_suite,
     lemma_suite,
     max_theorem_delta,
+    min_theorem_order,
     odd_compositions,
     recognize_gstar,
     verify_stream,
@@ -204,6 +205,13 @@ class TestMaxTheoremDelta:
         assert max_theorem_delta(8) == 2
         assert max_theorem_delta(14) == 3
         assert max_theorem_delta(21) == 4
+
+    def test_min_theorem_order(self):
+        assert [min_theorem_order(delta) for delta in range(2, 7)] == [8, 14, 22, 28, 36]
+        # the least even n the order-vs-degree hypothesis admits at delta
+        for delta in range(2, 12):
+            n = min_theorem_order(delta)
+            assert n % 2 == 0 and max_theorem_delta(n) >= delta > max_theorem_delta(n - 2)
 
 
 class TestCheckTheoremInstance:
@@ -719,8 +727,11 @@ class TestSuites:
                     and not any(case["ok"] for case in surgery["cases"]))
 
         with monkeypatch.context() as patch:
-            patch.setattr("qfactor.harness.g4_containment",
-                          lambda plan, g4, gs: ContainmentReport(False, None))
+            patch.setattr("qfactor.harness.g4_containment", lambda plan, g4, gs: None)
+            assert surgery_fails_everywhere()
+        # A Perron vector with a nonpositive denominator fails its case.
+        with monkeypatch.context() as patch:
+            patch.setattr("qfactor.harness._join_perron_values", lambda s, sizes, r, alpha: None)
             assert surgery_fails_everywhere()
         with monkeypatch.context() as patch:
             patch.setattr("qfactor.harness.build_g4", lambda g3, plan: g3)
@@ -731,13 +742,20 @@ class TestSuites:
         # One surgery plan, one G3, one G4 and one containment check per
         # (delta, s), and one G* per delta: build_g4 rewires the G3 and the
         # plan it is given, and G3's radius comes from that same G3.
-        counts = {"plan": 0, "g3": 0, "g4": 0, "gstar": 0}
+        # Sections (c) and (f) build G*(n, s) once per case as well, so G*
+        # builds are counted per argument pair and theirs taken off.
+        counts = {"plan": 0, "g3": 0, "g4": 0}
+        gstar_builds = Counter()
 
         def counting(name, build):
             def wrapper(*args):
                 counts[name] += 1
                 return build(*args)
             return wrapper
+
+        def counting_gstar(*args):
+            gstar_builds[args] += 1
+            return build_gstar(*args)
 
         plan_wrapper = counting("plan", harness.surgery_plan)
         monkeypatch.setattr("qfactor.harness.surgery_plan", plan_wrapper)
@@ -746,14 +764,21 @@ class TestSuites:
         monkeypatch.setattr("qfactor.harness.build_g3", g3_wrapper)
         monkeypatch.setattr("qfactor.extremal.build_g3", g3_wrapper)
         monkeypatch.setattr("qfactor.harness.build_g4", counting("g4", harness.build_g4))
-        monkeypatch.setattr("qfactor.harness.build_gstar", counting("gstar", harness.build_gstar))
+        monkeypatch.setattr("qfactor.harness.build_gstar", counting_gstar)
         harness.threshold_q.cache_clear()
         try:
-            surgery = identity_suite()["surgery_chain"]
+            report = identity_suite()
         finally:
             harness.threshold_q.cache_clear()
+        surgery = report["surgery_chain"]
         assert surgery["passed"] is True and len(surgery["cases"]) == 6
-        assert counts == {"plan": 6, "g3": 6, "g4": 6, "gstar": 3}
+        assert counts == {"plan": 6, "g3": 6, "g4": 6}
+        other_sections = Counter((case["n"], case["s"]) for name in
+                                 ("large_join_below_threshold", "root_semantics")
+                                 for case in report[name]["cases"])
+        surgery_gstar = gstar_builds - other_sections
+        assert gstar_builds == other_sections + surgery_gstar
+        assert surgery_gstar == Counter({(14, 3): 1, (22, 4): 1, (28, 5): 1})
 
     def test_surgery_radii_match_eigvalsh(self, identity_report):
         # q(G3) and q(G4) come from the quotients over G3's cells and G4's

@@ -30,13 +30,14 @@ Every other computation is polynomial and has no guard.
 The CLI parses before it loads: at import time this module needs only the
 standard library (not csv or json), so ``--version``, ``--help`` and usage
 errors load no other qfactor module.  Each runner imports what it runs when
-it is dispatched, and ``main`` then loads ``reportio``.  ``verify``,
-``lemmas``, ``identities`` and ``agreement`` load ``harness`` and with it
-every module; ``factor`` loads ``graphs``, ``matching`` and ``factors``;
-``spectrum`` loads ``graphs`` and ``spectra``; ``extremal`` loads those two
-and ``extremal``.  numpy loads at the first Perron value of an input graph,
-which only ``spectrum`` and ``verify`` compute: ``extremal``, ``identities``
-and ``lemmas`` take every radius as an exact quotient root.
+it is dispatched, and ``main`` then loads ``reportio``.  ``factor`` loads
+``graphs``, ``matching`` and ``factors``, and ``agreement`` those three and
+``census``; ``spectrum`` loads ``graphs`` and ``spectra``, ``extremal``
+those two and ``extremal``, and ``lemmas`` and ``identities`` those three
+and ``suites``; ``verify`` loads ``harness`` and every other module but
+``census`` and ``suites``.  numpy loads at the first Perron value of an
+input graph, which only ``spectrum`` and ``verify`` compute: ``extremal``,
+``identities`` and ``lemmas`` take every radius as an exact quotient root.
 The imports sit inside the functions, not in module globals, so a wrapper
 installed on a module's function (the benchmark's tracer) is the function
 called.
@@ -313,7 +314,7 @@ def _cmd_verify(args: argparse.Namespace) -> Run:
 
 
 def _cmd_suite(args: argparse.Namespace) -> Run:
-    from .harness import identity_suite, lemma_suite
+    from .suites import identity_suite, lemma_suite
     if args.subcommand == "lemmas":
         config, results, failure = {"seed": args.seed}, lemma_suite(seed=args.seed), "FAILURES"
     else:
@@ -328,7 +329,7 @@ def _cmd_suite(args: argparse.Namespace) -> Run:
 
 
 def _cmd_agreement(args: argparse.Namespace) -> Run:
-    from .harness import agreement_study
+    from .census import agreement_study
     results = agreement_study(
         args.n,
         connected_only=args.connected_only,

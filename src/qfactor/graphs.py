@@ -15,10 +15,9 @@ line_chunks and chunk_rows turn graph6 lines into report rows, one batched
 evaluation per chunk of lines: every per-line command reads through them.
 
 random_graph draws edges from a bit-exact splitmix64 stream so that seeded
-populations are reproducible down to the byte across platforms.
-isomorphism_classes labels every edge mask of an exhaustive population with
-its isomorphism class, so a census can evaluate one graph per class, and
-mask_graph6_encoder writes the graph6 of such a mask by table lookups.
+populations are reproducible down to the byte across platforms.  The
+exhaustive census's edge masks, isomorphism classes and mask encoder live
+in census, which only ``agreement`` loads.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ _MASK64 = (1 << 64) - 1
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MUL1 = 0xBF58476D1CE4E5B9
 _SM_MUL2 = 0x94D049BB133111EB
-
-# The largest order an exhaustive census labels: at n = 7 the label array
-# has 2**21 entries; n = 8 would need 2**28.
-MAX_ENUM_ORDER = 7
 
 
 class _Frozen:
@@ -395,121 +390,6 @@ def chunk_rows(fields_of: Callable, chunk: Sequence[tuple[int, str]]) -> list[di
 
 # ---------------------------------------------------------------------------
 # deterministic populations
-
-def lexicographic_pairs(n: int) -> list[tuple[int, int]]:
-    """(0,1), (0,2), ..., (0,n-1), (1,2), ...: the seeded-edge bit order."""
-    return list(combinations(range(n), 2))
-
-
-def mask_graph(n: int, pairs: Sequence[tuple[int, int]], mask: int) -> Graph:
-    """The graph whose edges are the pairs[k] for every bit k set in mask.
-
-    The pairs must be distinct vertices of 0..n-1, as lexicographic_pairs(n)
-    gives them; the rows are then symmetric and loop-free by construction.
-    """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    rows = [0] * n
-    while mask:
-        k = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        i, j = pairs[k]
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return _trusted_graph(n, tuple(rows))
-
-
-def isomorphism_classes(n: int) -> tuple[array, list[Graph]]:
-    """Label every edge mask on n vertices with its isomorphism class.
-
-    Bit k of a mask is the k-th pair of lexicographic_pairs(n), as in
-    mask_graph. Returns (labels, representatives): labels[mask] is the class
-    index of the mask, and representatives[c] is the graph of the lowest
-    mask in class c, so classes are numbered in ascending order of their
-    lowest mask.
-
-    Orbits are flood-filled under two generators of the symmetric group:
-    the transposition (0 1) and the n-cycle v -> v + 1 mod n. Each permutes
-    the pair bits and is applied to a mask with two precomputed table
-    lookups, one per half of the mask, so no Graph is built per mask.
-    Raises ValueError, before anything is allocated, for n > MAX_ENUM_ORDER.
-    """
-    _check_enum_order(n)
-    pairs = lexicographic_pairs(n)
-    index = {pair: k for k, pair in enumerate(pairs)}
-    half = (len(pairs) + 1) // 2
-    low = (1 << half) - 1
-    generators = []
-    for image in ([1, 0, *range(2, n)], [*range(1, n), 0]):  # (0 1), v -> v + 1
-        targets = []
-        for a, b in pairs:
-            a, b = image[a], image[b]
-            targets.append(index[(a, b) if a < b else (b, a)])
-        generators.append((_bit_table(targets[:half]), _bit_table(targets[half:])))
-
-    labels = array("i", [-1]) * (1 << len(pairs))
-    representatives = []
-    for mask in range(len(labels)):
-        if labels[mask] >= 0:
-            continue
-        label = len(representatives)
-        representatives.append(mask_graph(n, pairs, mask))
-        labels[mask] = label
-        stack = [mask]
-        while stack:
-            x = stack.pop()
-            x_low, x_high = x & low, x >> half
-            for lo, hi in generators:
-                y = lo[x_low] | hi[x_high]
-                if labels[y] < 0:
-                    labels[y] = label
-                    stack.append(y)
-    return labels, representatives
-
-
-def mask_graph6_encoder(n: int) -> Callable[[int], str]:
-    """A function taking an edge mask on n vertices (bit k is the k-th
-    lexicographic pair) to its graph6, equal to
-    write_graph6(mask_graph(n, lexicographic_pairs(n), mask)).
-
-    Two table lookups, one per half of the mask, move each pair bit to its
-    graph6 column-order position, counted from the top of the padded
-    payload; the 6-bit groups are then read off directly. The tables have
-    2**ceil(n(n-1)/4) entries, as in isomorphism_classes, and the same
-    order cap is checked before they are built.
-    """
-    _check_enum_order(n)
-    position = {pair: k for k, pair in enumerate(_pair_stream(n))}
-    pairs = lexicographic_pairs(n)
-    width = 6 * ((len(pairs) + 5) // 6)
-    targets = [width - 1 - position[pair] for pair in pairs]
-    half = (len(pairs) + 1) // 2
-    low = (1 << half) - 1
-    lo, hi = _bit_table(targets[:half]), _bit_table(targets[half:])
-    header = chr(n + 63)
-    shifts = range(width - 6, -1, -6)
-    chars = [chr(v) for v in _GRAPH6_BYTES]
-
-    def encode(mask: int) -> str:
-        bits = lo[mask & low] | hi[mask >> half]
-        return header + "".join([chars[bits >> s & 63] for s in shifts])
-
-    return encode
-
-
-def _check_enum_order(n: int) -> None:
-    if n > MAX_ENUM_ORDER:
-        raise ValueError(f"an exhaustive census needs n <= {MAX_ENUM_ORDER}, got n={n}")
-
-
-def _bit_table(targets: Sequence[int]) -> list[int]:
-    """table[v] has bit targets[k] set for every bit k set in v."""
-    table = [0] * (1 << len(targets))
-    for v in range(1, len(table)):
-        k = (v & -v).bit_length() - 1
-        table[v] = table[v & (v - 1)] | 1 << targets[k]
-    return table
-
 
 def splitmix64(seed: int) -> Iterator[int]:
     """The documented 64-bit stream behind every seeded population."""

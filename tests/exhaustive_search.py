@@ -3,7 +3,7 @@
 find_even_factor is the edge-branching search that decided even factors
 before the blossom gadget (``qfactor.factors.even_factor``) replaced it.
 enumerate_labeled lists every labeled graph of an order, one per edge mask,
-which the per-class census of ``qfactor.graphs.isomorphism_classes``
+which the per-class census of ``qfactor.census.isomorphism_classes``
 replaced. Both are exponential, so their size guards stay with them; the
 tests compare the polynomial code against them.
 """
@@ -12,12 +12,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from qfactor.graphs import (
-    Graph,
-    is_connected,
-    lexicographic_pairs,
-    mask_graph,
-)
+from qfactor.census import lexicographic_pairs, mask_graph
+from qfactor.graphs import Graph, is_connected
 
 
 class GuardExceeded(RuntimeError):

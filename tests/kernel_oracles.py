@@ -4,7 +4,7 @@
 ints that ``qfactor.spectra.char_poly`` computed before it moved to a
 Hessenberg reduction modulo a prime. ``transposition_classes`` is the census
 flood under the n - 1 adjacent transpositions that
-``qfactor.graphs.isomorphism_classes`` ran before it moved to two
+``qfactor.census.isomorphism_classes`` ran before it moved to two
 generators. ``fraction_root`` bisects a sign change with ``Fraction``
 arithmetic until both ends round to one double, independently of the
 dyadic bisection in ``qfactor.spectra.largest_real_root``. The tests compare
@@ -18,7 +18,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from qfactor.graphs import Graph, _bit_table, lexicographic_pairs, mask_graph
+from qfactor.census import _bit_table, lexicographic_pairs, mask_graph
+from qfactor.graphs import Graph
 from qfactor.spectra import IntPolynomial
 
 

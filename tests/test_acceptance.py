@@ -31,14 +31,11 @@ from qfactor.graphs import (
     random_graph,
     write_graph6,
 )
-from qfactor.harness import (
-    agreement_study,
-    identity_suite,
-    lemma_suite,
-    recognize_gstar,
-)
+from qfactor.census import agreement_study
+from qfactor.harness import recognize_gstar
 from qfactor.reportio import dumps_canonical, strip_volatile
 from qfactor.spectra import char_poly, perron_many, quotient
+from qfactor.suites import identity_suite, lemma_suite
 
 FACTORLESS = "G]o_GK"
 

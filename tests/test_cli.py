@@ -16,6 +16,7 @@ import pytest
 
 import qfactor
 import qfactor.harness
+import qfactor.suites
 from qfactor.cli import _cmd_per_line, _cmd_verify, main, verify_exit_code
 from qfactor.graphs import CHUNK_LINES, parse_graph6, random_graph, write_graph6
 from qfactor.reportio import dumps_canonical, strip_volatile
@@ -68,7 +69,7 @@ def cached_suites(monkeypatch, suite_runs):
         return run_once
 
     for name in ("lemma_suite", "identity_suite"):
-        monkeypatch.setattr(qfactor.harness, name, cached(getattr(qfactor.harness, name)))
+        monkeypatch.setattr(qfactor.suites, name, cached(getattr(qfactor.suites, name)))
 
 
 def run(capsys, *argv):
@@ -573,7 +574,7 @@ class TestSuitesCli:
         # A G* partition that is not equitable (vertex 0 alone, every other
         # vertex in one cell) fails a section: a suite failure (exit 1) with
         # the report written, not a usage error.
-        monkeypatch.setattr("qfactor.harness.gstar_cells",
+        monkeypatch.setattr("qfactor.suites.gstar_cells",
                             lambda n, delta: [[0], list(range(1, n))])
         path = tmp_path / "lemmas.json"
         code, out, err = run(capsys, "lemmas", "--report", str(path))
@@ -728,6 +729,18 @@ class TestAgreement:
         assert done.returncode == 2
         assert "no connected graph in 10000 draws" in done.stderr
         assert "n=8, p=1e-06" in done.stderr
+
+    def test_sampled_order_above_62_exit_2_before_any_graph(self, capsys, monkeypatch):
+        # A disagreement above order 62 has no short-form graph6, so the
+        # order is refused before the first graph is drawn or evaluated.
+        def evaluated(g):
+            pytest.fail(f"evaluated a graph of order {g.n}")
+
+        monkeypatch.setattr("qfactor.census.factor_verdict", evaluated)
+        code, out, err = run(capsys, "agreement", "--n", "64", "--samples", "20",
+                             "--p", "0.08", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == "agreement: short-form graph6 supports n <= 62 only\n"
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_samples_below_one_exit_2(self, capsys, samples):

@@ -17,13 +17,8 @@ from qfactor.extremal import (
     threshold_q,
 )
 from qfactor.graphs import Graph, is_connected, min_degree
-from qfactor.harness import (
-    _gstar_grid,
-    _identity_grid,
-    max_theorem_delta,
-    min_theorem_order,
-    odd_compositions,
-)
+from qfactor.harness import max_theorem_delta
+from qfactor.suites import _gstar_grid, _identity_grid, min_theorem_order, odd_compositions
 from qfactor.spectra import IntPolynomial, char_poly, perron_many, quotient
 
 

@@ -11,11 +11,11 @@ import pytest
 
 from exhaustive_search import GuardExceeded, enumerate_labeled, find_even_factor
 from qfactor import factors
+from qfactor.census import isomorphism_classes
 from qfactor.extremal import build_gstar
 from qfactor.graphs import (
     Graph,
     complete,
-    isomorphism_classes,
     odd_components_after_removal,
     parse_graph6,
     random_graph,

@@ -15,6 +15,12 @@ from hypothesis import strategies as st
 from codec_oracles import parse_graph6_by_strings
 from exhaustive_search import GuardExceeded, enumerate_labeled
 from kernel_oracles import transposition_classes
+from qfactor.census import (
+    isomorphism_classes,
+    lexicographic_pairs,
+    mask_graph,
+    mask_graph6_encoder,
+)
 from qfactor.graphs import (
     Graph,
     Graph6Error,
@@ -24,11 +30,7 @@ from qfactor.graphs import (
     disjoint_union,
     graph6_payload,
     is_connected,
-    isomorphism_classes,
     join,
-    lexicographic_pairs,
-    mask_graph,
-    mask_graph6_encoder,
     min_degree,
     odd_components_after_removal,
     parse_graph6,

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exhaustive_search import enumerate_labeled, find_even_factor
-from qfactor import harness
+from qfactor import harness, suites
+from qfactor.census import agreement_study, isomorphism_classes
 from qfactor.factors import (
     AGREEMENT_CLASSES,
     even_factor,
@@ -23,7 +24,6 @@ from qfactor.graphs import (
     Graph,
     complete,
     is_connected,
-    isomorphism_classes,
     min_degree,
     parse_graph6,
     random_graph,
@@ -49,16 +49,12 @@ from qfactor.spectra import (
 from qfactor.harness import (
     CLASSIFICATIONS,
     TheoremOutcome,
-    agreement_study,
     check_theorem_instance,
-    identity_suite,
-    lemma_suite,
     max_theorem_delta,
-    min_theorem_order,
-    odd_compositions,
     recognize_gstar,
     verify_stream,
 )
+from qfactor.suites import identity_suite, lemma_suite, min_theorem_order, odd_compositions
 
 # A connected order-8 graph with delta = 2 and no even factor: a complete
 # bipartite K_{2,3} bridged by one edge to a triangle.  Its q exceeds no
@@ -578,7 +574,7 @@ def test_edge_certificate_brackets_eigvalsh(n, p, seed, data):
     g = Graph.from_edges(n, sorted(set(tree) | set(random_graph(n, p, seed).edges())))
     u, v = data.draw(st.sampled_from(g.edges()))
     h = g.remove_edges([(u, v)])
-    a, b, c, d = harness._edge_certificate(h, u, v)
+    a, b, c, d = suites._edge_certificate(h, u, v)
     assert a * d > c * b
     assert a / b <= np.linalg.eigvalsh(signless_laplacian(g))[-1] + 1e-10
     assert c / d >= np.linalg.eigvalsh(signless_laplacian(h))[-1] - 1e-10
@@ -637,8 +633,8 @@ class TestSuites:
                 return poly
             return poly - IntPolynomial((-1,))
 
-        monkeypatch.setattr("qfactor.harness.char_poly", skewed)
-        report = harness._quotient_radius_lemma()
+        monkeypatch.setattr("qfactor.suites.char_poly", skewed)
+        report = suites._quotient_radius_lemma()
         assert report["all_equitable"] is True
         assert report["max_root_vs_perron"] < 1e-8
         assert not any(case["divides"] for case in report["cases"])
@@ -648,14 +644,14 @@ class TestSuites:
         # Vertex 0 alone and every other vertex in one cell, which mixes
         # degrees: no quotient, so each case and the section fail, and
         # nothing raises.
-        monkeypatch.setattr("qfactor.harness.gstar_cells",
+        monkeypatch.setattr("qfactor.suites.gstar_cells",
                             lambda n, delta: [[0], list(range(1, n))])
-        section = harness._quotient_radius_lemma()
+        section = suites._quotient_radius_lemma()
         assert section["passed"] is False and section["all_equitable"] is False
         assert section["all_divide"] is False
         assert all(case["equitable"] is False and case["root_vs_perron"] is None
                    for case in section["cases"])
-        assert harness._eigenvector_cell_lemma()["passed"] is False
+        assert suites._eigenvector_cell_lemma()["passed"] is False
 
     def test_quotient_radius_rejects_a_wrong_cofactor(self, monkeypatch):
         # A cofactor off by one in its constant term: quotient times
@@ -663,7 +659,7 @@ class TestSuites:
         divide = IntPolynomial.__floordiv__
         monkeypatch.setattr(IntPolynomial, "__floordiv__",
                             lambda p, d: divide(p, d) - IntPolynomial((1,)))
-        section = harness._quotient_radius_lemma()
+        section = suites._quotient_radius_lemma()
         assert section["all_equitable"] is True
         assert not any(case["divides"] for case in section["cases"])
         assert section["passed"] is False
@@ -675,14 +671,14 @@ class TestSuites:
         divide = IntPolynomial.__floordiv__
         monkeypatch.setattr(IntPolynomial, "__floordiv__",
                             lambda p, d: divide(p, d) * IntPolynomial((-10**6, 1)))
-        section = harness._quotient_radius_lemma()
+        section = suites._quotient_radius_lemma()
         assert all(case["root_vs_perron"] is None for case in section["cases"])
         assert section["max_root_vs_perron"] is None and section["passed"] is False
 
     def test_eigenvector_cells_fail_a_one_cell_partition(self, monkeypatch):
         # G* is not regular, so one cell is not equitable: no case is proved.
-        monkeypatch.setattr("qfactor.harness.gstar_cells", lambda n, delta: [list(range(n))])
-        section = harness._eigenvector_cell_lemma()
+        monkeypatch.setattr("qfactor.suites.gstar_cells", lambda n, delta: [list(range(n))])
+        section = suites._eigenvector_cell_lemma()
         assert section["passed"] is False and section["max_spread"] is None
         assert all(case["max_spread"] is None for case in section["cases"])
 
@@ -711,9 +707,9 @@ class TestSuites:
         # cliques: no quotient, so no radius and no cell values, and every
         # cell-ordering case is marked not ok. Nothing raises.
         with monkeypatch.context() as patch:
-            patch.setattr("qfactor.harness.g1_cells", lambda s, parts: [list(range(s + sum(parts)))])
-            patch.setattr("qfactor.harness.g3_cells", lambda n, delta, s: [list(range(n))])
-            ordering = harness._cell_ordering_lemma()
+            patch.setattr("qfactor.suites.g1_cells", lambda s, parts: [list(range(s + sum(parts)))])
+            patch.setattr("qfactor.suites.g3_cells", lambda n, delta, s: [list(range(n))])
+            ordering = suites._cell_ordering_lemma()
         assert ordering["violations"] == len(ordering["cases"]) > 0
         assert all(case["cell_values"] is None for case in ordering["cases"])
         assert ordering["passed"] is False
@@ -727,14 +723,14 @@ class TestSuites:
                     and not any(case["ok"] for case in surgery["cases"]))
 
         with monkeypatch.context() as patch:
-            patch.setattr("qfactor.harness.g4_containment", lambda plan, g4, gs: None)
+            patch.setattr("qfactor.suites.g4_containment", lambda plan, g4, gs: None)
             assert surgery_fails_everywhere()
         # A Perron vector with a nonpositive denominator fails its case.
         with monkeypatch.context() as patch:
-            patch.setattr("qfactor.harness._join_perron_values", lambda s, sizes, r, alpha: None)
+            patch.setattr("qfactor.suites._join_perron_values", lambda s, sizes, r, alpha: None)
             assert surgery_fails_everywhere()
         with monkeypatch.context() as patch:
-            patch.setattr("qfactor.harness.build_g4", lambda g3, plan: g3)
+            patch.setattr("qfactor.suites.build_g4", lambda g3, plan: g3)
             assert surgery_fails_everywhere()
         assert identity_suite()["surgery_chain"]["passed"] is True
 
@@ -757,19 +753,19 @@ class TestSuites:
             gstar_builds[args] += 1
             return build_gstar(*args)
 
-        plan_wrapper = counting("plan", harness.surgery_plan)
-        monkeypatch.setattr("qfactor.harness.surgery_plan", plan_wrapper)
+        plan_wrapper = counting("plan", suites.surgery_plan)
+        monkeypatch.setattr("qfactor.suites.surgery_plan", plan_wrapper)
         monkeypatch.setattr("qfactor.extremal.surgery_plan", plan_wrapper)
-        g3_wrapper = counting("g3", harness.build_g3)
-        monkeypatch.setattr("qfactor.harness.build_g3", g3_wrapper)
+        g3_wrapper = counting("g3", suites.build_g3)
+        monkeypatch.setattr("qfactor.suites.build_g3", g3_wrapper)
         monkeypatch.setattr("qfactor.extremal.build_g3", g3_wrapper)
-        monkeypatch.setattr("qfactor.harness.build_g4", counting("g4", harness.build_g4))
-        monkeypatch.setattr("qfactor.harness.build_gstar", counting_gstar)
-        harness.threshold_q.cache_clear()
+        monkeypatch.setattr("qfactor.suites.build_g4", counting("g4", suites.build_g4))
+        monkeypatch.setattr("qfactor.suites.build_gstar", counting_gstar)
+        suites.threshold_q.cache_clear()
         try:
             report = identity_suite()
         finally:
-            harness.threshold_q.cache_clear()
+            suites.threshold_q.cache_clear()
         surgery = report["surgery_chain"]
         assert surgery["passed"] is True and len(surgery["cases"]) == 6
         assert counts == {"plan": 6, "g3": 6, "g4": 6}
@@ -800,8 +796,8 @@ class TestSuites:
         # With no certificate found every pair is a violation and no margin
         # is certified: min_margin is null, not the invalid JSON token
         # Infinity.
-        monkeypatch.setattr("qfactor.harness._edge_certificate", lambda h, u, v: None)
-        section = harness._edge_monotonicity_lemma(0)
+        monkeypatch.setattr("qfactor.suites._edge_certificate", lambda h, u, v: None)
+        section = suites._edge_monotonicity_lemma(0)
 
         def reject(token):
             raise ValueError(f"not JSON: {token}")
@@ -830,7 +826,7 @@ class TestSuites:
     def test_identity_grid_minimum(self, identity_report):
         # The fixed grid starts at delta = 2 with s = delta and s > delta there,
         # so the smallest case the proof covers is always checked.
-        grid = harness._identity_grid()
+        grid = suites._identity_grid()
         assert min(delta for _, delta, _ in grid) == 2
         at_two = {s for _, delta, s in grid if delta == 2}
         assert 2 in at_two and max(at_two) > 2
@@ -882,7 +878,7 @@ class TestAgreementStudy:
             seen.append(g)
             return factor_verdict(g)
 
-        monkeypatch.setattr("qfactor.harness.factor_verdict", counted)
+        monkeypatch.setattr("qfactor.census.factor_verdict", counted)
         report = agreement_study(6, connected_only=connected_only)
         assert len(seen) == classes
         assert report["total"] == (26704 if connected_only else 32768)

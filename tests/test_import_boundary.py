@@ -81,7 +81,17 @@ def test_importing_the_package_does_not_load_numpy():
     (["spectrum"], "G~~~~{\n", ("qfactor.harness", "qfactor.factors", "qfactor.extremal"), 0),
     (["extremal", "--family", "gstar", "--n", "8", "--delta", "2"], "",
      ("qfactor.harness", "qfactor.factors", "numpy"), 0),
-], ids=["version", "help", "usage-error", "factor", "spectrum", "extremal"])
+    # The theorem check, the suites and the census are separate modules:
+    # each command compiles only its own.
+    (["agreement", "--n", "4", "--connected-only"], "",
+     ("qfactor.spectra", "qfactor.extremal", "qfactor.harness", "qfactor.suites"), 0),
+    (["lemmas"], "",
+     ("qfactor.factors", "qfactor.matching", "qfactor.harness", "qfactor.census"), 0),
+    (["identities"], "",
+     ("qfactor.factors", "qfactor.matching", "qfactor.harness", "qfactor.census"), 0),
+    (["verify", "--stream", "-"], "G~~~~{\n", ("qfactor.suites", "qfactor.census"), 0),
+], ids=["version", "help", "usage-error", "factor", "spectrum", "extremal", "agreement",
+        "lemmas", "identities", "verify"])
 def test_each_command_loads_only_what_it_runs(argv, stdin, forbidden, code):
     assert _run_main(forbidden, argv, stdin) == code
 

@@ -5,7 +5,8 @@ import networkx as nx
 import pytest
 
 from exhaustive_search import find_even_factor
-from qfactor.graphs import Graph, complete, isomorphism_classes, random_graph
+from qfactor.census import isomorphism_classes
+from qfactor.graphs import Graph, complete, random_graph
 from qfactor.matching import _augment, _mates, two_factor
 
 

@@ -24,7 +24,8 @@ from qfactor.graphs import (
     random_graph,
     write_graph6,
 )
-from qfactor.harness import check_theorem_instance, identity_suite, lemma_suite
+from qfactor.harness import check_theorem_instance
+from qfactor.suites import identity_suite, lemma_suite
 from qfactor.spectra import (
     IntPolynomial,
     _alpha_stack,
@@ -516,7 +517,7 @@ def test_largest_real_root_matches_fraction_oracle_on_suite_polynomials(monkeypa
         return root
 
     monkeypatch.setattr("qfactor.spectra.largest_real_root", recording)
-    monkeypatch.setattr("qfactor.harness.largest_real_root", recording)
+    monkeypatch.setattr("qfactor.suites.largest_real_root", recording)
     threshold_q.cache_clear()
     try:
         lemma_suite(seed=0)

@@ -27,6 +27,7 @@ from .graphs import (
     _GRAPH6_BYTES,
     _pair_stream,
     _trusted_graph,
+    check_graph6_order,
     is_connected,
     random_graph,
     splitmix64,
@@ -210,8 +211,7 @@ def agreement_study(
             raise ValueError(f"samples must be at least 1, got {samples}")
         # write_graph6's limit, checked before a run whose first
         # disagreement could not be written
-        if n > 62:
-            raise ValueError("short-form graph6 supports n <= 62 only")
+        check_graph6_order(n)
         if connected_only and (n == 0 or (p == 0 and n >= 2)):
             raise ValueError(
                 f"no connected graph can be drawn with n={n}, p={p}")

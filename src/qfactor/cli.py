@@ -12,7 +12,9 @@ Subcommands::
 
 Graphs are read one graph6 string per line (``-`` means standard input),
 in chunks by graphs.line_chunks and graphs.chunk_rows for all three
-per-line commands: a line that fails is an error row.
+per-line commands: each command's fields raise on a line that fails, and
+chunk_rows makes that line an error row.  Input is read as bytes and must
+be ASCII, from a file or stdin alike, whatever the locale.
 ``--report PATH`` writes the canonical JSON report envelope; without it,
 ``--format json`` prints the same envelope to standard output.  ``text``
 and ``csv`` are human/flat projections of the same rows.
@@ -79,10 +81,14 @@ def _positive_int(text: str) -> int:
 
 
 def _read_lines(source: str) -> list[str]:
+    """The lines of a file or of stdin (``-``), read as bytes and decoded as
+    strict ASCII whatever the locale: a non-ASCII byte raises."""
     if source == "-":
-        return sys.stdin.read().splitlines()
-    with open(source, "r", encoding="ascii") as fh:
-        return fh.read().splitlines()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+    return data.decode("ascii").splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +179,15 @@ def _cmd_per_line(args: argparse.Namespace) -> Run:
     return Run({"input": args.input}, results, text_lines, 2 if errors else 0)
 
 
-def _spectrum_fields(graphs: list) -> list[Any]:
-    """Each graph's n, m, delta, q and rho, or its first error; q and rho
-    take one stacked eigh call per order each."""
+def _spectrum_fields(graphs: list) -> list[dict[str, Any]]:
+    """Each graph's n, m, delta, q and rho; q and rho take one stacked eigh
+    call per order each."""
     from .graphs import min_degree
     from .spectra import perron_many
-    out: list[Any] = []
-    for g, q, rho in zip(graphs, perron_many(graphs, 1), perron_many(graphs, 0)):
-        try:
-            fields = {"n": g.n, "m": g.edge_count, "delta": min_degree(g), "q": q, "rho": rho}
-        except ValueError as exc:  # order 0: min_degree's error comes first
-            fields = exc
-        out.append(next((v for v in (fields, q, rho) if isinstance(v, Exception)), fields))
-    return out
+    deltas = [min_degree(g) for g in graphs]  # order 0: min_degree's error comes first
+    return [{"n": g.n, "m": g.edge_count, "delta": delta, "q": q, "rho": rho}
+            for g, delta, q, rho in zip(graphs, deltas, perron_many(graphs, 1),
+                                        perron_many(graphs, 0))]
 
 
 def _spectrum_text(row: dict[str, Any]) -> str:
@@ -193,21 +195,14 @@ def _spectrum_text(row: dict[str, Any]) -> str:
     return " ".join(f"{key}={_fmt(row[key])}" for key in keys)
 
 
-def _factor_fields(graphs: list) -> list[Any]:
-    """Each graph's criterion verdict and certificate, or its error."""
+def _factor_fields(graphs: list) -> list[dict[str, Any]]:
+    """Each graph's criterion verdict and certificate."""
     from .factors import factor_verdict
-    out: list[Any] = []
-    for g in graphs:
-        try:
-            v = factor_verdict(g)
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
-            out.append(exc)
-            continue
-        out.append({"criterion_holds": v.criterion_holds,
-                    "blocking": list(v.blocking) if v.blocking else None,
-                    "certificate": [list(e) for e in v.certificate] if v.certificate else None,
-                    "agreement": v.agreement})
-    return out
+    return [{"criterion_holds": v.criterion_holds,
+             "blocking": list(v.blocking) if v.blocking else None,
+             "certificate": [list(e) for e in v.certificate] if v.certificate else None,
+             "agreement": v.agreement}
+            for v in map(factor_verdict, graphs)]
 
 
 def _factor_text(row: dict[str, Any]) -> str:
@@ -235,7 +230,7 @@ _FAMILIES = {
 
 def _cmd_extremal(args: argparse.Namespace) -> Run:
     from . import extremal
-    from .graphs import write_graph6
+    from .graphs import check_graph6_order, write_graph6
     from .spectra import equitable_partition, largest_real_root, quotient_root
     flags, builder, cells_of = _FAMILIES[args.family]
     values = [getattr(args, flag) for flag in flags]
@@ -243,8 +238,7 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
         names = [f"--{flag}" for flag in flags]
         raise ValueError(f"{args.family} requires {', '.join(names[:-1])} and {names[-1]}")
     # write_graph6's limit, checked before a build that could be huge
-    if (args.s + sum(args.parts) if args.family == "g1" else args.n) > 62:
-        raise ValueError("short-form graph6 supports n <= 62 only")
+    check_graph6_order(args.s + sum(args.parts) if args.family == "g1" else args.n)
     g = getattr(extremal, builder)(*values)
     if args.family == "g4":
         plan = extremal.surgery_plan(*values)

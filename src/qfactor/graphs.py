@@ -12,7 +12,8 @@ most-significant bit first, each byte offset by 63. Trailing pad bits must
 be zero. An optional ">>graph6<<" prefix is accepted on input.
 
 line_chunks and chunk_rows turn graph6 lines into report rows, one batched
-evaluation per chunk of lines: every per-line command reads through them.
+evaluation per chunk of lines: every per-line command reads through them,
+and chunk_rows is the one place where an error becomes a line's row.
 
 random_graph draws edges from a bit-exact splitmix64 stream so that seeded
 populations are reproducible down to the byte across platforms.  The
@@ -250,9 +251,14 @@ def _pair_stream(n: int) -> Iterator[tuple[int, int]]:
             yield i, j
 
 
-def write_graph6(g: Graph) -> str:
-    if g.n > 62:
+def check_graph6_order(n: int) -> None:
+    """Raise Graph6Error unless short-form graph6 can write order n."""
+    if n > 62:
         raise Graph6Error("short-form graph6 supports n <= 62 only")
+
+
+def write_graph6(g: Graph) -> str:
+    check_graph6_order(g.n)
     out = [g.n + 63]
     acc = 0
     nbits = 0
@@ -361,6 +367,9 @@ def graph6_payload(text: str) -> str:
 # costly lines cluster (on the benchmark sweep, 256 made --jobs 2 slower).
 CHUNK_LINES = 128
 
+# What evaluating a line may raise and still leave the run going.
+LINE_ERRORS = (ValueError, ArithmeticError, RuntimeError)
+
 
 def line_chunks(lines: Iterable[str]) -> list[list[tuple[int, str]]]:
     """(line number from 1, stripped text) of each nonblank line, in chunks."""
@@ -370,9 +379,11 @@ def line_chunks(lines: Iterable[str]) -> list[list[tuple[int, str]]]:
 
 def chunk_rows(fields_of: Callable, chunk: Sequence[tuple[int, str]]) -> list[dict]:
     """The rows of a chunk. The lines that parse go through one fields_of
-    call, which gives each graph's fields or the exception that stopped it.
-    A malformed line or an exception gives {line, graph6, error} with the
-    text as read, anything else {line, graph6, **fields} with its payload."""
+    call, which returns each graph's fields or raises. If it raises one of
+    LINE_ERRORS, the chunk is read again one line at a time, so an error
+    is only its own line's row. A malformed line or an error gives {line,
+    graph6, error} with the text as read, anything else {line, graph6,
+    **fields} with its payload."""
     results: list = [None] * len(chunk)
     parsed = []
     for pos, (_, text) in enumerate(chunk):
@@ -380,7 +391,13 @@ def chunk_rows(fields_of: Callable, chunk: Sequence[tuple[int, str]]) -> list[di
             parsed.append((pos, parse_graph6(text)))
         except Graph6Error as exc:
             results[pos] = exc
-    for (pos, _), result in zip(parsed, fields_of([g for _, g in parsed])):
+    try:
+        fields = fields_of([g for _, g in parsed])
+    except LINE_ERRORS as exc:
+        if len(chunk) > 1:
+            return [row for line in chunk for row in chunk_rows(fields_of, [line])]
+        fields = [exc]
+    for (pos, _), result in zip(parsed, fields):
         results[pos] = result
     return [{"line": lineno, "graph6": text, "error": str(result)}
             if isinstance(result, Exception)

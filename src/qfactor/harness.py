@@ -21,6 +21,7 @@ Above the threshold, a non-extremal graph is ``confirmed_factor``
 with a checked edge list, or a ``counterexample`` whose ``no_even_factor``
 witness rests on a checked Tutte barrier of the gadget (or a vertex of
 degree below 2).  Every such graph is decided; no size guard applies.
+A check that fails raises, and chunk_rows makes that the line's error row.
 
 The threshold itself is the largest real root of the closed-form integer
 polynomial phi_bstar, checked equal to the quotient polynomial counted from
@@ -114,21 +115,15 @@ def _decide(g: Graph, delta: int, q: float) -> TheoremOutcome:
                           {"kind": "even_factor", "edges": [list(e) for e in factor]})
 
 
-def _classify(graphs: Sequence[Graph]) -> list[Any]:
-    """Each graph's outcome, or the error that stopped it (the residual
-    gate or LinAlgError, a rejected certificate, the threshold
-    cross-check).  The hypotheses need no Perron value, so the applicable
-    graphs get theirs from one perron_many call, one eigh per order."""
+def _classify(graphs: Sequence[Graph]) -> list[TheoremOutcome]:
+    """Each graph's outcome. The hypotheses need no Perron value, so the
+    applicable graphs get theirs from one perron_many call, one eigh per
+    order. An error (the residual gate or LinAlgError, a rejected
+    certificate, the threshold cross-check) raises."""
     results: list[Any] = [_applicable(g) for g in graphs]
     pending = [i for i, result in enumerate(results) if isinstance(result, int)]
     for i, q in zip(pending, perron_many([graphs[i] for i in pending], 1)):
-        if isinstance(q, Exception):
-            results[i] = q
-            continue
-        try:
-            results[i] = _decide(graphs[i], results[i], q)
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
-            results[i] = exc
+        results[i] = _decide(graphs[i], results[i], q)
     return results
 
 
@@ -136,20 +131,16 @@ def check_theorem_instance(g: Graph) -> TheoremOutcome:
     """Classify one graph: the one-graph case of the classifier that
     :func:`verify_stream` runs per chunk, raising the error that stops the
     graph."""
-    result = _classify([g])[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _classify([g])[0]
 
 
 # ---------------------------------------------------------------------------
 # stream verification
 
 
-def _classify_rows(graphs: Sequence[Graph]) -> list[Any]:
-    """verify's fields_of for chunk_rows: each graph's outcome row or error."""
-    return [result if isinstance(result, Exception) else result.as_row()
-            for result in _classify(graphs)]
+def _classify_rows(graphs: Sequence[Graph]) -> list[dict[str, Any]]:
+    """verify's fields_of for chunk_rows: each graph's outcome row."""
+    return [outcome.as_row() for outcome in _classify(graphs)]
 
 
 def verify_stream(lines: Iterable[str], *, jobs: int = 1) -> dict[str, Any]:
@@ -157,7 +148,7 @@ def verify_stream(lines: Iterable[str], *, jobs: int = 1) -> dict[str, Any]:
 
     The lines are read in chunks as spectrum and factor read theirs
     (graphs.chunk_rows): malformed lines and instances whose numeric or
-    certificate checks fail become error rows, which make the run a usage
+    certificate checks raise become error rows, which make the run a usage
     failure but do not stop it.  A chunk costs one eigh call per graph
     order.  With ``jobs > 1`` the chunks fan out over a process pool; rows
     come in input order either way, so reports are independent of ``jobs``.

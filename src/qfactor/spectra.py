@@ -7,7 +7,8 @@ Two arithmetic regimes coexist on purpose and are kept separate:
   unpacked from the bitrows by numpy, and perron_many stacks many graphs
   by order, so each order costs one ``eigh`` call; stacked and one-matrix
   calls give bitwise-equal values, so a value does not depend on which
-  graphs share its call.
+  graphs share its call. A failure raises: graphs.chunk_rows re-runs the
+  chunk one graph at a time, which gives the same values for the others.
   This regime imports numpy on its first call, so a process that stays in
   the exact regime never loads it;
 * exact integer arithmetic: quotient matrices counted from the bitrows (over
@@ -62,53 +63,39 @@ def _alpha_stack(graphs: Sequence[Graph], alpha: int) -> np.ndarray:
     return m
 
 
-def perron_many(
-    graphs: Sequence[Graph], alpha: int
-) -> list[float | ValueError | ArithmeticError]:
-    """The Perron value of alpha*D + A for each graph, or the error it raises.
+def perron_many(graphs: Sequence[Graph], alpha: int) -> list[float]:
+    """The Perron value of alpha*D + A for each graph.
 
     Each graph is one matrix in the stack of its order, so each order costs
     one LAPACK eigh call. The value is the largest eigenvalue; the spectrum
     of a disjoint union is the union of its parts' spectra, so for a
-    disconnected graph it is the largest over its components. If a stacked
-    call raises (LinAlgError is a ValueError), that order is retried one
-    graph at a time, so an error stays with its own graph. The value is
+    disconnected graph it is the largest over its components. A value is
     returned only once its eigenvector x, taken nonnegative, passes the
-    residual gate: a graph whose ||M x - value x||_inf exceeds
-    RESIDUAL_GATE gets an ArithmeticError; an order-0 graph a ValueError.
-    One stack holds every graph of an order, so the caller bounds memory by
-    the number of graphs it passes.
+    residual gate; ArithmeticError if ||M x - value x||_inf exceeds
+    RESIDUAL_GATE, ValueError for order 0 or from eigh (LinAlgError).
+    graphs.chunk_rows retries a failed chunk line by line. One stack holds
+    every graph of an order, so the caller bounds memory by the number of
+    graphs it passes.
     """
-    out: list = [None] * len(graphs)
+    out = [0.0] * len(graphs)
     by_order: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         if g.n == 0:
-            out[i] = ValueError("graph must be nonempty")
-        else:
-            by_order.setdefault(g.n, []).append(i)
+            raise ValueError("graph must be nonempty")
+        by_order.setdefault(g.n, []).append(i)
     for members in by_order.values():
         import numpy as np  # here, so a call with nothing to solve never loads it
 
         stack = _alpha_stack([graphs[i] for i in members], alpha)
-        try:
-            solved = [(members, stack, *np.linalg.eigh(stack))]
-        except ValueError:
-            solved = []
-            for k, i in enumerate(members):
-                try:
-                    solved.append(([i], stack[k:k + 1], *np.linalg.eigh(stack[k:k + 1])))
-                except ValueError as exc:
-                    out[i] = exc
-        for ids, mats, values, vectors in solved:
-            top = values[:, -1]
-            x = np.abs(vectors[:, :, -1])
-            residual = np.abs((mats @ x[:, :, None])[:, :, 0] - top[:, None] * x).max(axis=1)
-            for i, value, r in zip(ids, top.tolist(), residual.tolist()):
-                if not r <= RESIDUAL_GATE:  # NaN fails too
-                    out[i] = ArithmeticError(
-                        f"eigenpair residual {r:.3e} exceeds gate {RESIDUAL_GATE:.0e}")
-                else:
-                    out[i] = value
+        values, vectors = np.linalg.eigh(stack)
+        top = values[:, -1]
+        x = np.abs(vectors[:, :, -1])
+        residual = np.abs((stack @ x[:, :, None])[:, :, 0] - top[:, None] * x).max(axis=1)
+        for i, value, r in zip(members, top.tolist(), residual.tolist()):
+            if not r <= RESIDUAL_GATE:  # NaN fails too
+                raise ArithmeticError(
+                    f"eigenpair residual {r:.3e} exceeds gate {RESIDUAL_GATE:.0e}")
+            out[i] = value
     return out
 
 

@@ -17,6 +17,7 @@ even-factor code, so the suites load no factors or matching.
 from __future__ import annotations
 
 import math
+from itertools import combinations_with_replacement
 from operator import mul
 from typing import Any, Sequence
 
@@ -57,23 +58,11 @@ def min_theorem_order(delta: int) -> int:
 # lemma suite
 
 
-def odd_compositions(total: int, parts: int, minimum: int = 1):
-    """Nondecreasing tuples of ``parts`` odd integers ``>= minimum`` summing
-    to ``total``, in lexicographic order."""
-    lo = minimum if minimum % 2 == 1 else minimum + 1
-
-    def rec(remaining: int, k: int, floor: int):
-        if k == 1:
-            if remaining >= floor and remaining % 2 == 1:
-                yield (remaining,)
-            return
-        v = floor
-        while v * k <= remaining:
-            for tail in rec(remaining - v, k - 1, v):
-                yield (v,) + tail
-            v += 2
-
-    yield from rec(total, parts, lo)
+def odd_compositions(total: int, parts: int, minimum: int = 1) -> list[tuple[int, ...]]:
+    """Nondecreasing tuples of ``parts`` odd integers ``>= minimum >= 0``
+    summing to ``total``, in lexicographic order."""
+    odd = range(minimum | 1, total + 1, 2)
+    return [c for c in combinations_with_replacement(odd, parts) if sum(c) == total]
 
 
 def _redistribution_lemma() -> dict[str, Any]:

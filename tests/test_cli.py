@@ -72,6 +72,11 @@ def cached_suites(monkeypatch, suite_runs):
         monkeypatch.setattr(qfactor.suites, name, cached(getattr(qfactor.suites, name)))
 
 
+def _stdin(text):
+    """A text stdin whose bytes the CLI reads through .buffer."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("ascii")), encoding="ascii")
+
+
 def run(capsys, *argv):
     try:
         code = main(list(argv))
@@ -136,9 +141,27 @@ class TestSpectrum:
         assert code == 2 and "--strict" in err
 
     def test_stdin_dash(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(f"{C8}\n"))
+        monkeypatch.setattr("sys.stdin", _stdin(f"{C8}\n"))
         code, out, _ = run(capsys, "spectrum", "-")
         assert code == 0 and C8 in out
+
+    @pytest.mark.parametrize("env", [{"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8:strict"}],
+                             ids=["posix-locale", "utf8-strict"])
+    @pytest.mark.parametrize("payload", [b"G\xc3\xa9~~~{", b"G\xff~~~~{"], ids=["utf8", "xff"])
+    def test_non_ascii_stdin_exits_2_without_rows(self, env, payload):
+        # stdin follows the file rule whatever the locale: the bytes are
+        # decoded as strict ASCII, so a non-ASCII byte stops the run before
+        # any row, as it does when the same bytes come from a file.
+        child_env = {k: v for k, v in os.environ.items()
+                     if k not in ("PYTHONIOENCODING", "LC_ALL", "LC_CTYPE", "LANG")}
+        child_env.update(env, PYTHONPATH=str(Path(qfactor.__file__).parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys; from qfactor.cli import main; sys.exit(main())",
+             "spectrum", "-"],
+            input=b"G~~~~{\n" + payload + b"\n", env=child_env, capture_output=True, timeout=60)
+        assert child.returncode == 2
+        assert child.stdout == b""
+        assert child.stderr.startswith(b"qfactor: ")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "spectrum", "/nonexistent/file.g6")
@@ -782,7 +805,7 @@ class TestAgreement:
 ], ids=["verify-eps", "lemmas-grid", "identities-grid", "agreement-exhaustive",
         "agreement-max-enum-order", "agreement-n8", "verify-cert-flags"])
 def test_one_value_per_run_parameter(capsys, monkeypatch, argv, exit_code):
-    monkeypatch.setattr("sys.stdin", io.StringIO(f"{C8}\n{K8}\n{GSTAR82}\n"))
+    monkeypatch.setattr("sys.stdin", _stdin(f"{C8}\n{K8}\n{GSTAR82}\n"))
     code, out, err = run(capsys, *argv)
     assert code == exit_code
     if exit_code == 2:
@@ -881,7 +904,7 @@ def _mask_floats(text):
 
 
 def _golden_stdout(capsys, monkeypatch, argv):
-    monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN_INPUT))
+    monkeypatch.setattr("sys.stdin", _stdin(GOLDEN_INPUT))
     code, out, _ = run(capsys, *argv)
     if "json" in argv and "--report" not in argv:
         out = dumps_canonical(strip_volatile(json.loads(out)))

@@ -452,24 +452,54 @@ class TestChunkedVerify:
         assert verify_stream(_TWO_ORDERS) == clean
 
     def test_residual_gate_errors_only_its_own_line(self, monkeypatch):
-        # Skew the first matrix of every stack: the first line of each order.
+        # Skew the eigenvalues of one graph's matrix, wherever it sits in its
+        # stack: the fourth line, the second graph of order 10.
         clean = verify_stream(_TWO_ORDERS)
+        target = _alpha_stack([parse_graph6(_TWO_ORDERS[3])], 1)[0]
         eigh = np.linalg.eigh
 
-        def skew_first(m):
+        def skew_target(m):
             values, vectors = eigh(m)
             values = values.copy()
-            values[0] += 1e-9
+            for k, matrix in enumerate(m):
+                if np.array_equal(matrix, target):
+                    values[k] += 1e-9
             return values, vectors
 
-        monkeypatch.setattr(np.linalg, "eigh", skew_first)
+        monkeypatch.setattr(np.linalg, "eigh", skew_target)
         report = verify_stream(_TWO_ORDERS)
         for k, (row, before) in enumerate(zip(report["items"], clean["items"])):
-            if k < 2:
+            if k == 3:
                 assert "residual" in row["error"] and "exceeds gate" in row["error"]
             else:
                 assert row == before
-        assert report["errors"] == 2
+        assert report["errors"] == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_hypothesis_check_errors_only_its_own_lines(self, monkeypatch, jobs):
+        # An error raised before any Perron value, on every order-10 line of
+        # a three-chunk stream: exactly those lines are error rows. The pool
+        # forks, so its workers see the patch.
+        lines = _interleaved_stream(2 * CHUNK_LINES + 37)
+        clean = verify_stream(lines)
+
+        def failing(g):
+            if g.n == 10:
+                raise ValueError("component scan failed")
+            return is_connected(g)
+
+        monkeypatch.setattr("qfactor.harness.is_connected", failing)
+        report = verify_stream(lines, jobs=jobs)
+        assert len(report["items"]) == len(clean["items"])
+        tens = 0
+        for row, before in zip(report["items"], clean["items"]):
+            if "error" not in before and parse_graph6(row["graph6"]).n == 10:
+                tens += 1
+                assert row == {"line": before["line"], "graph6": lines[before["line"] - 1],
+                               "error": "component scan failed"}
+            else:
+                assert row == before
+        assert tens > 50 and report["errors"] == tens + clean["errors"]
 
 
 def _sweep_style_lines():

@@ -17,6 +17,7 @@ from qfactor import spectra
 from qfactor.extremal import phi_bstar, threshold_q
 from qfactor.graphs import (
     Graph,
+    chunk_rows,
     complete,
     disjoint_union,
     is_connected,
@@ -110,7 +111,8 @@ def test_perron_matches_numpy_on_seeded_graphs():
 
 
 def test_perron_input_validation():
-    assert isinstance(perron_many([Graph(0, ())], 1)[0], ValueError)
+    with pytest.raises(ValueError, match="nonempty"):
+        perron_many([Graph(0, ())], 1)
 
 
 def test_perron_residual_gate(monkeypatch):
@@ -124,8 +126,8 @@ def test_perron_residual_gate(monkeypatch):
         return values + 1e-9, vectors
 
     monkeypatch.setattr(np.linalg, "eigh", skewed)
-    error = perron_many([g], 1)[0]
-    assert isinstance(error, ArithmeticError) and "residual" in str(error)
+    with pytest.raises(ArithmeticError, match="residual"):
+        perron_many([g], 1)
 
 
 def test_stacked_eigh_is_bitwise_equal_to_one_matrix_eigh():
@@ -180,9 +182,16 @@ def test_perron_many_matches_per_component_eigh_on_disconnected_graphs():
 
 
 def test_perron_many_keeps_errors_per_graph():
-    out = perron_many([complete(3), Graph(0, ()), cycle(6)], 1)
-    assert out[0] == pytest.approx(4.0) and out[2] == pytest.approx(4.0)
-    assert isinstance(out[1], ValueError)
+    # perron_many raises for the whole call; chunk_rows, which reads every
+    # stream, gives the error to its own line and the others their values.
+    with pytest.raises(ValueError, match="nonempty"):
+        perron_many([complete(3), Graph(0, ()), cycle(6)], 1)
+    lines = [write_graph6(complete(3)), "?", write_graph6(cycle(6))]
+    rows = chunk_rows(lambda graphs: [{"q": q} for q in perron_many(graphs, 1)],
+                      list(enumerate(lines, start=1)))
+    assert [row["line"] for row in rows] == [1, 2, 3]
+    assert rows[0]["q"] == pytest.approx(4.0) and rows[2]["q"] == pytest.approx(4.0)
+    assert rows[1] == {"line": 2, "graph6": "?", "error": "graph must be nonempty"}
 
 
 @settings(max_examples=60, deadline=None)

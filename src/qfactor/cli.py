@@ -29,6 +29,10 @@ findings (1).
 A reader of stdout that leaves early does not change the exit code.
 Every other computation is polynomial and has no guard.
 
+``qfactor`` and ``python -m qfactor.cli`` run :func:`entry`, which flushes
+after :func:`main` and leaves by ``os._exit``, skipping interpreter teardown:
+``atexit`` hooks do not run, so profile or measure coverage through ``main``.
+
 The CLI parses before it loads: at import time this module needs only the
 standard library (not csv or json), so ``--version``, ``--help`` and usage
 errors load no other qfactor module.  Each runner imports what it runs when
@@ -384,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", _cmd_verify, "classify a stream against the theorem")
     p.add_argument("--stream", required=True, metavar="FILE",
                    help="graph6 file or - for stdin")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes, >= 1 (default 1)")
+    p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+                   help="at most N worker processes, one per usable CPU (default 1)")
     # Benchmark holdovers: perfbench/workloads.py still passes these flags,
     # and perfbench/ changes only in a benchmark change. Accepted, ignored.
     for flag in ("--max-cert-order", "--max-cert-edges"):
@@ -439,5 +443,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def entry() -> None:
+    """Run :func:`main`, flush, and leave by ``os._exit``, skipping teardown."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help, --version and usage errors
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:  # a reader of stdout left early, as in main
+        pass
+    except (AttributeError, OSError):  # no stdout (closed by the shell), or a full device
+        sys.exit(code)  # the interpreter's own exit reports it
+    os._exit(code or 0)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -31,10 +31,14 @@ than :data:`EPS` below the threshold counts as below it.
 
 The lemma and identity suites live in suites, and the
 criterion-vs-even-factor census in census, so ``verify`` compiles neither.
+Its pool forks at most one worker per usable CPU, from a frozen heap
+(``gc.freeze``) that the workers' collections skip instead of copying.
 """
 
 from __future__ import annotations
 
+import gc
+import os
 from functools import partial
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -150,18 +154,24 @@ def verify_stream(lines: Iterable[str], *, jobs: int = 1) -> dict[str, Any]:
     (graphs.chunk_rows): malformed lines and instances whose numeric or
     certificate checks raise become error rows, which make the run a usage
     failure but do not stop it.  A chunk costs one eigh call per graph
-    order.  With ``jobs > 1`` the chunks fan out over a process pool; rows
+    order.  With ``jobs > 1`` the chunks fan out over at most ``jobs``
+    worker processes, no more than the chunks and the usable CPUs; rows
     come in input order either way, so reports are independent of ``jobs``.
     """
     chunks = line_chunks(lines)
     classify = partial(chunk_rows, _classify_rows)
-    if jobs > 1 and len(chunks) > 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(chunks), cpus or 1)
+    if workers > 1:
         import multiprocessing
-
         import numpy  # before the fork, so workers inherit it instead of each importing it
 
-        with multiprocessing.Pool(processes=min(jobs, len(chunks))) as pool:
-            done = pool.map(classify, chunks, chunksize=1)
+        gc.freeze()  # the workers' collections skip the inherited heap instead of copying it
+        try:
+            with multiprocessing.Pool(processes=workers) as pool:
+                done = pool.map(classify, chunks, chunksize=1)
+        finally:
+            gc.unfreeze()
     else:
         done = map(classify, chunks)
     rows = [row for chunk in done for row in chunk]

@@ -492,6 +492,94 @@ class TestVerify:
 
 
 # ---------------------------------------------------------------------------
+# the process boundary: entry() flushes and leaves through os._exit
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(qfactor.__file__).parents[1])
+
+# entry() with two usable CPUs, so that --jobs 2 runs the pool on any machine.
+POOL_ENTRY = ("import os; os.sched_getaffinity = lambda pid: {0, 1}; "
+              "from qfactor.cli import entry; entry()")
+
+
+def _child_env(**env):
+    """This environment with the package on the path, ``env`` overriding it
+    (a None value unsets the variable)."""
+    merged = {**os.environ, "PYTHONPATH": SRC, **env}
+    return {key: value for key, value in merged.items() if value is not None}
+
+
+def _cli(*argv, **kwargs):
+    """``python -m qfactor.cli *argv`` in a child process."""
+    kwargs.setdefault("env", _child_env())
+    return subprocess.run([sys.executable, "-m", "qfactor.cli", *argv], timeout=60, **kwargs)
+
+
+# PYTHONUNBUFFERED unset and set: entry's flush, or the interpreter's, has to
+# write what a block-buffered stdout still holds.
+UNBUFFERED = pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+
+
+class TestExitPath:
+    @UNBUFFERED
+    def test_version(self, unbuffered):
+        done = _cli("--version", env=_child_env(PYTHONUNBUFFERED=unbuffered),
+                    capture_output=True)
+        assert done.returncode == 0
+        assert done.stdout == f"qfactor {qfactor.__version__}\n".encode("ascii")
+        assert done.stderr == b""
+
+    def test_version_without_stdout(self):
+        # stdout closed by the shell: argparse prints to stderr, and the
+        # missing stream leaves the interpreter's way, still with exit 0.
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "qfactor.cli",
+             "--version"], env=_child_env(), capture_output=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stderr == f"qfactor {qfactor.__version__}\n".encode("ascii")
+
+    def test_usage_error(self):
+        done = _cli("verify", "--jobs", "0", "--stream", "-", capture_output=True, text=True)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("usage: qfactor verify ")
+        assert done.stderr.endswith("error: argument --jobs: must be at least 1, got '0'\n")
+
+    @UNBUFFERED
+    def test_redirected_stdout_is_complete(self, capsys, tmp_path, unbuffered):
+        # About 280 KB of rows: an exit that skipped the last flush would
+        # lose the tail of a block-buffered stdout.
+        path = tmp_path / "in.g6"
+        path.write_text(f"{C8}\n" * 3000 + "!!bogus!!\n")
+        code, expected, _ = run(capsys, "factor", str(path))
+        assert code == 2
+        out = tmp_path / "out.txt"
+        with open(out, "wb") as fh:
+            done = _cli("factor", str(path), env=_child_env(PYTHONUNBUFFERED=unbuffered),
+                        stdout=fh, stderr=subprocess.PIPE)
+        assert done.returncode == 2 and done.stderr == b""
+        assert out.read_bytes() == expected.encode("ascii")
+
+    def test_pool_leaves_no_process_behind(self, tmp_path):
+        # Three chunks. In its own session, the child's process group is
+        # empty once it has exited: no pool worker outlives it.
+        path = tmp_path / "in.g6"
+        path.write_text(f"{C8}\n{K8}\n{GSTAR82}\n" * CHUNK_LINES)
+        reports = []
+        for jobs in ("1", "2"):
+            reports.append(tmp_path / f"jobs{jobs}.json")
+            child = subprocess.Popen(
+                [sys.executable, "-c", POOL_ENTRY, "verify", "--stream", str(path),
+                 "--jobs", jobs, "--report", str(reports[-1])],
+                env=_child_env(), stdout=subprocess.DEVNULL, start_new_session=True)
+            assert child.wait(timeout=60) == 0
+            with pytest.raises(ProcessLookupError):
+                os.killpg(child.pid, 0)
+        one, two = (strip_volatile(json.loads(report.read_text())) for report in reports)
+        assert one["config"].pop("jobs") == 1 and two["config"].pop("jobs") == 2
+        assert one == two
+
+
+# ---------------------------------------------------------------------------
 # the per-line pipeline shared by spectrum, factor and verify
 # ---------------------------------------------------------------------------
 

@@ -1,7 +1,10 @@
 """Tests for classification, streaming verification, and the study suites."""
 
+import gc
 import itertools
 import json
+import multiprocessing
+import os
 from collections import Counter
 
 import numpy as np
@@ -67,6 +70,16 @@ FACTORLESS = "G]o_GK"
 def no_threshold(monkeypatch):
     """A threshold band so wide that every applicable graph climbs past it."""
     monkeypatch.setattr(harness, "EPS", 1e6)
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """Four usable CPUs, so that jobs > 1 runs the pool on any machine."""
+    _usable_cpus(monkeypatch, 4)
 
 
 def cycle(n):
@@ -405,7 +418,7 @@ _TWO_ORDERS = [write_graph6(random_graph((8, 10)[i % 2], 0.8, seed=50 + i)) for 
 
 
 class TestChunkedVerify:
-    def test_jobs_invariance_across_chunk_boundaries(self):
+    def test_jobs_invariance_across_chunk_boundaries(self, many_cpus):
         lines = _interleaved_stream(2 * CHUNK_LINES + 37)
         nonblank = sum(1 for line in lines if line.strip())
         assert nonblank % CHUNK_LINES and nonblank > 2 * CHUNK_LINES
@@ -476,7 +489,8 @@ class TestChunkedVerify:
         assert report["errors"] == 1
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failing_hypothesis_check_errors_only_its_own_lines(self, monkeypatch, jobs):
+    def test_failing_hypothesis_check_errors_only_its_own_lines(self, monkeypatch, many_cpus,
+                                                                jobs):
         # An error raised before any Perron value, on every order-10 line of
         # a three-chunk stream: exactly those lines are error rows. The pool
         # forks, so its workers see the patch.
@@ -500,6 +514,74 @@ class TestChunkedVerify:
             else:
                 assert row == before
         assert tens > 50 and report["errors"] == tens + clean["errors"]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """multiprocessing.Pool replaced by a stand-in that maps in this process
+    and starts none; the list records the worker count each pool was given."""
+    asked = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items, chunksize=1):
+            return list(map(func, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return asked
+
+
+class TestPool:
+    LINES = _interleaved_stream(3 * CHUNK_LINES + 5)  # four chunks
+
+    @pytest.mark.parametrize("cpus, jobs, workers", [
+        (3, 5000, 3),  # capped at the usable CPUs
+        (8, 5000, 4),  # capped at the chunks
+        (8, 2, 2),
+        (1, 5000, None),  # one worker: no pool
+        (8, 1, None),
+    ])
+    def test_workers_are_capped_at_cpus_and_chunks(self, monkeypatch, pool_sizes, cpus, jobs,
+                                                   workers):
+        _usable_cpus(monkeypatch, cpus)
+        assert verify_stream(self.LINES, jobs=jobs) == verify_stream(self.LINES)
+        assert pool_sizes == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("count, workers", [(None, None), (1, None), (3, 3)])
+    def test_cpu_count_caps_workers_without_affinity(self, monkeypatch, pool_sizes, count,
+                                                     workers):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        verify_stream(self.LINES, jobs=5000)
+        assert pool_sizes == ([] if workers is None else [workers])
+
+    def test_heap_is_unfrozen_after_the_pool(self, monkeypatch, many_cpus):
+        frozen = []
+        freeze = gc.freeze
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(1) or freeze())
+        serial = verify_stream(self.LINES)
+        assert verify_stream(self.LINES, jobs=2) == serial
+        assert frozen == [1]
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+    def test_heap_is_unfrozen_when_a_chunk_raises(self, monkeypatch, many_cpus):
+        # LookupError is not a line error, so the worker's chunk raises and
+        # pool.map re-raises it here, through the pool's finally.
+        def failing(g):
+            raise LookupError("scan lost its place")
+
+        monkeypatch.setattr("qfactor.harness.is_connected", failing)
+        with pytest.raises(LookupError, match="scan lost its place"):
+            verify_stream(self.LINES, jobs=2)
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
 
 
 def _sweep_style_lines():

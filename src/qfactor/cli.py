@@ -26,12 +26,15 @@ write their error rows), including an exhaustive ``agreement`` census above
 order 7, or a failed hard check (the threshold cross-check), printed as
 ``qfactor: <message>``.  Input-integrity problems (2) take precedence over
 findings (1).
-A reader of stdout that leaves early does not change the exit code.
+A reader of stdout that leaves early, or a stdout closed by the shell, does
+not change the exit code.
 Every other computation is polynomial and has no guard.
 
 ``qfactor`` and ``python -m qfactor.cli`` run :func:`entry`, which flushes
 after :func:`main` and leaves by ``os._exit``, skipping interpreter teardown:
 ``atexit`` hooks do not run, so profile or measure coverage through ``main``.
+An exception ``main`` does not map is a bug, not a finding: entry prints its
+traceback and exits 2.
 
 The CLI parses before it loads: at import time this module needs only the
 standard library (not csv or json), so ``--version``, ``--help`` and usage
@@ -141,6 +144,8 @@ def _write_outputs(args: argparse.Namespace, report: dict[str, Any], run: Run) -
     if args.report:
         with open(args.report, "w", encoding="ascii") as fh:
             fh.write(dumps_canonical(report))
+    if sys.stdout is None:  # closed by the shell (>&-): the projection goes nowhere
+        return
     if args.format == "json":
         if args.report:
             print(run.text_lines[-1])  # the summary line
@@ -389,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", required=True, metavar="FILE",
                    help="graph6 file or - for stdin")
     p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                   help="at most N worker processes, one per usable CPU (default 1)")
+                   help="at most N processes, this one included, one per usable CPU "
+                        "(default 1)")
     # Benchmark holdovers: perfbench/workloads.py still passes these flags,
     # and perfbench/ changes only in a benchmark change. Accepted, ignored.
     for flag in ("--max-cert-order", "--max-cert-edges"):
@@ -424,7 +430,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         report = make_report(args.subcommand, config, run.results, seed=config.get("seed"),
                              wall_time_s=time.perf_counter() - start)
         _write_outputs(args, report, run)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        if sys.stdout is not None:  # None when the shell closed it (>&-)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
         return run.exit_code
     except BrokenPipeError:
         # A reader of stdout left early (``| head``). The run is complete and
@@ -444,11 +451,18 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    """Run :func:`main`, flush, and leave by ``os._exit``, skipping teardown."""
+    """Run :func:`main`, flush, and leave by ``os._exit``, skipping teardown.
+    An exception main does not map (a bug) prints its traceback and exits
+    2, since only a finding may exit 1; KeyboardInterrupt is left alone."""
     try:
         code = main()
     except SystemExit as exc:  # argparse's --help, --version and usage errors
         code = exc.code
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        code = 2
     try:
         sys.stdout.flush()
         sys.stderr.flush()

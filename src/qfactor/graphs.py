@@ -362,8 +362,8 @@ def graph6_payload(text: str) -> str:
 
 
 # Lines evaluated together: one eigh call per graph order per chunk, and the
-# unit of work of verify's process pool. 128 lines keep a Q stack under 4 MB
-# even at n = 62, and leave the pool enough chunks to balance streams whose
+# unit of work of verify's fan-out. 128 lines keep a Q stack under 4 MB
+# even at n = 62, and leave the fan-out enough chunks to balance streams whose
 # costly lines cluster (on the benchmark sweep, 256 made --jobs 2 slower).
 CHUNK_LINES = 128
 

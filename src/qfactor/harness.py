@@ -31,8 +31,10 @@ than :data:`EPS` below the threshold counts as below it.
 
 The lemma and identity suites live in suites, and the
 criterion-vs-even-factor census in census, so ``verify`` compiles neither.
-Its pool forks at most one worker per usable CPU, from a frozen heap
-(``gc.freeze``) that the workers' collections skip instead of copying.
+With ``jobs > 1`` it forks children with ``os.fork``, one per usable CPU
+beyond this process, from a frozen heap (``gc.freeze``) that their
+collections skip instead of copying; each sends its rows back over a pipe
+while this process classifies a share of its own.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import gc
 import os
 from functools import partial
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .extremal import recognize_gstar, threshold_q
 from .factors import even_factor
@@ -147,6 +149,80 @@ def _classify_rows(graphs: Sequence[Graph]) -> list[dict[str, Any]]:
     return [outcome.as_row() for outcome in _classify(graphs)]
 
 
+def _serve(classify: Callable, share: Sequence, readers: list, write_fd: int) -> None:
+    """A forked child's whole life: close its copies of the pipes' read ends
+    (so a parent that stops reading makes its write fail instead of block),
+    pickle the rows of its share to ``write_fd``, and leave by ``os._exit``,
+    never returning into the parent's code: status 0 once the rows are
+    sent, else 1 after printing the traceback."""
+    code = 1
+    try:
+        import pickle
+
+        for reader in readers:
+            reader.close()
+        with open(write_fd, "wb") as out:
+            pickle.dump([classify(chunk) for chunk in share], out, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def _fan_out(classify: Callable, chunks: Sequence, workers: int) -> list:
+    """``map(classify, chunks)`` over ``workers`` processes, this one
+    included: child k classifies chunks ``k::workers`` and pickles its rows
+    to a pipe, while this process classifies chunks ``0::workers``, then
+    reads each pipe and puts the chunks back in input order.  Every child is
+    reaped before this returns or raises.  A child that exits nonzero or is
+    killed raises RuntimeError; an error in this process's own share, or
+    in reading a pipe, kills the children and propagates."""
+    import pickle
+
+    import numpy  # before the fork, so the children inherit it instead of each importing it
+
+    readers: list = []
+    pids: list[int] = []
+    gc.freeze()  # the children's collections skip the inherited heap instead of copying it
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(classify, chunks[k::workers], readers, write_fd)
+            finally:
+                os.close(write_fd)  # this process's copy; _serve never returns here
+            pids.append(pid)
+        own = [classify(chunk) for chunk in chunks[0::workers]]
+        sent = [reader.read() for reader in readers]
+    except BaseException:
+        import signal
+
+        for pid in pids:  # their rows would be discarded: stop them instead of waiting
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for reader in readers:
+            reader.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        gc.unfreeze()
+    for pid, status in zip(pids, statuses):
+        if os.WIFSIGNALED(status):
+            raise RuntimeError(f"verify worker {pid} was killed by signal {os.WTERMSIG(status)}")
+        if os.WEXITSTATUS(status):
+            raise RuntimeError(f"verify worker {pid} exited with status {os.WEXITSTATUS(status)}")
+    done: list = [None] * len(chunks)
+    done[0::workers] = own
+    for k, data in enumerate(sent, start=1):
+        done[k::workers] = pickle.loads(data)
+    return done
+
+
 def verify_stream(lines: Iterable[str], *, jobs: int = 1) -> dict[str, Any]:
     """Classify every graph6 line of a stream.
 
@@ -154,24 +230,18 @@ def verify_stream(lines: Iterable[str], *, jobs: int = 1) -> dict[str, Any]:
     (graphs.chunk_rows): malformed lines and instances whose numeric or
     certificate checks raise become error rows, which make the run a usage
     failure but do not stop it.  A chunk costs one eigh call per graph
-    order.  With ``jobs > 1`` the chunks fan out over at most ``jobs``
-    worker processes, no more than the chunks and the usable CPUs; rows
-    come in input order either way, so reports are independent of ``jobs``.
+    order.  With ``jobs > 1`` the chunks are dealt round-robin over at most
+    ``jobs`` processes, this one included, no more than the chunks and the
+    usable CPUs (:func:`_fan_out`); without ``os.fork`` the run is serial.
+    Rows come in input order either way, so reports are independent of
+    ``jobs``.
     """
     chunks = line_chunks(lines)
     classify = partial(chunk_rows, _classify_rows)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, len(chunks), cpus or 1)
-    if workers > 1:
-        import multiprocessing
-        import numpy  # before the fork, so workers inherit it instead of each importing it
-
-        gc.freeze()  # the workers' collections skip the inherited heap instead of copying it
-        try:
-            with multiprocessing.Pool(processes=workers) as pool:
-                done = pool.map(classify, chunks, chunksize=1)
-        finally:
-            gc.unfreeze()
+    if workers > 1 and hasattr(os, "fork"):
+        done = _fan_out(classify, chunks, workers)
     else:
         done = map(classify, chunks)
     rows = [row for chunk in done for row in chunk]

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from argparse import Namespace
@@ -497,9 +498,18 @@ class TestVerify:
 
 SRC = str(Path(qfactor.__file__).parents[1])
 
-# entry() with two usable CPUs, so that --jobs 2 runs the pool on any machine.
+# entry() with two usable CPUs, so that --jobs 2 forks on any machine.
 POOL_ENTRY = ("import os; os.sched_getaffinity = lambda pid: {0, 1}; "
               "from qfactor.cli import entry; entry()")
+# The same, with every forked child killing itself at its first graph.
+KILLED_CHILD_ENTRY = (
+    "import os, signal; import qfactor.harness as h; parent = os.getpid(); "
+    "connected = h.is_connected; "
+    "h.is_connected = lambda g: (os.getpid() == parent or os.kill(os.getpid(), signal.SIGKILL)) "
+    "and connected(g); " + POOL_ENTRY)
+# entry() around a main that raises the exception named in argv[1].
+RAISING_ENTRY = ("import sys, builtins, qfactor.cli as cli; error = getattr(builtins, sys.argv[1]); "
+                 "cli.main = lambda: (_ for _ in ()).throw(error('bug')); cli.entry()")
 
 
 def _child_env(**env):
@@ -538,6 +548,35 @@ class TestExitPath:
         assert done.returncode == 0
         assert done.stderr == f"qfactor {qfactor.__version__}\n".encode("ascii")
 
+    @pytest.mark.parametrize("argv", [
+        ["identities"],
+        ["verify", "--stream", "-", "--format", "csv"],
+        ["verify", "--stream", "-", "--format", "json"],
+    ], ids=["identities", "verify-csv", "verify-json"])
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path, argv):
+        # stdout closed by the shell, so sys.stdout is None: the run still
+        # writes its report and exits 0, not 1 through a flush on None.
+        report = tmp_path / "report.json"
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "qfactor.cli", *argv,
+             "--report", str(report)],
+            input=f"{K8}\n".encode("ascii"), env=_child_env(), capture_output=True, timeout=60)
+        assert done.returncode == 0 and done.stderr == b""
+        assert json.loads(report.read_text())["command"] == argv[0]
+
+    def test_unmapped_exception_exits_2(self):
+        # A bug, not a finding: the traceback goes to stderr, and exit 1
+        # stays reserved for counterexamples and suite failures.
+        done = subprocess.run([sys.executable, "-c", RAISING_ENTRY, "LookupError"],
+                              env=_child_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("Traceback") and done.stderr.endswith("LookupError: bug\n")
+
+    def test_keyboard_interrupt_keeps_its_default_exit(self):
+        done = subprocess.run([sys.executable, "-c", RAISING_ENTRY, "KeyboardInterrupt"],
+                              env=_child_env(), capture_output=True, timeout=60)
+        assert done.returncode == -signal.SIGINT
+
     def test_usage_error(self):
         done = _cli("verify", "--jobs", "0", "--stream", "-", capture_output=True, text=True)
         assert done.returncode == 2 and done.stdout == ""
@@ -561,7 +600,7 @@ class TestExitPath:
 
     def test_pool_leaves_no_process_behind(self, tmp_path):
         # Three chunks. In its own session, the child's process group is
-        # empty once it has exited: no pool worker outlives it.
+        # empty once it has exited: no process it forked outlives it.
         path = tmp_path / "in.g6"
         path.write_text(f"{C8}\n{K8}\n{GSTAR82}\n" * CHUNK_LINES)
         reports = []
@@ -577,6 +616,27 @@ class TestExitPath:
         one, two = (strip_volatile(json.loads(report.read_text())) for report in reports)
         assert one["config"].pop("jobs") == 1 and two["config"].pop("jobs") == 2
         assert one == two
+
+    def test_killed_child_exits_2_and_leaves_no_process_behind(self, tmp_path):
+        # A forked child dies by SIGKILL: its rows are lost, so the run stops
+        # with exit 2 within the timeout, and nothing of it outlives it.
+        path = tmp_path / "in.g6"
+        path.write_text(f"{K8}\n" * 3 * CHUNK_LINES)
+        child = subprocess.Popen(
+            [sys.executable, "-c", KILLED_CHILD_ENTRY, "verify", "--stream", str(path),
+             "--jobs", "2"],
+            env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            start_new_session=True)
+        try:
+            _, err = child.communicate(timeout=60)
+            assert child.returncode == 2
+            assert re.fullmatch(rb"qfactor: verify worker \d+ was killed by signal 9\n", err)
+            with pytest.raises(ProcessLookupError):
+                os.killpg(child.pid, 0)
+        finally:  # a hung run fails the test without leaving its processes running
+            if child.poll() is None:
+                os.killpg(child.pid, signal.SIGKILL)
+                child.wait()
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 import gc
 import itertools
 import json
-import multiprocessing
 import os
+import signal
 from collections import Counter
 
 import numpy as np
@@ -78,7 +78,7 @@ def _usable_cpus(monkeypatch, count):
 
 @pytest.fixture
 def many_cpus(monkeypatch):
-    """Four usable CPUs, so that jobs > 1 runs the pool on any machine."""
+    """Four usable CPUs, so that jobs > 1 forks on any machine."""
     _usable_cpus(monkeypatch, 4)
 
 
@@ -492,8 +492,8 @@ class TestChunkedVerify:
     def test_failing_hypothesis_check_errors_only_its_own_lines(self, monkeypatch, many_cpus,
                                                                 jobs):
         # An error raised before any Perron value, on every order-10 line of
-        # a three-chunk stream: exactly those lines are error rows. The pool
-        # forks, so its workers see the patch.
+        # a three-chunk stream: exactly those lines are error rows. verify
+        # forks, so its children see the patch.
         lines = _interleaved_stream(2 * CHUNK_LINES + 37)
         clean = verify_stream(lines)
 
@@ -517,26 +517,62 @@ class TestChunkedVerify:
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """multiprocessing.Pool replaced by a stand-in that maps in this process
-    and starts none; the list records the worker count each pool was given."""
-    asked = []
+def forks(monkeypatch):
+    """os.fork wrapped to record each fork in this process; a child's own
+    appends stay in the child."""
+    made = []
+    fork = os.fork
 
-    class SerialPool:
-        def __init__(self, processes):
-            asked.append(processes)
+    def recording():
+        made.append(1)
+        return fork()
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(os, "fork", recording)
+    return made
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, func, items, chunksize=1):
-            return list(map(func, items))
+@pytest.fixture
+def within_a_minute():
+    """SIGALRM raises TimeoutError in the test if it runs past a minute, so a
+    fan-out that waits forever fails instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("verify_stream did not return within a minute")
 
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    return asked
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _no_child_left():
+    """True when this process has no child, exited or running."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _failing_in(where, fail):
+    """An is_connected that first runs ``fail`` in this process ("parent")
+    or in the forked children ("child")."""
+    parent = os.getpid()
+
+    def checked(g):
+        if where == ("parent" if os.getpid() == parent else "child"):
+            fail()
+        return is_connected(g)
+
+    return checked
+
+
+def _raise_lookup():
+    raise LookupError("scan lost its place")
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestPool:
@@ -546,42 +582,61 @@ class TestPool:
         (3, 5000, 3),  # capped at the usable CPUs
         (8, 5000, 4),  # capped at the chunks
         (8, 2, 2),
-        (1, 5000, None),  # one worker: no pool
+        (1, 5000, None),  # one worker: no fork
         (8, 1, None),
     ])
-    def test_workers_are_capped_at_cpus_and_chunks(self, monkeypatch, pool_sizes, cpus, jobs,
+    def test_workers_are_capped_at_cpus_and_chunks(self, monkeypatch, forks, cpus, jobs,
                                                    workers):
+        # this process is one of the workers, so it forks one fewer
         _usable_cpus(monkeypatch, cpus)
         assert verify_stream(self.LINES, jobs=jobs) == verify_stream(self.LINES)
-        assert pool_sizes == ([] if workers is None else [workers])
+        assert len(forks) == (0 if workers is None else workers - 1)
 
     @pytest.mark.parametrize("count, workers", [(None, None), (1, None), (3, 3)])
-    def test_cpu_count_caps_workers_without_affinity(self, monkeypatch, pool_sizes, count,
+    def test_cpu_count_caps_workers_without_affinity(self, monkeypatch, forks, count,
                                                      workers):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        verify_stream(self.LINES, jobs=5000)
-        assert pool_sizes == ([] if workers is None else [workers])
+        assert verify_stream(self.LINES, jobs=5000) == verify_stream(self.LINES)
+        assert len(forks) == (0 if workers is None else workers - 1)
 
-    def test_heap_is_unfrozen_after_the_pool(self, monkeypatch, many_cpus):
+    def test_serial_without_fork(self, monkeypatch, many_cpus):
+        serial = verify_stream(self.LINES)
+        monkeypatch.delattr(os, "fork")
+        assert verify_stream(self.LINES, jobs=4) == serial
+
+    def test_heap_is_unfrozen_after_the_pool(self, monkeypatch, many_cpus, forks):
         frozen = []
         freeze = gc.freeze
         monkeypatch.setattr(gc, "freeze", lambda: frozen.append(1) or freeze())
         serial = verify_stream(self.LINES)
         assert verify_stream(self.LINES, jobs=2) == serial
-        assert frozen == [1]
+        assert frozen == [1] and forks == [1]
         assert gc.get_freeze_count() == 0 and gc.isenabled()
+        assert _no_child_left()
 
     def test_heap_is_unfrozen_when_a_chunk_raises(self, monkeypatch, many_cpus):
-        # LookupError is not a line error, so the worker's chunk raises and
-        # pool.map re-raises it here, through the pool's finally.
-        def failing(g):
-            raise LookupError("scan lost its place")
-
-        monkeypatch.setattr("qfactor.harness.is_connected", failing)
+        # LookupError is not a line error, so this process's own share
+        # raises it through the fan-out's finally.
+        monkeypatch.setattr("qfactor.harness.is_connected", _failing_in("parent", _raise_lookup))
         with pytest.raises(LookupError, match="scan lost its place"):
             verify_stream(self.LINES, jobs=2)
         assert gc.get_freeze_count() == 0 and gc.isenabled()
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("fail, error", [
+        (_raise_lookup, "exited with status 1"),
+        (_kill_self, f"killed by signal {signal.SIGKILL.value}"),
+    ], ids=["raises", "killed"])
+    def test_a_failed_child_raises_and_is_reaped(self, monkeypatch, many_cpus,
+                                                 within_a_minute, fail, error):
+        # A child's rows are lost either way: the run stops with
+        # RuntimeError (exit 2 from the CLI) instead of waiting for them.
+        monkeypatch.setattr("qfactor.harness.is_connected", _failing_in("child", fail))
+        with pytest.raises(RuntimeError, match=error):
+            verify_stream(self.LINES, jobs=4)
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+        assert _no_child_left()
 
 
 def _sweep_style_lines():

@@ -124,14 +124,21 @@ def test_perron_commands_load_numpy(argv, stdin):
     assert _run_main(["numpy"], argv, stdin) == 100
 
 
-# The per-line commands share verify's chunked reader (graphs.line_chunks,
-# graphs.chunk_rows) but not its process pool, which stays in harness.
+# Two usable CPUs, so that verify --jobs 2 forks on any machine.
+TWO_CPUS = "import os\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+
+
+# The per-line commands share one chunked reader (graphs.line_chunks,
+# graphs.chunk_rows), and verify's fan-out forks over plain pipes: none of
+# them loads multiprocessing, even when verify forks (300 lines are three
+# chunks).
 @pytest.mark.parametrize("argv, stdin, code", [
     (["spectrum"], "G~~~~{\n", 0),
     (["factor"], "G]o_GK\nG~~~~{\n", 0),
-], ids=["spectrum", "factor"])
+    (["verify", "--jobs", "2", "--stream", "-"], "G~~~~{\n" * 300, 0),
+], ids=["spectrum", "factor", "verify-jobs-2"])
 def test_per_line_commands_do_not_load_multiprocessing(argv, stdin, code):
-    assert _run_main(["multiprocessing"], argv, stdin) == code
+    assert _child(TWO_CPUS + RUN_MAIN, ["multiprocessing", *argv], stdin) == code
 
 
 # The exact routes are integer-only: no command loads fractions.

@@ -27,7 +27,7 @@ order 7, or a failed hard check (the threshold cross-check), printed as
 ``qfactor: <message>``.  Input-integrity problems (2) take precedence over
 findings (1).
 A reader of stdout that leaves early, or a stdout closed by the shell, does
-not change the exit code.
+not change the exit code; a message stderr cannot take is dropped.
 Every other computation is polynomial and has no guard.
 
 ``qfactor`` and ``python -m qfactor.cli`` run :func:`entry`, which flushes
@@ -88,14 +88,14 @@ def _positive_int(text: str) -> int:
 
 
 def _read_lines(source: str) -> list[str]:
-    """The lines of a file or of stdin (``-``), read as bytes and decoded as
-    strict ASCII whatever the locale: a non-ASCII byte raises."""
+    """The lines of a file or of stdin (``-``), split at ``\n`` only and
+    decoded as strict ASCII whatever the locale: a non-ASCII byte raises."""
     if source == "-":
         data = sys.stdin.buffer.read()
     else:
         with open(source, "rb") as fh:
             data = fh.read()
-    return data.decode("ascii").splitlines()
+    return data.decode("ascii").split("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +137,16 @@ class Run(NamedTuple):
     results: dict[str, Any]
     text_lines: list[str]
     exit_code: int = 0
+
+
+def _warn(text: str) -> None:
+    """Print text to stderr, or drop it when stderr is closed or cannot be
+    written: a lost diagnostic never changes the exit code or reaches stdout."""
+    if sys.stderr is not None:
+        try:
+            print(text, file=sys.stderr, flush=True)
+        except OSError:
+            pass
 
 
 def _write_outputs(args: argparse.Namespace, report: dict[str, Any], run: Run) -> None:
@@ -442,11 +452,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError, ArithmeticError, RuntimeError) as exc:
         # unreadable input (a directory, a non-ASCII byte) or a failed hard
         # check outside a stream's error rows: no finding, so never exit 1
-        print(f"qfactor: {exc}", file=sys.stderr)
+        _warn(f"qfactor: {exc}")
         return 2
     except ValueError as exc:
         # the command's own validation
-        print(f"{args.subcommand}: {exc}", file=sys.stderr)
+        _warn(f"{args.subcommand}: {exc}")
         return 2
 
 
@@ -461,7 +471,7 @@ def entry() -> None:
     except Exception:
         import traceback
 
-        traceback.print_exc()
+        _warn(traceback.format_exc().rstrip("\n"))
         code = 2
     try:
         sys.stdout.flush()

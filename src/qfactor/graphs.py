@@ -34,6 +34,7 @@ class Graph6Error(ValueError):
 
 
 _GRAPH6_HEADER = b">>graph6<<"
+_WHITESPACE = " \t\n\r\x0b\x0c"  # what bytes.strip() strips, so parse_graph6 too
 # The 64 payload bytes, and each one's six bits as text, most significant first.
 _GRAPH6_BYTES = bytes(range(63, 127))
 _SIX_BITS = {63 + v: format(v, "06b") for v in range(64)}
@@ -372,8 +373,10 @@ LINE_ERRORS = (ValueError, ArithmeticError, RuntimeError)
 
 
 def line_chunks(lines: Iterable[str]) -> list[list[tuple[int, str]]]:
-    """(line number from 1, stripped text) of each nonblank line, in chunks."""
-    work = [(lineno, text) for lineno, raw in enumerate(lines, start=1) if (text := raw.strip())]
+    """(line number from 1, text stripped as parse_graph6 strips it) of each
+    nonblank line, in chunks: a control byte inside a line stays an error."""
+    work = [(lineno, text) for lineno, raw in enumerate(lines, start=1)
+            if (text := raw.strip(_WHITESPACE))]
     return [work[i:i + CHUNK_LINES] for i in range(0, len(work), CHUNK_LINES)]
 
 

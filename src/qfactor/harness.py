@@ -31,18 +31,15 @@ than :data:`EPS` below the threshold counts as below it.
 
 The lemma and identity suites live in suites, and the
 criterion-vs-even-factor census in census, so ``verify`` compiles neither.
-With ``jobs > 1`` it forks children with ``os.fork``, one per usable CPU
-beyond this process, from a frozen heap (``gc.freeze``) that their
-collections skip instead of copying; each sends its rows back over a pipe
-while this process classifies a share of its own.
+With ``jobs > 1`` it forks a child per usable CPU beyond this process;
+each sends its rows back over a pipe while this process classifies a
+share of its own.  One worker is the same code with no child.
 """
 
 from __future__ import annotations
 
-import gc
 import os
-from functools import partial
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .extremal import recognize_gstar, threshold_q
 from .factors import even_factor
@@ -144,49 +141,28 @@ def check_theorem_instance(g: Graph) -> TheoremOutcome:
 # stream verification
 
 
-def _classify_rows(graphs: Sequence[Graph]) -> list[dict[str, Any]]:
-    """verify's fields_of for chunk_rows: each graph's outcome row."""
-    return [outcome.as_row() for outcome in _classify(graphs)]
+def _classify_chunk(chunk: Sequence[tuple[int, str]]) -> list[dict[str, Any]]:
+    """verify's rows of one chunk: chunk_rows over the classifier."""
+    return chunk_rows(lambda graphs: [outcome.as_row() for outcome in _classify(graphs)], chunk)
 
 
-def _serve(classify: Callable, share: Sequence, readers: list, write_fd: int) -> None:
-    """A forked child's whole life: close its copies of the pipes' read ends
-    (so a parent that stops reading makes its write fail instead of block),
-    pickle the rows of its share to ``write_fd``, and leave by ``os._exit``,
-    never returning into the parent's code: status 0 once the rows are
-    sent, else 1 after printing the traceback."""
-    code = 1
-    try:
-        import pickle
-
-        for reader in readers:
-            reader.close()
-        with open(write_fd, "wb") as out:
-            pickle.dump([classify(chunk) for chunk in share], out, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    except Exception:
-        import traceback
-
-        traceback.print_exc()
-    finally:
-        os._exit(code)
-
-
-def _fan_out(classify: Callable, chunks: Sequence, workers: int) -> list:
-    """``map(classify, chunks)`` over ``workers`` processes, this one
-    included: child k classifies chunks ``k::workers`` and pickles its rows
-    to a pipe, while this process classifies chunks ``0::workers``, then
-    reads each pipe and puts the chunks back in input order.  Every child is
-    reaped before this returns or raises.  A child that exits nonzero or is
-    killed raises RuntimeError; an error in this process's own share, or
-    in reading a pipe, kills the children and propagates."""
+def _fan_out(chunks: Sequence, workers: int) -> list:
+    """Each chunk's rows, in input order, from ``workers`` processes, this
+    one included.  One worker classifies every chunk here and forks
+    nothing.  Otherwise child k classifies chunks ``k::workers`` and pickles
+    its rows to a pipe, while this process classifies chunks ``0::workers``,
+    then reads each pipe.  Every child is reaped before this returns or
+    raises.  A child that exits nonzero or is killed raises RuntimeError;
+    an error in this process's own share, or in reading a pipe, kills the
+    children and propagates."""
+    if workers <= 1:
+        return [_classify_chunk(chunk) for chunk in chunks]
     import pickle
 
     import numpy  # before the fork, so the children inherit it instead of each importing it
 
     readers: list = []
     pids: list[int] = []
-    gc.freeze()  # the children's collections skip the inherited heap instead of copying it
     try:
         for k in range(1, workers):
             read_fd, write_fd = os.pipe()
@@ -194,11 +170,27 @@ def _fan_out(classify: Callable, chunks: Sequence, workers: int) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(classify, chunks[k::workers], readers, write_fd)
+                    # The child: close the read ends (so a parent that stops
+                    # reading makes the write fail instead of block), send
+                    # the rows, and leave by os._exit, never returning here.
+                    code = 1
+                    try:
+                        for reader in readers:
+                            reader.close()
+                        with open(write_fd, "wb") as out:
+                            pickle.dump([_classify_chunk(chunk) for chunk in chunks[k::workers]],
+                                        out, pickle.HIGHEST_PROTOCOL)
+                        code = 0
+                    except Exception:
+                        import traceback
+
+                        traceback.print_exc()
+                    finally:
+                        os._exit(code)
             finally:
-                os.close(write_fd)  # this process's copy; _serve never returns here
+                os.close(write_fd)  # this process's copy
             pids.append(pid)
-        own = [classify(chunk) for chunk in chunks[0::workers]]
+        own = [_classify_chunk(chunk) for chunk in chunks[0::workers]]
         sent = [reader.read() for reader in readers]
     except BaseException:
         import signal
@@ -209,13 +201,12 @@ def _fan_out(classify: Callable, chunks: Sequence, workers: int) -> list:
     finally:
         for reader in readers:
             reader.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-        gc.unfreeze()
-    for pid, status in zip(pids, statuses):
-        if os.WIFSIGNALED(status):
-            raise RuntimeError(f"verify worker {pid} was killed by signal {os.WTERMSIG(status)}")
-        if os.WEXITSTATUS(status):
-            raise RuntimeError(f"verify worker {pid} exited with status {os.WEXITSTATUS(status)}")
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for pid, code in zip(pids, codes):
+        if code < 0:
+            raise RuntimeError(f"verify worker {pid} was killed by signal {-code}")
+        if code:
+            raise RuntimeError(f"verify worker {pid} exited with status {code}")
     done: list = [None] * len(chunks)
     done[0::workers] = own
     for k, data in enumerate(sent, start=1):
@@ -232,19 +223,14 @@ def verify_stream(lines: Iterable[str], *, jobs: int = 1) -> dict[str, Any]:
     failure but do not stop it.  A chunk costs one eigh call per graph
     order.  With ``jobs > 1`` the chunks are dealt round-robin over at most
     ``jobs`` processes, this one included, no more than the chunks and the
-    usable CPUs (:func:`_fan_out`); without ``os.fork`` the run is serial.
-    Rows come in input order either way, so reports are independent of
-    ``jobs``.
+    usable CPUs (:func:`_fan_out`); one worker, as without ``os.fork``,
+    forks nothing.  Rows come in input order either way, so reports are
+    independent of ``jobs``.
     """
     chunks = line_chunks(lines)
-    classify = partial(chunk_rows, _classify_rows)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(jobs, len(chunks), cpus or 1)
-    if workers > 1 and hasattr(os, "fork"):
-        done = _fan_out(classify, chunks, workers)
-    else:
-        done = map(classify, chunks)
-    rows = [row for chunk in done for row in chunk]
+    workers = min(jobs, len(chunks), cpus or 1) if hasattr(os, "fork") else 1
+    rows = [row for chunk in _fan_out(chunks, workers) for row in chunk]
 
     decided = [row["classification"] for row in rows if "error" not in row]
     counts = {name: decided.count(name) for name in CLASSIFICATIONS}

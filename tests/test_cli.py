@@ -638,6 +638,24 @@ class TestExitPath:
                 os.killpg(child.pid, signal.SIGKILL)
                 child.wait()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_unwritable_stderr_keeps_exit_2(self, tmp_path):
+        # The message cannot be written: it is dropped, and the usage
+        # failure still exits 2, not 1 through a second error.
+        with open("/dev/full", "w") as full:
+            done = _cli("verify", "--stream", str(tmp_path / "missing.g6"),
+                        stdout=subprocess.PIPE, stderr=full)
+        assert done.returncode == 2 and done.stdout == b""
+
+    def test_closed_stderr_keeps_exit_2_and_stdout_clean(self, tmp_path):
+        # stderr closed by the shell, so sys.stderr is None: the message goes
+        # nowhere, not into the stdout a CSV or JSON reader parses.
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "qfactor.cli",
+             "verify", "--stream", str(tmp_path / "missing.g6")],
+            env=_child_env(), stdout=subprocess.PIPE, timeout=60)
+        assert done.returncode == 2 and done.stdout == b""
+
 
 # ---------------------------------------------------------------------------
 # the per-line pipeline shared by spectrum, factor and verify
@@ -692,6 +710,24 @@ def test_per_line_commands_share_one_reader(tmp_path):
         if "error" not in row:
             g = parse_graph6(row["graph6"])
             assert (row["q"], row["rho"]) == (perron_many([g], 1)[0], perron_many([g], 0)[0])
+
+
+@pytest.mark.parametrize("argv, text, rows", [
+    (["factor", "-"], f"{K8}\x0c{K8}\n{K8}\n",
+     [(1, f"{K8}\x0c{K8}", "expected 6 bytes for n=8, got 13"), (2, K8, None)]),
+    (["verify", "--stream", "-"], f"{K8}\x1dF~~~w\n",
+     [(1, f"{K8}\x1dF~~~w", "expected 6 bytes for n=8, got 12")]),
+    (["factor", "-"], f"{K8}\x1f\n", [(1, f"{K8}\x1f", "expected 6 bytes for n=8, got 7")]),
+    (["factor", "-"], f"{K8}\r\n{C8}\r\n", [(1, K8, None), (2, C8, None)]),
+], ids=["form-feed", "group-separator", "unit-separator", "crlf"])
+def test_lines_end_at_newline_only(capsys, monkeypatch, argv, text, rows):
+    # A control byte inside a line neither splits it nor is stripped from
+    # it: the line is one error row with its own number. "\r\n" ends a line.
+    monkeypatch.setattr("sys.stdin", _stdin(text))
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    items = json.loads(out)["results"]["items"]
+    assert [(row["line"], row["graph6"], row.get("error")) for row in items] == rows
+    assert code == (2 if any(error for _, _, error in rows) else 0)
 
 
 class TestVerifyExitCode:

@@ -27,7 +27,8 @@ order 7, or a failed hard check (the threshold cross-check), printed as
 ``qfactor: <message>``.  Input-integrity problems (2) take precedence over
 findings (1).
 A reader of stdout that leaves early, or a stdout closed by the shell, does
-not change the exit code; a message stderr cannot take is dropped.
+not change the exit code; a message stderr cannot take is dropped; a stdout
+that cannot take the output (a full device) exits 2.
 Every other computation is polynomial and has no guard.
 
 ``qfactor`` and ``python -m qfactor.cli`` run :func:`entry`, which flushes
@@ -237,11 +238,10 @@ _PER_LINE = {"spectrum": (_spectrum_fields, _spectrum_text), "factor": (_factor_
 # family -> (the flags its builder requires in argument order; the extremal
 # function that builds it from them, for g4 the build_g3 that surgery_plan
 # rewires; the extremal function that gives its cells from them, or None for
-# the coarsest equitable partition). G2(n, s) is G*(n, s).
+# the coarsest equitable partition). The proof's G2(n, s) is gstar --delta s.
 _FAMILIES = {
     "gstar": (("n", "delta"), "build_gstar", "gstar_cells"),
     "g1": (("s", "parts"), "build_g1", "g1_cells"),
-    "g2": (("n", "s"), "build_gstar", "gstar_cells"),
     "g3": (("n", "delta", "s"), "build_g3", "g3_cells"),
     "g4": (("n", "delta", "s"), "build_g3", None),
 }
@@ -250,7 +250,7 @@ _FAMILIES = {
 def _cmd_extremal(args: argparse.Namespace) -> Run:
     from . import extremal
     from .graphs import check_graph6_order, write_graph6
-    from .spectra import equitable_partition, largest_real_root, quotient_root
+    from .spectra import equitable_partition, quotient_root
     flags, builder, cells_of = _FAMILIES[args.family]
     values = [getattr(args, flag) for flag in flags]
     if None in values:
@@ -279,9 +279,7 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
     meta.update((flag, value) for flag, value in zip(flags, values) if flag != "parts")
     if args.family in ("gstar", "g4"):
         meta["threshold"] = extremal.threshold_q(args.n, args.delta)
-    if args.family == "g2":
-        meta["root"] = largest_real_root(extremal.phi_bstar(args.n, args.s), 0.0, 2.0 * args.n)
-    elif args.family == "g1":
+    if args.family == "g1":
         meta["parts"] = list(args.parts)
     elif args.family == "g3":
         meta["m"] = len(cells[-1])  # V_2, the last clique
@@ -463,7 +461,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 def entry() -> None:
     """Run :func:`main`, flush, and leave by ``os._exit``, skipping teardown.
     An exception main does not map (a bug) prints its traceback and exits
-    2, since only a finding may exit 1; KeyboardInterrupt is left alone."""
+    2, since only a finding may exit 1; KeyboardInterrupt is left alone. A
+    flush that fails here (--help into a full device) exits 2 as in main."""
     try:
         code = main()
     except SystemExit as exc:  # argparse's --help, --version and usage errors
@@ -473,13 +472,15 @@ def entry() -> None:
 
         _warn(traceback.format_exc().rstrip("\n"))
         code = 2
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except BrokenPipeError:  # a reader of stdout left early, as in main
-        pass
-    except (AttributeError, OSError):  # no stdout (closed by the shell), or a full device
-        sys.exit(code)  # the interpreter's own exit reports it
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None: closed by the shell
+                stream.flush()
+        except BrokenPipeError:  # a reader of stdout left early, as in main
+            pass
+        except OSError as exc:  # a full device
+            _warn(f"qfactor: {exc}")
+            code = 2
     os._exit(code or 0)
 
 

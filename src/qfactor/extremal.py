@@ -12,8 +12,8 @@ The families are joins of a clique S with disjoint clique unions:
   copies of K_{delta+1-s}, then K_m. Layout [S | V_1 cells | V_2].
 * g4(n, delta, s): g3 after a degree-raising surgery that empties the
   first V_1 clique, detaches each later clique's first vertex, and wires
-  V_1 to V_2 (e1 to the first delta-s w's from all of V_1, e2 from the
-  detached cliques' interiors to the remaining w's).
+  V_1 to V_2 (e1 from all of V_1 to V_2's first delta-s vertices, e2 from
+  the detached cliques' interiors to the rest of V_2).
 
 The characteristic polynomial of gstar's 3x3 quotient is kept in closed
 form as an exact integer polynomial (phi_bstar), so identity checks are
@@ -69,12 +69,7 @@ def build_gstar(n: int, delta: int) -> Graph:
 
 def gstar_cells(n: int, delta: int) -> list[list[int]]:
     """Natural 3-cell partition: join cell, big clique, all singletons."""
-    big = n - 2 * delta + 1
-    return [
-        list(range(delta)),
-        list(range(delta, delta + big)),
-        list(range(delta + big, n)),
-    ]
+    return _cells(delta, [n - 2 * delta + 1, delta - 1])
 
 
 def recognize_gstar(g: Graph) -> tuple[int, int] | None:
@@ -152,52 +147,22 @@ class SurgeryPlan(NamedTuple):
         return self.added_e1 + self.added_e2
 
 
-def _v_index(s: int, delta: int, i: int, j: int) -> int:
-    # v_{i,j}: clique i in 1..s-1, position j in 1..delta+1-s
-    return s + (i - 1) * (delta + 1 - s) + (j - 1)
-
-
-def _w_index(s: int, delta: int, r: int) -> int:
-    # w_r: r in 1..m
-    return s + (s - 1) * (delta + 1 - s) + (r - 1)
-
-
 def surgery_plan(n: int, delta: int, s: int) -> SurgeryPlan:
-    """The documented rewiring. Removed: every edge inside the first V_1
-    clique, plus each later clique's star at its first vertex. Added:
-    e1 = all of V_1 to w_1..w_{delta-s}; e2 = later cliques' interiors to
-    w_{delta-s+1}..w_m."""
-    m = g3_parts(n, delta, s)[-1]
-    t = delta + 1 - s  # clique size within V_1
-
-    removed = []
-    first = [_v_index(s, delta, 1, j) for j in range(1, t + 1)]
-    removed.extend(tuple(sorted(e)) for e in combinations(first, 2))
-    for i in range(2, s):
-        anchor = _v_index(s, delta, i, 1)
-        for j in range(2, t + 1):
-            removed.append(tuple(sorted((anchor, _v_index(s, delta, i, j)))))
-
-    e1 = []
-    for i in range(1, s):
-        for j in range(1, t + 1):
-            v = _v_index(s, delta, i, j)
-            for r in range(1, delta - s + 1):
-                e1.append(tuple(sorted((v, _w_index(s, delta, r)))))
-
-    e2 = []
-    for i in range(2, s):
-        for j in range(2, t + 1):
-            v = _v_index(s, delta, i, j)
-            for r in range(delta - s + 1, m + 1):
-                e2.append(tuple(sorted((v, _w_index(s, delta, r)))))
-
-    return SurgeryPlan(
-        n, delta, s,
-        tuple(sorted(removed)),
-        tuple(sorted(e1)),
-        tuple(sorted(e2)),
-    )
+    """The documented rewiring, over g3's layout: S = range(s), then the
+    s-1 V_1 cliques range(s + i*t, s + (i+1)*t) with t = delta+1-s, then
+    V_2 = range(w, n) with w = s + (s-1)*t. Removed: every edge inside the
+    first V_1 clique, plus each later clique's star at its first vertex
+    (its anchor). Added: e1 = all of V_1 to w..w+delta-s-1; e2 = the later
+    cliques' interiors to the rest of V_2. Each tuple comes out sorted."""
+    g3_parts(n, delta, s)  # validates (n, delta, s)
+    t = delta + 1 - s
+    w = s + (s - 1) * t
+    anchors = range(s + t, w, t)
+    removed = [*combinations(range(s, s + t), 2)]
+    removed += [(a, v) for a in anchors for v in range(a + 1, a + t)]
+    e1 = [(v, x) for v in range(s, w) for x in range(w, w + delta - s)]
+    e2 = [(v, x) for a in anchors for v in range(a + 1, a + t) for x in range(w + delta - s, n)]
+    return SurgeryPlan(n, delta, s, tuple(removed), tuple(e1), tuple(e2))
 
 
 def build_g4(g3: Graph, plan: SurgeryPlan) -> Graph:
@@ -209,30 +174,23 @@ def g4_containment(plan: SurgeryPlan, g4: Graph, gs: Graph) -> tuple[int, ...] |
     """Check (never assume) that g4, built by the plan, is a spanning
     subgraph of gs = gstar(plan.n, plan.delta): the embedding, or None.
 
-    The map sends g4's universal vertices (S plus the first delta-s w's)
+    The map sends g4's universal vertices (S plus V_2's first delta-s)
     onto the join cell, its degree-delta independent set (first V_1 clique
     plus the later cliques' detached anchors) onto the singleton slots, and
     the rest onto the big clique. It is verified edge by edge. The identity
-    map never works: g4's vertex w_1 is universal, and its index is at
-    least delta, outside gstar's join cell 0..delta-1.
+    map never works: g4's vertex w (V_2's first) is universal, and w > delta,
+    outside gstar's join cell 0..delta-1.
     """
     n, delta, s = plan.n, plan.delta, plan.s
     t = delta + 1 - s
-    universal = list(range(plan.s))
-    universal += [_w_index(s, delta, r) for r in range(1, delta - s + 1)]
-    low = [_v_index(s, delta, 1, j) for j in range(1, t + 1)]
-    low += [_v_index(s, delta, i, 1) for i in range(2, s)]
-    low.sort()
-    rest = sorted(set(range(n)) - set(universal) - set(low))
-
-    big = n - 2 * delta + 1
+    w = s + (s - 1) * t
+    anchors = range(s + t, w, t)
+    universal = [*range(s), *range(w, w + delta - s)]
+    big = [v for a in anchors for v in range(a + 1, a + t)] + [*range(w + delta - s, n)]
+    low = [*range(s, s + t), *anchors]
     mapping = [0] * n
-    for slot, v in enumerate(universal):
-        mapping[v] = slot                      # join cell slots
-    for slot, v in enumerate(rest):
-        mapping[v] = delta + slot              # big clique slots
-    for slot, v in enumerate(low):
-        mapping[v] = delta + big + slot        # singleton slots
+    for image, v in enumerate(universal + big + low):  # join cell, big clique, singletons
+        mapping[v] = image
     if all(gs.has_edge(mapping[u], mapping[v]) for u, v in g4.edges()):
         return tuple(mapping)
     return None

@@ -304,8 +304,8 @@ def above_roots(p: IntPolynomial, x: float) -> bool:
     return all(_sign_at(c, m, d.bit_length() - 1) > 0 for c in _derivatives(p.coeffs))
 
 
-def largest_real_root(p: IntPolynomial, lo: float, hi: float) -> float:
-    """Largest root of p in (lo, hi), correctly rounded to a double, for a
+def largest_real_root(p: IntPolynomial, hi: float) -> float:
+    """Largest root of p in (0, hi), correctly rounded to a double, for a
     real-rooted p whose largest root is simple, as that of a quotient of Q
     of a connected graph is: its largest root is the Perron root.
 
@@ -313,25 +313,21 @@ def largest_real_root(p: IntPolynomial, lo: float, hi: float) -> float:
     leaves p no root at or above x. For such a p the roots of every
     derivative lie below its largest root (Rolle), so this test holds
     exactly at the points above that root. A float Newton estimate x from
-    hi narrows the bracket first: x + 2**-40 |x| becomes b where the test
-    holds there, x - 2**-40 |x| becomes a where p < 0 there, and an end not
-    so proved (as with a NaN estimate) keeps its value. Bisection over
-    dyadic points m / 2**e, every sign an integer Horner evaluation, keeps
-    b where the test holds and moves a to every midpoint where it fails; a
-    midpoint where p is 0 and every derivative positive is the root and is
-    returned as it is. It stops when a and b round to the same double, and
-    p(a) < 0 then proves a root in (a, b), which rounds to that double too.
+    hi narrows the bracket (a, b) = (0, hi) first: x + 2**-40 |x| becomes b
+    where the test holds there, x - 2**-40 |x| becomes a where p < 0 there,
+    and an end not so proved (as with a NaN estimate) keeps its value.
+    Bisection over dyadic points m / 2**e, every sign an integer Horner
+    evaluation, keeps b where the test holds and moves a to every midpoint
+    where it fails; a midpoint where p is 0 and every derivative positive
+    is the root and is returned as it is. It stops when a and b round to
+    the same double, and p(a) < 0 then proves a root in (a, b), which
+    rounds to that double too.
     Raises ValueError when the test fails at hi, or p(a) < 0 fails at the
     end (a repeated largest root, a derivative root above it, or two roots
     within one double), so a value returned is always proved.
     """
-    (a, da), (b, db) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    if da & (da - 1) or db & (db - 1):
-        raise ValueError("lo and hi must be dyadic, as floats are")
-    e = max(da, db).bit_length() - 1
-    a, b = a * ((1 << e) // da), b * ((1 << e) // db)
-    if a >= b:
-        raise ValueError("need lo < hi")
+    a, (b, db) = 0, hi.as_integer_ratio()
+    e = db.bit_length() - 1
     derivatives = _derivatives(p.coeffs)
     if not all(_sign_at(c, b, e) > 0 for c in derivatives):
         raise ValueError("p and its derivatives must be positive at hi")
@@ -367,7 +363,7 @@ def largest_real_root(p: IntPolynomial, lo: float, hi: float) -> float:
         else:
             return mid / (1 << e)
     if _sign_at(p.coeffs, a, e) >= 0:
-        raise ValueError("no proved largest root in (lo, hi)")
+        raise ValueError("no proved largest root in (0, hi)")
     return b / (1 << e)
 
 
@@ -380,4 +376,4 @@ def quotient_root(g: Graph, cells: Cells, alpha: int = 1) -> tuple[IntPolynomial
     if b is None:
         raise ValueError("the cells are not an equitable partition")
     poly = char_poly(b)
-    return poly, largest_real_root(poly, 0.0, 2.0 * g.n)
+    return poly, largest_real_root(poly, 2.0 * g.n)

@@ -447,7 +447,7 @@ def identity_suite() -> dict[str, Any]:
     rows = []
     ok = True
     for n, s in [(8, 2), (14, 3), (20, 4)]:
-        root = largest_real_root(phi_bstar(n, s), 0.0, 2.0 * n)
+        root = largest_real_root(phi_bstar(n, s), 2.0 * n)
         g2, cells = build_gstar(n, s), gstar_cells(n, s)
         q_diff = abs(root - quotient_root(g2, cells)[1])
         rho = quotient_root(g2, cells, 0)[1]

@@ -193,15 +193,6 @@ class TestExtremal:
         assert result["coefficients"] == [-120, 104, -20, 1]
         assert result["threshold"] == pytest.approx(12.385164807134505, abs=1e-9)
 
-    def test_g2_matches_gstar(self, capsys):
-        code, out, _ = run(
-            capsys, "extremal", "--family", "g2", "--n", "8", "--s", "2",
-            "--format", "json",
-        )
-        assert code == 0
-        result = json.loads(out)["results"]
-        assert result["graph6"] == GSTAR82
-
     def test_g1_parts(self, capsys):
         code, out, _ = run(
             capsys, "extremal", "--family", "g1", "--n", "10", "--s", "2",
@@ -258,9 +249,9 @@ class TestExtremal:
         assert code == 2
         assert "need n >= 2*delta" in err
 
-    @pytest.mark.parametrize("family, flag", [("gstar", "--delta"), ("g2", "--s")])
+    @pytest.mark.parametrize("family, flag", [("gstar", "--delta")])
     def test_odd_order_gstar_is_g2(self, capsys, family, flag):
-        # G2(n, s) is G*(n, s) at either parity: one graph, one q
+        # G2(n, s) is G*(n, s) at either parity, so gstar builds it
         code, out, _ = run(capsys, "extremal", "--family", family, "--n", "9", flag, "2")
         assert code == 0
         assert out.startswith("H~~~~~?\ncoefficients = [-168, 136, -23, 1]\n")
@@ -280,6 +271,12 @@ class TestExtremal:
             monkeypatch.setattr(extremal, name, fail)
         code, out, err = run(capsys, "extremal", *argv)
         assert (code, out, err) == (2, "", "extremal: short-form graph6 supports n <= 62 only\n")
+
+    def test_g2_is_not_a_family(self, capsys):
+        # G2(n, s) is gstar --delta s: argparse refuses a second name for it
+        code, out, err = run(capsys, "extremal", "--family", "g2", "--n", "8", "--s", "2")
+        assert (code, out) == (2, "")
+        assert "argument --family: invalid choice: 'g2'" in err
 
     def test_bad_parts_string_exit_2(self, capsys):
         code, _, err = run(
@@ -646,6 +643,19 @@ class TestExitPath:
             done = _cli("verify", "--stream", str(tmp_path / "missing.g6"),
                         stdout=subprocess.PIPE, stderr=full)
         assert done.returncode == 2 and done.stdout == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_unwritable_stdout_after_argparse_exits_2(self, flag):
+        # argparse's text waits in a block-buffered stdout, so entry's flush
+        # is the write that fails: a message and exit 2, not the
+        # interpreter's exit 120. (Unbuffered, argparse's own write fails
+        # and argparse ignores it.)
+        with open("/dev/full", "w") as full:
+            done = _cli(flag, env=_child_env(PYTHONUNBUFFERED=None), stdout=full,
+                        stderr=subprocess.PIPE)
+        assert done.returncode == 2
+        assert re.fullmatch(rb"qfactor: \[Errno 28\] [^\n]*\n", done.stderr)
 
     def test_closed_stderr_keeps_exit_2_and_stdout_clean(self, tmp_path):
         # stderr closed by the shell, so sys.stderr is None: the message goes
@@ -1055,7 +1065,7 @@ GOLDEN_CASES = [
      ("text", "json"), 0),
     ("extremal_g1", ["extremal", "--family", "g1", "--n", "10", "--s", "2",
                      "--parts", "3,3"], ("text", "json"), 0),
-    ("extremal_g2", ["extremal", "--family", "g2", "--n", "8", "--s", "2"],
+    ("extremal_gstar_odd", ["extremal", "--family", "gstar", "--n", "9", "--delta", "2"],
      ("text", "json"), 0),
     ("extremal_g3", ["extremal", "--family", "g3", "--n", "14", "--delta", "3", "--s", "2"],
      ("text", "json"), 0),
@@ -1125,7 +1135,8 @@ def test_golden_json_with_report_prints_summary_only(capsys, monkeypatch, tmp_pa
 @pytest.mark.parametrize("argv, message", [
     (["--family", "gstar", "--n", "8"], "extremal: gstar requires --n and --delta"),
     (["--family", "g1", "--s", "2"], "extremal: g1 requires --s and --parts"),
-    (["--family", "g2", "--n", "8"], "extremal: g2 requires --n and --s"),
+    (["--family", "g4", "--n", "7", "--delta", "4", "--s", "2"],
+     "extremal: big part m=2 must be >= delta+1-s=3"),
     (["--family", "g3", "--n", "14", "--delta", "3"],
      "extremal: g3 requires --n, --delta and --s"),
     (["--family", "g4", "--delta", "3", "--s", "2"],

@@ -1,5 +1,7 @@
 """Extremal families, surgery, quotient polynomials, thresholds."""
 
+import hashlib
+
 import pytest
 
 from qfactor.extremal import (
@@ -107,6 +109,23 @@ def test_surgery_counts_match_closed_forms():
                 assert len(plan.removed) == expected_removed, (n, delta, s)
                 assert len(plan.added) == expected_added, (n, delta, s)
                 assert not set(plan.removed) & set(plan.added)
+
+
+def test_surgery_plans_and_embeddings_are_pinned():
+    # Every edge of every plan and every embedding over the closed-form
+    # grid, as one digest: a rewrite of the surgery must reproduce them all,
+    # e2 edges included (the smallest case above has none).
+    cases = []
+    for delta in (3, 4, 5):
+        for s in range(2, delta):
+            for n in range(min_theorem_order(delta), 7 * delta + 14, 2):
+                plan = surgery_plan(n, delta, s)
+                g4 = build_g4(build_g3(n, delta, s), plan)
+                cases.append((n, delta, s, plan.removed, plan.added_e1, plan.added_e2,
+                              g4_containment(plan, g4, build_gstar(n, delta))))
+    assert len(cases) == 64
+    assert hashlib.sha256(repr(cases).encode()).hexdigest() == (
+        "52d8b0faac1b745b6587d86a710bac43bd62c2580ff9ab5d1d8cb596a180dfb3")
 
 
 def test_g4_degrees_and_edge_budget():

@@ -146,7 +146,7 @@ def test_per_line_commands_do_not_load_multiprocessing(argv, stdin, code):
     (["verify", "--stream", "-"], "G~~~~{\n"),
     (["lemmas"], ""),
     (["identities"], ""),
-    (["extremal", "--family", "g2", "--n", "8", "--s", "2"], ""),
+    (["extremal", "--family", "gstar", "--n", "8", "--delta", "2"], ""),
     (["agreement", "--n", "4", "--connected-only"], ""),
 ], ids=["verify", "lemmas", "identities", "extremal-g2", "agreement"])
 def test_no_command_loads_fractions(argv, stdin):

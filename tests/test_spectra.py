@@ -286,7 +286,7 @@ def test_equitable_partition_is_canonical(n, p, seed, data):
     h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
     assert equitable_partition(h) == sorted(sorted(perm[v] for v in cell) for cell in cells)
     if n > 1 and is_connected(g):
-        root = largest_real_root(char_poly(quotient(g, cells)), 0.0, 2.0 * n)
+        root = largest_real_root(char_poly(quotient(g, cells)), 2.0 * n)
         assert abs(root - np.linalg.eigvalsh(signless_laplacian(g))[-1]) < 1e-12
 
 
@@ -482,7 +482,7 @@ def test_largest_real_root_float_overflow_keeps_the_bracket(monkeypatch):
     # Float Horner overflows on (x - 2)(x + 1)^32 at 1e10 (the Newton
     # estimate is NaN), and float() itself on the coefficients of
     # (x - 3)(x + 10^400): no end is proved, so the first point after hi is
-    # the midpoint of (lo, hi), and the proved root is still returned.
+    # the midpoint of (0, hi), and the proved root is still returned.
     wide = IntPolynomial((-2, 1))
     for _ in range(32):
         wide = wide * IntPolynomial((1, 1))
@@ -490,7 +490,7 @@ def test_largest_real_root_float_overflow_keeps_the_bracket(monkeypatch):
     points = _record_sign_points(monkeypatch)
     for p, hi, root in [(wide, 1e10, 2.0), (huge, 10.0, 3.0)]:
         points.clear()
-        assert largest_real_root(p, 0.0, hi) == root
+        assert largest_real_root(p, hi) == root
         assert points[:2] == [Fraction(hi), Fraction(hi) / 2]
 
 
@@ -499,7 +499,7 @@ def test_largest_real_root_returns_a_dyadic_root_at_a_midpoint(monkeypatch):
     # are proved, and their midpoint is the root, returned as it is.
     points = _record_sign_points(monkeypatch)
     p = IntPolynomial((-24, -14, 1, 1))
-    assert largest_real_root(p, 0.0, 16.0) == 4.0
+    assert largest_real_root(p, 16.0) == 4.0
     ends = [4 + Fraction(4, 2**40), 4 - Fraction(4, 2**40)]
     assert points == [16, *ends, 4]
 
@@ -520,8 +520,8 @@ def test_largest_real_root_matches_fraction_oracle_on_suite_polynomials(monkeypa
     # thresholds recomputed, against the Fraction bisection oracle.
     calls = []
 
-    def recording(p, lo, hi):
-        root = largest_real_root(p, lo, hi)
+    def recording(p, hi):
+        root = largest_real_root(p, hi)
         calls.append((p, root))
         return root
 
@@ -541,22 +541,22 @@ def test_largest_real_root_matches_fraction_oracle_on_suite_polynomials(monkeypa
 def test_largest_real_root_frozen():
     # det(xI - B) for B the 3x3 quotient of the order-8 extremal graph
     poly = IntPolynomial((-120, 104, -20, 1))
-    root = largest_real_root(poly, 0.0, 16.0)
+    root = largest_real_root(poly, 16.0)
     assert root == pytest.approx(12.385164807134505, abs=1e-11)
     assert poly(math.floor(root)) < 0 < poly(math.ceil(root))
 
 
 def test_largest_real_root_picks_largest():
     p = IntPolynomial((-6, 11, -6, 1))  # roots 1, 2, 3
-    assert largest_real_root(p, 0.0, 10.0) == pytest.approx(3.0, abs=1e-11)
+    assert largest_real_root(p, 10.0) == pytest.approx(3.0, abs=1e-11)
     with pytest.raises(ValueError):
-        largest_real_root(p, 0.0, 2.5)  # p(hi) < 0: bracket invalid
+        largest_real_root(p, 2.5)  # p(hi) < 0: bracket invalid
 
 
 def test_largest_real_root_close_pair():
     # (x - 1)(x - 3)(1000x - 3001): the two top roots are 1e-3 apart
     p = IntPolynomial((-9003, 15004, -7001, 1000))
-    assert largest_real_root(p, 0.0, 10.0) == 3.001
+    assert largest_real_root(p, 10.0) == 3.001
 
 
 def test_largest_real_root_double_root():
@@ -567,11 +567,11 @@ def test_largest_real_root_double_root():
     complex_pair = IntPolynomial((-10, 16, -7, 1))  # (x - 1)(x^2 - 6x + 10)
     for p in (double, complex_pair):
         with pytest.raises(ValueError):
-            largest_real_root(p, 0.0, 10.0)
+            largest_real_root(p, 10.0)
     # (x - 1)(x - 2)(x - 4): the first midpoint of [0, 8] is the root
-    assert largest_real_root(IntPolynomial((-8, 14, -7, 1)), 0.0, 8.0) == 4.0
+    assert largest_real_root(IntPolynomial((-8, 14, -7, 1)), 8.0) == 4.0
     with pytest.raises(ValueError):
-        largest_real_root(IntPolynomial((-6, 11, -6, 1)), 0.0, 2.5)
+        largest_real_root(IntPolynomial((-6, 11, -6, 1)), 2.5)
 
 
 def test_largest_real_root_correctly_rounded_thresholds():
@@ -580,7 +580,7 @@ def test_largest_real_root_correctly_rounded_thresholds():
     for n in range(4, 63, 2):
         for delta in range(2, n // 2 + 1):
             p = phi_bstar(n, delta)
-            assert largest_real_root(p, 0.0, float(2 * n)) == fraction_root(p, n, 2 * n), (n, delta)
+            assert largest_real_root(p, float(2 * n)) == fraction_root(p, n, 2 * n), (n, delta)
 
 
 def test_largest_real_root_correctly_rounded_on_graphs():
@@ -595,7 +595,7 @@ def test_largest_real_root_correctly_rounded_on_graphs():
             continue
         checked += 1
         p = char_poly(quotient(g, [[v] for v in range(n)]))
-        root = largest_real_root(p, 0.0, 2.0 * n)
+        root = largest_real_root(p, 2.0 * n)
         values = np.linalg.eigvalsh(signless_laplacian(g))
         assert values[-1] - values[-2] > 1e-3
         lo, hi = Fraction(values[-1] - 1e-6), Fraction(values[-1] + 1e-6)

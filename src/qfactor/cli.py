@@ -14,7 +14,8 @@ Graphs are read one graph6 string per line (``-`` means standard input),
 in chunks by graphs.line_chunks and graphs.chunk_rows for all three
 per-line commands: each command's fields raise on a line that fails, and
 chunk_rows makes that line an error row.  Input is read as bytes and must
-be ASCII, from a file or stdin alike, whatever the locale.
+be ASCII, from a file or stdin alike, whatever the locale; a closed stdin
+is unreadable input.
 ``--report PATH`` writes the canonical JSON report envelope; without it,
 ``--format json`` prints the same envelope to standard output.  ``text``
 and ``csv`` are human/flat projections of the same rows.
@@ -92,6 +93,8 @@ def _read_lines(source: str) -> list[str]:
     """The lines of a file or of stdin (``-``), split at ``\n`` only and
     decoded as strict ASCII whatever the locale: a non-ASCII byte raises."""
     if source == "-":
+        if sys.stdin is None:  # closed by the shell (<&-)
+            raise OSError("standard input is closed")
         data = sys.stdin.buffer.read()
     else:
         with open(source, "rb") as fh:
@@ -448,8 +451,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return run.exit_code
     except (OSError, UnicodeDecodeError, ArithmeticError, RuntimeError) as exc:
-        # unreadable input (a directory, a non-ASCII byte) or a failed hard
-        # check outside a stream's error rows: no finding, so never exit 1
+        # unreadable input (a directory, a non-ASCII byte, a closed stdin) or a
+        # failed hard check outside a stream's error rows: no finding, never 1
         _warn(f"qfactor: {exc}")
         return 2
     except ValueError as exc:

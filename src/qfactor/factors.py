@@ -4,9 +4,13 @@ An even factor is a spanning subgraph in which every vertex has positive
 even degree (each vertex picks its own even degree >= 2; a 2-factor is the
 special case). The criterion implemented here is the strict form: an
 even-order graph passes iff o(G - S) < |S| for every vertex subset S with
-|S| >= 2, where o counts odd components. The two notions provably disagree
-on small graphs in both directions, which is why factor_verdict reports
-their agreement class instead of treating either as ground truth.
+|S| >= 2, where o counts odd components. At every even n >= 4 the
+criterion implies an even factor: it forces minimum degree 3 and
+2-connectivity, and every bridgeless graph of minimum degree 3 has an even
+factor (Fleischner, Discrete Math. 101, 1992). Order 2 is the only
+exception: K2 and its complement pass vacuously and have none. The converse
+fails, as G*(n, delta) shows, so factor_verdict reports the agreement class
+instead of treating either notion as ground truth.
 
 The criterion is decided in polynomial time: by Tutte-Berge on G - T for
 each pair T, it holds exactly when G is bicritical, i.e. G - u - v has a

@@ -114,21 +114,9 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
         for key, item in sorted(value.items()):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            head = f"{lead}{_encode_str(key)}: "
+            out.append(f"{lead}{_encode_str(key)}: ")
+            _write(item, inner, out)
             lead = "," + inner
-            # The common scalars inline, as json's own encoder does.
-            kind = type(item)
-            if kind is str:
-                out.append(head + _encode_str(item))
-            elif kind is int:
-                out.append(head + int.__repr__(item))
-            elif kind is float:
-                out.append(head + _float_text(item))
-            elif item is None:
-                out.append(head + "null")
-            else:
-                out.append(head)
-                _write(item, inner, out)
         out.append(newline + "}")
     elif kind is list or kind is tuple:
         if not value:

@@ -561,6 +561,20 @@ class TestExitPath:
         assert done.returncode == 0 and done.stderr == b""
         assert json.loads(report.read_text())["command"] == argv[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--stream", "-"],
+        ["factor"],
+        ["spectrum"],
+    ], ids=["verify", "factor", "spectrum"])
+    def test_closed_stdin_is_a_usage_error(self, argv):
+        # stdin closed by the shell, so sys.stdin is None: reading "-" is
+        # unreadable input (exit 2, one line), not a traceback from entry.
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$@" <&-', "sh", sys.executable, "-m", "qfactor.cli", *argv],
+            env=_child_env(), capture_output=True, timeout=60)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr == b"qfactor: standard input is closed\n"
+
     def test_unmapped_exception_exits_2(self):
         # A bug, not a finding: the traceback goes to stderr, and exit 1
         # stays reserved for counterexamples and suite failures.
@@ -927,7 +941,7 @@ class TestAgreement:
     @pytest.mark.parametrize("argv", [
         ["--n", "8", "--samples", "5", "--p", "0", "--connected-only"],
         ["--n", "0", "--samples", "1", "--connected-only"],
-    ])
+    ], ids=["argv0", "argv1"])  # explicit, the names they had by position
     def test_sampled_without_connected_graphs_exit_2(self, capsys, argv):
         code, _, err = run(capsys, "agreement", *argv)
         assert code == 2
@@ -1056,26 +1070,31 @@ class TestEnvelope:
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
 GOLDEN_INPUT = "\n".join(
     [C8, K8, GSTAR82, "", "!!bogus!!", FACTORLESS, "D??", GSTAR82_PLUS_EDGE]) + "\n"
+
+# Each case's test id is explicit, so deleting a row renames no other case.
+# The ids keep the names pytest once gave these cases by position: a row's
+# last column is the argv number in its first format's id, and each further
+# format counts up from it.
 GOLDEN_CASES = [
-    # (name, argv without --format, formats, exit code)
-    ("spectrum", ["spectrum", "-"], ("text", "json", "csv"), 2),
-    ("factor", ["factor", "-"], ("text", "json", "csv"), 2),
-    ("verify", ["verify", "--stream", "-"], ("text", "json", "csv"), 2),
+    # (name, argv without --format, formats, exit code, first id number)
+    ("spectrum", ["spectrum", "-"], ("text", "json", "csv"), 2, 0),
+    ("factor", ["factor", "-"], ("text", "json", "csv"), 2, 3),
+    ("verify", ["verify", "--stream", "-"], ("text", "json", "csv"), 2, 6),
     ("extremal_gstar", ["extremal", "--family", "gstar", "--n", "8", "--delta", "2"],
-     ("text", "json"), 0),
+     ("text", "json"), 0, 9),
     ("extremal_g1", ["extremal", "--family", "g1", "--n", "10", "--s", "2",
-                     "--parts", "3,3"], ("text", "json"), 0),
+                     "--parts", "3,3"], ("text", "json"), 0, 11),
     ("extremal_gstar_odd", ["extremal", "--family", "gstar", "--n", "9", "--delta", "2"],
-     ("text", "json"), 0),
+     ("text", "json"), 0, 13),
     ("extremal_g3", ["extremal", "--family", "g3", "--n", "14", "--delta", "3", "--s", "2"],
-     ("text", "json"), 0),
+     ("text", "json"), 0, 15),
     ("extremal_g4", ["extremal", "--family", "g4", "--n", "14", "--delta", "3", "--s", "2"],
-     ("text", "json"), 0),
-    ("lemmas", ["lemmas", "--seed", "3"], ("text", "json"), 0),
-    ("identities", ["identities"], ("text", "json"), 0),
-    ("agreement", ["agreement", "--n", "4"], ("text", "json"), 0),
+     ("text", "json"), 0, 17),
+    ("lemmas", ["lemmas", "--seed", "3"], ("text", "json"), 0, 19),
+    ("identities", ["identities"], ("text", "json"), 0, 21),
+    ("agreement", ["agreement", "--n", "4"], ("text", "json"), 0, 23),
     ("agreement_sampled", ["agreement", "--n", "6", "--samples", "5", "--seed", "1"],
-     ("text", "json"), 0),
+     ("text", "json"), 0, 25),
 ]
 
 # spectrum and verify print eigh values, and eigensolver noise (a radius of
@@ -1106,8 +1125,9 @@ def _golden_stdout(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("name, argv, fmt, exit_code", [
-    (name, argv, fmt, exit_code)
-    for name, argv, formats, exit_code in GOLDEN_CASES for fmt in formats
+    pytest.param(name, argv, fmt, exit_code, id=f"{name}-argv{first + i}-{fmt}-{exit_code}")
+    for name, argv, formats, exit_code, first in GOLDEN_CASES
+    for i, fmt in enumerate(formats)
 ])
 def test_golden_projection(capsys, monkeypatch, no_threshold, cached_suites,
                            name, argv, fmt, exit_code):
@@ -1132,17 +1152,21 @@ def test_golden_json_with_report_prints_summary_only(capsys, monkeypatch, tmp_pa
     assert _mask_floats(written) == _mask_floats((GOLDEN_DIR / "verify.json").read_text())
 
 
+# Explicit ids, each the name pytest once gave the case by position.
 @pytest.mark.parametrize("argv, message", [
-    (["--family", "gstar", "--n", "8"], "extremal: gstar requires --n and --delta"),
-    (["--family", "g1", "--s", "2"], "extremal: g1 requires --s and --parts"),
-    (["--family", "g4", "--n", "7", "--delta", "4", "--s", "2"],
-     "extremal: big part m=2 must be >= delta+1-s=3"),
-    (["--family", "g3", "--n", "14", "--delta", "3"],
-     "extremal: g3 requires --n, --delta and --s"),
-    (["--family", "g4", "--delta", "3", "--s", "2"],
-     "extremal: g4 requires --n, --delta and --s"),
-    (["--family", "g3", "--n", "14", "--delta", "3", "--s", "3"],
-     "extremal: need 2 <= s <= delta-1"),
+    pytest.param(argv, message, id=f"argv{number}-{message}")
+    for number, argv, message in [
+        (0, ["--family", "gstar", "--n", "8"], "extremal: gstar requires --n and --delta"),
+        (1, ["--family", "g1", "--s", "2"], "extremal: g1 requires --s and --parts"),
+        (2, ["--family", "g4", "--n", "7", "--delta", "4", "--s", "2"],
+         "extremal: big part m=2 must be >= delta+1-s=3"),
+        (3, ["--family", "g3", "--n", "14", "--delta", "3"],
+         "extremal: g3 requires --n, --delta and --s"),
+        (4, ["--family", "g4", "--delta", "3", "--s", "2"],
+         "extremal: g4 requires --n, --delta and --s"),
+        (5, ["--family", "g3", "--n", "14", "--delta", "3", "--s", "3"],
+         "extremal: need 2 <= s <= delta-1"),
+    ]
 ])
 def test_extremal_missing_flags_message(capsys, argv, message):
     code, out, err = run(capsys, "extremal", *argv)

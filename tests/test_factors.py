@@ -8,6 +8,8 @@ import time
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exhaustive_search import GuardExceeded, enumerate_labeled, find_even_factor
 from qfactor import factors
@@ -16,6 +18,8 @@ from qfactor.extremal import build_gstar
 from qfactor.graphs import (
     Graph,
     complete,
+    is_connected,
+    min_degree,
     odd_components_after_removal,
     parse_graph6,
     random_graph,
@@ -505,3 +509,63 @@ class TestVerdict:
         monkeypatch.setattr("qfactor.factors.two_factor", lambda g: ((0, 1),))
         with pytest.raises(ValueError, match="non-factor"):
             self.verdict(complete(4))
+
+
+# ---------------------------------------------------------------------------
+# The criterion implies an even factor
+# ---------------------------------------------------------------------------
+
+
+def _criterion_population():
+    """Every class at orders 4 and 6, and seeded connected G(n, p) at even
+    orders 8 to 16."""
+    for n in (4, 6):
+        yield from isomorphism_classes(n)[1]
+    for n in range(8, 17, 2):
+        for p in (0.25, 0.35, 0.45, 0.6):
+            for seed in range(12):
+                g = random_graph(n, p, seed)
+                if is_connected(g):
+                    yield g
+
+
+def test_criterion_gives_min_degree_3_two_connected_and_an_even_factor():
+    # Bicriticality at even n >= 4 forces minimum degree 3 and
+    # 2-connectivity (both exact, checked here), and Fleischner's theorem
+    # (Discrete Math. 101, 1992) then gives an even factor; the even factor
+    # found on every such graph is evidence for that last step only.
+    passing = 0
+    for g in _criterion_population():
+        if not strong_tutte_check(g)[0]:
+            continue
+        passing += 1
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.n))
+        assert min_degree(g) >= 3, g.edges()
+        assert all(nx.is_connected(h.subgraph(set(h) - {v})) for v in h), g.edges()
+        assert even_factor(g) is not None, g.edges()
+    assert passing == 100  # 16 of 167 classes, 84 of 196 seeded graphs
+
+
+# ---------------------------------------------------------------------------
+# Relabeling
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda k: st.permutations(range(2 * k))),
+       st.sampled_from([0.3, 0.5, 0.7, 0.9]), st.integers(0, 2**64 - 1))
+def test_factor_verdict_is_invariant_under_relabeling(perm, p, seed):
+    # The verdict depends on the graph, not on its labels; the certificates
+    # carry labels, so they are mapped through the permutation and checked
+    # again on the relabeled graph.
+    g = random_graph(len(perm), p, seed)
+    h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    before, after = factor_verdict(g), factor_verdict(h)
+    assert (after.criterion_holds, after.agreement) == (before.criterion_holds,
+                                                        before.agreement)
+    if before.blocking is not None:
+        mask = sum(1 << perm[v] for v in before.blocking)
+        assert odd_components_after_removal(h, mask) >= len(before.blocking)
+    if before.certificate is not None:
+        assert verify_even_factor(h, [(perm[u], perm[v]) for u, v in before.certificate])

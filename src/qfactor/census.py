@@ -11,7 +11,7 @@ isomorphism_classes labels every mask with its isomorphism class, so the
 census evaluates one graph per class, and mask_graph6_encoder writes the
 graph6 of a mask by table lookups.  Both are capped at MAX_ENUM_ORDER.
 
-This module needs graphs, factors and matching, and no spectral code, so
+This module needs graphs and factors, and no spectral code, so
 ``agreement`` loads neither spectra nor extremal.
 """
 

@@ -42,13 +42,13 @@ The CLI parses before it loads: at import time this module needs only the
 standard library (not csv or json), so ``--version``, ``--help`` and usage
 errors load no other qfactor module.  Each runner imports what it runs when
 it is dispatched, and ``main`` then loads ``reportio``.  ``factor`` loads
-``graphs``, ``matching`` and ``factors``, and ``agreement`` those three and
-``census``; ``spectrum`` loads ``graphs`` and ``spectra``, ``extremal``
-those two and ``extremal``, and ``lemmas`` and ``identities`` those three
-and ``suites``; ``verify`` loads ``harness`` and every other module but
-``census`` and ``suites``.  numpy loads at the first Perron value of an
-input graph, which only ``spectrum`` and ``verify`` compute: ``extremal``,
-``identities`` and ``lemmas`` take every radius as an exact quotient root.
+``graphs`` and ``factors``, and ``agreement`` those two and ``census``;
+``spectrum`` loads ``graphs`` and ``spectra``, ``extremal`` those two and
+``extremal``, and ``lemmas`` and ``identities`` those three and ``suites``;
+``verify`` loads ``harness`` and every other module but ``census`` and
+``suites``.  numpy loads at the first Perron value of an input graph, which
+only ``spectrum`` and ``verify`` compute: ``extremal``, ``identities`` and
+``lemmas`` take every radius as an exact quotient root.
 The imports sit inside the functions, not in module globals, so a wrapper
 installed on a module's function (the benchmark's tracer) is the function
 called.
@@ -71,12 +71,9 @@ from . import __version__
 
 def _parse_parts(text: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(p) for p in text.split(",") if p.strip())
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"parts {text!r} must be comma-separated integers")
-    if not parts:
-        raise argparse.ArgumentTypeError("parts must be nonempty")
-    return parts
 
 
 def _positive_int(text: str) -> int:

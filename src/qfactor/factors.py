@@ -1,4 +1,4 @@
-"""Even factors and the strong Tutte-type criterion, both on the blossom.
+"""Even factors and the strong Tutte-type criterion, on one blossom engine.
 
 An even factor is a spanning subgraph in which every vertex has positive
 even degree (each vertex picks its own even degree >= 2; a 2-factor is the
@@ -19,7 +19,10 @@ perfect matching for every pair u != v (Lovasz & Plummer, Matching Theory,
 Even factors are decided exactly, also in polynomial time: by the
 two-factor fast path, else by one perfect-matching question on a gadget
 (see even_factor). Neither has a size guard, and every answer carries a
-hard-checked certificate.
+hard-checked certificate. Every matching is Edmonds' blossom algorithm on
+bitrows ("Paths, trees, and flowers", Canad. J. Math. 17, 1965): a greedy
+start extended by one search from each vertex it leaves exposed is maximum,
+as a vertex with no augmenting path never gains one later.
 """
 
 from __future__ import annotations
@@ -28,7 +31,101 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .graphs import Graph, _trusted_graph, odd_components_after_removal
-from .matching import _augment, _mates, two_factor
+
+
+def _augment(rows: list[int], mate: list[int], root: int) -> int:
+    """Search for an augmenting path from the exposed ``root``, and augment
+    ``mate`` along it if there is one (then return 0).
+
+    Otherwise return the outer vertices of the search tree as a bitmask:
+    exactly the vertices an even alternating path reaches from ``root``. If
+    one such path ended at an unscanned x, hanging a new exposed leaf on x
+    would give an augmenting path from ``root`` that this search, which
+    never scans x, misses."""
+    n = len(rows)
+    base = list(range(n))
+    parent = [-1] * n
+    members: dict[int, int] = {}  # blossom base -> its vertices, once merged
+    in_tree = 1 << root
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        seen = 0
+        while True:
+            a = base[a]
+            seen |= 1 << a
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if seen >> b & 1:
+                return b
+            b = parent[mate[b]]
+
+    def mark(v: int, top: int, child: int, blossom: int) -> int:
+        while base[v] != top:
+            blossom |= 1 << base[v] | 1 << base[mate[v]]
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+        return blossom
+
+    for v in queue:
+        nbrs = rows[v]
+        while nbrs:
+            to = (nbrs & -nbrs).bit_length() - 1
+            nbrs &= nbrs - 1
+            if base[v] == base[to] or mate[v] == to:
+                continue
+            if to == root or mate[to] != -1 and parent[mate[to]] != -1:
+                # v and to are both outer: contract the blossom they close
+                top = lca(v, to)
+                blossom = mark(to, top, v, mark(v, top, to, 0))
+                grouped = 0
+                while blossom:
+                    b = (blossom & -blossom).bit_length() - 1
+                    blossom &= blossom - 1
+                    grouped |= members.pop(b, 1 << b)
+                members[top] = members.get(top, 1 << top) | grouped
+                fresh = grouped & ~in_tree
+                in_tree |= grouped
+                while grouped:
+                    i = (grouped & -grouped).bit_length() - 1
+                    grouped &= grouped - 1
+                    base[i] = top
+                while fresh:
+                    i = (fresh & -fresh).bit_length() - 1
+                    fresh &= fresh - 1
+                    queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if mate[to] == -1:
+                    while to != -1:
+                        v = parent[to]
+                        nxt = mate[v]
+                        mate[to], mate[v] = v, to
+                        to = nxt
+                    return 0
+                in_tree |= 1 << mate[to]
+                queue.append(mate[to])
+    return in_tree
+
+
+def _mates(rows: list[int]) -> list[int]:
+    """``mate[v]`` (``-1`` if exposed) of a maximum matching."""
+    n = len(rows)
+    mate = [-1] * n
+    free = (1 << n) - 1
+    for v in sorted(range(n), key=lambda v: (rows[v].bit_count(), v)):
+        if free >> v & 1 and rows[v] & free:
+            u = (rows[v] & free & -(rows[v] & free)).bit_length() - 1
+            mate[u], mate[v] = v, u
+            free &= ~(1 << u | 1 << v)
+    for v in range(n):
+        if mate[v] == -1:
+            _augment(rows, mate, v)
+    return mate
 
 
 def strong_tutte_check(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
@@ -112,6 +209,23 @@ def even_factor(g: Graph) -> tuple[tuple[int, int], ...] | None:
     if factor is not None and not verify_even_factor(g, factor):
         raise ValueError("even_factor produced a non-factor")
     return factor
+
+
+def two_factor(g: Graph) -> tuple[tuple[int, int], ...] | None:
+    """Sorted edges of M1 ∪ M2 for edge-disjoint perfect matchings M1 of G
+    and M2 of G − M1, or ``None`` when either maximum matching is not
+    perfect: a ``None`` that proves nothing about even factors."""
+    rows = list(g.rows)
+    edges = []
+    for _ in range(2):
+        mate = _mates(rows)
+        if -1 in mate:
+            return None
+        for v, u in enumerate(mate):
+            rows[v] &= ~(1 << u)
+            if v < u:
+                edges.append((v, u))
+    return tuple(sorted(edges))
 
 
 def _gadget_factor(g: Graph) -> tuple[tuple[int, int], ...] | None:

@@ -31,9 +31,10 @@ than :data:`EPS` below the threshold counts as below it.
 
 The lemma and identity suites live in suites, and the
 criterion-vs-even-factor census in census, so ``verify`` compiles neither.
-With ``jobs > 1`` it forks a child per usable CPU beyond this process;
-each sends its rows back over a pipe while this process classifies a
-share of its own.  One worker is the same code with no child.
+With ``jobs > 1`` it runs min(jobs, chunks, usable CPUs) workers, this
+process among them, so ``--jobs 2`` forks one child; each child sends its
+rows back over a pipe while this process classifies a share of its own.
+One worker is the same code with no child.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ Both suites are exact.  Every radius they compare is the correctly rounded
 largest root of an equitable quotient's integer characteristic polynomial,
 and each edge-removal margin of the lemma suite is an integer certificate,
 so neither suite runs an eigensolver or loads numpy.  Neither needs the
-even-factor code, so the suites load no factors or matching.
+even-factor code, so the suites do not load factors.
 """
 
 from __future__ import annotations

@@ -285,6 +285,14 @@ class TestExtremal:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("parts", ["3,,5", "3,", ",3"])
+    def test_empty_parts_item_exit_2(self, capsys, parts):
+        # dropping the empty item would quietly build K2 v (K3 u K5) from "3,,5"
+        code, out, err = run(capsys, "extremal", "--family", "g1", "--s", "2",
+                             "--parts", parts)
+        assert (code, out) == (2, "")
+        assert f"parts {parts!r} must be comma-separated integers" in err
+
 
 # ---------------------------------------------------------------------------
 # factor

@@ -7,7 +7,7 @@ import pytest
 from exhaustive_search import find_even_factor
 from qfactor.census import isomorphism_classes
 from qfactor.graphs import Graph, complete, random_graph
-from qfactor.matching import _augment, _mates, two_factor
+from qfactor.factors import _augment, _mates, two_factor
 
 
 @pytest.fixture(scope="module")

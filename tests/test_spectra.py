@@ -9,7 +9,7 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kernel_oracles import faddeev_leverrier, fraction_root
@@ -26,6 +26,7 @@ from qfactor.graphs import (
     write_graph6,
 )
 from qfactor.harness import check_theorem_instance
+from qfactor.reportio import round_float
 from qfactor.suites import identity_suite, lemma_suite
 from qfactor.spectra import (
     IntPolynomial,
@@ -210,6 +211,26 @@ def test_perron_relabeling_invariance(n, p, seed, data):
     assert abs(perron_many([g], 1)[0] - perron_many([h], 1)[0]) < 1e-12
     assert (check_theorem_instance(h).classification
             == check_theorem_instance(g).classification)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 62),
+    p=st.floats(0, 0.9),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_adding_an_edge_raises_the_printed_radius(n, p, seed, data):
+    # Perron-Frobenius: in a connected graph, a new edge strictly raises q and
+    # rho, and the rise must survive the rounding that reports print.
+    path = [(i, i + 1) for i in range(n - 1)]
+    g = Graph.from_edges(n, random_graph(n, p, seed).edges() + path)
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    assume(non_edges)
+    h = Graph.from_edges(n, g.edges() + [data.draw(st.sampled_from(non_edges))])
+    for alpha in (1, 0):
+        before, after = map(round_float, perron_many([g, h], alpha))
+        assert after > before, alpha
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
         "order": g.n,
         "edges": g.edge_count,
         "q": q,
-        "coefficients": list(poly.coeffs),
+        "coefficients": list(poly),
     }
     # only the family's own parameters: g1 has no n, gstar no s
     meta.update((flag, value) for flag, value in zip(flags, values) if flag != "parts")

@@ -34,7 +34,7 @@ from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .graphs import Graph, complete, disjoint_union, join
-from .spectra import IntPolynomial, quotient_root
+from .spectra import quotient_root
 
 
 def _join_cliques(s: int, parts: Sequence[int]) -> Graph:
@@ -199,28 +199,28 @@ def g4_containment(plan: SurgeryPlan, g4: Graph, gs: Graph) -> tuple[int, ...] |
 # ---------------------------------------------------------------------------
 # closed-form quotient polynomials
 
-def phi_bstar(n: int, s: int) -> IntPolynomial:
+def phi_bstar(n: int, s: int) -> tuple[int, ...]:
     """Characteristic polynomial of the quotient of Q(gstar(n, s)) over
     [join, big clique, singletons], closed form: the proof's phi_B2(n, s),
     and phi_B*(n, delta) at s = delta. That quotient is
     [[n+s-2, n-2s+1, s-1], [s, 2n-3s, 0], [s, 0, s]]."""
     _check_gstar_params(n, s)
-    return IntPolynomial((
+    return (
         -2 * s * n * n + 4 * n * s * s + 2 * n * s - 2 * s ** 3 - 2 * s * s,
         2 * n * n + n * s - 4 * n - 4 * s * s + 4 * s,
         -(3 * n - s - 2),
         1,
-    ))
+    )
 
 
-def f_poly(n: int, s: int, delta: int) -> IntPolynomial:
+def f_poly(n: int, s: int, delta: int) -> tuple[int, ...]:
     """The quadratic with phi_bstar(n, s) - phi_bstar(n, delta) == (s - delta) * f."""
-    return IntPolynomial((
+    return (
         -2 * n * n + 2 * n * (2 * s + 2 * delta + 1)
         - 2 * (s * s + s * delta + delta * delta) - 2 * (s + delta),
         n - 4 * s - 4 * delta + 4,
         1,
-    ))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -233,5 +233,5 @@ def threshold_q(n: int, delta: int) -> float:
     counted, root = quotient_root(build_gstar(n, delta), gstar_cells(n, delta))
     if counted != poly:
         raise RuntimeError(f"threshold cross-validation failed at (n={n}, delta={delta}): "
-                           f"phi_bstar {poly.coeffs} is not the quotient's polynomial")
+                           f"phi_bstar {poly} is not the quotient's polynomial")
     return root

@@ -46,36 +46,7 @@ _SM_MUL1 = 0xBF58476D1CE4E5B9
 _SM_MUL2 = 0x94D049BB133111EB
 
 
-class _Frozen:
-    """Immutable value whose fields are its __slots__, set by __init__ through
-    object.__setattr__: equal to an instance of its class iff their fields are."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
-
-    def __eq__(self, other: object) -> bool:
-        same = other.__class__ is self.__class__
-        return self._fields() == other._fields() if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._fields()
-
-    def __setattr__(self, name: str, *value: object) -> None:
-        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
-
-    __delattr__ = __setattr__
-
-
-class Graph(_Frozen):
+class Graph:
     """Undirected graph on 0..n-1 with bitmask adjacency rows, validated in __post_init__."""
 
     __slots__ = ("n", "rows")
@@ -86,6 +57,25 @@ class Graph(_Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
         self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.n == other.n and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, rows={self.rows!r})"
+
+    def __reduce__(self) -> tuple:
+        return Graph, (self.n, self.rows)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
 
     def __post_init__(self) -> None:
         if self.n < 0:

@@ -34,7 +34,7 @@ import math
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
-from .graphs import Graph, _Frozen
+from .graphs import Graph
 
 if TYPE_CHECKING:
     import numpy as np
@@ -158,73 +158,12 @@ def equitable_partition(g: Graph) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# exact integer polynomials
-
-class IntPolynomial(_Frozen):
-    """Integer-coefficient polynomial, coefficients ascending by degree."""
-
-    __slots__ = ("coeffs",)
-    coeffs: tuple[int, ...]
-
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
-        if not coeffs:
-            raise ValueError("need at least one coefficient")
-        if any(not isinstance(c, int) for c in coeffs):
-            raise ValueError("coefficients must be ints")
-        trimmed = list(coeffs)
-        while len(trimmed) > 1 and trimmed[-1] == 0:
-            trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(trimmed))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        """Horner evaluation; exact for int arguments."""
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        size = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (size - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (size - len(other.coeffs))
-        return IntPolynomial(tuple(x - y for x, y in zip(a, b)))
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    def __floordiv__(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Quotient of exact long division by a monic divisor."""
-        if divisor.coeffs[-1] != 1:
-            raise ValueError("divisor must be monic")
-        d = divisor.degree
-        rem = list(self.coeffs)
-        quot = [0] * max(len(rem) - d, 1)
-        for top in range(len(rem) - 1, d - 1, -1):
-            lead = quot[top - d] = rem[top]
-            if lead:
-                for i, c in enumerate(divisor.coeffs):
-                    rem[top - d + i] -= lead * c
-        return IntPolynomial(tuple(quot))
-
-    def scaled(self, k: int) -> "IntPolynomial":
-        return IntPolynomial(tuple(k * c for c in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,)
-
+# exact integer polynomials: tuples of int coefficients, ascending by degree
 
 _PRIMES = ((1 << 61) - 1, (1 << 127) - 1, (1 << 521) - 1)  # Mersenne
 
 
-def char_poly(a: Sequence[Sequence[int]]) -> IntPolynomial:
+def char_poly(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """det(xI - A) for the integer rows of a square matrix (as quotient
     returns them), exactly, in O(n**3) operations modulo a prime p.
 
@@ -275,7 +214,7 @@ def char_poly(a: Sequence[Sequence[int]]) -> IntPolynomial:
                 t = t * h[i][i - 1] % p
         polys.append([v % p for v in cur])
     half = p // 2
-    return IntPolynomial(tuple(v - p if v > half else v for v in polys[n]))
+    return tuple(v - p if v > half else v for v in polys[n])
 
 
 def _sign_at(coeffs: tuple[int, ...], m: int, e: int) -> int:
@@ -296,15 +235,15 @@ def _derivatives(coeffs: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def above_roots(p: IntPolynomial, x: float) -> bool:
+def above_roots(p: tuple[int, ...], x: float) -> bool:
     """Whether p and all its derivatives are positive at the double x, each
     sign an integer Horner evaluation. If so, Taylor's formula at x leaves
     p no root at or above x."""
     m, d = x.as_integer_ratio()
-    return all(_sign_at(c, m, d.bit_length() - 1) > 0 for c in _derivatives(p.coeffs))
+    return all(_sign_at(c, m, d.bit_length() - 1) > 0 for c in _derivatives(p))
 
 
-def largest_real_root(p: IntPolynomial, hi: float) -> float:
+def largest_real_root(p: tuple[int, ...], hi: float) -> float:
     """Largest root of p in (0, hi), correctly rounded to a double, for a
     real-rooted p whose largest root is simple, as that of a quotient of Q
     of a connected graph is: its largest root is the Perron root.
@@ -328,11 +267,11 @@ def largest_real_root(p: IntPolynomial, hi: float) -> float:
     """
     a, (b, db) = 0, hi.as_integer_ratio()
     e = db.bit_length() - 1
-    derivatives = _derivatives(p.coeffs)
+    derivatives = _derivatives(p)
     if not all(_sign_at(c, b, e) > 0 for c in derivatives):
         raise ValueError("p and its derivatives must be positive at hi")
     try:  # float Newton from hi; an estimate of the largest root
-        floats, x = [float(v) for v in reversed(p.coeffs)], float(hi)
+        floats, x = [float(v) for v in reversed(p)], float(hi)
         for _ in range(100):
             f = df = 0.0
             for v in floats:
@@ -351,23 +290,23 @@ def largest_real_root(p: IntPolynomial, hi: float) -> float:
         upper, lower = m + (abs(m) >> 40), m - (abs(m) >> 40)
         if a < upper < b and all(_sign_at(c, upper, e) > 0 for c in derivatives):
             b = upper
-        if a < lower < b and _sign_at(p.coeffs, lower, e) < 0:
+        if a < lower < b and _sign_at(p, lower, e) < 0:
             a = lower
     while a / (1 << e) != b / (1 << e):
         mid, a, b, e = a + b, 2 * a, 2 * b, e + 1
-        sign = _sign_at(p.coeffs, mid, e)
+        sign = _sign_at(p, mid, e)
         if sign < 0 or not all(_sign_at(c, mid, e) > 0 for c in derivatives[1:]):
             a = mid
         elif sign:
             b = mid
         else:
             return mid / (1 << e)
-    if _sign_at(p.coeffs, a, e) >= 0:
+    if _sign_at(p, a, e) >= 0:
         raise ValueError("no proved largest root in (0, hi)")
     return b / (1 << e)
 
 
-def quotient_root(g: Graph, cells: Cells, alpha: int = 1) -> tuple[IntPolynomial, float]:
+def quotient_root(g: Graph, cells: Cells, alpha: int = 1) -> tuple[tuple[int, ...], float]:
     """The characteristic polynomial of the quotient of alpha*D + A over the
     cells, which must be equitable, and its largest root: q(g) for alpha = 1
     and rho(g) for 0 of a connected g, correctly rounded.  Every eigenvalue

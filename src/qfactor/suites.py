@@ -190,6 +190,30 @@ def _gstar_grid() -> list[tuple[int, int]]:
     return grid
 
 
+def _product(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The product of two polynomials, coefficients ascending by degree."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _quotient(p: Sequence[int], divisor: Sequence[int]) -> tuple[int, ...]:
+    """The quotient of exact long division of p by a monic divisor."""
+    if divisor[-1] != 1:
+        raise ValueError("divisor must be monic")
+    d = len(divisor) - 1
+    rem = list(p)
+    quot = [0] * max(len(rem) - d, 1)
+    for top in range(len(rem) - 1, d - 1, -1):
+        lead = quot[top - d] = rem[top]
+        if lead:
+            for i, c in enumerate(divisor):
+                rem[top - d + i] -= lead * c
+    return tuple(quot)
+
+
 def _quotient_radius_lemma() -> dict[str, Any]:
     """For the extremal graph's equitable partition, the largest real root
     of the quotient characteristic polynomial is the full
@@ -211,8 +235,8 @@ def _quotient_radius_lemma() -> dict[str, Any]:
         if equitable:
             poly, root = quotient_root(g, cells)
             full = char_poly(quotient(g, [[v] for v in range(n)]))
-            cofactor = full // poly
-            row["divides"] = poly * cofactor == full
+            cofactor = _quotient(full, poly)
+            row["divides"] = _product(poly, cofactor) == full
             if above_roots(cofactor, math.nextafter(root, 0)):
                 row["root_vs_perron"] = 0.0
         rows.append(row)
@@ -350,13 +374,12 @@ def identity_suite() -> dict[str, Any]:
     decides the radii; a tie passes only between equal polynomials."""
     sections: dict[str, Any] = {}
 
-    # (a) phi_{B_2}(n, s) - phi_{B_*}(n, delta) == (s - delta) * f(n, s, delta), exactly.
+    # (a) phi_{B_2}(n, s) - phi_{B_*}(n, delta) == (s - delta) * f(n, s, delta) per coefficient.
     grid = _identity_grid()
     mismatches = []
     for n, delta, s in grid:
-        lhs = phi_bstar(n, s) - phi_bstar(n, delta)
-        rhs = f_poly(n, s, delta).scaled(s - delta)
-        if not (lhs - rhs).is_zero():
+        lhs = [a - b for a, b in zip(phi_bstar(n, s), phi_bstar(n, delta))]
+        if lhs != [(s - delta) * c for c in f_poly(n, s, delta)] + [0]:
             mismatches.append({"n": n, "delta": delta, "s": s})
     sections["difference_identity"] = {
         "cases": len(grid),
@@ -373,7 +396,7 @@ def identity_suite() -> dict[str, Any]:
     for n, delta, s in grid:
         if s < delta + 1:
             continue
-        value = f_poly(n, s, delta)(2 * n - 2 * delta)
+        value = sum(c * (2 * n - 2 * delta) ** k for k, c in enumerate(f_poly(n, s, delta)))
         axis_ok = 4 * s + 4 * delta - n - 4 < 2 * (2 * n - 2 * delta)
         if value < 3 or not axis_ok:
             ok = False

@@ -8,7 +8,9 @@ flood under the n - 1 adjacent transpositions that
 generators. ``fraction_root`` bisects a sign change with ``Fraction``
 arithmetic until both ends round to one double, independently of the
 dyadic bisection in ``qfactor.spectra.largest_real_root``. The tests compare
-the package's kernels against all three.
+the package's kernels against all three. ``evaluate`` is the oracles' own
+Horner rule over ``Fraction``; polynomials are coefficient tuples ascending
+by degree, as in the package.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from typing import Sequence
 
 from qfactor.census import _bit_table, lexicographic_pairs, mask_graph
 from qfactor.graphs import Graph
-from qfactor.spectra import IntPolynomial
 
 
-def faddeev_leverrier(a: Sequence[Sequence[int]]) -> IntPolynomial:
+def faddeev_leverrier(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """det(xI - A) over exact integers: M_k = A M_(k-1) + c_(n-k+1) I and
     c_(n-k) = -trace(A M_k) / k, every division exact."""
     n = len(a)
@@ -42,7 +43,7 @@ def faddeev_leverrier(a: Sequence[Sequence[int]]) -> IntPolynomial:
             raise ArithmeticError("Faddeev-LeVerrier division not exact")
         coeffs[n - k] = q
         c_prev = q
-    return IntPolynomial(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def transposition_classes(n: int) -> tuple[array, list[Graph]]:
@@ -81,16 +82,24 @@ def transposition_classes(n: int) -> tuple[array, list[Graph]]:
     return labels, representatives
 
 
-def fraction_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> float:
+def evaluate(p: Sequence[int], x: Fraction | int) -> Fraction:
+    """p at x by Horner's rule over Fraction: exact at every rational x."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def fraction_root(p: Sequence[int], lo: Fraction, hi: Fraction) -> float:
     """The double nearest the root of p in (lo, hi), given p(lo) < 0 < p(hi)
     and no other root there: Fraction bisection until both ends round to the
     same double, which the root between them rounds to as well."""
     lo, hi = Fraction(lo), Fraction(hi)
-    if not p(lo) < 0 < p(hi):
-        raise ValueError(f"no sign change of {p.coeffs} in ({lo}, {hi})")
+    if not evaluate(p, lo) < 0 < evaluate(p, hi):
+        raise ValueError(f"no sign change of {p} in ({lo}, {hi})")
     while float(lo) != float(hi):
         mid = (lo + hi) / 2
-        value = p(mid)
+        value = evaluate(p, mid)
         if value == 0:
             return float(mid)
         lo, hi = (mid, hi) if value < 0 else (lo, mid)

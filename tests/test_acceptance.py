@@ -80,8 +80,9 @@ def test_02_difference_identity_exact():
     for delta in range(2, 7):
         for n in range(even_up(7 * delta - 7), 7 * delta + 14, 2):
             for s in range(delta + 1, n // 2 + 1):
-                difference = phi_bstar(n, s) - phi_bstar(n, delta)
-                predicted = f_poly(n, s, delta).scaled(s - delta)
+                difference = tuple(
+                    a - b for a, b in zip(phi_bstar(n, s), phi_bstar(n, delta)))
+                predicted = tuple((s - delta) * c for c in f_poly(n, s, delta)) + (0,)
                 assert difference == predicted, (n, delta, s)
                 cases += 1
     elapsed = time.perf_counter() - start
@@ -102,12 +103,13 @@ def test_03_f_positive_beyond_vertex():
         for n in range(even_up(7 * delta - 7), 7 * delta + 14, 2):
             for s in range(delta + 1, n // 2 + 1):
                 f = f_poly(n, s, delta)
-                assert f.degree == 2 and f.coeffs[2] == 1, (n, delta, s)
-                value = f(2 * n - 2 * delta)
+                assert len(f) == 3 and f[2] == 1, (n, delta, s)
+                x = 2 * n - 2 * delta
+                value = sum(c * x ** k for k, c in enumerate(f))
                 assert isinstance(value, int) and value >= 3, (n, delta, s, value)
                 minimum = value if minimum is None else min(minimum, value)
                 # Vertex of x^2 + bx + c is at -b/2; compare 2*(-b/2) < 2x0.
-                assert -f.coeffs[1] < 2 * (2 * n - 2 * delta), (n, delta, s)
+                assert -f[1] < 2 * x, (n, delta, s)
                 cases += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"budget exceeded: {elapsed:.1f}s"

@@ -878,10 +878,12 @@ def tampered_threshold(monkeypatch):
     cross-check must reject. The threshold cache is cleared before, so no
     value computed earlier skips the check, and after."""
     from qfactor.extremal import phi_bstar, threshold_q
-    from qfactor.spectra import IntPolynomial
 
-    monkeypatch.setattr("qfactor.extremal.phi_bstar",
-                        lambda n, delta: phi_bstar(n, delta) - IntPolynomial((1,)))
+    def tampered(n, delta):
+        poly = phi_bstar(n, delta)
+        return (poly[0] - 1, *poly[1:])
+
+    monkeypatch.setattr("qfactor.extremal.phi_bstar", tampered)
     threshold_q.cache_clear()
     yield
     threshold_q.cache_clear()

@@ -44,7 +44,6 @@ from qfactor.extremal import (
 )
 from qfactor.reportio import dumps_canonical, make_report
 from qfactor.spectra import (
-    IntPolynomial,
     _alpha_stack,
     char_poly,
     equitable_partition,
@@ -816,9 +815,9 @@ class TestSuites:
         # cubic quotient polynomials (three cells) stay exact.
         def skewed(m):
             poly = char_poly(m)
-            if poly.degree <= 3:
+            if len(poly) <= 4:
                 return poly
-            return poly - IntPolynomial((-1,))
+            return (poly[0] + 1, *poly[1:])
 
         monkeypatch.setattr("qfactor.suites.char_poly", skewed)
         report = suites._quotient_radius_lemma()
@@ -843,9 +842,13 @@ class TestSuites:
     def test_quotient_radius_rejects_a_wrong_cofactor(self, monkeypatch):
         # A cofactor off by one in its constant term: quotient times
         # cofactor is not the full polynomial, so no case divides.
-        divide = IntPolynomial.__floordiv__
-        monkeypatch.setattr(IntPolynomial, "__floordiv__",
-                            lambda p, d: divide(p, d) - IntPolynomial((1,)))
+        divide = suites._quotient
+
+        def off_by_one(p, d):
+            cofactor = divide(p, d)
+            return (cofactor[0] - 1, *cofactor[1:])
+
+        monkeypatch.setattr(suites, "_quotient", off_by_one)
         section = suites._quotient_radius_lemma()
         assert section["all_equitable"] is True
         assert not any(case["divides"] for case in section["cases"])
@@ -855,9 +858,9 @@ class TestSuites:
         # With a cofactor that has a root above the quotient's, the quotient
         # root is not proved to be q: root_vs_perron is null and each case
         # fails, although the quotient still divides.
-        divide = IntPolynomial.__floordiv__
-        monkeypatch.setattr(IntPolynomial, "__floordiv__",
-                            lambda p, d: divide(p, d) * IntPolynomial((-10**6, 1)))
+        divide = suites._quotient
+        monkeypatch.setattr(suites, "_quotient",
+                            lambda p, d: suites._product(divide(p, d), (-10**6, 1)))
         section = suites._quotient_radius_lemma()
         assert all(case["root_vs_perron"] is None for case in section["cases"])
         assert section["max_root_vs_perron"] is None and section["passed"] is False

@@ -184,7 +184,7 @@ def agreement_study(
     if n % 2 == 1:
         raise ValueError("agreement study requires even order")
     def agreement(g: Graph) -> str:
-        return factor_verdict(g).agreement
+        return factor_verdict(g)["agreement"]
 
     counts = {name: 0 for name in AGREEMENT_CLASSES}
     disagreements: dict[str, list[str]] = {

@@ -218,11 +218,7 @@ def _spectrum_text(row: dict[str, Any]) -> str:
 def _factor_fields(graphs: list) -> list[dict[str, Any]]:
     """Each graph's criterion verdict and certificate."""
     from .factors import factor_verdict
-    return [{"criterion_holds": v.criterion_holds,
-             "blocking": list(v.blocking) if v.blocking else None,
-             "certificate": [list(e) for e in v.certificate] if v.certificate else None,
-             "agreement": v.agreement}
-            for v in map(factor_verdict, graphs)]
+    return [factor_verdict(g) for g in graphs]
 
 
 def _factor_text(row: dict[str, Any]) -> str:

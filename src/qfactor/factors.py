@@ -9,8 +9,8 @@ criterion implies an even factor: it forces minimum degree 3 and
 2-connectivity, and every bridgeless graph of minimum degree 3 has an even
 factor (Fleischner, Discrete Math. 101, 1992). Order 2 is the only
 exception: K2 and its complement pass vacuously and have none. The converse
-fails, as G*(n, delta) shows, so factor_verdict reports the agreement class
-instead of treating either notion as ground truth.
+fails, as G*(n, delta) shows, so factor_verdict's row gives the agreement
+class instead of treating either notion as ground truth.
 
 The criterion is decided in polynomial time: by Tutte-Berge on G - T for
 each pair T, it holds exactly when G is bicritical, i.e. G - u - v has a
@@ -28,7 +28,7 @@ as a vertex with no augmenting path never gains one later.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Any
 
 from .graphs import Graph, _trusted_graph, odd_components_after_removal
 
@@ -283,20 +283,14 @@ AGREEMENT_CLASSES = (
 )
 
 
-class FactorVerdict(NamedTuple):
-    criterion_holds: bool
-    blocking: tuple[int, ...] | None
-    certificate: tuple[tuple[int, int], ...] | None
-    agreement: str
-
-
-def factor_verdict(g: Graph) -> FactorVerdict:
-    """Run the criterion and the exact even-factor test side by side and
-    classify their agreement."""
-    crit, blocking = strong_tutte_check(g)
+def factor_verdict(g: Graph) -> dict[str, Any]:
+    """factor's row of one graph, without line and graph6: the criterion, the
+    even factor (null when empty, at order 0) and their agreement class."""
+    holds, blocking = strong_tutte_check(g)
     cert = even_factor(g)
-    if crit:
+    if holds:
         agreement = "both_yes" if cert is not None else "criterion_yes_factor_no"
     else:
         agreement = "criterion_no_factor_yes" if cert is not None else "both_no"
-    return FactorVerdict(crit, blocking, cert, agreement)
+    return {"criterion_holds": holds, "blocking": blocking, "certificate": cert or None,
+            "agreement": agreement}

@@ -10,13 +10,14 @@ itself the unique exception.  ``G*(n, delta)`` itself *has* an even factor
 parity criterion, which it fails on its join cell, not for even factors.
 
 :func:`check_theorem_instance` and :func:`verify_stream` classify graphs
-against that statement in two steps.  ``_applicable`` checks the
-hypotheses, which need no Perron value, so they run on a whole chunk of
-lines (read by graphs.chunk_rows, as spectrum and factor read theirs)
-before its eigh stack is built.  ``_decide`` then takes each applicable
-graph with its q through the threshold, the recognizer and the
-exact even-factor test :func:`~qfactor.factors.even_factor` (the
-two-factor fast path, else one perfect-matching question on a gadget).
+against that statement in two steps, each of which may give verify's row.
+``_applicable`` checks the hypotheses, which need no Perron value, so they
+run on a whole chunk of lines (read by graphs.chunk_rows, as spectrum and
+factor read theirs) before its eigh stack is built, and gives the
+``not_applicable`` row or delta.  ``_decide`` then takes each applicable
+graph with its q through the threshold, the recognizer and the exact
+even-factor test :func:`~qfactor.factors.even_factor` (the two-factor fast
+path, else one perfect-matching question on a gadget) to its row.
 Above the threshold, a non-extremal graph is ``confirmed_factor``
 with a checked edge list, or a ``counterexample`` whose ``no_even_factor``
 witness rests on a checked Tutte barrier of the gadget (or a vertex of
@@ -40,7 +41,7 @@ One worker is the same code with no child.
 from __future__ import annotations
 
 import os
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Sequence
 
 from .extremal import recognize_gstar, threshold_q
 from .factors import even_factor
@@ -65,28 +66,18 @@ def max_theorem_delta(n: int) -> int:
     return (n + 7) // 7
 
 
-class TheoremOutcome(NamedTuple):
-    """Classification of one graph against the even-factor theorem.
-
-    ``witness`` carries the evidence object: an even factor's edge list,
-    ``{"kind": "no_even_factor"}`` for a counterexample, or ``None``.
-    ``note`` explains ``not_applicable`` verdicts.
-    """
-
-    classification: str
-    q: float | None = None
-    threshold: float | None = None
-    delta: int | None = None
-    witness: dict[str, Any] | None = None
-    note: str | None = None
-
-    def as_row(self) -> dict[str, Any]:
-        """The fields in order, without ``note`` when it is None."""
-        return {k: v for k, v in self._asdict().items() if k != "note" or v is not None}
+def _row(classification: str, q: float | None = None, threshold: float | None = None,
+         delta: int | None = None, witness: dict[str, Any] | None = None,
+         **note: str) -> dict[str, Any]:
+    """verify's fields of one graph.  ``witness`` is an even factor's edge
+    list, ``{"kind": "no_even_factor"}`` or None; a ``note`` explains a
+    ``not_applicable`` row and appears on no other."""
+    return {"classification": classification, "q": q, "threshold": threshold,
+            "delta": delta, "witness": witness, **note}
 
 
-def _applicable(g: Graph) -> TheoremOutcome | int:
-    """The theorem's hypotheses: the ``not_applicable`` outcome, or delta.
+def _applicable(g: Graph) -> dict[str, Any] | int:
+    """The theorem's hypotheses: the ``not_applicable`` row, or delta.
 
     Even order >= 8, connected, and ``delta = min(delta(G), floor((n+7)/7))
     >= 2``: a minimum degree above what the order supports is capped, which
@@ -94,33 +85,32 @@ def _applicable(g: Graph) -> TheoremOutcome | int:
     8 that cap is 1, so no graph is applicable whatever its degrees."""
     n = g.n
     if n < 8 or n % 2 == 1:
-        return TheoremOutcome("not_applicable", note="order must be even and at least 8")
+        return _row("not_applicable", note="order must be even and at least 8")
     if not is_connected(g):
-        return TheoremOutcome("not_applicable", note="graph is disconnected")
+        return _row("not_applicable", note="graph is disconnected")
     delta = min(min_degree(g), max_theorem_delta(n))
     if delta < 2:
-        return TheoremOutcome("not_applicable", note="minimum degree below 2")
+        return _row("not_applicable", note="minimum degree below 2")
     return delta
 
 
-def _decide(g: Graph, delta: int, q: float) -> TheoremOutcome:
-    """The verdict on an applicable graph with Perron value q: below the
+def _decide(g: Graph, delta: int, q: float) -> dict[str, Any]:
+    """The row of an applicable graph with Perron value q: below the
     threshold, the extremal graph itself, or else the exact even-factor
     test's confirmed factor or counterexample."""
     threshold = threshold_q(g.n, delta)
     if q < threshold - EPS:
-        return TheoremOutcome("below_threshold", q, threshold, delta)
+        return _row("below_threshold", q, threshold, delta)
     if recognize_gstar(g) == (g.n, delta):
-        return TheoremOutcome("extremal_match", q, threshold, delta)
+        return _row("extremal_match", q, threshold, delta)
     factor = even_factor(g)
     if factor is None:
-        return TheoremOutcome("counterexample", q, threshold, delta, {"kind": "no_even_factor"})
-    return TheoremOutcome("confirmed_factor", q, threshold, delta,
-                          {"kind": "even_factor", "edges": [list(e) for e in factor]})
+        return _row("counterexample", q, threshold, delta, {"kind": "no_even_factor"})
+    return _row("confirmed_factor", q, threshold, delta, {"kind": "even_factor", "edges": factor})
 
 
-def _classify(graphs: Sequence[Graph]) -> list[TheoremOutcome]:
-    """Each graph's outcome. The hypotheses need no Perron value, so the
+def _classify(graphs: Sequence[Graph]) -> list[dict[str, Any]]:
+    """Each graph's row. The hypotheses need no Perron value, so the
     applicable graphs get theirs from one perron_many call, one eigh per
     order. An error (the residual gate or LinAlgError, a rejected
     certificate, the threshold cross-check) raises."""
@@ -131,20 +121,15 @@ def _classify(graphs: Sequence[Graph]) -> list[TheoremOutcome]:
     return results
 
 
-def check_theorem_instance(g: Graph) -> TheoremOutcome:
-    """Classify one graph: the one-graph case of the classifier that
-    :func:`verify_stream` runs per chunk, raising the error that stops the
-    graph."""
+def check_theorem_instance(g: Graph) -> dict[str, Any]:
+    """verify's row of one graph, without line and graph6: the one-graph
+    case of the classifier that :func:`verify_stream` runs per chunk,
+    raising the error that stops the graph."""
     return _classify([g])[0]
 
 
 # ---------------------------------------------------------------------------
 # stream verification
-
-
-def _classify_chunk(chunk: Sequence[tuple[int, str]]) -> list[dict[str, Any]]:
-    """verify's rows of one chunk: chunk_rows over the classifier."""
-    return chunk_rows(lambda graphs: [outcome.as_row() for outcome in _classify(graphs)], chunk)
 
 
 def _fan_out(chunks: Sequence, workers: int) -> list:
@@ -157,7 +142,7 @@ def _fan_out(chunks: Sequence, workers: int) -> list:
     an error in this process's own share, or in reading a pipe, kills the
     children and propagates."""
     if workers <= 1:
-        return [_classify_chunk(chunk) for chunk in chunks]
+        return [chunk_rows(_classify, chunk) for chunk in chunks]
     import pickle
 
     import numpy  # before the fork, so the children inherit it instead of each importing it
@@ -179,7 +164,7 @@ def _fan_out(chunks: Sequence, workers: int) -> list:
                         for reader in readers:
                             reader.close()
                         with open(write_fd, "wb") as out:
-                            pickle.dump([_classify_chunk(chunk) for chunk in chunks[k::workers]],
+                            pickle.dump([chunk_rows(_classify, c) for c in chunks[k::workers]],
                                         out, pickle.HIGHEST_PROTOCOL)
                         code = 0
                     except Exception:
@@ -191,7 +176,7 @@ def _fan_out(chunks: Sequence, workers: int) -> list:
             finally:
                 os.close(write_fd)  # this process's copy
             pids.append(pid)
-        own = [_classify_chunk(chunk) for chunk in chunks[0::workers]]
+        own = [chunk_rows(_classify, chunk) for chunk in chunks[0::workers]]
         sent = [reader.read() for reader in readers]
     except BaseException:
         import signal

@@ -309,7 +309,7 @@ class TestFactor:
         assert by_g6[K8]["agreement"] == "both_yes"
         assert by_g6[GSTAR82]["criterion_holds"] is False
         assert by_g6[GSTAR82]["blocking"] == [0, 1]
-        assert len(by_g6[GSTAR82]["certificate"]) == 8  # a Hamiltonian cycle
+        assert len(by_g6[GSTAR82]["certificate"]) == 8  # two 4-cycles
 
     def test_factor_has_no_guard_flags(self, capsys, smoke_file):
         # factor takes no guard flags: even factors and the criterion are

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from exhaustive_search import GuardExceeded, enumerate_labeled, find_even_factor
 from qfactor import factors
 from qfactor.census import isomorphism_classes
+from qfactor.cli import _CSV_COLUMNS
 from qfactor.extremal import build_gstar
 from qfactor.graphs import (
     Graph,
@@ -25,7 +26,6 @@ from qfactor.graphs import (
     random_graph,
 )
 from qfactor.factors import (
-    FactorVerdict,
     even_factor,
     factor_verdict,
     strong_tutte_check,
@@ -483,27 +483,36 @@ class TestVerdict:
 
     def test_both_yes(self):
         v = self.verdict(complete(4))
-        assert isinstance(v, FactorVerdict)
-        assert v.criterion_holds and v.certificate is not None
-        assert v.agreement == "both_yes"
+        assert v["criterion_holds"] and v["certificate"] is not None
+        assert v["agreement"] == "both_yes"
 
     def test_both_no(self):
         v = self.verdict(path(4))
-        assert not v.criterion_holds and v.certificate is None
-        assert v.blocking is not None
-        assert v.agreement == "both_no"
+        assert not v["criterion_holds"] and v["certificate"] is None
+        assert v["blocking"] is not None
+        assert v["agreement"] == "both_no"
 
     def test_criterion_no_factor_yes(self):
         v = self.verdict(cycle(8))
-        assert not v.criterion_holds and v.certificate is not None
-        assert v.agreement == "criterion_no_factor_yes"
+        assert not v["criterion_holds"] and v["certificate"] is not None
+        assert v["agreement"] == "criterion_no_factor_yes"
 
     def test_criterion_yes_factor_no(self):
         # Order 2 is the degenerate cell: criterion passes, no factor exists.
         for g in (Graph.empty(2), Graph.from_edges(2, [(0, 1)])):
             v = self.verdict(g)
-            assert v.criterion_holds and v.certificate is None
-            assert v.agreement == "criterion_yes_factor_no"
+            assert v["criterion_holds"] and v["certificate"] is None
+            assert v["agreement"] == "criterion_yes_factor_no"
+
+    def test_row_shape(self):
+        # factor's row without line, graph6 and error; the order-0 graph's
+        # empty factor is a null certificate, and K2 is the order-2 cell.
+        fields = set(_CSV_COLUMNS["factor"]) - {"line", "graph6", "error"}
+        rows = {text: self.verdict(parse_graph6(text))
+                for text in ("?", "A_", FACTORLESS, "G~~~~{", "GhCGKC")}
+        assert all(set(row) == fields for row in rows.values()), rows
+        assert (rows["?"]["certificate"], rows["?"]["agreement"]) == (None, "both_yes")
+        assert rows["A_"]["agreement"] == "criterion_yes_factor_no"
 
     def test_non_factor_certificate_raises(self, monkeypatch):
         monkeypatch.setattr("qfactor.factors.two_factor", lambda g: ((0, 1),))
@@ -562,10 +571,10 @@ def test_factor_verdict_is_invariant_under_relabeling(perm, p, seed):
     g = random_graph(len(perm), p, seed)
     h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
     before, after = factor_verdict(g), factor_verdict(h)
-    assert (after.criterion_holds, after.agreement) == (before.criterion_holds,
-                                                        before.agreement)
-    if before.blocking is not None:
-        mask = sum(1 << perm[v] for v in before.blocking)
-        assert odd_components_after_removal(h, mask) >= len(before.blocking)
-    if before.certificate is not None:
-        assert verify_even_factor(h, [(perm[u], perm[v]) for u, v in before.certificate])
+    assert (after["criterion_holds"], after["agreement"]) == (before["criterion_holds"],
+                                                              before["agreement"])
+    if before["blocking"] is not None:
+        mask = sum(1 << perm[v] for v in before["blocking"])
+        assert odd_components_after_removal(h, mask) >= len(before["blocking"])
+    if before["certificate"] is not None:
+        assert verify_even_factor(h, [(perm[u], perm[v]) for u, v in before["certificate"]])

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from exhaustive_search import enumerate_labeled, find_even_factor
 from qfactor import harness, suites
 from qfactor.census import agreement_study, isomorphism_classes
+from qfactor.cli import _CSV_COLUMNS
 from qfactor.factors import (
     AGREEMENT_CLASSES,
     even_factor,
@@ -51,7 +52,6 @@ from qfactor.spectra import (
 )
 from qfactor.harness import (
     CLASSIFICATIONS,
-    TheoremOutcome,
     check_theorem_instance,
     max_theorem_delta,
     recognize_gstar,
@@ -225,63 +225,63 @@ class TestMaxTheoremDelta:
 
 class TestCheckTheoremInstance:
     def test_not_applicable_reasons(self):
-        assert check_theorem_instance(Graph.empty(3)).classification == "not_applicable"
-        assert "even" in check_theorem_instance(cycle(7)).note
-        assert "disconnected" in check_theorem_instance(Graph.empty(8)).note
+        assert check_theorem_instance(Graph.empty(3))["classification"] == "not_applicable"
+        assert "even" in check_theorem_instance(cycle(7))["note"]
+        assert "disconnected" in check_theorem_instance(Graph.empty(8))["note"]
         path = Graph.from_edges(8, [(v, v + 1) for v in range(7)])
-        assert "minimum degree" in check_theorem_instance(path).note
+        assert "minimum degree" in check_theorem_instance(path)["note"]
 
     @pytest.mark.parametrize("text", ["C~", "E~~w"], ids=["K4", "K6"])
     def test_order_below_8_is_not_applicable_whatever_its_degrees(self, text):
         # K4 and K6 have minimum degrees 3 and 5, but below order 8 the cap
         # (n+7)//7 is 1: the order, not the degree, rules them out.
         out = check_theorem_instance(parse_graph6(text))
-        assert (out.classification, out.note) == ("not_applicable",
-                                                   "order must be even and at least 8")
+        assert (out["classification"], out["note"]) == ("not_applicable",
+                                                         "order must be even and at least 8")
 
     def test_complete_graph_confirmed_with_capped_delta(self):
         out = check_theorem_instance(complete(8))
-        assert out.classification == "confirmed_factor"
-        assert out.delta == 2  # min degree 7 capped by (8+7)//7
-        assert out.witness["kind"] == "even_factor"
-        assert out.q == pytest.approx(14.0, abs=1e-9)
-        assert out.threshold == pytest.approx(threshold_q(8, 2), abs=1e-12)
+        assert out["classification"] == "confirmed_factor"
+        assert out["delta"] == 2  # min degree 7 capped by (8+7)//7
+        assert out["witness"]["kind"] == "even_factor"
+        assert out["q"] == pytest.approx(14.0, abs=1e-9)
+        assert out["threshold"] == pytest.approx(threshold_q(8, 2), abs=1e-12)
 
     def test_cycle_below_threshold(self):
         out = check_theorem_instance(cycle(8))
-        assert out.classification == "below_threshold"
-        assert out.q == pytest.approx(4.0, abs=1e-9)
-        assert out.witness is None
+        assert out["classification"] == "below_threshold"
+        assert out["q"] == pytest.approx(4.0, abs=1e-9)
+        assert out["witness"] is None
 
     def test_extremal_match(self):
         out = check_theorem_instance(build_gstar(8, 2))
-        assert out.classification == "extremal_match"
-        assert out.witness is None
-        assert out.q == pytest.approx(out.threshold, abs=1e-9)
+        assert out["classification"] == "extremal_match"
+        assert out["witness"] is None
+        assert out["q"] == pytest.approx(out["threshold"], abs=1e-9)
 
     def test_counterexample_with_disabled_threshold(self, no_threshold):
         g = parse_graph6(FACTORLESS)
         out = check_theorem_instance(g)
-        assert out.classification == "counterexample"
-        assert out.witness == {"kind": "no_even_factor"}
+        assert out["classification"] == "counterexample"
+        assert out["witness"] == {"kind": "no_even_factor"}
 
     def test_factorless_graph_is_below_threshold_at_default_eps(self):
         out = check_theorem_instance(parse_graph6(FACTORLESS))
-        assert out.classification == "below_threshold"
+        assert out["classification"] == "below_threshold"
 
     def test_confirmed_by_two_factor_fast_path(self):
         # The two perfect matchings decide K8: a 2-factor has 8 edges.
         out = check_theorem_instance(complete(8))
-        assert out.classification == "confirmed_factor"
-        assert out.witness["kind"] == "even_factor"
-        assert len(out.witness["edges"]) == 8
+        assert out["classification"] == "confirmed_factor"
+        assert out["witness"]["kind"] == "even_factor"
+        assert len(out["witness"]["edges"]) == 8
 
     def test_confirmed_by_gadget_when_fast_path_fails(self, monkeypatch):
         monkeypatch.setattr("qfactor.factors.two_factor", lambda g: None)
         out = check_theorem_instance(complete(8))
-        assert out.classification == "confirmed_factor"
-        assert out.witness["kind"] == "even_factor"
-        assert verify_even_factor(complete(8), [tuple(e) for e in out.witness["edges"]])
+        assert out["classification"] == "confirmed_factor"
+        assert out["witness"]["kind"] == "even_factor"
+        assert verify_even_factor(complete(8), [tuple(e) for e in out["witness"]["edges"]])
 
     def test_classification_vocabulary(self):
         assert set(CLASSIFICATIONS) == {
@@ -296,12 +296,23 @@ class TestCheckTheoremInstance:
         # G*(8,2) plus one edge lies above the threshold with no band at all.
         monkeypatch.setattr(harness, "EPS", 0.0)
         out = check_theorem_instance(build_gstar(8, 2).add_edges([(6, 7)]))
-        assert out.classification == "confirmed_factor"
+        assert out["classification"] == "confirmed_factor"
 
-    def test_as_row_shape(self):
-        row = TheoremOutcome("below_threshold", 4.0, 12.0, 2).as_row()
-        assert row == {"classification": "below_threshold", "q": 4.0, "threshold": 12.0,
-                       "delta": 2, "witness": None}
+    def test_row_shape(self, monkeypatch):
+        # One row per classification, each graph as the tests above build it:
+        # the counterexample is G]o_GK with the threshold band widened.
+        rows = [check_theorem_instance(g) for g in
+                (complete(7), parse_graph6(FACTORLESS), complete(8), build_gstar(8, 2))]
+        monkeypatch.setattr(harness, "EPS", 1e6)
+        rows.append(check_theorem_instance(parse_graph6(FACTORLESS)))
+        assert [row["classification"] for row in rows] == [
+            "not_applicable", "below_threshold", "confirmed_factor", "extremal_match",
+            "counterexample"]
+        fields = {"classification", "q", "threshold", "delta", "witness"}
+        for row in rows:
+            noted = row["classification"] == "not_applicable"
+            assert set(row) == (fields | {"note"} if noted else fields), row
+            assert set(row) <= set(_CSV_COLUMNS["verify"])
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +379,7 @@ class TestHypothesesBeforeEigh:
         path = Graph.from_edges(8, [(v, v + 1) for v in range(7)])
         inapplicable = [parse_graph6("F~~~w"), Graph.empty(8), path]
         for g in inapplicable:
-            assert check_theorem_instance(g).classification == "not_applicable"
+            assert check_theorem_instance(g)["classification"] == "not_applicable"
         assert received == []
 
         lines = [self.K8, *map(write_graph6, inapplicable), self.K10]
@@ -409,7 +420,7 @@ def _reference_rows(lines):
             rows.append({"line": lineno, "graph6": text, "error": str(exc)})
             continue
         rows.append({"line": lineno, "graph6": write_graph6(g),
-                     **check_theorem_instance(g).as_row()})
+                     **check_theorem_instance(g)})
     return rows
 
 
@@ -715,8 +726,8 @@ class TestSharpnessProbe:
         q = perron_many([g], 1)[0]
         assert q == pytest.approx(threshold, abs=1e-9)
         assert q >= threshold - 1e-8
-        # The criterion fails on the join cell, yet a Hamiltonian cycle is
-        # an even factor.
+        # The criterion fails on the join cell, yet there is an even factor
+        # (the one found is two 4-cycles).
         assert strong_tutte_check(g) == (False, (0, 1))
         factor = even_factor(g)
         assert len(factor) == 8 and verify_even_factor(g, factor)
@@ -1033,7 +1044,7 @@ def reference_census(n, connected_only=False):
     counts = {name: 0 for name in AGREEMENT_CLASSES}
     disagreements = {"criterion_yes_factor_no": [], "criterion_no_factor_yes": []}
     for g in enumerate_labeled(n, connected_only=connected_only):
-        agreement = factor_verdict(g).agreement
+        agreement = factor_verdict(g)["agreement"]
         counts[agreement] += 1
         if agreement in disagreements:
             disagreements[agreement].append(write_graph6(g))

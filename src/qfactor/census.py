@@ -9,7 +9,7 @@ vertices stands for the graph whose edges are the pairs of
 lexicographic_pairs(n) at its set bits (mask_graph builds it).
 isomorphism_classes labels every mask with its isomorphism class, so the
 census evaluates one graph per class, and mask_graph6_encoder writes the
-graph6 of a mask by table lookups.  Both are capped at MAX_ENUM_ORDER.
+graph6 of a mask through graphs' packer.  Both are capped at MAX_ENUM_ORDER.
 
 This module needs graphs and factors, and no spectral code, so
 ``agreement`` loads neither spectra nor extremal.
@@ -24,8 +24,8 @@ from typing import Any, Callable, Sequence
 from .factors import AGREEMENT_CLASSES, factor_verdict
 from .graphs import (
     Graph,
-    _GRAPH6_BYTES,
-    _pair_stream,
+    _COLUMNS,
+    _graph6_text,
     _trusted_graph,
     check_graph6_order,
     is_connected,
@@ -119,26 +119,19 @@ def mask_graph6_encoder(n: int) -> Callable[[int], str]:
     write_graph6(mask_graph(n, lexicographic_pairs(n), mask)).
 
     Two table lookups, one per half of the mask, move each pair bit to its
-    graph6 column-order position, counted from the top of the padded
-    payload; the 6-bit groups are then read off directly. The tables have
-    2**ceil(n(n-1)/4) entries, as in isomorphism_classes, and the same
-    order cap is checked before they are built.
+    graph6 column-order position, and graphs' packer writes the text. The
+    tables have 2**ceil(n(n-1)/4) entries, as in isomorphism_classes, and
+    the same order cap is checked before they are built.
     """
     _check_enum_order(n)
-    position = {pair: k for k, pair in enumerate(_pair_stream(n))}
     pairs = lexicographic_pairs(n)
-    width = 6 * ((len(pairs) + 5) // 6)
-    targets = [width - 1 - position[pair] for pair in pairs]
+    targets = [_COLUMNS[j][0] + i for i, j in pairs]
     half = (len(pairs) + 1) // 2
     low = (1 << half) - 1
     lo, hi = _bit_table(targets[:half]), _bit_table(targets[half:])
-    header = chr(n + 63)
-    shifts = range(width - 6, -1, -6)
-    chars = [chr(v) for v in _GRAPH6_BYTES]
 
     def encode(mask: int) -> str:
-        bits = lo[mask & low] | hi[mask >> half]
-        return header + "".join([chars[bits >> s & 63] for s in shifts])
+        return _graph6_text(n, lo[mask & low] | hi[mask >> half])
 
     return encode
 

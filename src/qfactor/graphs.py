@@ -5,11 +5,11 @@ edge. Everything downstream (component scans, enumeration, the blossom
 matchings) runs on these bitmasks, so the representation is part of the
 determinism contract: two graphs are equal iff they have identical rows.
 
-The graph6 codec implements the short form only (n <= 62): header byte
-n+63, then ceil(n(n-1)/2 / 6) payload bytes. Upper-triangle bits are taken
-in column order x(0,1), x(0,2), x(1,2), x(0,3), ..., packed six per byte
-most-significant bit first, each byte offset by 63. Trailing pad bits must
-be zero. An optional ">>graph6<<" prefix is accepted on input.
+The graph6 codec implements the short form only (n <= 62): header byte n+63,
+then the upper-triangle bits in column order x(0,1), x(0,2), x(1,2), ...,
+six per byte, most significant first, each byte offset by 63, pad bits zero.
+_COLUMNS indexes that order for both directions, and _graph6_text is the one
+packer. An optional ">>graph6<<" prefix is accepted on input.
 
 line_chunks and chunk_rows turn graph6 lines into report rows, one batched
 evaluation per chunk of lines: every per-line command reads through them,
@@ -235,38 +235,29 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # graph6 codec (short form, n <= 62)
 
-def _pair_stream(n: int) -> Iterator[tuple[int, int]]:
-    # column order: for each j, all i < j
-    for j in range(1, n):
-        for i in range(j):
-            yield i, j
-
-
 def check_graph6_order(n: int) -> None:
     """Raise Graph6Error unless short-form graph6 can write order n."""
     if n > 62:
         raise Graph6Error("short-form graph6 supports n <= 62 only")
 
 
+# Column j: the column-order index of pair (0, j), and a j-bit mask.
+_COLUMNS = tuple((j * (j - 1) // 2, (1 << j) - 1) for j in range(62))
+# Per order, the column-order index of each payload byte's first pair; and
+# the payload byte of six pairs read as a 6-bit value, first pair at bit 0.
+_BYTE_STARTS = tuple(range(0, n * (n - 1) // 2, 6) for n in range(63))
+_SIX_PAIRS = [chr(63 + int(format(v, "06b")[::-1], 2)) for v in range(64)]
+
+
+def _graph6_text(n: int, bits: int) -> str:
+    """The graph6 of the order-n graph with pair k of the column order at
+    bit k of bits: the header, then each six pairs' byte by one lookup."""
+    return chr(n + 63) + "".join([_SIX_PAIRS[bits >> k & 63] for k in _BYTE_STARTS[n]])
+
+
 def write_graph6(g: Graph) -> str:
     check_graph6_order(g.n)
-    out = [g.n + 63]
-    acc = 0
-    nbits = 0
-    for i, j in _pair_stream(g.n):
-        acc = (acc << 1) | (g.rows[i] >> j & 1)
-        nbits += 1
-        if nbits == 6:
-            out.append(acc + 63)
-            acc = 0
-            nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out).decode("ascii")
-
-
-# Column j of the column order: its first pair index and a j-bit mask.
-_COLUMNS = tuple((j * (j - 1) // 2, (1 << j) - 1) for j in range(62))
+    return _graph6_text(g.n, sum((r & m) << s for r, (s, m) in zip(g.rows, _COLUMNS)))
 
 
 def _transpose_stages() -> tuple[tuple[int, int], ...]:

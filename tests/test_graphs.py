@@ -199,17 +199,18 @@ def test_graph6_round_trip_seeded():
 
 
 def test_graph6_matches_networkx():
-    for seed in range(60):
-        n = 2 + seed % 14
-        g = random_graph(n, 0.5, seed * 977 + 5)
-        ours = write_graph6(g)
-        h = nx.Graph()
-        h.add_nodes_from(range(n))
-        h.add_edges_from(g.edges())
-        theirs = nx.to_graph6_bytes(h, header=False).decode().strip()
-        assert ours == theirs
-        back = nx.from_graph6_bytes(ours.encode())
-        assert sorted(back.edges()) == g.edges()
+    # every order the short form writes, so every pad width (0-5 bits)
+    for n in range(63):
+        full = complete(n) if n else Graph.empty(0)
+        for g in (random_graph(n, 0.5, n * 977 + 5), Graph.empty(n), full):
+            ours = write_graph6(g)
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            theirs = nx.to_graph6_bytes(h, header=False).decode().strip()
+            assert ours == theirs, (n, g.edge_count)
+            back = nx.from_graph6_bytes(ours.encode())
+            assert sorted(back.edges()) == g.edges()
 
 
 @settings(max_examples=120, deadline=None)
@@ -321,7 +322,10 @@ def test_mask_graph6_encoder_matches_write_graph6():
         encode = mask_graph6_encoder(n)
         # every mask up to order 6, a strided sample at order 7
         for mask in range(0, 1 << len(pairs), 1 if n <= 6 else 1009):
-            assert encode(mask) == write_graph6(mask_graph(n, pairs, mask)), (n, mask)
+            g = mask_graph(n, pairs, mask)
+            assert encode(mask) == write_graph6(g), (n, mask)
+            # the decoder shares no packing code with the two writers
+            assert parse_graph6(encode(mask)) == g, (n, mask)
         full = (1 << len(pairs)) - 1
         assert encode(full) == write_graph6(complete(n) if n else Graph.empty(0))
     with pytest.raises(ValueError, match="n <= 7, got n=8"):

@@ -16,9 +16,10 @@ per-line commands: each command's fields raise on a line that fails, and
 chunk_rows makes that line an error row.  Input is read as bytes and must
 be ASCII, from a file or stdin alike, whatever the locale; a closed stdin
 is unreadable input.
-``--report PATH`` writes the canonical JSON report envelope; without it,
-``--format json`` prints the same envelope to standard output.  ``text``
-and ``csv`` are human/flat projections of the same rows.
+``--report PATH`` writes the canonical JSON report envelope.  ``--format``
+alone chooses stdout: ``json`` prints that same envelope, with or without
+``--report``, and ``text`` and ``csv`` are human/flat projections of the
+same rows.
 
 Exit codes: 0 = completed with no counterexample or mismatch; 1 = a
 counterexample or suite failure was found (reports are still written);
@@ -152,16 +153,14 @@ def _warn(text: str) -> None:
 
 def _write_outputs(args: argparse.Namespace, report: dict[str, Any], run: Run) -> None:
     from .reportio import dumps_canonical
+    envelope = dumps_canonical(report) if args.report or args.format == "json" else ""
     if args.report:
         with open(args.report, "w", encoding="ascii") as fh:
-            fh.write(dumps_canonical(report))
+            fh.write(envelope)
     if sys.stdout is None:  # closed by the shell (>&-): the projection goes nowhere
         return
     if args.format == "json":
-        if args.report:
-            print(run.text_lines[-1])  # the summary line
-        else:
-            sys.stdout.write(dumps_canonical(report))
+        sys.stdout.write(envelope)
     elif args.format == "csv":
         import csv
         columns = _CSV_COLUMNS[args.subcommand]
@@ -429,7 +428,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         run = args.func(args)
-        config = {**run.config, "subcommand": args.subcommand, "format": args.format}
+        config = {**run.config, "subcommand": args.subcommand}
         # A command that consumed randomness records its seed in the config.
         report = make_report(args.subcommand, config, run.results, seed=config.get("seed"),
                              wall_time_s=time.perf_counter() - start)

@@ -794,7 +794,7 @@ class TestSuitesCli:
         report = json.loads(out)
         assert report["results"]["all_passed"] is True
         assert report["seed"] == 0
-        assert report["config"] == {"format": "json", "seed": 0, "subcommand": "lemmas"}
+        assert report["config"] == {"seed": 0, "subcommand": "lemmas"}
 
     def test_lemmas_seed_in_envelope(self, capsys, cached_suites):
         code, out, _ = run(capsys, "lemmas", "--seed", "3", "--format", "json")
@@ -864,7 +864,7 @@ class TestSuitesCli:
         assert code == 0
         report = json.loads(out)
         assert report["results"]["all_passed"] is True
-        assert report["config"] == {"format": "json", "subcommand": "identities"}
+        assert report["config"] == {"subcommand": "identities"}
 
 
 # ---------------------------------------------------------------------------
@@ -1129,7 +1129,7 @@ def _mask_floats(text):
 def _golden_stdout(capsys, monkeypatch, argv):
     monkeypatch.setattr("sys.stdin", _stdin(GOLDEN_INPUT))
     code, out, _ = run(capsys, *argv)
-    if "json" in argv and "--report" not in argv:
+    if "json" in argv:
         out = dumps_canonical(strip_volatile(json.loads(out)))
     return code, out
 
@@ -1149,17 +1149,34 @@ def test_golden_projection(capsys, monkeypatch, no_threshold, cached_suites,
     assert out == expected
 
 
-def test_golden_json_with_report_prints_summary_only(capsys, monkeypatch, tmp_path,
-                                                     no_threshold):
-    # With --report, --format json prints only the text summary line; the
-    # file holds the envelope that --format json alone would print.
+def test_golden_json_with_report_prints_the_envelope(capsys, monkeypatch, tmp_path,
+                                                      no_threshold):
+    # --report does not change the json projection: stdout is still the
+    # golden envelope that --format json alone prints.
     path = tmp_path / "r.json"
     argv = ["verify", "--stream", "-", "--format", "json", "--report", str(path)]
     code, out = _golden_stdout(capsys, monkeypatch, argv)
     assert code == 2
-    assert out == (GOLDEN_DIR / "verify.text").read_text().splitlines(True)[-1]
-    written = dumps_canonical(strip_volatile(json.loads(path.read_text())))
-    assert _mask_floats(written) == _mask_floats((GOLDEN_DIR / "verify.json").read_text())
+    assert _mask_floats(out) == _mask_floats((GOLDEN_DIR / "verify.json").read_text())
+
+
+@pytest.mark.parametrize("argv, formats", [
+    pytest.param(argv, formats, id=name) for name, argv, formats, _, _ in GOLDEN_CASES
+])
+def test_report_does_not_depend_on_format(capsys, monkeypatch, tmp_path, no_threshold,
+                                          cached_suites, argv, formats):
+    # --report PATH writes the same envelope, volatile meta aside, under
+    # every --format, and --format json prints exactly the bytes of PATH.
+    envelopes = set()
+    for fmt in formats:
+        path = tmp_path / f"{fmt}.json"
+        monkeypatch.setattr("sys.stdin", _stdin(GOLDEN_INPUT))
+        _, out, _ = run(capsys, *argv, "--format", fmt, "--report", str(path))
+        written = path.read_text(encoding="ascii")
+        if fmt == "json":
+            assert out == written
+        envelopes.add(dumps_canonical(strip_volatile(json.loads(written))))
+    assert len(envelopes) == 1
 
 
 # Explicit ids, each the name pytest once gave the case by position.

@@ -192,6 +192,18 @@ def test_difference_identity_exact():
         assert lhs == rhs, (n, s, delta)
 
 
+def test_phi_bstar_at_twice_n_minus_delta():
+    # phi_B*(n, delta)(2n - 2 delta) is -2 delta (delta - 1)(n - delta),
+    # negative for n > delta >= 2, so the largest root of the monic cubic,
+    # theta(n, delta), lies above 2(n - delta).
+    for delta in range(2, 101):
+        for n in range(2 * delta, 201):
+            x, value = 2 * n - 2 * delta, 0
+            for c in reversed(phi_bstar(n, delta)):  # integer Horner
+                value = value * x + c
+            assert value == -2 * delta * (delta - 1) * (n - delta), (n, delta)
+
+
 def test_f_poly_shape():
     f = f_poly(14, 2, 3)
     assert len(f) == 3 and f[2] == 1  # monic quadratic

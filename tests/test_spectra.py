@@ -230,6 +230,29 @@ def test_adding_an_edge_raises_the_printed_radius(n, p, seed, data):
         assert after > before, alpha
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 40), p=st.floats(0.3, 1), seed=st.integers(0, 2**32),
+       bridged=st.booleans(), data=st.data())
+def test_q_is_at_most_the_largest_edge_degree_sum(n, p, seed, bridged, data):
+    # Q = R R^T for the vertex-edge incidence matrix R, and
+    # R^T R = 2I + A(L(G)) has row sums d_u + d_v, so q is at most the
+    # largest d_u + d_v over the edges, with equality on regular graphs (q = 2d,
+    # as the Perron tests above pin). The graph is a connected G(n, p), or a
+    # bridged graph: connected G(k, p) and G(n - k, p) joined by one edge.
+    if bridged:
+        k = data.draw(st.integers(1, n - 1))
+        a, b = random_graph(k, p, seed), random_graph(n - k, p, seed + 1)
+        assume(is_connected(a) and is_connected(b))
+        bridge = (data.draw(st.integers(0, k - 1)), data.draw(st.integers(k, n - 1)))
+        g = Graph.from_edges(n, disjoint_union(a, b).edges() + [bridge])
+    else:
+        g = random_graph(n, p, seed)
+        assume(is_connected(g))
+    d = g.degrees()
+    bound = max(d[u] + d[v] for u, v in g.edges())
+    assert np.linalg.eigvalsh(signless_laplacian(g))[-1] <= bound + 1e-9
+
+
 # ---------------------------------------------------------------------------
 # quotients
 

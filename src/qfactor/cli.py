@@ -262,21 +262,17 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
     config = {key: getattr(args, key) for key in ("family", "n", "delta", "s")}
     config["parts"] = list(args.parts) if args.parts else None
 
+    # what the build gives; the options stay in config
     meta: dict[str, Any] = {
-        "family": args.family,
         "graph6": write_graph6(g),
         "order": g.n,
         "edges": g.edge_count,
         "q": q,
         "coefficients": list(poly),
     }
-    # only the family's own parameters: g1 has no n, gstar no s
-    meta.update((flag, value) for flag, value in zip(flags, values) if flag != "parts")
     if args.family in ("gstar", "g4"):
         meta["threshold"] = extremal.threshold_q(args.n, args.delta)
-    if args.family == "g1":
-        meta["parts"] = list(args.parts)
-    elif args.family == "g3":
+    if args.family == "g3":
         meta["m"] = len(cells[-1])  # V_2, the last clique
     elif args.family == "g4":
         meta["surgery"] = {
@@ -287,9 +283,11 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
         gs = extremal.build_gstar(args.n, args.delta)
         meta["embeds_in_extremal"] = extremal.g4_containment(plan, g, gs) is not None
 
+    # the text also shows the family's own options: g1 has no n, gstar no s
+    shown = {**meta, **{key: config[key] for key in ("family", *flags)}}
     text_lines = [meta["graph6"]] + [
         f"{key} = {_fmt(value) if isinstance(value, float) else value}"
-        for key, value in sorted(meta.items()) if key != "graph6"
+        for key, value in sorted(shown.items()) if key != "graph6"
     ]
     return Run(config, meta, text_lines)
 
@@ -343,8 +341,7 @@ def _cmd_agreement(args: argparse.Namespace) -> Run:
         p=args.p,
         seed=args.seed,
     )
-    config = {key: getattr(args, key) for key in ("n", "samples", "connected_only", "p")}
-    config["seed"] = None if args.samples is None else args.seed
+    config = {key: getattr(args, key) for key in ("n", "samples", "connected_only", "p", "seed")}
     text_lines = [
         f"agreement n={args.n} ({results['mode']}, "
         f"{'connected' if args.connected_only else 'all'}): total={results['total']}"
@@ -428,9 +425,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         run = args.func(args)
-        config = {**run.config, "subcommand": args.subcommand}
-        # A command that consumed randomness records its seed in the config.
-        report = make_report(args.subcommand, config, run.results, seed=config.get("seed"),
+        report = make_report(args.subcommand, run.config, run.results,
                              wall_time_s=time.perf_counter() - start)
         _write_outputs(args, report, run)
         if sys.stdout is not None:  # None when the shell closed it (>&-)

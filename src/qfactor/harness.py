@@ -228,6 +228,4 @@ def verify_stream(lines: Iterable[str], *, jobs: int = 1) -> dict[str, Any]:
         "counts": counts,
         "errors": len(rows) - len(decided),
         "total": len(rows),
-        "counterexamples": [row["graph6"] for row in rows
-                            if row.get("classification") == "counterexample"],
     }

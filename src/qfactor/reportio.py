@@ -3,14 +3,16 @@
 Every command that can write a report uses the same envelope::
 
     {
-      "schema": "qfactor.report/v1",
+      "schema": "qfactor.report/v2",
       "tool": {"name": "qfactor", "version": ...},
       "command": "verify",
-      "config": {...},          # the command's resolved options
-      "seed": ...,              # null when the command consumed no randomness
+      "config": {...},          # the command's options as given
       "meta": {"timestamp": ..., "wall_time_s": ...},
-      "results": {...}
+      "results": {...}          # what the run computed
     }
+
+``config`` holds the options, a seed among them; ``results`` repeats one
+only where README "Reports" says why (agreement's, for the benchmark).
 
 Serialization is deterministic: keys are sorted, floats are rounded to 15
 significant digits as they are written, and the only volatile fields are
@@ -59,7 +61,6 @@ def make_report(
     config: dict[str, Any],
     results: dict[str, Any],
     *,
-    seed: int | None = None,
     wall_time_s: float = 0.0,
 ) -> dict[str, Any]:
     """The envelope around *config* and *results*, which are neither copied
@@ -70,7 +71,6 @@ def make_report(
         "tool": {"name": "qfactor", "version": __version__},
         "command": command,
         "config": config,
-        "seed": seed,
         "meta": {
             "timestamp": time.strftime(f"%Y-%m-%dT%H:%M:%S.{us:06d}+00:00", time.gmtime(seconds)),
             "wall_time_s": wall_time_s,

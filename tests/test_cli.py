@@ -105,7 +105,7 @@ class TestSpectrum:
         code, out, _ = run(capsys, "spectrum", smoke_file, "--format", "json")
         assert code == 0
         report = json.loads(out)
-        assert report["schema"] == "qfactor.report/v1"
+        assert report["schema"] == "qfactor.report/v2"
         assert report["tool"]["name"] == "qfactor"
         assert report["command"] == "spectrum"
         rows = report["results"]["items"]
@@ -201,21 +201,23 @@ class TestExtremal:
         assert code == 0
         report = json.loads(out)
         result = report["results"]
-        assert result["parts"] == [3, 3]
         # g1 has no n parameter: the results report the order it builds,
-        # and the config keeps the flag as it was passed
-        assert "n" not in result and result["order"] == 8
-        assert report["config"]["n"] == 10
+        # and the config keeps the flags as they were passed
+        assert "n" not in result and "parts" not in result and result["order"] == 8
+        assert report["config"]["n"] == 10 and report["config"]["parts"] == [3, 3]
 
-    def test_results_hold_only_the_family_parameters(self, capsys):
-        code, out, _ = run(
-            capsys, "extremal", "--family", "gstar", "--n", "8", "--delta", "2",
-            "--s", "5", "--format", "json",
-        )
-        assert code == 0
+    def test_text_shows_only_the_family_parameters(self, capsys):
+        # The report keeps every option in config and none in results; the
+        # text shows the family's own: gstar has no s.
+        argv = ["extremal", "--family", "gstar", "--n", "8", "--delta", "2", "--s", "5"]
+        code, out, _ = run(capsys, *argv)
+        lines = out.splitlines()
+        assert code == 0 and "n = 8" in lines and "delta = 2" in lines
+        assert "s = 5" not in lines
+        code, out, _ = run(capsys, *argv, "--format", "json")
         report = json.loads(out)
-        assert (report["results"]["n"], report["results"]["delta"]) == (8, 2)
-        assert "s" not in report["results"] and report["config"]["s"] == 5
+        assert report["config"]["s"] == 5
+        assert not report["results"].keys() & {"family", "n", "delta", "s", "parts"}
 
     def test_g4_surgery_metadata(self, capsys):
         code, out, _ = run(
@@ -391,7 +393,9 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--stream", str(path), "--format", "json")
         assert code == 1
         results = json.loads(out)["results"]
-        assert results["counterexamples"] == [FACTORLESS]
+        assert "counterexamples" not in results
+        assert [row["graph6"] for row in results["items"]
+                if row["classification"] == "counterexample"] == [FACTORLESS]
         assert results["items"][0]["witness"] == {"kind": "no_even_factor"}
 
     def test_malformed_exit_2_wins_over_counterexample(self, capsys, tmp_path, no_threshold):
@@ -793,13 +797,13 @@ class TestSuitesCli:
         assert code == 0
         report = json.loads(out)
         assert report["results"]["all_passed"] is True
-        assert report["seed"] == 0
-        assert report["config"] == {"seed": 0, "subcommand": "lemmas"}
+        assert "seed" not in report
+        assert report["config"] == {"seed": 0}
 
     def test_lemmas_seed_in_envelope(self, capsys, cached_suites):
         code, out, _ = run(capsys, "lemmas", "--seed", "3", "--format", "json")
         assert code == 0
-        assert json.loads(out)["seed"] == 3
+        assert json.loads(out)["config"]["seed"] == 3
 
     # --grid is gone: any grid, the once unknown, repeated or below-minimum
     # keys included, is a usage error before a suite runs.
@@ -864,7 +868,7 @@ class TestSuitesCli:
         assert code == 0
         report = json.loads(out)
         assert report["results"]["all_passed"] is True
-        assert report["config"] == {"subcommand": "identities"}
+        assert report["config"] == {}
 
 
 # ---------------------------------------------------------------------------
@@ -1046,7 +1050,7 @@ class TestEnvelope:
         assert code == 0
         text = report_path.read_text()
         report = json.loads(text)
-        assert report["schema"] == "qfactor.report/v1"
+        assert report["schema"] == "qfactor.report/v2"
         assert "timestamp" in report["meta"]
         assert "wall_time_s" in report["meta"]
         assert "config" in report
@@ -1177,6 +1181,25 @@ def test_report_does_not_depend_on_format(capsys, monkeypatch, tmp_path, no_thre
             assert out == written
         envelopes.add(dumps_canonical(strip_volatile(json.loads(written))))
     assert len(envelopes) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=name) for name, argv, _, _, _ in GOLDEN_CASES
+])
+def test_report_states_each_fact_once(capsys, monkeypatch, no_threshold, cached_suites, argv):
+    # command names the subcommand and config holds the options, so config
+    # does not name it again; extremal's results repeat no option, and
+    # verify's do not list its counterexample rows a second time.
+    monkeypatch.setattr("sys.stdin", _stdin(GOLDEN_INPUT))
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    report = json.loads(out)
+    assert set(report) == {"schema", "tool", "command", "config", "meta", "results"}
+    assert report["schema"] == "qfactor.report/v2"
+    assert "subcommand" not in report["config"]
+    if argv[0] == "extremal":
+        assert not report["results"].keys() & report["config"].keys()
+    if argv[0] == "verify":
+        assert "counterexamples" not in report["results"]
 
 
 # Explicit ids, each the name pytest once gave the case by position.

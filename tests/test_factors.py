@@ -521,7 +521,11 @@ class TestVerdict:
 
 
 # ---------------------------------------------------------------------------
-# The criterion implies an even factor
+# The criterion implies an even factor, by Fleischner's theorem: every
+# bridgeless graph with minimum degree >= 3 has one (H. Fleischner, "Spanning
+# Eulerian subgraphs, the splitting lemma, and Petersen's theorem", Discrete
+# Math. 101, 1992). That theorem is cited, not checked: the even factors
+# found below are evidence for it, not a proof.
 # ---------------------------------------------------------------------------
 
 
@@ -541,8 +545,8 @@ def _criterion_population():
 def test_criterion_gives_min_degree_3_two_connected_and_an_even_factor():
     # Bicriticality at even n >= 4 forces minimum degree 3 and
     # 2-connectivity (both exact, checked here), and Fleischner's theorem
-    # (Discrete Math. 101, 1992) then gives an even factor; the even factor
-    # found on every such graph is evidence for that last step only.
+    # then gives an even factor; the even factor found on every such graph
+    # is evidence for that last step only.
     passing = 0
     for g in _criterion_population():
         if not strong_tutte_check(g)[0]:
@@ -554,6 +558,20 @@ def test_criterion_gives_min_degree_3_two_connected_and_an_even_factor():
         assert all(nx.is_connected(h.subgraph(set(h) - {v})) for v in h), g.edges()
         assert even_factor(g) is not None, g.edges()
     assert passing == 100  # 16 of 167 classes, 84 of 196 seeded graphs
+
+
+def test_bridgeless_min_degree_3_classes_have_an_even_factor():
+    # Fleischner's hypotheses on every isomorphism class at 4 <= n <= 7; no
+    # smaller order admits minimum degree 3.
+    classes = {n: 0 for n in range(4, 8)}
+    for n in classes:
+        for g in isomorphism_classes(n)[1]:
+            if min_degree(g) < 3 or nx.has_bridges(nx.Graph(g.edges())):
+                continue
+            classes[n] += 1
+            factor = even_factor(g)
+            assert factor is not None and verify_even_factor(g, factor), g.edges()
+    assert classes == {4: 1, 5: 3, 6: 19, 7: 150}  # 23 at n <= 6, 173 in all
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exhaustive_search import enumerate_labeled, find_even_factor
+from rotation_search import hamiltonian_cycle
 from qfactor import harness, suites
 from qfactor.census import agreement_study, isomorphism_classes
 from qfactor.cli import _CSV_COLUMNS
@@ -333,7 +334,7 @@ class TestVerifyStream:
         assert [row["line"] for row in report["items"]] == [1, 3, 4, 5]
         error_row = report["items"][-1]
         assert error_row["line"] == 5 and "error" in error_row
-        assert report["counterexamples"] == []
+        assert report["counts"]["counterexample"] == 0
 
     def test_jobs_invariance(self):
         lines = [write_graph6(random_graph(9, 0.5, seed=s)) for s in range(12)]
@@ -342,7 +343,8 @@ class TestVerifyStream:
     def test_counterexample_listed(self, no_threshold):
         report = verify_stream([FACTORLESS])
         assert report["counts"]["counterexample"] == 1
-        assert report["counterexamples"] == [FACTORLESS]
+        assert report["items"][0]["graph6"] == FACTORLESS
+        assert report["items"][0]["classification"] == "counterexample"
 
     def test_non_factor_certificate_is_never_confirmed(self, monkeypatch):
         # A fast path that hands back one edge, which is no even factor; then
@@ -741,6 +743,46 @@ class TestSharpnessProbe:
                 hq = perron_many([h], 1)[0]
                 assert hq >= threshold - 1e-8 and hq > q, edge
                 assert recognize_gstar(h) != (8, 2), edge
+
+
+# ---------------------------------------------------------------------------
+# Hamiltonicity at and above the threshold
+# ---------------------------------------------------------------------------
+
+
+def is_hamiltonian_cycle(g: Graph, cycle) -> bool:
+    """True iff cycle lists the n vertices of g once each and every
+    consecutive pair, the closing pair included, is an edge of g."""
+    return (cycle is not None and sorted(cycle) == list(range(g.n))
+            and all(g.has_edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])))
+
+
+def test_gstar_and_its_one_edge_augmentations_are_hamiltonian():
+    # Erdos's edge bound would give a Hamiltonian cycle above the threshold
+    # at most admitted pairs (ROADMAP item 19); that argument is not checked
+    # here. This is evidence, not proof: a rotation-extension search must
+    # find a cycle, checked edge by edge, in G*(n, delta) at every admitted
+    # pair with even n <= 62, and in every one-edge augmentation of G*(n,
+    # delta) for n in {14, 16, 18, 20} and delta in {2, 3}, each of which
+    # the classifier puts above the threshold. A graph with no cycle found
+    # fails the test; it is reported, not dropped.
+    graphs = [build_gstar(n, delta) for n in range(8, 63, 2)
+              for delta in range(2, max_theorem_delta(n) + 1)]
+    assert len(graphs) == 128
+    for n in (14, 16, 18, 20):
+        for delta in (2, 3):
+            g = build_gstar(n, delta)
+            for edge in itertools.combinations(range(n), 2):
+                if g.has_edge(*edge):
+                    continue
+                h = g.add_edges([edge])
+                row = check_theorem_instance(h)
+                assert row["classification"] == "confirmed_factor", (n, delta, edge)
+                assert row["q"] > row["threshold"], (n, delta, edge)
+                graphs.append(h)
+    assert len(graphs) == 128 + 156
+    missed = [write_graph6(g) for g in graphs if not is_hamiltonian_cycle(g, hamiltonian_cycle(g))]
+    assert missed == []
 
 
 # ---------------------------------------------------------------------------

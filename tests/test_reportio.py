@@ -69,12 +69,12 @@ class TestJsonReady:
 
 class TestEnvelope:
     def test_make_report_shape(self):
-        report = make_report("demo", {"k": 1}, {"rows": []}, seed=5, wall_time_s=0.25)
-        assert report["schema"] == "qfactor.report/v1"
+        report = make_report("demo", {"k": 1}, {"rows": []}, wall_time_s=0.25)
+        assert set(report) == {"schema", "tool", "command", "config", "meta", "results"}
+        assert report["schema"] == "qfactor.report/v2"
         assert report["tool"]["name"] == "qfactor"
         assert report["command"] == "demo"
         assert report["config"] == {"k": 1}
-        assert report["seed"] == 5
         assert report["results"] == {"rows": []}
         assert set(report["meta"]) == {"timestamp", "wall_time_s"}
 

@@ -339,6 +339,30 @@ def test_equitable_partition_examples():
     assert equitable_partition(Graph(0, ())) == []
 
 
+def dumbbell(k, p):
+    """Two K_k joined by a path on p further vertices: K_k - P_p - K_k."""
+    n = 2 * k + p
+    cliques = [(b + u, b + v) for b in (0, k + p) for u in range(k) for v in range(u + 1, k)]
+    return Graph.from_edges(n, cliques + [(v, v + 1) for v in range(k - 1, k + p)])
+
+
+@pytest.mark.parametrize("alpha", [1, 0], ids=["q", "rho"])
+@pytest.mark.parametrize("k, p, cell_count", [(20, 22, 13), (25, 12, 8)],
+                         ids=["K20-P22-K20", "K25-P12-K25"])
+def test_symmetric_dumbbell_needs_the_equitable_partition(k, p, cell_count, alpha):
+    # The top two eigenvalues of these 62-vertex dumbbells lie within one
+    # double, so the full polynomial over the discrete partition has no
+    # proved largest root. Over the coarsest equitable partition the
+    # mirror symmetry folds away and the root is eigh's value.
+    g = dumbbell(k, p)
+    cells = equitable_partition(g)
+    assert len(cells) == cell_count
+    _, root = quotient_root(g, cells, alpha)
+    assert abs(root - perron_many([g], alpha)[0]) < 1e-12
+    with pytest.raises(ValueError, match=r"^no proved largest root in \(0, hi\)$"):
+        quotient_root(g, [[v] for v in range(g.n)], alpha)
+
+
 def test_quadratic_form():
     # The surgery chain's Rayleigh gain rests on x^T Q x = sum over edges of
     # (x_u + x_v)^2.

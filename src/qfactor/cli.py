@@ -25,9 +25,10 @@ Exit codes: 0 = completed with no counterexample or mismatch; 1 = a
 counterexample or suite failure was found (reports are still written);
 2 = usage or malformed input (``spectrum``, ``factor`` and ``verify`` still
 write their error rows), including an exhaustive ``agreement`` census above
-order 7, or a failed hard check (the threshold cross-check), printed as
-``qfactor: <message>``.  Input-integrity problems (2) take precedence over
-findings (1).
+order 7 and an option the run does not take (another family's ``extremal``
+flag, ``agreement --p`` or ``--seed`` without ``--samples``), or a failed
+hard check (the threshold cross-check), printed as ``qfactor: <message>``.
+Input-integrity problems (2) take precedence over findings (1).
 A reader of stdout that leaves early, or a stdout closed by the shell, does
 not change the exit code; a message stderr cannot take is dropped; a stdout
 that cannot take the output (a full device) exits 2.
@@ -70,9 +71,9 @@ from . import __version__
 # argument plumbing
 
 
-def _parse_parts(text: str) -> tuple[int, ...]:
+def _parse_parts(text: str) -> list[int]:
     try:
-        return tuple(int(p) for p in text.split(","))
+        return [int(p) for p in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"parts {text!r} must be comma-separated integers")
 
@@ -135,7 +136,6 @@ _CSV_FORMAT: dict[str, Callable[[Any], str]] = {
 class Run(NamedTuple):
     """What one subcommand computed; :func:`main` renders it."""
 
-    config: dict[str, Any]
     results: dict[str, Any]
     text_lines: list[str]
     exit_code: int = 0
@@ -195,7 +195,7 @@ def _cmd_per_line(args: argparse.Namespace) -> Run:
     text_lines = _row_lines(rows, text_of)
     text_lines.append(f"{args.subcommand}: {len(rows)} graphs, {errors} errors")
     results = {"items": rows, "errors": errors, "total": len(rows)}
-    return Run({"input": args.input}, results, text_lines, 2 if errors else 0)
+    return Run(results, text_lines, 2 if errors else 0)
 
 
 def _spectrum_fields(graphs: list) -> list[dict[str, Any]]:
@@ -247,10 +247,14 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
     from .graphs import check_graph6_order, write_graph6
     from .spectra import equitable_partition, quotient_root
     flags, builder, cells_of = _FAMILIES[args.family]
-    values = [getattr(args, flag) for flag in flags]
-    if None in values:
+    foreign = [f"--{key}" for key in ("n", "delta", "s", "parts")
+               if key in args and key not in flags]
+    if foreign:
+        raise ValueError(f"{args.family} does not take {' or '.join(foreign)}")
+    if not all(flag in args for flag in flags):
         names = [f"--{flag}" for flag in flags]
         raise ValueError(f"{args.family} requires {', '.join(names[:-1])} and {names[-1]}")
+    values = [getattr(args, flag) for flag in flags]
     # write_graph6's limit, checked before a build that could be huge
     check_graph6_order(args.s + sum(args.parts) if args.family == "g1" else args.n)
     g = getattr(extremal, builder)(*values)
@@ -259,8 +263,6 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
         g = extremal.build_g4(g, plan)
     cells = getattr(extremal, cells_of)(*values) if cells_of else equitable_partition(g)
     poly, q = quotient_root(g, cells)
-    config = {key: getattr(args, key) for key in ("family", "n", "delta", "s")}
-    config["parts"] = list(args.parts) if args.parts else None
 
     # what the build gives; the options stay in config
     meta: dict[str, Any] = {
@@ -284,12 +286,12 @@ def _cmd_extremal(args: argparse.Namespace) -> Run:
         meta["embeds_in_extremal"] = extremal.g4_containment(plan, g, gs) is not None
 
     # the text also shows the family's own options: g1 has no n, gstar no s
-    shown = {**meta, **{key: config[key] for key in ("family", *flags)}}
+    shown = {**meta, **{key: getattr(args, key) for key in ("family", *flags)}}
     text_lines = [meta["graph6"]] + [
         f"{key} = {_fmt(value) if isinstance(value, float) else value}"
         for key, value in sorted(shown.items()) if key != "graph6"
     ]
-    return Run(config, meta, text_lines)
+    return Run(meta, text_lines)
 
 
 def verify_exit_code(results: dict[str, Any]) -> int:
@@ -304,7 +306,7 @@ def verify_exit_code(results: dict[str, Any]) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> Run:
     from .harness import verify_stream
-    results = verify_stream(_read_lines(args.stream), jobs=args.jobs)
+    results = verify_stream(_read_lines(args.input), jobs=args.jobs)
     counts = results["counts"]
     shown = [row for row in results["items"]
              if "error" in row or row["classification"] == "counterexample"]
@@ -313,35 +315,31 @@ def _cmd_verify(args: argparse.Namespace) -> Run:
         "verify: total={total} errors={errors} ".format(**results)
         + " ".join(f"{k}={counts[k]}" for k in counts)
     )
-    config = {"input": args.stream, "jobs": args.jobs}
-    return Run(config, results, text_lines, verify_exit_code(results))
+    return Run(results, text_lines, verify_exit_code(results))
 
 
 def _cmd_suite(args: argparse.Namespace) -> Run:
     from .suites import identity_suite, lemma_suite
     if args.subcommand == "lemmas":
-        config, results, failure = {"seed": args.seed}, lemma_suite(seed=args.seed), "FAILURES"
+        results, failure = lemma_suite(seed=args.seed), "FAILURES"
     else:
-        config, results, failure = {}, identity_suite(), "MISMATCHES"
+        results, failure = identity_suite(), "MISMATCHES"
     text_lines = [
         f"{name}: {'PASS' if section['passed'] else 'FAIL'}"
         for name, section in results.items() if isinstance(section, dict)
     ]
     text_lines.append(
         f"{args.subcommand}: {'all passed' if results['all_passed'] else failure}")
-    return Run(config, results, text_lines, 0 if results["all_passed"] else 1)
+    return Run(results, text_lines, 0 if results["all_passed"] else 1)
 
 
 def _cmd_agreement(args: argparse.Namespace) -> Run:
     from .census import agreement_study
-    results = agreement_study(
-        args.n,
-        connected_only=args.connected_only,
-        samples=args.samples,
-        p=args.p,
-        seed=args.seed,
-    )
-    config = {key: getattr(args, key) for key in ("n", "samples", "connected_only", "p", "seed")}
+    sampling = {key: getattr(args, key) for key in ("samples", "p", "seed") if key in args}
+    if sampling and "samples" not in sampling:
+        given = " and ".join(f"--{key}" for key in sampling)
+        raise ValueError(f"--samples is required with {given}")
+    results = agreement_study(args.n, connected_only=args.connected_only, **sampling)
     text_lines = [
         f"agreement n={args.n} ({results['mode']}, "
         f"{'connected' if args.connected_only else 'all'}): total={results['total']}"
@@ -351,7 +349,7 @@ def _cmd_agreement(args: argparse.Namespace) -> Run:
         "criterion matches even factors: "
         + ("yes" if results["criterion_matches_factor"] else "no")
     )
-    return Run(config, results, text_lines)
+    return Run(results, text_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +379,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("extremal", _cmd_extremal, "build an extremal-family graph")
     p.add_argument("--family", required=True, choices=tuple(_FAMILIES))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--parts", type=_parse_parts, default=None,
+    for flag in ("--n", "--delta", "--s"):
+        p.add_argument(flag, type=int, default=argparse.SUPPRESS)
+    p.add_argument("--parts", type=_parse_parts, default=argparse.SUPPRESS,
                    help="comma-separated clique orders (g1 only)")
 
     p = add("factor", _cmd_per_line, "criterion and certificate per graph")
     p.add_argument("input", nargs="?", default="-", help="graph6 file or - for stdin")
 
     p = add("verify", _cmd_verify, "classify a stream against the theorem")
-    p.add_argument("--stream", required=True, metavar="FILE",
+    p.add_argument("--stream", dest="input", required=True, metavar="FILE",
                    help="graph6 file or - for stdin")
     p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                    help="at most N processes, this one included, one per usable CPU "
@@ -408,14 +405,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("agreement", _cmd_agreement, "criterion-vs-even-factor cross-tabulation")
     p.add_argument("--n", type=int, required=True, help="graph order (even)")
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=int, default=argparse.SUPPRESS,
                    help="number of seeded random graphs (>= 1) instead of every "
                         "labeled graph of order n (n <= 7)")
     p.add_argument("--connected-only", action="store_true")
-    p.add_argument("--p", type=float, default=0.5, help="edge probability for samples")
-    p.add_argument("--seed", type=int, default=0, help="seed for samples")
+    p.add_argument("--p", type=float, default=argparse.SUPPRESS,
+                   help="edge probability for samples (default 0.5)")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="seed for samples (default 0)")
 
     return parser
+
+
+# What config leaves out: the dispatch, the output choices and verify's
+# ignored holdovers. An option that applies only in some runs defaults to
+# SUPPRESS, so config records it only when given.
+_NOT_OPTIONS = {"subcommand", "func", "format", "report",
+                "max_cert_order", "max_cert_edges", "allow_undecided"}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -425,7 +431,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         run = args.func(args)
-        report = make_report(args.subcommand, run.config, run.results,
+        config = {key: value for key, value in vars(args).items() if key not in _NOT_OPTIONS}
+        report = make_report(args.subcommand, config, run.results,
                              wall_time_s=time.perf_counter() - start)
         _write_outputs(args, report, run)
         if sys.stdout is not None:  # None when the shell closed it (>&-)

@@ -108,7 +108,6 @@ def _redistribution_lemma() -> dict[str, Any]:
         "violations": violations,
         "violating_cases": bad,
         "min_strict_margin": None if strict == 0 else min_strict,
-        "max_equality_deviation": 0.0,
         "passed": violations == 0,
     }
 
@@ -240,16 +239,9 @@ def _quotient_radius_lemma() -> dict[str, Any]:
             if above_roots(cofactor, math.nextafter(root, 0)):
                 row["root_vs_perron"] = 0.0
         rows.append(row)
-    proved = all(r["root_vs_perron"] is not None for r in rows)
-    all_divide = all(r["divides"] for r in rows)
-    all_equitable = all(r["equitable"] for r in rows)
-    return {
-        "cases": rows,
-        "max_root_vs_perron": 0.0 if proved else None,
-        "all_divide": all_divide,
-        "all_equitable": all_equitable,
-        "passed": all_equitable and proved and all_divide,
-    }
+    passed = all(r["equitable"] and r["divides"] and r["root_vs_perron"] is not None
+                 for r in rows)
+    return {"cases": rows, "passed": passed}
 
 
 def _eigenvector_cell_lemma() -> dict[str, Any]:
@@ -267,8 +259,7 @@ def _eigenvector_cell_lemma() -> dict[str, Any]:
         for label in ("q", "rho"):
             rows.append({"n": n, "delta": delta, "matrix": label,
                          "max_spread": 0.0 if proved else None})
-    passed = all(r["max_spread"] is not None for r in rows)
-    return {"cases": rows, "max_spread": 0.0 if passed else None, "passed": passed}
+    return {"cases": rows, "passed": all(r["max_spread"] is not None for r in rows)}
 
 
 def _join_perron_values(s: int, sizes: Sequence[int], r: float,

@@ -78,6 +78,18 @@ def _stdin(text):
     return io.TextIOWrapper(io.BytesIO(text.encode("ascii")), encoding="ascii")
 
 
+@pytest.fixture
+def no_build(monkeypatch):
+    """Every extremal builder fails the test if it is called."""
+    from qfactor import extremal
+
+    def fail(*args):
+        raise AssertionError("built a graph for a run that must stop at its flags")
+
+    for name in ("build_gstar", "build_g1", "build_g3", "build_g4", "surgery_plan"):
+        monkeypatch.setattr(extremal, name, fail)
+
+
 def run(capsys, *argv):
     try:
         code = main(list(argv))
@@ -195,29 +207,42 @@ class TestExtremal:
 
     def test_g1_parts(self, capsys):
         code, out, _ = run(
-            capsys, "extremal", "--family", "g1", "--n", "10", "--s", "2",
-            "--parts", "3,3", "--format", "json",
+            capsys, "extremal", "--family", "g1", "--s", "2", "--parts", "3,3",
+            "--format", "json",
         )
         assert code == 0
         report = json.loads(out)
         result = report["results"]
         # g1 has no n parameter: the results report the order it builds,
-        # and the config keeps the flags as they were passed
+        # and config holds the flags given
         assert "n" not in result and "parts" not in result and result["order"] == 8
-        assert report["config"]["n"] == 10 and report["config"]["parts"] == [3, 3]
+        assert report["config"] == {"family": "g1", "s": 2, "parts": [3, 3]}
 
     def test_text_shows_only_the_family_parameters(self, capsys):
-        # The report keeps every option in config and none in results; the
-        # text shows the family's own: gstar has no s.
-        argv = ["extremal", "--family", "gstar", "--n", "8", "--delta", "2", "--s", "5"]
+        # The report keeps the options in config and none in results; the
+        # text shows the family's own beside the build's values: g1 has no n.
+        argv = ["extremal", "--family", "g1", "--s", "2", "--parts", "3,3"]
         code, out, _ = run(capsys, *argv)
         lines = out.splitlines()
-        assert code == 0 and "n = 8" in lines and "delta = 2" in lines
-        assert "s = 5" not in lines
+        assert code == 0 and {"family = g1", "s = 2", "parts = [3, 3]", "order = 8"} <= set(lines)
+        assert not [line for line in lines if line.startswith(("n = ", "delta = "))]
         code, out, _ = run(capsys, *argv, "--format", "json")
         report = json.loads(out)
-        assert report["config"]["s"] == 5
+        assert report["config"] == {"family": "g1", "s": 2, "parts": [3, 3]}
         assert not report["results"].keys() & {"family", "n", "delta", "s", "parts"}
+
+    @pytest.mark.parametrize("family, argv, flag", [
+        ("gstar", ["--n", "8", "--delta", "2", "--s", "5"], "--s"),
+        ("gstar", ["--n", "8", "--delta", "2", "--parts", "3,3"], "--parts"),
+        ("g1", ["--s", "2", "--parts", "3,3", "--n", "10"], "--n"),
+        ("g1", ["--s", "2", "--parts", "3,3", "--delta", "2"], "--delta"),
+        ("g3", ["--n", "14", "--delta", "3", "--s", "2", "--parts", "3"], "--parts"),
+        ("g4", ["--n", "14", "--delta", "3", "--s", "2", "--parts", "3"], "--parts"),
+    ], ids=["gstar-s", "gstar-parts", "g1-n", "g1-delta", "g3-parts", "g4-parts"])
+    def test_foreign_flag_exit_2_before_any_build(self, capsys, no_build, family, argv, flag):
+        # A flag of another family would take no effect: a usage error.
+        code, out, err = run(capsys, "extremal", "--family", family, *argv)
+        assert (code, out, err) == (2, "", f"extremal: {family} does not take {flag}\n")
 
     def test_g4_surgery_metadata(self, capsys):
         code, out, _ = run(
@@ -263,14 +288,7 @@ class TestExtremal:
         ["--family", "g1", "--s", "2", "--parts", "63"],
         ["--family", "g4", "--n", "3000", "--delta", "5", "--s", "3"],
     ], ids=["g1", "g4"])
-    def test_order_above_62_exit_2_before_any_build(self, capsys, monkeypatch, argv):
-        from qfactor import extremal
-
-        def fail(*args):
-            raise AssertionError("built a graph write_graph6 must refuse")
-
-        for name in ("build_gstar", "build_g1", "build_g3", "build_g4", "surgery_plan"):
-            monkeypatch.setattr(extremal, name, fail)
+    def test_order_above_62_exit_2_before_any_build(self, capsys, no_build, argv):
         code, out, err = run(capsys, "extremal", *argv)
         assert (code, out, err) == (2, "", "extremal: short-form graph6 supports n <= 62 only\n")
 
@@ -282,8 +300,7 @@ class TestExtremal:
 
     def test_bad_parts_string_exit_2(self, capsys):
         code, _, err = run(
-            capsys, "extremal", "--family", "g1", "--n", "10", "--s", "2",
-            "--parts", "3,x",
+            capsys, "extremal", "--family", "g1", "--s", "2", "--parts", "3,x",
         )
         assert code == 2
 
@@ -723,7 +740,7 @@ def test_per_line_commands_share_one_reader(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     runs = {name: _cmd_per_line(Namespace(subcommand=name, input=str(path)))
             for name in ("spectrum", "factor")}
-    runs["verify"] = _cmd_verify(Namespace(stream=str(path), jobs=1))
+    runs["verify"] = _cmd_verify(Namespace(input=str(path), jobs=1))
     rows = {name: run.results["items"] for name, run in runs.items()}
     keys = [(row["line"], row["graph6"]) for row in rows["verify"]]
     assert len(keys) == len(lines) - 1 and keys[59] == (61, lines[60][len(">>graph6<<"):])
@@ -987,6 +1004,16 @@ class TestAgreement:
         assert (code, out) == (2, "")
         assert err == "agreement: short-form graph6 supports n <= 62 only\n"
 
+    @pytest.mark.parametrize("flag, value", [("--p", "0.9"), ("--seed", "7")],
+                             ids=["p", "seed"])
+    def test_sampling_flag_needs_samples(self, capsys, flag, value):
+        # Without --samples the census is exhaustive, and --p or --seed would
+        # take no effect: a usage error.
+        code, out, err = run(capsys, "agreement", "--n", "4", flag, value)
+        assert (code, out, err) == (2, "", f"agreement: --samples is required with {flag}\n")
+        code, _, _ = run(capsys, "agreement", "--n", "4", flag, value, "--samples", "3")
+        assert code == 0
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_samples_below_one_exit_2(self, capsys, samples):
         code, out, err = run(capsys, "agreement", "--n", "6", "--samples", samples)
@@ -1096,8 +1123,8 @@ GOLDEN_CASES = [
     ("verify", ["verify", "--stream", "-"], ("text", "json", "csv"), 2, 6),
     ("extremal_gstar", ["extremal", "--family", "gstar", "--n", "8", "--delta", "2"],
      ("text", "json"), 0, 9),
-    ("extremal_g1", ["extremal", "--family", "g1", "--n", "10", "--s", "2",
-                     "--parts", "3,3"], ("text", "json"), 0, 11),
+    ("extremal_g1", ["extremal", "--family", "g1", "--s", "2", "--parts", "3,3"],
+     ("text", "json"), 0, 11),
     ("extremal_gstar_odd", ["extremal", "--family", "gstar", "--n", "9", "--delta", "2"],
      ("text", "json"), 0, 13),
     ("extremal_g3", ["extremal", "--family", "g3", "--n", "14", "--delta", "3", "--s", "2"],
@@ -1183,19 +1210,48 @@ def test_report_does_not_depend_on_format(capsys, monkeypatch, tmp_path, no_thre
     assert len(envelopes) == 1
 
 
+# The defaults of the options that always apply, per command; every other
+# option is in config only when its flag is given.
+ALWAYS_APPLIES = {
+    "spectrum": {"input": "-"},
+    "factor": {"input": "-"},
+    "verify": {"jobs": 1},
+    "lemmas": {"seed": 0},
+    "agreement": {"connected_only": False},
+}
+
+
+def _given_options(argv):
+    """The options on a golden argv as config records them: a bare word is
+    the input, --stream is too, and parts is a list."""
+    options, rest = {}, argv[1:]
+    while rest:
+        if rest[0].startswith("--"):
+            (flag, text), rest = rest[:2], rest[2:]
+            key = {"--stream": "input"}.get(flag, flag[2:])
+        else:
+            (key, text), rest = ("input", rest[0]), rest[1:]
+        if key == "parts":
+            options[key] = [int(part) for part in text.split(",")]
+        else:
+            options[key] = int(text) if text.isdigit() else text
+    return options
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(argv, id=name) for name, argv, _, _, _ in GOLDEN_CASES
 ])
 def test_report_states_each_fact_once(capsys, monkeypatch, no_threshold, cached_suites, argv):
-    # command names the subcommand and config holds the options, so config
-    # does not name it again; extremal's results repeat no option, and
-    # verify's do not list its counterexample rows a second time.
+    # command names the subcommand and config holds exactly the options that
+    # took effect: those given, and the defaults of those that always apply.
+    # extremal's results repeat no option, and verify's do not list its
+    # counterexample rows a second time.
     monkeypatch.setattr("sys.stdin", _stdin(GOLDEN_INPUT))
     _, out, _ = run(capsys, *argv, "--format", "json")
     report = json.loads(out)
     assert set(report) == {"schema", "tool", "command", "config", "meta", "results"}
     assert report["schema"] == "qfactor.report/v2"
-    assert "subcommand" not in report["config"]
+    assert report["config"] == {**ALWAYS_APPLIES.get(argv[0], {}), **_given_options(argv)}
     if argv[0] == "extremal":
         assert not report["results"].keys() & report["config"].keys()
     if argv[0] == "verify":

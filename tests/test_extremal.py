@@ -21,7 +21,7 @@ from qfactor.extremal import (
 from qfactor.graphs import Graph, is_connected, min_degree
 from qfactor.harness import max_theorem_delta
 from qfactor.suites import _gstar_grid, _identity_grid, min_theorem_order, odd_compositions
-from qfactor.spectra import char_poly, perron_many, quotient
+from qfactor.spectra import char_poly, perron_many, quotient, quotient_root
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +259,18 @@ def test_threshold_identity_at_every_order():
     for n, delta in pairs:
         counted = char_poly(quotient(build_gstar(n, delta), gstar_cells(n, delta)))
         assert counted == phi_bstar(n, delta), (n, delta)
+
+
+def test_closest_non_gstar_join_lies_below_the_threshold():
+    # Evidence for the sharp form at (62, 4), not a proof: an enumeration of
+    # every clique join K_s v (K_n1 u ... u K_ns) with odd parts, at even
+    # n <= 100, found none but G* reaching the threshold, and this join the
+    # closest below it. Only this one join is checked here.
+    g, cells = build_g1(2, (3, 57)), g1_cells(2, (3, 57))
+    assert (g.n, min_degree(g)) == (62, 4)
+    poly, q = quotient_root(g, cells)
+    assert poly == (-41040, 8004, -182, 1) != phi_bstar(62, 4)
+    assert threshold_q(62, 4) - q == pytest.approx(0.11249, abs=1e-5)
 
 
 def test_family_builders_equal_validated_graphs():

@@ -847,20 +847,20 @@ class TestSuites:
             assert report[name]["passed"] is True, name
         assert report["clique_redistribution"]["violations"] == 0
         assert report["edge_monotonicity"]["violations"] == 0
-        assert report["quotient_radius"]["all_equitable"] is True
-        assert report["quotient_radius"]["max_root_vs_perron"] < 1e-8
-        assert report["quotient_radius"]["all_divide"] is True
-        assert all(case["divides"] for case in report["quotient_radius"]["cases"])
+        cases = report["quotient_radius"]["cases"]
+        assert all(case["equitable"] and case["divides"] for case in cases)
+        assert all(case["root_vs_perron"] is not None and case["root_vs_perron"] < 1e-8
+                   for case in cases)
 
     def test_lemma_suite_is_exact(self, lemma_report):
         # Every radius is a correctly rounded quotient root and every edge
         # margin an integer certificate: the deviations are exactly 0.0, and
         # a second run gives the same report.
         report = lemma_report
-        assert report["clique_redistribution"]["max_equality_deviation"] == 0.0
-        assert report["quotient_radius"]["max_root_vs_perron"] == 0.0
+        assert report["clique_redistribution"]["violating_cases"] == []
+        assert report["clique_redistribution"]["passed"] is True
         assert all(case["root_vs_perron"] == 0.0 for case in report["quotient_radius"]["cases"])
-        assert report["eigenvector_cells"]["max_spread"] == 0.0
+        assert all(case["max_spread"] == 0.0 for case in report["eigenvector_cells"]["cases"])
         assert lemma_suite() == report
 
     def test_quotient_radius_rejects_a_non_dividing_polynomial(self, monkeypatch):
@@ -874,10 +874,10 @@ class TestSuites:
 
         monkeypatch.setattr("qfactor.suites.char_poly", skewed)
         report = suites._quotient_radius_lemma()
-        assert report["all_equitable"] is True
-        assert report["max_root_vs_perron"] < 1e-8
+        assert all(case["equitable"] for case in report["cases"])
+        assert all(case["root_vs_perron"] == 0.0 for case in report["cases"])
         assert not any(case["divides"] for case in report["cases"])
-        assert report["all_divide"] is False and report["passed"] is False
+        assert report["passed"] is False
 
     def test_quotient_radius_fails_a_non_equitable_partition(self, monkeypatch):
         # Vertex 0 alone and every other vertex in one cell, which mixes
@@ -886,8 +886,8 @@ class TestSuites:
         monkeypatch.setattr("qfactor.suites.gstar_cells",
                             lambda n, delta: [[0], list(range(1, n))])
         section = suites._quotient_radius_lemma()
-        assert section["passed"] is False and section["all_equitable"] is False
-        assert section["all_divide"] is False
+        assert section["passed"] is False
+        assert not any(case["divides"] for case in section["cases"])
         assert all(case["equitable"] is False and case["root_vs_perron"] is None
                    for case in section["cases"])
         assert suites._eigenvector_cell_lemma()["passed"] is False
@@ -903,7 +903,7 @@ class TestSuites:
 
         monkeypatch.setattr(suites, "_quotient", off_by_one)
         section = suites._quotient_radius_lemma()
-        assert section["all_equitable"] is True
+        assert all(case["equitable"] for case in section["cases"])
         assert not any(case["divides"] for case in section["cases"])
         assert section["passed"] is False
 
@@ -916,13 +916,13 @@ class TestSuites:
                             lambda p, d: suites._product(divide(p, d), (-10**6, 1)))
         section = suites._quotient_radius_lemma()
         assert all(case["root_vs_perron"] is None for case in section["cases"])
-        assert section["max_root_vs_perron"] is None and section["passed"] is False
+        assert section["passed"] is False
 
     def test_eigenvector_cells_fail_a_one_cell_partition(self, monkeypatch):
         # G* is not regular, so one cell is not equitable: no case is proved.
         monkeypatch.setattr("qfactor.suites.gstar_cells", lambda n, delta: [list(range(n))])
         section = suites._eigenvector_cell_lemma()
-        assert section["passed"] is False and section["max_spread"] is None
+        assert section["passed"] is False
         assert all(case["max_spread"] is None for case in section["cases"])
 
     def test_cell_values_match_eigh(self, lemma_report):
